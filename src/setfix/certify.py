@@ -17,9 +17,9 @@ alone cannot be met by any admissible parameters (reported bound > 1);
 otherwise infeasibility means exhaustion of the search grid and the
 hardest pair is reported with its bound <= 1.
 
-Evals of catalog operators are single intervals, so H between values is
-the closed form max(|lo1-lo2|, |hi1-hi2|) and the whole pair sweep is a
-handful of vectorized array operations.
+Grid sweeps evaluate T once via eval_grid and the single-interval closed
+forms in operators.  The strict fixed point x* comes from the caller (the
+scan in run_scenario, or unique_strict_fixed_point), checked by one eval.
 """
 
 from __future__ import annotations
@@ -37,8 +37,13 @@ from .errors import (
     SchemaError,
     StrictFixedPointMismatchError,
 )
-from .intervals import IntervalUnion, dist_point_to_set, hausdorff
-from .operators import MultivaluedOperator
+from .intervals import IntervalUnion, hausdorff
+from .operators import (
+    MultivaluedOperator,
+    dist_to_value,
+    hausdorff_between_values,
+    hausdorff_to_point,
+)
 
 VARIANTS = ("ciric", "ciric_reich_rus", "combined")
 
@@ -144,23 +149,12 @@ class ContractionCertificate:
                    int(obj["grid_n"]), int(obj.get("skipped", 0)))
 
 
-def _grid_images(t: MultivaluedOperator, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    lo = np.empty(len(xs))
-    hi = np.empty(len(xs))
-    for i, x in enumerate(xs):
-        parts = t.eval(float(x)).parts
-        # catalog evals are single intervals by construction
-        lo[i] = parts[0].lo
-        hi[i] = parts[-1].hi
-    return lo, hi
-
-
 def _pair_system(t: MultivaluedOperator, variant: str, xs: np.ndarray):
     """LHS and the three feature columns over all ordered pairs x != y."""
-    lo, hi = _grid_images(t, xs)
+    lo, hi = t.eval_grid(xs)
     X = xs[:, None]
-    dist = np.maximum(0.0, np.maximum(lo[None, :] - X, X - hi[None, :]))
-    h = np.maximum(np.abs(lo[:, None] - lo[None, :]), np.abs(hi[:, None] - hi[None, :]))
+    dist = dist_to_value(X, lo[None, :], hi[None, :])
+    h = hausdorff_between_values(lo[:, None], hi[:, None], lo[None, :], hi[None, :])
     d = np.abs(X - xs[None, :])
     n = len(xs)
     mask = ~np.eye(n, dtype=bool)
@@ -301,12 +295,29 @@ class GridSup(NamedTuple):
     arg: float
 
 
-def _verify_strict_point(op: MultivaluedOperator, xstar: float, label: str) -> None:
-    defect = hausdorff(op.eval(xstar), IntervalUnion.singleton(xstar))
-    if defect >= 1e-9:
-        raise StrictFixedPointMismatchError(
-            f"{label}: {xstar!r} is not a strict fixed point "
-            f"(hausdorff(T(x*), {{x*}}) = {defect:.3e})")
+def _verify_strict_point(xstar: float, *ops: MultivaluedOperator) -> None:
+    """Raise unless T(x*) = {x*} for every operator, at the scan tolerance 1e-9."""
+    for op in ops:
+        defect = hausdorff(op.eval(xstar), IntervalUnion.singleton(xstar))
+        if defect >= 1e-9:
+            raise StrictFixedPointMismatchError(
+                f"{op.name or '<anonymous>'}: {xstar!r} is not a strict fixed point "
+                f"(hausdorff(T(x*), {{x*}}) = {defect:.3e})")
+
+
+def _sup_on_grid(values: np.ndarray, xs, default):
+    """(max, first argmax) of values over xs, or (0.0, default) if none is positive."""
+    i = int(np.argmax(values))
+    if values[i] > 0.0:
+        return float(values[i]), float(xs[i])
+    return 0.0, default
+
+
+def _grid_sup(xs: np.ndarray, num: np.ndarray, den: np.ndarray, skip: np.ndarray,
+              default: float) -> GridSup:
+    ratio = np.divide(num, den, out=np.zeros_like(num), where=~skip)
+    value, arg = _sup_on_grid(ratio, xs, default)
+    return GridSup(value, int(skip.sum()), arg)
 
 
 def sup_ratio_l(t: MultivaluedOperator, tg: MultivaluedOperator, xstar: float,
@@ -319,23 +330,11 @@ def sup_ratio_l(t: MultivaluedOperator, tg: MultivaluedOperator, xstar: float,
     """
     if grid_n < 2:
         raise ParameterRangeError("sup_ratio_l needs grid_n >= 2")
-    _verify_strict_point(t, xstar, "base operator")
-    _verify_strict_point(tg, xstar, "perturbed operator")
-    point = IntervalUnion.singleton(xstar)
-    best, arg, skipped = 0.0, xstar, 0
-    for x in t.domain.grid(grid_n):
-        x = float(x)
-        if x == xstar:
-            skipped += 1
-            continue
-        den = hausdorff(tg.eval(x), point)
-        if den < 1e-14:
-            skipped += 1
-            continue
-        r = hausdorff(t.eval(x), point) / den
-        if r > best:
-            best, arg = r, x
-    return GridSup(best, skipped, arg)
+    _verify_strict_point(xstar, t, tg)
+    xs = t.domain.grid(grid_n)
+    den = hausdorff_to_point(*tg.eval_grid(xs), xstar)
+    return _grid_sup(xs, hausdorff_to_point(*t.eval_grid(xs), xstar), den,
+                     (xs == xstar) | (den < 1e-14), xstar)
 
 
 def sup_gap_ratio_l(t: MultivaluedOperator, tg: MultivaluedOperator, xstar: float,
@@ -343,22 +342,11 @@ def sup_gap_ratio_l(t: MultivaluedOperator, tg: MultivaluedOperator, xstar: floa
     """Gap-based analogue: sup of D(T(x), {x*}) / D(T_G(x), {x*}) (weak variant)."""
     if grid_n < 2:
         raise ParameterRangeError("sup_gap_ratio_l needs grid_n >= 2")
-    _verify_strict_point(t, xstar, "base operator")
-    _verify_strict_point(tg, xstar, "perturbed operator")
-    best, arg, skipped = 0.0, xstar, 0
-    for x in t.domain.grid(grid_n):
-        x = float(x)
-        if x == xstar:
-            skipped += 1
-            continue
-        den = dist_point_to_set(xstar, tg.eval(x))
-        if den < 1e-14:
-            skipped += 1
-            continue
-        r = dist_point_to_set(xstar, t.eval(x)) / den
-        if r > best:
-            best, arg = r, x
-    return GridSup(best, skipped, arg)
+    _verify_strict_point(xstar, t, tg)
+    xs = t.domain.grid(grid_n)
+    den = dist_to_value(xstar, *tg.eval_grid(xs))
+    return _grid_sup(xs, dist_to_value(xstar, *t.eval_grid(xs)), den,
+                     (xs == xstar) | (den < 1e-14), xstar)
 
 
 def displacement_constant_L(t: MultivaluedOperator, tg: MultivaluedOperator,
@@ -371,20 +359,16 @@ def displacement_constant_L(t: MultivaluedOperator, tg: MultivaluedOperator,
     """
     if grid_n < 2:
         raise ParameterRangeError("displacement_constant_L needs grid_n >= 2")
-    best, arg, skipped = 0.0, float(t.domain.bounds.lo), 0
-    for x in t.domain.grid(grid_n):
-        x = float(x)
-        num = dist_point_to_set(x, tg.eval(x))
-        den = dist_point_to_set(x, t.eval(x))
-        if den < 1e-14:
-            if num < 1e-14:
-                skipped += 1
-                continue
-            return GridSup(float("inf"), skipped, x)
-        r = num / den
-        if r > best:
-            best, arg = r, x
-    return GridSup(best, skipped, arg)
+    xs = t.domain.grid(grid_n)
+    num = dist_to_value(xs, *tg.eval_grid(xs))
+    den = dist_to_value(xs, *t.eval_grid(xs))
+    zero = den < 1e-14
+    skip = zero & (num < 1e-14)
+    blowup = np.flatnonzero(zero & ~skip)
+    if blowup.size:
+        i = int(blowup[0])
+        return GridSup(float("inf"), int(skip[:i].sum()), float(xs[i]))
+    return _grid_sup(xs, num, den, skip, float(t.domain.bounds.lo))
 
 
 class XiResult(NamedTuple):
@@ -406,17 +390,11 @@ def retraction_displacement_check(t: MultivaluedOperator, params: ContractionPar
     if denom <= 0.0:
         raise ParameterRangeError("need alpha + beta < 1 for the displacement bound")
     C = (1.0 + params.gamma) * L / denom
-    dist_vals, err_vals = [], []
-    for x in t.domain.grid(grid_n):
-        x = float(x)
-        d = dist_point_to_set(x, t.eval(x))
-        e = abs(x - xstar)
-        if d < 1e-14 and e < 1e-9:
-            continue
-        dist_vals.append(d)
-        err_vals.append(e)
-    dd = np.asarray(dist_vals)
-    ee = np.asarray(err_vals)
+    xs = t.domain.grid(grid_n)
+    dist = dist_to_value(xs, *t.eval_grid(xs))
+    err = np.abs(xs - xstar)
+    keep = (dist >= 1e-14) | (err >= 1e-9)
+    dd, ee = dist[keep], err[keep]
 
     def pred(xi: float) -> bool:
         return bool(np.all(ee * xi <= C * dd))

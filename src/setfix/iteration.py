@@ -13,6 +13,8 @@ import csv
 import io
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InsufficientDataError, OutOfDomainError, ParameterRangeError
 from .intervals import (
     IntervalUnion,
@@ -178,17 +180,14 @@ def scan_fixed_points(t: MultivaluedOperator, grid_n: int = 10_001,
         raise ParameterRangeError("scan_fixed_points needs grid_n >= 2")
     xs = t.domain.grid(grid_n)
     step = float(xs[1] - xs[0])
-    psi = [_membership_defect(t, float(x)) for x in xs]
+    lo, hi = t.eval_grid(xs)
+    psi = xs - np.clip(xs, lo, hi)
 
-    candidates: list[float] = []
-    for x, v in zip(xs, psi):
-        if abs(v) <= tol:
-            candidates.append(float(x))
-    for i in range(len(xs) - 1):
-        if psi[i] * psi[i + 1] < 0.0:
-            root = _bisect_root(t, float(xs[i]), float(xs[i + 1]), psi[i], tol)
-            if dist_point_to_set(root, t.eval(root)) <= tol:
-                candidates.append(root)
+    candidates = [float(x) for x in xs[np.abs(psi) <= tol]]
+    for i in np.nonzero(psi[:-1] * psi[1:] < 0.0)[0]:
+        root = _bisect_root(t, float(xs[i]), float(xs[i + 1]), float(psi[i]), tol)
+        if dist_point_to_set(root, t.eval(root)) <= tol:
+            candidates.append(root)
 
     candidates.sort()
     fixed: list[float] = []
@@ -217,9 +216,16 @@ def scan_fixed_points(t: MultivaluedOperator, grid_n: int = 10_001,
     return FixedPointScan(tuple(fixed), tuple(strict), tol, grid_n)
 
 
-def orbit_to_csv(trace: OrbitTrace) -> str:
-    """Flatten an orbit to CSV: n, part_i_lo, part_i_hi..., h_to_prev, h_to_target."""
-    max_parts = max(len(s.set.parts) for s in trace.steps)
+def orbit_steps(trace: OrbitTrace) -> list[dict]:
+    """The steps of an orbit as report rows: n, parts, h_to_prev, h_to_target."""
+    return [{"n": s.n, "parts": [[p.lo, p.hi] for p in s.set.parts],
+             "h_to_prev": s.h_to_prev, "h_to_target": s.h_to_target}
+            for s in trace.steps]
+
+
+def steps_to_csv(steps: list[dict]) -> str:
+    """Flatten orbit rows to CSV: n, part_i_lo, part_i_hi..., h_to_prev, h_to_target."""
+    max_parts = max(len(s["parts"]) for s in steps)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     header = ["n"]
@@ -227,14 +233,19 @@ def orbit_to_csv(trace: OrbitTrace) -> str:
         header += [f"part{i}_lo", f"part{i}_hi"]
     header += ["h_to_prev", "h_to_target"]
     writer.writerow(header)
-    for s in trace.steps:
-        row: list[object] = [s.n]
+    for s in steps:
+        row: list[object] = [s["n"]]
         for i in range(max_parts):
-            if i < len(s.set.parts):
-                row += [repr(s.set.parts[i].lo), repr(s.set.parts[i].hi)]
+            if i < len(s["parts"]):
+                row += [repr(s["parts"][i][0]), repr(s["parts"][i][1])]
             else:
                 row += ["", ""]
-        row.append(repr(s.h_to_prev))
-        row.append("" if s.h_to_target is None else repr(s.h_to_target))
+        row.append(repr(s["h_to_prev"]))
+        row.append("" if s["h_to_target"] is None else repr(s["h_to_target"]))
         writer.writerow(row)
     return buf.getvalue()
+
+
+def orbit_to_csv(trace: OrbitTrace) -> str:
+    """The orbit as CSV, in the layout of steps_to_csv."""
+    return steps_to_csv(orbit_steps(trace))

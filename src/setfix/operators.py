@@ -64,30 +64,28 @@ class BoundaryFn:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _base_value(self, x: float) -> float:
+    def _base(self, x, sqrt):
+        # one formula for scalars and arrays, so value and value_array agree bit
+        # for bit: powers by repeated multiplication, 1/sqrt before the coeff
         if self.base == "power":
-            return x ** self.p
+            v = x
+            for _ in range(self.p - 1):
+                v = v * x
+            return v
         if self.base == "sqrt":
-            return math.sqrt(x)
-        if self.base == "invsqrt":
-            return 1.0 / math.sqrt(x)
-        return 0.0
+            return sqrt(x)
+        return 1.0 / sqrt(x)
 
     def value(self, x: float) -> float:
         acc = self.offset + self.slope * x
         if self.coeff != 0.0 and self.base != "none":
-            acc += self.coeff * self._base_value(x)
+            acc += self.coeff * self._base(x, math.sqrt)
         return acc
 
     def value_array(self, xs: np.ndarray) -> np.ndarray:
         acc = self.offset + self.slope * xs
         if self.coeff != 0.0 and self.base != "none":
-            if self.base == "power":
-                acc = acc + self.coeff * xs ** self.p
-            elif self.base == "sqrt":
-                acc = acc + self.coeff * np.sqrt(xs)
-            else:
-                acc = acc + self.coeff / np.sqrt(xs)
+            acc = acc + self.coeff * self._base(xs, np.sqrt)
         return np.asarray(acc, dtype=float)
 
     # -- calculus on the catalog -------------------------------------------
@@ -297,6 +295,29 @@ class MultivaluedOperator:
             lo, hi = hi, lo
         return IntervalUnion((Interval(b.clamp(lo), b.clamp(hi)),), ambient=b)
 
+    def eval_grid(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Endpoints (lo, hi) of T(x) for every x in xs, bit for bit those of eval."""
+        b = self.domain.bounds
+
+        def clamp(v):  # Interval.clamp, signed zeros included
+            return np.minimum(np.maximum(v, b.lo), b.hi)
+
+        xs = np.asarray(xs, dtype=float)
+        inside = (xs >= b.lo - AMBIENT_TOL) & (xs <= b.hi + AMBIENT_TOL)
+        if not inside.all():
+            raise OutOfDomainError(f"x={float(xs[np.argmin(inside)])!r} outside operator "
+                                   f"domain [{b.lo}, {b.hi}]")
+        xs = clamp(xs)
+        idx = np.maximum(np.searchsorted(self._piece_los, xs, side="right") - 1, 0)
+        lo, hi = np.empty_like(xs), np.empty_like(xs)
+        for i, pc in enumerate(self.pieces):
+            sel = idx == i
+            lo[sel] = pc.lower.value_array(xs[sel])
+            hi[sel] = pc.upper.value_array(xs[sel])
+        swap = hi < lo
+        lo, hi = np.where(swap, hi, lo), np.where(swap, lo, hi)
+        return clamp(lo), clamp(hi)
+
     def set_image(self, y: IntervalUnion) -> IntervalUnion:
         """Exact T(Y) = union of T(y) over y in Y (closure at piece junctions)."""
         b = self.domain.bounds
@@ -359,6 +380,26 @@ class MultivaluedOperator:
                        tuple(pieces), name=name)
         except ValueError as exc:
             raise SchemaError(f"invalid operator: {exc}") from exc
+
+
+# -- functionals of single-interval values ---------------------------------------
+# Catalog values are single intervals [lo, hi]; on eval_grid's arrays these
+# closed forms equal dist_point_to_set and hausdorff bit for bit.
+
+
+def dist_to_value(x, lo, hi):
+    """D(x, [lo, hi]) = max(0, lo - x, x - hi), elementwise."""
+    return np.maximum(0.0, np.maximum(lo - x, x - hi))
+
+
+def hausdorff_to_point(lo, hi, p):
+    """H([lo, hi], {p}) = max(|lo - p|, |hi - p|), elementwise."""
+    return np.maximum(np.abs(lo - p), np.abs(hi - p))
+
+
+def hausdorff_between_values(lo1, hi1, lo2, hi2):
+    """H([lo1, hi1], [lo2, hi2]) = max(|lo1 - lo2|, |hi1 - hi2|), elementwise."""
+    return np.maximum(np.abs(lo1 - lo2), np.abs(hi1 - hi2))
 
 
 # -- perturbations --------------------------------------------------------------

@@ -42,7 +42,13 @@ from .errors import (
     SchemaError,
     StrictFixedPointMismatchError,
 )
-from .iteration import orbit_rate, picard_orbit, scan_fixed_points
+from .iteration import (
+    orbit_rate,
+    orbit_steps,
+    picard_orbit,
+    scan_fixed_points,
+    steps_to_csv,
+)
 from .operators import (
     BUILTIN_OPERATORS,
     MultivaluedOperator,
@@ -262,13 +268,7 @@ def _orbit_summary(label: str, x0: float, trace) -> dict:
         "final_h_to_prev": trace.final.h_to_prev,
         "final_h_to_target": trace.final.h_to_target,
         "rate": rate,
-        "trace": [
-            {"n": s.n,
-             "parts": [[p.lo, p.hi] for p in s.set.parts],
-             "h_to_prev": s.h_to_prev,
-             "h_to_target": s.h_to_target}
-            for s in trace.steps
-        ],
+        "trace": orbit_steps(trace),
     }
 
 
@@ -311,7 +311,7 @@ def _run_stability(scenario: Scenario, t: MultivaluedOperator,
     for h in harnesses:
         if h == "data_dependence":
             guarded(h, lambda: st.data_dependence_verify(
-                t, comparison_operator(), params, consts.L, grid_n))
+                t, comparison_operator(), xstar, params, consts.L, grid_n))
         elif h == "psi_mp_data_dependence":
             def run_psi():
                 cfg = opts.get("psi_mp_data_dependence", {})
@@ -327,40 +327,40 @@ def _run_stability(scenario: Scenario, t: MultivaluedOperator,
                     psi = st.ComparisonFunction("linear", C)
                 else:
                     psi = st.ComparisonFunction.from_json(psi_cfg)
-                return st.psi_mp_data_dependence(
-                    t, comparison_operator(), tg, psi, max(consts.L, 1e-12), grid_n)
+                return st.psi_mp_data_dependence(t, comparison_operator(), tg, xstar, psi,
+                                                 max(consts.L, 1e-12), grid_n)
             guarded(h, run_psi)
         elif h == "ulam_hyers":
             cfg = opts.get("ulam_hyers", {})
             guarded(h, lambda: st.ulam_hyers_verify(
-                t, tg, params, consts.L,
+                t, tg, xstar, params, consts.L,
                 cfg.get("eps_list", [0.1, 0.05, 0.01]),
                 cfg.get("samples_per_eps", 100)))
         elif h == "well_posed":
             cfg = opts.get("well_posed", {})
             spec = st.DecaySpec(cfg.get("r0", 0.1), cfg.get("rho", 0.8))
             guarded(h, lambda: st.well_posedness_verify(
-                t, params, consts.L, spec, cfg.get("n_max", 60)))
+                t, xstar, params, consts.L, spec, cfg.get("n_max", 60)))
         elif h == "ostrowski":
             cfg = opts.get("ostrowski", {})
             spec = st.DecaySpec(cfg.get("delta0", 0.1), cfg.get("rho", 0.5))
             x0 = cfg.get("x0", scenario.x0_list[0] if scenario.x0_list
                          else t.domain.bounds.midpoint)
             guarded(h, lambda: st.ostrowski_verify(
-                t, params, consts.L, x0, spec, cfg.get("n_max", 60),
+                t, xstar, params, consts.L, x0, spec, cfg.get("n_max", 60),
                 cfg.get("final_tol", 1e-6)))
         elif h == "quasi_contraction":
             def run_strong():
                 if consts.l is None:
                     raise ParameterRangeError("comparison constant l unavailable")
                 return st.quasi_contraction_verify(
-                    t, tg, consts.l, params, grid_n, weak=False)
+                    t, tg, xstar, consts.l, params, grid_n, weak=False)
             guarded(h, run_strong)
         elif h == "weak_quasi_contraction":
             def run_weak():
                 l_weak = sup_gap_ratio_l(t, tg, xstar, grid_n).value
                 return st.quasi_contraction_verify(
-                    t, tg, l_weak, params, grid_n, weak=True)
+                    t, tg, xstar, l_weak, params, grid_n, weak=True)
             guarded(h, run_weak)
     return out
 
@@ -473,22 +473,7 @@ def emit_report(report: RunReport, fmt: str = "json") -> dict[str, str]:
         ]))
     files["orbits_summary.csv"] = "\n".join(summary) + "\n"
     for i, orbit in enumerate(report.orbits):
-        rows = ["n," + ",".join(
-            f"part{j}_lo,part{j}_hi"
-            for j in range(max(len(s["parts"]) for s in orbit["trace"]))
-        ) + ",h_to_prev,h_to_target"]
-        width = max(len(s["parts"]) for s in orbit["trace"])
-        for s in orbit["trace"]:
-            cells = [str(s["n"])]
-            for j in range(width):
-                if j < len(s["parts"]):
-                    cells += [repr(s["parts"][j][0]), repr(s["parts"][j][1])]
-                else:
-                    cells += ["", ""]
-            cells.append(repr(s["h_to_prev"]))
-            cells.append("" if s["h_to_target"] is None else repr(s["h_to_target"]))
-            rows.append(",".join(cells))
-        files[f"orbit_{i}_{orbit['operator']}.csv"] = "\n".join(rows) + "\n"
+        files[f"orbit_{i}_{orbit['operator']}.csv"] = steps_to_csv(orbit["trace"])
     return files
 
 

@@ -12,6 +12,11 @@ actually used, and worst-case evidence:
                                          + k^(n+1) |v_0 - x*|
 * quasi-contraction    H(T(x),{x*}) <= l k |x - x*|  (gap-based weak variant)
 
+Every harness takes the strict fixed point x* of T after its operators:
+run_scenario passes the point its scan found, direct callers can use
+unique_strict_fixed_point.  Each checks x* with one eval per operator at the
+scan tolerance and raises StrictFixedPointMismatchError if it is not strict.
+
 Verdicts use the uniform convention worst_ratio = max LHS/RHS with
 holds <=> worst_ratio <= 1 + 1e-9 (for applicable reports).  Hypothesis
 violations (non-decaying driver sequences, unavailable certificates) yield
@@ -32,7 +37,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .certify import ContractionParams, displacement_constant_L, retraction_displacement_check
+from .certify import (
+    ContractionParams,
+    _sup_on_grid,
+    _verify_strict_point,
+    displacement_constant_L,
+    retraction_displacement_check,
+)
 from .errors import (
     ConstructionFailedError,
     HypothesisFailedError,
@@ -42,11 +53,15 @@ from .errors import (
     OutOfDomainError,
     ParameterRangeError,
     SchemaError,
-    StrictFixedPointMismatchError,
 )
-from .intervals import IntervalUnion, dist_point_to_set, hausdorff, nearest_point
+from .intervals import dist_point_to_set, nearest_point
 from .iteration import scan_fixed_points
-from .operators import MultivaluedOperator
+from .operators import (
+    MultivaluedOperator,
+    dist_to_value,
+    hausdorff_between_values,
+    hausdorff_to_point,
+)
 
 #: Verdict slack shared by every harness: holds <=> worst_ratio <= 1 + HOLDS_TOL.
 HOLDS_TOL = 1e-9
@@ -136,8 +151,9 @@ class ComparisonFunction:
         if self.C <= 0.0 or self.p <= 0.0:
             raise ParameterRangeError("comparison function needs C > 0 and p > 0")
 
-    def __call__(self, t: float) -> float:
-        if t < 0.0:
+    def __call__(self, t):
+        """Psi(t) for a number or elementwise for an array."""
+        if np.any(np.asarray(t) < 0.0):
             raise ParameterRangeError("comparison functions are defined on [0, inf)")
         if self.kind == "linear":
             return self.C * t
@@ -169,22 +185,15 @@ def unique_strict_fixed_point(t: MultivaluedOperator, grid_n: int = _SCAN_GRID,
     return scan.strict[0]
 
 
-def _check_same_strict_point(tg: MultivaluedOperator, xstar: float) -> None:
-    defect = hausdorff(tg.eval(xstar), IntervalUnion.singleton(xstar))
-    if defect >= 1e-6:
-        raise StrictFixedPointMismatchError(
-            f"perturbed operator does not share the strict fixed point {xstar!r} "
-            f"(defect {defect:.3e})")
-
-
 def _residual(t: MultivaluedOperator, x: float) -> float:
     return dist_point_to_set(x, t.eval(x))
 
 
-def _ratio(lhs: float, rhs: float) -> float:
-    if rhs < 1e-300:
-        return 0.0 if lhs <= 1e-12 else math.inf
-    return lhs / rhs
+def _ratio(lhs, rhs) -> np.ndarray:
+    """lhs / rhs elementwise; below rhs = 1e-300 it reads 0 if lhs <= 1e-12, else inf."""
+    out = np.where(np.asarray(lhs) <= 1e-12, 0.0, math.inf)
+    np.divide(lhs, rhs, out=out, where=np.asarray(rhs) >= 1e-300)
+    return out
 
 
 def ulam_hyers_constant(params: ContractionParams, L: float) -> float:
@@ -199,11 +208,11 @@ def ulam_hyers_constant(params: ContractionParams, L: float) -> float:
 
 
 def data_dependence_verify(t: MultivaluedOperator, f: MultivaluedOperator,
-                           params: ContractionParams, L: float,
+                           xstar: float, params: ContractionParams, L: float,
                            grid_n: int = 2001) -> StabilityReport:
     """Every strict fixed point of a uniform eta-approximation F of T lies
     within K * eta of x*, with K = L(1+g)/((1-a-b) xi)."""
-    xstar = unique_strict_fixed_point(t)
+    _verify_strict_point(xstar, t)
     fscan = scan_fixed_points(f, _SCAN_GRID, _SCAN_TOL)
     if not fscan.strict:
         raise NoStrictFixedPointError(
@@ -215,19 +224,12 @@ def data_dependence_verify(t: MultivaluedOperator, f: MultivaluedOperator,
             "retraction-displacement condition failed on the grid (xi_max < 1e-6)")
     K = L * (1.0 + params.gamma) / ((1.0 - params.alpha - params.beta) * xi.xi_max)
 
-    eta = 0.0
-    eta_arg = float(t.domain.bounds.lo)
-    for x in t.domain.grid(grid_n):
-        x = float(x)
-        h = hausdorff(t.eval(x), f.eval(x))
-        if h > eta:
-            eta, eta_arg = h, x
-    worst = 0.0
-    worst_y = None
-    for ystar in fscan.strict:
-        r = _ratio(abs(ystar - xstar), K * eta)
-        if r > worst:
-            worst, worst_y = r, ystar
+    xs = t.domain.grid(grid_n)
+    eta, eta_arg = _sup_on_grid(
+        hausdorff_between_values(*t.eval_grid(xs), *f.eval_grid(xs)), xs,
+        float(t.domain.bounds.lo))
+    worst, worst_y = _sup_on_grid(
+        _ratio(np.abs(np.array(fscan.strict) - xstar), K * eta), fscan.strict, None)
     details = {
         "eta": eta, "eta_argmax": eta_arg, "K_tilde": K, "xi_used": xi.xi_max,
         "fixed_point": xstar, "comparison_strict_points": list(fscan.strict),
@@ -237,7 +239,7 @@ def data_dependence_verify(t: MultivaluedOperator, f: MultivaluedOperator,
 
 
 def psi_mp_data_dependence(t: MultivaluedOperator, f: MultivaluedOperator,
-                           tg: MultivaluedOperator, psi: ComparisonFunction,
+                           tg: MultivaluedOperator, xstar: float, psi: ComparisonFunction,
                            c: float, grid_n: int = 2001) -> StabilityReport:
     """Comparison-function variant: premises are verified before use.
 
@@ -248,17 +250,12 @@ def psi_mp_data_dependence(t: MultivaluedOperator, f: MultivaluedOperator,
     """
     if c <= 0.0:
         raise ParameterRangeError("psi-MP comparison needs c > 0")
-    xstar = unique_strict_fixed_point(t)
-    _check_same_strict_point(tg, xstar)
-    xs = [float(x) for x in t.domain.grid(grid_n)]
+    _verify_strict_point(xstar, t, tg)
+    xs = t.domain.grid(grid_n)
+    err = np.abs(xs - xstar)
 
-    worst_premise, worst_x = 0.0, None
-    for x in xs:
-        lhs = abs(x - xstar)
-        rhs = psi(_residual(tg, x))
-        r = _ratio(lhs, rhs)
-        if r > worst_premise:
-            worst_premise, worst_x = r, x
+    worst_premise, worst_x = _sup_on_grid(
+        _ratio(err, psi(dist_to_value(xs, *tg.eval_grid(xs)))), xs, None)
     if worst_premise > 1.0 + HOLDS_TOL:
         raise HypothesisFailedError(
             f"psi-MP premise |x-x*| <= Psi(D(x,T_G(x))) fails at x={worst_x!r} "
@@ -272,14 +269,10 @@ def psi_mp_data_dependence(t: MultivaluedOperator, f: MultivaluedOperator,
     if not fscan.strict:
         raise NoStrictFixedPointError(
             f"comparison operator {f.name or '<anonymous>'} has no strict fixed point")
-    eta = max(hausdorff(t.eval(x), f.eval(x)) for x in xs)
-
-    worst = 0.0
-    for x in xs:
-        worst = max(worst, _ratio(abs(x - xstar), psi(c * _residual(t, x))))
-    bound2 = psi(c * eta)
-    for ystar in fscan.strict:
-        worst = max(worst, _ratio(abs(ystar - xstar), bound2))
+    lo, hi = t.eval_grid(xs)
+    eta = float(np.max(hausdorff_between_values(lo, hi, *f.eval_grid(xs))))
+    worst = max(float(np.max(_ratio(err, psi(c * dist_to_value(xs, lo, hi))))),
+                float(np.max(_ratio(np.abs(np.array(fscan.strict) - xstar), psi(c * eta)))))
     details = {
         "psi": psi.to_json(), "c": c, "eta": eta,
         "premise_worst_ratio": worst_premise,
@@ -293,7 +286,7 @@ def psi_mp_data_dependence(t: MultivaluedOperator, f: MultivaluedOperator,
 
 
 def ulam_hyers_verify(t: MultivaluedOperator, tg: MultivaluedOperator,
-                      params: ContractionParams, L: float,
+                      xstar: float, params: ContractionParams, L: float,
                       eps_list: Sequence[float],
                       samples_per_eps: int = 100) -> StabilityReport:
     """Every sampled eps-approximate solution lies within c*eps of x*.
@@ -309,12 +302,11 @@ def ulam_hyers_verify(t: MultivaluedOperator, tg: MultivaluedOperator,
             raise ParameterRangeError(f"eps values must be positive, got {eps}")
     if L <= 0.0:
         raise ParameterRangeError("ulam_hyers_verify needs L > 0")
-    xstar = unique_strict_fixed_point(t)
-    _check_same_strict_point(tg, xstar)
+    _verify_strict_point(xstar, t, tg)
     c = ulam_hyers_constant(params, L)
 
     xs = t.domain.grid(UH_SAMPLING_GRID)
-    residuals = np.array([_residual(t, float(x)) for x in xs])
+    residuals = dist_to_value(xs, *t.eval_grid(xs))
     order = np.random.default_rng(0).permutation(len(xs))
 
     per_eps = []
@@ -322,13 +314,12 @@ def ulam_hyers_verify(t: MultivaluedOperator, tg: MultivaluedOperator,
     worst = 0.0
     total = 0
     for eps in eps_list:
-        accepted = [float(xs[i]) for i in order if residuals[i] <= eps]
-        accepted = accepted[:samples_per_eps]
-        if not accepted:
+        accepted = xs[order[residuals[order] <= eps][:samples_per_eps]]
+        if not accepted.size:
             unsampled.append(eps)
             per_eps.append({"eps": eps, "samples": 0, "worst_ratio": None})
             continue
-        w = max(_ratio(abs(y - xstar), c * eps) for y in accepted)
+        w = float(np.max(_ratio(np.abs(accepted - xstar), c * eps)))
         worst = max(worst, w)
         total += len(accepted)
         per_eps.append({"eps": eps, "samples": len(accepted), "worst_ratio": w})
@@ -374,8 +365,8 @@ def _point_with_residual(t: MultivaluedOperator, xstar: float,
         f"no point with displacement in [{lo:.3e}, {hi:.3e}] reachable by bisection")
 
 
-def well_posedness_verify(t: MultivaluedOperator, params: ContractionParams,
-                          L: float, sequence_spec: DecaySpec,
+def well_posedness_verify(t: MultivaluedOperator, xstar: float,
+                          params: ContractionParams, L: float, sequence_spec: DecaySpec,
                           n_max: int = 60) -> StabilityReport:
     """Construct u_n with D(u_n, T(u_n)) in [r_n/2, r_n] and check
     |u_n - x*| <= L(1+b)/(1-a-b-g) * D(u_n, T(u_n)) along the way."""
@@ -389,7 +380,7 @@ def well_posedness_verify(t: MultivaluedOperator, params: ContractionParams,
             "residual targets do not decay to zero; the well-posedness premise "
             "D(u_n, T(u_n)) -> 0 is violated by construction",
             {"sequence": sequence_spec.to_json()})
-    xstar = unique_strict_fixed_point(t)
+    _verify_strict_point(xstar, t)
     c = ulam_hyers_constant(params, L)
     worst = 0.0
     final_err = math.inf
@@ -401,7 +392,7 @@ def well_posedness_verify(t: MultivaluedOperator, params: ContractionParams,
         else:
             u = _point_with_residual(t, xstar, 0.5 * r, r)
         err = abs(u - xstar)
-        worst = max(worst, _ratio(err, c * _residual(t, u)) if r > 0.0 else 0.0)
+        worst = max(worst, float(_ratio(err, c * _residual(t, u))) if r > 0.0 else 0.0)
         errors.append(err)
         final_err = err
     details = {
@@ -437,8 +428,8 @@ def cauchy_toeplitz_sum(k: float, b: Sequence[float], n: int) -> float:
     return c
 
 
-def ostrowski_verify(t: MultivaluedOperator, params: ContractionParams, L: float,
-                     x0: float, delta_spec: DecaySpec, n_max: int = 60,
+def ostrowski_verify(t: MultivaluedOperator, xstar: float, params: ContractionParams,
+                     L: float, x0: float, delta_spec: DecaySpec, n_max: int = 60,
                      final_tol: float = 1e-6) -> StabilityReport:
     """Perturbed Picard selection orbit v_{n+1} = nearest(T(v_n), v_n) + s_n d_n.
 
@@ -462,7 +453,7 @@ def ostrowski_verify(t: MultivaluedOperator, params: ContractionParams, L: float
             "perturbation magnitudes do not decay to zero; the Ostrowski premise "
             "D(v_{n+1}, T(v_n)) -> 0 is violated by construction",
             {"delta": delta_spec.to_json()})
-    xstar = unique_strict_fixed_point(t)
+    _verify_strict_point(xstar, t)
     k = corollary_k_value = (params.alpha + params.beta) / (1.0 - params.gamma)
     if not 0.0 < k < 1.0:
         # k = 0 means T_G maps everything to {x*}: the bound degenerates but
@@ -491,10 +482,11 @@ def ostrowski_verify(t: MultivaluedOperator, params: ContractionParams, L: float
             # the permitted perturbation, so take the plain selection step
             v_next = base
             r = dist_point_to_set(v_next, image)
-        r_ratio = _ratio(r, delta) if delta > 0.0 else (0.0 if r <= 1e-12 else math.inf)
+        r_ratio = (float(_ratio(r, delta)) if delta > 0.0
+                   else (0.0 if r <= 1e-12 else math.inf))
         ct = k * ct + r
         bound = pref * ct + k ** (n + 1) * d0
-        b_ratio = _ratio(abs(v_next - xstar), bound)
+        b_ratio = float(_ratio(abs(v_next - xstar), bound))
         step_worst = max(r_ratio, b_ratio)
         if step_worst > worst:
             worst, worst_step = step_worst, n
@@ -514,7 +506,7 @@ def ostrowski_verify(t: MultivaluedOperator, params: ContractionParams, L: float
 
 
 def quasi_contraction_verify(t: MultivaluedOperator, tg: MultivaluedOperator,
-                             l: float, params: ContractionParams,
+                             xstar: float, l: float, params: ContractionParams,
                              grid_n: int = 2001, weak: bool = False) -> StabilityReport:
     """Conclusion check H(T(x),{x*}) <= l*k*|x-x*| (strong) or the gap-based
     weak analogue D(T(x),{x*}) <= l*k*|x-x*|, with k = (a+b)/(1-g)."""
@@ -522,28 +514,18 @@ def quasi_contraction_verify(t: MultivaluedOperator, tg: MultivaluedOperator,
         raise ParameterRangeError("quasi_contraction_verify needs grid_n >= 2")
     if l < 0.0:
         raise ParameterRangeError("quasi-contraction comparison constant must be >= 0")
-    xstar = unique_strict_fixed_point(t)
-    _check_same_strict_point(tg, xstar)
+    _verify_strict_point(xstar, t, tg)
     k = (params.alpha + params.beta) / (1.0 - params.gamma)
     eff = l * k
     if eff >= 1.0:
         raise ParameterRangeError(
             f"effective quasi-contraction constant l*k = {eff} is not below 1")
-    point = IntervalUnion.singleton(xstar)
-    worst = 0.0
-    worst_x = None
-    for x in t.domain.grid(grid_n):
-        x = float(x)
-        e = abs(x - xstar)
-        if e < 1e-12:
-            continue
-        if weak:
-            lhs = dist_point_to_set(xstar, t.eval(x))
-        else:
-            lhs = hausdorff(t.eval(x), point)
-        r = _ratio(lhs, eff * e)
-        if r > worst:
-            worst, worst_x = r, x
+    xs = t.domain.grid(grid_n)
+    lo, hi = t.eval_grid(xs)
+    lhs = dist_to_value(xstar, lo, hi) if weak else hausdorff_to_point(lo, hi, xstar)
+    err = np.abs(xs - xstar)
+    worst, worst_x = _sup_on_grid(
+        np.where(err < 1e-12, 0.0, _ratio(lhs, eff * err)), xs, None)
     prop = "WeakQuasiContraction" if weak else "QuasiContraction"
     details = {"l": l, "k": k, "effective_constant": eff,
                "fixed_point": xstar, "grid_n": grid_n, "worst_x": worst_x}

@@ -167,7 +167,7 @@ def test_criterion_6_geometric_decay(square_t, square_tg, sqrt_t, sqrt_tg,
 def test_criterion_7_ulam_hyers(sqrt_t, sqrt_tg, sqrt_tg_cert):
     params = sqrt_tg_cert.params
     L = displacement_constant_L(sqrt_t, sqrt_tg, 2001).value
-    rep = ulam_hyers_verify(sqrt_t, sqrt_tg, params, L, [0.1, 0.05, 0.01], 100)
+    rep = ulam_hyers_verify(sqrt_t, sqrt_tg, 1.0, params, L, [0.1, 0.05, 0.01], 100)
     assert rep.holds
     c = rep.constant
     assert c == L * (1.0 + params.beta) / (1.0 - params.total)
@@ -183,11 +183,11 @@ def test_criterion_8_well_posed_and_ostrowski(sqrt_t, sqrt_tg, sqrt_tg_cert):
     params = sqrt_tg_cert.params
     L = displacement_constant_L(sqrt_t, sqrt_tg, 2001).value
 
-    wp = well_posedness_verify(sqrt_t, params, L, DecaySpec(0.1, 0.8), 60)
+    wp = well_posedness_verify(sqrt_t, 1.0, params, L, DecaySpec(0.1, 0.8), 60)
     assert wp.holds  # every step satisfies the displacement bound
     assert wp.details["final_error"] < 1e-4
 
-    op = ostrowski_verify(sqrt_t, params, L, 4.0, DecaySpec(0.1, 0.5), 60)
+    op = ostrowski_verify(sqrt_t, 1.0, params, L, 4.0, DecaySpec(0.1, 0.5), 60)
     assert op.holds  # per-step residuals and the derived weighted-sum bound
     assert op.details["final_error"] < 1e-6
     assert op.details["k_derived"] == (params.alpha + params.beta) / (1 - params.gamma)

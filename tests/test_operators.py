@@ -27,6 +27,7 @@ from setfix import (
     normalize,
     perturb,
 )
+from setfix.operators import dist_to_value, hausdorff_between_values, hausdorff_to_point
 from oracles import brute_set_image, random_subunion
 
 
@@ -56,6 +57,56 @@ class TestEval:
             sqrt_t.eval(5.0)
         with pytest.raises(OutOfDomainError):
             sqrt_t.eval(0.2)
+
+
+def _bits(a) -> np.ndarray:
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+def _grid_operators() -> list[MultivaluedOperator]:
+    ops = [setfix.constant_operator(Domain(Interval(0.0, 1.0)), 0.3)]
+    for base in (setfix.sqrt_example(), setfix.square_example()):
+        ops.append(base)
+        ops.extend(perturb(base, Takahashi(lam)) for lam in (0.05, 0.39, 0.5, 0.75))
+    # an odd power, where libm pow and repeated multiplication can disagree
+    cubic = BoundaryFn(base="power", p=3, coeff=0.5)
+    ops.append(MultivaluedOperator(
+        Domain(Interval(-1.0, 1.0)),
+        (Piece(Interval(-1.0, 1.0), cubic.shifted(-0.25), cubic.shifted(0.25)),)))
+    return ops
+
+
+class TestEvalGrid:
+    def test_bitwise_equal_to_eval(self):
+        for t in _grid_operators():
+            for n in (101, 2001, 40_001):
+                xs = t.domain.grid(n)
+                lo, hi = t.eval_grid(xs)
+                vals = [t.eval(float(x)).parts for x in xs]
+                assert all(len(v) == 1 for v in vals)
+                assert np.array_equal(_bits(lo), _bits([v[0].lo for v in vals])), t.name
+                assert np.array_equal(_bits(hi), _bits([v[0].hi for v in vals])), t.name
+
+    def test_closed_forms_match_set_functionals(self, sqrt_t, sqrt_tg):
+        xs = sqrt_t.domain.grid(1001)
+        lo, hi = sqrt_t.eval_grid(xs)
+        glo, ghi = sqrt_tg.eval_grid(xs)
+        values = [sqrt_t.eval(float(x)) for x in xs]
+        g_values = [sqrt_tg.eval(float(x)) for x in xs]
+        point = setfix.IntervalUnion.singleton(1.25)
+        assert np.array_equal(
+            _bits(dist_to_value(xs, lo, hi)),
+            _bits([dist_point_to_set(float(x), v) for x, v in zip(xs, values)]))
+        assert np.array_equal(
+            _bits(hausdorff_to_point(lo, hi, 1.25)),
+            _bits([hausdorff(v, point) for v in values]))
+        assert np.array_equal(
+            _bits(hausdorff_between_values(lo, hi, glo, ghi)),
+            _bits([hausdorff(v, w) for v, w in zip(values, g_values)]))
+
+    def test_out_of_domain(self, sqrt_t):
+        with pytest.raises(OutOfDomainError):
+            sqrt_t.eval_grid(np.array([1.0, 5.0]))
 
 
 class TestSetImage:

@@ -163,6 +163,21 @@ class TestDeterminismAndRoundTrip:
         orbit_files = [n for n in files if n.startswith("orbit_")]
         assert len(orbit_files) == len(sqrt_report.orbits)
 
+    @pytest.mark.parametrize("name", builtin_scenario_names())
+    def test_orbit_csv_matches_orbit_to_csv(self, name):
+        scenario = load_scenario(name)
+        raw = dict(scenario.raw, analyses=["iterate"])
+        report = run_scenario(scenario_from_dict(raw, name=name))
+        files = emit_report(report, "csv")
+        xstar = report.fixed_points["T"]["strict"][0]
+        t = scenario.resolve_operator()
+        ops = {"T": t, "TG": setfix.perturb(t, scenario.resolve_perturbation())}
+        for i, orbit in enumerate(report.orbits):
+            trace = setfix.picard_orbit(ops[orbit["operator"]], orbit["x0"], max_n=10_000,
+                                        tol=scenario.tol, target=xstar)
+            csv_text = files[f"orbit_{i}_{orbit['operator']}.csv"]
+            assert csv_text == setfix.orbit_to_csv(trace)
+
     def test_csv_header_only_without_orbits(self):
         rep = run_scenario(scenario_from_dict(minimal_scenario()))
         files = emit_report(rep, "csv")

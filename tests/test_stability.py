@@ -12,6 +12,7 @@ from setfix import (
     NoApproximateSolutionsError,
     NoStrictFixedPointError,
     ParameterRangeError,
+    StrictFixedPointMismatchError,
     cauchy_toeplitz_sum,
     constant_operator,
     data_dependence_verify,
@@ -70,7 +71,7 @@ class TestCauchyToeplitz:
 
 class TestUlamHyers:
     def test_sqrt_bound_holds(self, sqrt_t, sqrt_tg):
-        rep = ulam_hyers_verify(sqrt_t, sqrt_tg, SQRT_PARAMS, SQRT_L,
+        rep = ulam_hyers_verify(sqrt_t, sqrt_tg, 1.0, SQRT_PARAMS, SQRT_L,
                                 [0.1, 0.05, 0.01], 100)
         assert rep.holds
         assert rep.property == "UlamHyers"
@@ -92,21 +93,29 @@ class TestUlamHyers:
             (setfix.Piece(setfix.Interval(0.0, 1.0), term, term),))
         tg = setfix.perturb(t, setfix.Takahashi(0.5))
         with pytest.raises(NoApproximateSolutionsError):
-            ulam_hyers_verify(t, tg, ContractionParams(0.5, 0.0, 0.0), 0.5,
+            ulam_hyers_verify(t, tg, unique_strict_fixed_point(t),
+                              ContractionParams(0.5, 0.0, 0.0), 0.5,
                               [1e-18], 10)
+
+    def test_strict_point_checked_at_scan_tolerance(self, sqrt_t, sqrt_tg):
+        # T_G + 1e-7 misses x* = 1 by 1e-7: far above the 1e-9 tolerance of
+        # the scan that locates x*, so the shared-point premise fails
+        with pytest.raises(StrictFixedPointMismatchError):
+            ulam_hyers_verify(sqrt_t, shift_operator(sqrt_tg, 1e-7), 1.0,
+                              SQRT_PARAMS, SQRT_L, [0.1])
 
     def test_parameter_errors(self, sqrt_t, sqrt_tg):
         with pytest.raises(ParameterRangeError):
-            ulam_hyers_verify(sqrt_t, sqrt_tg, SQRT_PARAMS, SQRT_L, [])
+            ulam_hyers_verify(sqrt_t, sqrt_tg, 1.0, SQRT_PARAMS, SQRT_L, [])
         with pytest.raises(ParameterRangeError):
-            ulam_hyers_verify(sqrt_t, sqrt_tg, SQRT_PARAMS, SQRT_L, [-0.1])
+            ulam_hyers_verify(sqrt_t, sqrt_tg, 1.0, SQRT_PARAMS, SQRT_L, [-0.1])
         with pytest.raises(ParameterRangeError):
-            ulam_hyers_verify(sqrt_t, sqrt_tg, SQRT_PARAMS, 0.0, [0.1])
+            ulam_hyers_verify(sqrt_t, sqrt_tg, 1.0, SQRT_PARAMS, 0.0, [0.1])
 
 
 class TestWellPosedness:
     def test_sqrt_constructed_sequence(self, sqrt_t):
-        rep = well_posedness_verify(sqrt_t, SQRT_PARAMS, SQRT_L,
+        rep = well_posedness_verify(sqrt_t, 1.0, SQRT_PARAMS, SQRT_L,
                                     DecaySpec(0.1, 0.8), 60)
         assert rep.holds
         assert rep.details["final_error"] < 1e-4
@@ -114,26 +123,26 @@ class TestWellPosedness:
 
     def test_square_with_explicit_params(self, square_t):
         # bound check is meaningful for any parameter triple the caller supplies
-        rep = well_posedness_verify(square_t, ContractionParams(0.9, 0.0, 0.0),
+        rep = well_posedness_verify(square_t, 0.0, ContractionParams(0.9, 0.0, 0.0),
                                     0.5, DecaySpec(0.05, 0.9), 60)
         assert rep.holds
         assert rep.details["final_error"] < 1e-2
 
     def test_non_decaying_not_applicable(self, sqrt_t):
-        rep = well_posedness_verify(sqrt_t, SQRT_PARAMS, SQRT_L,
+        rep = well_posedness_verify(sqrt_t, 1.0, SQRT_PARAMS, SQRT_L,
                                     DecaySpec(0.1, 1.0), 10)
         assert not rep.applicable
         assert "reason" in rep.details
 
     def test_unreachable_residual_bracket(self, sqrt_t):
         with pytest.raises(setfix.ConstructionFailedError):
-            well_posedness_verify(sqrt_t, SQRT_PARAMS, SQRT_L,
+            well_posedness_verify(sqrt_t, 1.0, SQRT_PARAMS, SQRT_L,
                                   DecaySpec(100.0, 0.8), 5)
 
 
 class TestOstrowski:
     def test_sqrt_perturbed_orbit(self, sqrt_t):
-        rep = ostrowski_verify(sqrt_t, SQRT_PARAMS, SQRT_L, 4.0,
+        rep = ostrowski_verify(sqrt_t, 1.0, SQRT_PARAMS, SQRT_L, 4.0,
                                DecaySpec(0.1, 0.5), 60)
         assert rep.holds
         assert rep.details["final_error"] < 1e-6
@@ -142,18 +151,18 @@ class TestOstrowski:
         assert rep.details["k_printed"] == (0.875 + 0.0) / (1.0 - 0.875)
 
     def test_zero_delta_is_plain_selection_orbit(self, sqrt_t):
-        rep = ostrowski_verify(sqrt_t, SQRT_PARAMS, SQRT_L, 4.0,
+        rep = ostrowski_verify(sqrt_t, 1.0, SQRT_PARAMS, SQRT_L, 4.0,
                                DecaySpec(0.0, 0.5), 60)
         assert rep.holds
         assert rep.details["final_error"] < 1e-9
 
     def test_constant_delta_not_applicable(self, sqrt_t):
-        rep = ostrowski_verify(sqrt_t, SQRT_PARAMS, SQRT_L, 4.0,
+        rep = ostrowski_verify(sqrt_t, 1.0, SQRT_PARAMS, SQRT_L, 4.0,
                                DecaySpec(0.1, 1.0), 30)
         assert not rep.applicable
 
     def test_square_selection_orbit(self, square_t):
-        rep = ostrowski_verify(square_t, ContractionParams(0.9, 0.0, 0.0), 0.5,
+        rep = ostrowski_verify(square_t, 0.0, ContractionParams(0.9, 0.0, 0.0), 0.5,
                                0.5, DecaySpec(0.05, 0.5), 60)
         assert rep.holds
         assert rep.details["final_error"] < 1e-6
@@ -162,7 +171,7 @@ class TestOstrowski:
 class TestQuasiContraction:
     def test_strong_on_linear_example(self, linear_t, linear_tg, linear_tg_cert):
         l = setfix.sup_ratio_l(linear_t, linear_tg, 0.0, 2001).value
-        rep = quasi_contraction_verify(linear_t, linear_tg, l,
+        rep = quasi_contraction_verify(linear_t, linear_tg, 0.0, l,
                                        linear_tg_cert.params, 2001, weak=False)
         assert rep.holds
         assert rep.property == "QuasiContraction"
@@ -171,11 +180,11 @@ class TestQuasiContraction:
     def test_strong_rejects_constant_above_one(self, sqrt_t, sqrt_tg):
         l = setfix.sup_ratio_l(sqrt_t, sqrt_tg, 1.0, 1001).value  # 16/9
         with pytest.raises(ParameterRangeError):
-            quasi_contraction_verify(sqrt_t, sqrt_tg, l, SQRT_PARAMS, 1001)
+            quasi_contraction_verify(sqrt_t, sqrt_tg, 1.0, l, SQRT_PARAMS, 1001)
 
     def test_weak_trivial_on_sqrt(self, sqrt_t, sqrt_tg):
         l = setfix.sup_gap_ratio_l(sqrt_t, sqrt_tg, 1.0, 1001).value
-        rep = quasi_contraction_verify(sqrt_t, sqrt_tg, l, SQRT_PARAMS, 1001,
+        rep = quasi_contraction_verify(sqrt_t, sqrt_tg, 1.0, l, SQRT_PARAMS, 1001,
                                        weak=True)
         assert rep.holds
         assert rep.property == "WeakQuasiContraction"
@@ -184,28 +193,28 @@ class TestQuasiContraction:
 
 class TestDataDependence:
     def test_identical_operators(self, sqrt_t, sqrt_tg):
-        rep = data_dependence_verify(sqrt_t, sqrt_t, SQRT_PARAMS, SQRT_L, 1001)
+        rep = data_dependence_verify(sqrt_t, sqrt_t, 1.0, SQRT_PARAMS, SQRT_L, 1001)
         assert rep.holds
         assert rep.details["eta"] == 0.0
         assert rep.worst_ratio == 0.0
 
     def test_constant_comparison_operator(self, sqrt_t):
         f = constant_operator(sqrt_t.domain, 2.125)
-        rep = data_dependence_verify(sqrt_t, f, SQRT_PARAMS, SQRT_L, 1001)
+        rep = data_dependence_verify(sqrt_t, f, 1.0, SQRT_PARAMS, SQRT_L, 1001)
         assert rep.holds
         assert abs(rep.details["eta"] - 1.125) <= 1e-12
         assert rep.details["comparison_strict_points"] == [2.125]
 
     def test_small_perturbation_comparison(self, sqrt_t):
         f = setfix.perturb(sqrt_t, setfix.Takahashi(0.05))
-        rep = data_dependence_verify(sqrt_t, f, SQRT_PARAMS, SQRT_L, 1001)
+        rep = data_dependence_verify(sqrt_t, f, 1.0, SQRT_PARAMS, SQRT_L, 1001)
         assert rep.holds  # same strict fixed point, small eta
 
     def test_shifted_operator_loses_strictness(self, sqrt_t):
         # a value translation keeps the set widths, so no point has T(y) = {y}
         f = shift_operator(sqrt_t, 0.01)
         with pytest.raises(NoStrictFixedPointError):
-            data_dependence_verify(sqrt_t, f, SQRT_PARAMS, SQRT_L, 1001)
+            data_dependence_verify(sqrt_t, f, 1.0, SQRT_PARAMS, SQRT_L, 1001)
 
 
 class TestPsiMP:
@@ -214,30 +223,30 @@ class TestPsiMP:
             sqrt_tg, SQRT_PARAMS, 1.0, 1.0, 1001)
         C = (1.0 + 0.0) / ((1.0 - 0.875) * xi.xi_max)
         psi = ComparisonFunction("linear", C)
-        rep = psi_mp_data_dependence(sqrt_t, sqrt_t, sqrt_tg, psi, SQRT_L, 1001)
+        rep = psi_mp_data_dependence(sqrt_t, sqrt_t, sqrt_tg, 1.0, psi, SQRT_L, 1001)
         assert rep.holds
 
     def test_square_power_law(self, square_t, square_tg):
         psi = ComparisonFunction("power", 4.000001, 0.5)
         rep = psi_mp_data_dependence(square_t,
                                      constant_operator(square_t.domain, 0.1),
-                                     square_tg, psi, 0.5, 1001)
+                                     square_tg, 0.0, psi, 0.5, 1001)
         assert rep.holds
 
     def test_premise_failure_raises(self, square_t, square_tg):
         psi = ComparisonFunction("power", 1.0, 0.5)  # far too small near the rim
         with pytest.raises(HypothesisFailedError):
-            psi_mp_data_dependence(square_t, square_t, square_tg, psi, 0.5, 1001)
+            psi_mp_data_dependence(square_t, square_t, square_tg, 0.0, psi, 0.5, 1001)
 
     def test_displacement_premise_checked(self, sqrt_t, sqrt_tg):
         psi = ComparisonFunction("linear", 100.0)
         with pytest.raises(HypothesisFailedError, match="displacement"):
-            psi_mp_data_dependence(sqrt_t, sqrt_t, sqrt_tg, psi, 0.01, 1001)
+            psi_mp_data_dependence(sqrt_t, sqrt_t, sqrt_tg, 1.0, psi, 0.01, 1001)
 
 
 class TestReportShape:
     def test_holds_matches_worst_ratio(self, sqrt_t, sqrt_tg):
-        rep = ulam_hyers_verify(sqrt_t, sqrt_tg, SQRT_PARAMS, SQRT_L, [0.1], 50)
+        rep = ulam_hyers_verify(sqrt_t, sqrt_tg, 1.0, SQRT_PARAMS, SQRT_L, [0.1], 50)
         assert rep.applicable
         assert rep.holds == (rep.worst_ratio <= 1.0 + 1e-9)
         blob = rep.to_json()
