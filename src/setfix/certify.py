@@ -11,7 +11,14 @@ contraction condition is one linear constraint on the parameters
 
 Feasibility over the admissible simplex (a+b+g < 1 for ciric, a+2b < 1 for
 the other two) is decided by a deterministic coarse-to-fine grid search
-(initial step 0.05, three halvings) minimizing a+b+g.  A genuinely
+(initial step 0.05, three halvings) minimizing a+b+g.  The search is serial
+and screened: each candidate's minimum over a small working set of pair
+rows (seeded with the witness pair and the largest LHS) is an exact upper
+bound on its margin, computed from the same floats as the full minimum.
+Only a candidate the bound cannot reject is swept over all pairs, and a
+sweep that falls short adds its binding pair to the working set.  The
+infeasible path finds the best margin by branch and bound on the same
+bounds.  Results equal an exhaustive sweep of every candidate.  A genuinely
 infeasible instance is proven by a single witness pair whose constraint
 alone cannot be met by any admissible parameters (reported bound > 1);
 otherwise infeasibility means exhaustion of the search grid and the
@@ -24,8 +31,6 @@ scan in run_scenario, or unique_strict_fixed_point), checked by one eval.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -53,17 +58,6 @@ STRICTNESS = 1e-6
 
 _SEARCH_STEP = 0.05
 _REFINEMENTS = 3
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("SETFIX_THREADS", "")
-    try:
-        n = int(raw)
-        if n >= 1:
-            return n
-    except ValueError:
-        pass
-    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -171,8 +165,13 @@ def _pair_system(t: MultivaluedOperator, variant: str, xs: np.ndarray):
         diag = np.diag(dist)
         v = (diag[:, None] + diag[None, :])[mask]
         w = (dist + dist.T)[mask]
-    idx_i, idx_j = np.nonzero(mask)
-    return lhs, u, v, w, idx_i, idx_j
+    return lhs, u, v, w
+
+
+def _pair_of(k: int, n: int) -> tuple[int, int]:
+    """Grid indices (i, j) of flat pair k, in _pair_system's row-major order."""
+    i, r = divmod(k, n - 1)
+    return i, r + (r >= i)
 
 
 def _candidates(step: float, variant: str,
@@ -212,16 +211,67 @@ def _candidates(step: float, variant: str,
     return out
 
 
-def _margins(cands, lhs, u, v, w) -> np.ndarray:
-    def one(c):
-        a, b, g = c
-        return float(np.min(a * u + b * v + g * w - lhs))
+def _sweep(c: tuple[float, float, float], lhs, u, v, w) -> tuple[float, int]:
+    """Exact margin of one candidate over every pair, and the first pair attaining it."""
+    a, b, g = c
+    s = a * u + b * v + g * w - lhs
+    return float(np.min(s)), int(np.argmin(s))
 
-    threads = _thread_count()
-    if threads > 1 and len(cands) > 64:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return np.fromiter(pool.map(one, cands), dtype=float, count=len(cands))
-    return np.fromiter((one(c) for c in cands), dtype=float, count=len(cands))
+
+class _Screen:
+    """Exact margins of a candidate list, screened by a working set of pair rows.
+
+    bounds[i] is cands[i]'s minimum over the working set, built with the
+    same element expression as the full sweep, so it is an exact upper bound
+    on the margin (a matmul or any fused or reordered form would change the
+    bits and lose that).  A full sweep runs only where the bound cannot decide; its
+    argmin row joins the working set (shared across candidate lists) and
+    tightens every bound, so a swept candidate's bound equals its margin.
+    """
+
+    def __init__(self, cands, pairs, rows: list[int]) -> None:
+        self.cands = cands
+        self.pairs = pairs
+        self.rows = rows
+        self.coef = np.array(cands, dtype=float).reshape(-1, 3).T
+        self.bounds = np.full(len(cands), np.inf)
+        for k in rows:
+            self._tighten(k)
+        self.max_swept = -np.inf
+
+    def _tighten(self, k: int) -> None:
+        a, b, g = self.coef
+        lhs, u, v, w = (col[k] for col in self.pairs)
+        np.minimum(self.bounds, a * u + b * v + g * w - lhs, out=self.bounds)
+
+    def _exact(self, i: int) -> float:
+        m, k = _sweep(self.cands[i], *self.pairs)
+        self.max_swept = max(self.max_swept, m)
+        if k not in self.rows:
+            self.rows.append(k)
+            self._tighten(k)
+        return m
+
+    def first_feasible(self, slack: float):
+        """(candidate, margin) of the first candidate with margin >= slack, or None.
+
+        Every candidate before it is rejected exactly, by its bound or its sweep.
+        """
+        for i in np.flatnonzero(self.bounds >= slack):
+            if self.bounds[i] >= slack:
+                m = self._exact(int(i))
+                if m >= slack:
+                    return self.cands[i], m
+        return None
+
+    def max_margin(self) -> float:
+        """Largest margin over the list, by branch and bound on the bounds."""
+        while True:
+            i = int(np.argmax(self.bounds))
+            if not self.bounds[i] > self.max_swept:
+                break
+            self._exact(i)
+        return self.max_swept
 
 
 def certify_contraction(t: MultivaluedOperator, variant: str = "ciric",
@@ -242,15 +292,15 @@ def certify_contraction(t: MultivaluedOperator, variant: str = "ciric",
         raise ParameterRangeError("margin_req must be >= 0")
 
     xs = t.domain.grid(grid_n)
-    lhs, u, v, w, idx_i, idx_j = _pair_system(t, variant, xs)
+    pairs = lhs, u, v, w = _pair_system(t, variant, xs)
     rowmax = np.maximum(u, np.maximum(v, w))
     active = lhs > 1e-14
     skipped = int(np.sum(~active))
     required = np.zeros_like(lhs)
     np.divide(lhs, np.maximum(rowmax, 1e-300), out=required, where=active)
     imax = int(np.argmax(required))
-    witness = Witness(float(xs[idx_i[imax]]), float(xs[idx_j[imax]]),
-                      float(required[imax]))
+    wi, wj = _pair_of(imax, len(xs))
+    witness = Witness(float(xs[wi]), float(xs[wj]), float(required[imax]))
     scale = max(1.0, float(lhs.max())) if len(lhs) else 1.0
     slack = margin_req * scale
 
@@ -261,27 +311,23 @@ def certify_contraction(t: MultivaluedOperator, variant: str = "ciric",
         return ContractionCertificate(False, None, ceiling, witness,
                                       grid_n, skipped)
 
-    best: tuple[float, float, float] | None = None
-    best_margin = -np.inf
+    rows = [imax, int(np.argmax(lhs))]
     cands = _candidates(_SEARCH_STEP, variant)
-    margins = _margins(cands, lhs, u, v, w)
-    best_seen = float(np.max(margins)) if len(margins) else -np.inf
-    for c, m in zip(cands, margins):
-        if m >= slack:
-            best, best_margin = c, m
-            break
-    if best is None:
-        return ContractionCertificate(False, None, best_seen, witness, grid_n, skipped)
+    screen = _Screen(cands, pairs, rows)
+    found = screen.first_feasible(slack)
+    if found is None:
+        return ContractionCertificate(False, None, screen.max_margin(), witness,
+                                      grid_n, skipped)
+    best, best_margin = found
 
     radius = _SEARCH_STEP
     for _ in range(_REFINEMENTS):
         radius *= 0.5
-        local = _candidates(radius, variant, center=best, radius=radius)
-        local_margins = _margins(local, lhs, u, v, w)
-        for c, m in zip(local, local_margins):
-            if m >= slack and sum(c) < sum(best) - 1e-12:
-                best, best_margin = c, m
-                break
+        local = [c for c in _candidates(radius, variant, center=best, radius=radius)
+                 if sum(c) < sum(best) - 1e-12]
+        found = _Screen(local, pairs, rows).first_feasible(slack)
+        if found is not None:
+            best, best_margin = found
     params = ContractionParams(*best, variant=variant)
     return ContractionCertificate(True, params, float(best_margin), None,
                                   grid_n, skipped)

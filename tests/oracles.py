@@ -11,12 +11,22 @@ import numpy as np
 
 from setfix import (
     BoundaryFn,
+    ContractionCertificate,
+    ContractionParams,
     Domain,
     Interval,
     IntervalUnion,
     MultivaluedOperator,
     Piece,
     normalize,
+)
+from setfix.certify import (
+    _REFINEMENTS,
+    _SEARCH_STEP,
+    STRICTNESS,
+    Witness,
+    _candidates,
+    _pair_system,
 )
 
 
@@ -90,3 +100,60 @@ def linear_pair_operator(c: float = 0.5) -> MultivaluedOperator:
     )
     return MultivaluedOperator(Domain(Interval(-1.0, 1.0)), pieces,
                                name=f"linear_scaling({c:g})")
+
+
+def exhaustive_certify(t: MultivaluedOperator, variant: str = "ciric",
+                       grid_n: int = 501,
+                       margin_req: float = 0.0) -> ContractionCertificate:
+    """certify_contraction by a full serial sweep of every candidate.
+
+    The same lattice search as the library, with no screening: each
+    candidate's margin is the minimum over all pairs, and the witness pair
+    is named from np.nonzero of the off-diagonal mask.
+    """
+    xs = t.domain.grid(grid_n)
+    lhs, u, v, w = _pair_system(t, variant, xs)
+    idx_i, idx_j = np.nonzero(~np.eye(grid_n, dtype=bool))
+    rowmax = np.maximum(u, np.maximum(v, w))
+    active = lhs > 1e-14
+    skipped = int(np.sum(~active))
+    required = np.zeros_like(lhs)
+    np.divide(lhs, np.maximum(rowmax, 1e-300), out=required, where=active)
+    imax = int(np.argmax(required))
+    witness = Witness(float(xs[idx_i[imax]]), float(xs[idx_j[imax]]),
+                      float(required[imax]))
+    scale = max(1.0, float(lhs.max())) if len(lhs) else 1.0
+    slack = margin_req * scale
+
+    if witness.bound > 1.0 / (1.0 - STRICTNESS):
+        ceiling = float((1.0 - STRICTNESS) * rowmax[imax] - lhs[imax])
+        return ContractionCertificate(False, None, ceiling, witness,
+                                      grid_n, skipped)
+
+    def margins(cands):
+        return np.fromiter((float(np.min(a * u + b * v + g * w - lhs))
+                            for a, b, g in cands), dtype=float, count=len(cands))
+
+    best: tuple[float, float, float] | None = None
+    best_margin = -np.inf
+    cands = _candidates(_SEARCH_STEP, variant)
+    level0 = margins(cands)
+    best_seen = float(np.max(level0)) if len(level0) else -np.inf
+    for c, m in zip(cands, level0):
+        if m >= slack:
+            best, best_margin = c, m
+            break
+    if best is None:
+        return ContractionCertificate(False, None, best_seen, witness, grid_n, skipped)
+
+    radius = _SEARCH_STEP
+    for _ in range(_REFINEMENTS):
+        radius *= 0.5
+        local = _candidates(radius, variant, center=best, radius=radius)
+        for c, m in zip(local, margins(local)):
+            if m >= slack and sum(c) < sum(best) - 1e-12:
+                best, best_margin = c, m
+                break
+    params = ContractionParams(*best, variant=variant)
+    return ContractionCertificate(True, params, float(best_margin), None,
+                                  grid_n, skipped)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import setfix
+from setfix import certify
 from setfix import (
     ContractionCertificate,
     ContractionParams,
@@ -21,7 +22,7 @@ from setfix import (
     sup_gap_ratio_l,
     sup_ratio_l,
 )
-from oracles import random_subunion
+from oracles import exhaustive_certify, linear_pair_operator, random_subunion
 
 
 class TestCertifyContraction:
@@ -240,10 +241,57 @@ class TestGeometricDecay:
                 assert h_tgy <= k * hausdorff(y, point) + 1e-9
 
 
-def test_thread_env_does_not_change_results(sqrt_tg, monkeypatch):
-    baseline = certify_contraction(sqrt_tg, "ciric", 151).to_json()
-    monkeypatch.setenv("SETFIX_THREADS", "4")
-    threaded = certify_contraction(sqrt_tg, "ciric", 151).to_json()
-    monkeypatch.setenv("SETFIX_THREADS", "1")
-    serial = certify_contraction(sqrt_tg, "ciric", 151).to_json()
-    assert baseline == threaded == serial
+_DIFF_OPERATORS = ["square", "sqrt"] + [
+    f"{base}|{lam}" for base in ("square", "sqrt") for lam in (0.05, 0.39, 0.5, 0.75)
+] + ["constant", "linear"]
+
+
+def _named_operator(name: str):
+    if name == "constant":
+        return setfix.constant_operator(setfix.sqrt_example().domain, 1.0)
+    if name == "linear":
+        return linear_pair_operator(0.5)
+    base, _, lam = name.partition("|")
+    op = setfix.get_builtin(f"{base}_example")
+    return setfix.perturb(op, setfix.Takahashi(float(lam))) if lam else op
+
+
+def _count_sweeps(monkeypatch) -> list[int]:
+    count = [0]
+    sweep = certify._sweep
+
+    def counted(*args):
+        count[0] += 1
+        return sweep(*args)
+
+    monkeypatch.setattr(certify, "_sweep", counted)
+    return count
+
+
+@pytest.mark.parametrize("name", _DIFF_OPERATORS)
+def test_screened_search_matches_exhaustive(name, monkeypatch):
+    op = _named_operator(name)
+    count = _count_sweeps(monkeypatch)
+    for variant in certify.VARIANTS:
+        for grid_n in (3, 101):
+            for margin_req in (0.0, 1e-3, 10.0):
+                count[0] = 0
+                cert = certify_contraction(op, variant, grid_n, margin_req)
+                assert count[0] <= 25
+                ref = exhaustive_certify(op, variant, grid_n, margin_req)
+                assert cert.to_json() == ref.to_json()
+                assert cert.params == ref.params
+
+
+def test_infeasible_margins_pinned(square_t, square_tg):
+    # the best margin over the level-0 lattice, as in the packaged report
+    assert certify_contraction(square_t, "ciric", 501).margin == -0.17130192592592602
+    assert certify_contraction(square_tg, "ciric", 501).margin == -0.09631051851851857
+
+
+@pytest.mark.parametrize("op_fixture", ["sqrt_tg", "square_tg"])
+def test_full_sweeps_bounded(op_fixture, request, monkeypatch):
+    op = request.getfixturevalue(op_fixture)
+    count = _count_sweeps(monkeypatch)
+    certify_contraction(op, "ciric", 501)
+    assert 1 <= count[0] <= 25
