@@ -25,8 +25,9 @@ otherwise infeasibility means exhaustion of the search grid and the
 hardest pair is reported with its bound <= 1.
 
 Grid sweeps evaluate T once via eval_grid and the single-interval closed
-forms in operators.  The strict fixed point x* comes from the caller (the
-scan in run_scenario, or unique_strict_fixed_point), checked by one eval.
+forms in operators.  The strict fixed point x* comes from the caller
+(SFix(T) from scan_fixed_points in run_scenario, or
+unique_strict_fixed_point), checked by one eval at iteration.STRICT_TOL.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .errors import (
     StrictFixedPointMismatchError,
 )
 from .intervals import IntervalUnion, hausdorff
+from .iteration import STRICT_TOL
 from .operators import (
     MultivaluedOperator,
     dist_to_value,
@@ -342,10 +344,10 @@ class GridSup(NamedTuple):
 
 
 def _verify_strict_point(xstar: float, *ops: MultivaluedOperator) -> None:
-    """Raise unless T(x*) = {x*} for every operator, at the scan tolerance 1e-9."""
+    """Raise unless T(x*) = {x*} for every operator, at STRICT_TOL."""
     for op in ops:
         defect = hausdorff(op.eval(xstar), IntervalUnion.singleton(xstar))
-        if defect >= 1e-9:
+        if defect >= STRICT_TOL:
             raise StrictFixedPointMismatchError(
                 f"{op.name or '<anonymous>'}: {xstar!r} is not a strict fixed point "
                 f"(hausdorff(T(x*), {{x*}}) = {defect:.3e})")

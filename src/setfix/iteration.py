@@ -1,33 +1,32 @@
-"""Picard orbits of sets and grid location of (strict) fixed points.
+"""Picard orbits of sets, and the fixed-point sets Fix(T) and SFix(T).
 
 The orbit S_0 = {x0}, S_{n+1} = T(S_n) is tracked in the Pompeiu-Hausdorff
 metric.  Convergence is declared Cauchy-style (successive distance below a
 tolerance) because the limit point is not known a priori; a separate
 optional target point lets callers record distances to a known strict
-fixed point.
+fixed point.  Fix(T) and SFix(T) come from the catalog terms x - lower(x)
+and upper(x) - x of each piece, bisected on their monotone segments.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InsufficientDataError, OutOfDomainError, ParameterRangeError
-from .intervals import (
-    IntervalUnion,
-    dist_point_to_set,
-    hausdorff,
-    nearest_point,
-)
-from .operators import MultivaluedOperator
+from .intervals import Interval, IntervalUnion, hausdorff, normalize
+from .operators import BoundaryFn, MultivaluedOperator
 
 #: Orbits whose successive-distance ratio stays above this for STALL_STEPS
 #: consecutive steps are reported unconverged instead of running to max_n.
 STALL_RATIO = 1.0 - 1e-6
 STALL_STEPS = 100
+
+#: x is a strict fixed point iff hausdorff(T(x), {x}) < STRICT_TOL; the same
+#: tolerance collapses fixed-point parts narrower than it to their midpoint.
+STRICT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -53,12 +52,19 @@ class OrbitTrace:
 
 @dataclass(frozen=True)
 class FixedPointScan:
-    """Grid-detected fixed points (x in T(x)) and strict fixed points (T(x) = {x})."""
+    """Fix(T) (x in T(x)) and SFix(T) (T(x) = {x}), sorted; each entry is a
+    float for an isolated point or (lo, hi) for a nondegenerate part."""
 
-    fixed: tuple[float, ...]
-    strict: tuple[float, ...]
+    fixed: tuple[float | tuple[float, float], ...]
+    strict: tuple[float | tuple[float, float], ...]
     tol: float
     grid_n: int
+
+    def to_json(self) -> dict:
+        """{"fixed": [...], "strict": [...]}: a number per point, [lo, hi] per part."""
+        def rows(entries):
+            return [list(e) if isinstance(e, tuple) else e for e in entries]
+        return {"fixed": rows(self.fixed), "strict": rows(self.strict)}
 
 
 def picard_orbit(t: MultivaluedOperator, x0: float, max_n: int = 10_000,
@@ -123,97 +129,86 @@ def orbit_rate(trace: OrbitTrace) -> float:
     return max(b / a for a, b in zip(hs, hs[1:]))
 
 
-def _membership_defect(t: MultivaluedOperator, x: float) -> float:
-    return x - nearest_point(t.eval(x), x)
-
-
-def _strictness(t: MultivaluedOperator, x: float) -> float:
-    return hausdorff(t.eval(x), IntervalUnion.singleton(x))
-
-
-def _bisect_root(t: MultivaluedOperator, a: float, b: float, fa: float,
-                 tol: float) -> float:
-    # plain bisection on the membership defect; continuous between grid points
-    for _ in range(200):
-        if b - a < tol * 0.25:
-            break
-        m = 0.5 * (a + b)
-        fm = _membership_defect(t, m)
-        if fm == 0.0:
-            return m
-        if (fm > 0.0) == (fa > 0.0):
-            a, fa = m, fm
+def _nonneg_part(fn: BoundaryFn, u: float, v: float) -> tuple[float, float] | None:
+    """{x in [u, v] : fn(x) >= 0} for fn monotone on [u, v], or None; a sign
+    change is bisected to adjacent floats, keeping the one with fn >= 0."""
+    at_u = fn.value(u) >= 0.0
+    if at_u == (fn.value(v) >= 0.0):
+        return (u, v) if at_u else None
+    a, b = u, v
+    while a < (m := 0.5 * (a + b)) < b:
+        if (fn.value(m) >= 0.0) == at_u:
+            a = m
         else:
             b = m
-    return 0.5 * (a + b)
+    return (u, a) if at_u else (b, v)
 
 
-def _refine_strict(t: MultivaluedOperator, x: float, h: float) -> tuple[float, float]:
-    """Ternary search of the strictness defect around x; returns (argmin, min)."""
-    lo = max(t.domain.bounds.lo, x - h)
-    hi = min(t.domain.bounds.hi, x + h)
-    for _ in range(120):
-        if hi - lo < 1e-15:
-            break
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if _strictness(t, m1) <= _strictness(t, m2):
-            hi = m2
-        else:
-            lo = m1
-    arg = 0.5 * (lo + hi)
-    cand = min((x, arg), key=lambda z: _strictness(t, z))
-    return cand, _strictness(t, cand)
+def _is_zero(fn: BoundaryFn) -> bool:
+    return fn.offset == 0.0 and fn.slope == 0.0 and (fn.base == "none" or fn.coeff == 0.0)
+
+
+def _entries(parts: list[Interval], tol: float) -> tuple[float | tuple[float, float], ...]:
+    """The union of parts, sorted: a float for a part narrower than tol, else (lo, hi)."""
+    if not parts:
+        return ()
+    return tuple(p.midpoint if p.lo == p.hi or p.width < tol else (p.lo, p.hi)
+                 for p in normalize(parts).parts)
 
 
 def scan_fixed_points(t: MultivaluedOperator, grid_n: int = 10_001,
-                      tol: float = 1e-9) -> FixedPointScan:
-    """Grid scan plus bisection refinement of x - nearest point of T(x).
+                      tol: float = STRICT_TOL) -> FixedPointScan:
+    """Fix(T) and SFix(T) from the boundary terms of each piece; grid_n is only recorded.
 
-    Fixed points are zeros of the membership defect (grid hits within tol
-    plus refined sign changes, accepted only if the refined point actually
-    lies in T(x) within tol).  Strict points additionally have
-    hausdorff(T(x), {x}) < tol after a local ternary refinement.  Refined
-    roots closer than tol are merged into one reported point.
+    x in T(x) iff f = x - lower(x) >= 0 and g = upper(x) - x >= 0.  Between
+    their critical points both are monotone, so {f >= 0} and {g >= 0} are
+    intervals and Fix is their intersection; a crossing between adjacent
+    floats (as a single-valued boundary makes) counts as the lower one.  A shared piece endpoint
+    follows eval (right piece wins), a nondegenerate part is taken closed,
+    and parts narrower than tol become their midpoint.  SFix: pieces with
+    f = g = 0 identically, plus the Fix part ends and segment edges inside
+    Fix with hausdorff(T(x), {x}) < tol.
     """
-    if grid_n < 2:
-        raise ParameterRangeError("scan_fixed_points needs grid_n >= 2")
-    xs = t.domain.grid(grid_n)
-    step = float(xs[1] - xs[0])
-    lo, hi = t.eval_grid(xs)
-    psi = xs - np.clip(xs, lo, hi)
+    fixed: list[Interval] = []
+    strict: list[Interval] = []
+    edges: list[float] = []
+    ends = t.domain.bounds
+    last = len(t.pieces) - 1
+    for i, pc in enumerate(t.pieces):
+        f = pc.lower.compose_affine(1.0, -1.0, 0.0)
+        g = pc.upper.compose_affine(-1.0, 1.0, 0.0)
+        lo, hi = pc.sub.lo, pc.sub.hi
+        cuts = sorted({lo, hi, *f.critical_points(lo, hi), *g.critical_points(lo, hi)})
+        edges += cuts
+        if _is_zero(f) and _is_zero(g):
+            strict.append(pc.sub)
+        # eval clamps T(x) into X, so at an end of X one condition always holds
+        if lo == ends.lo and f.value(lo) >= 0.0:
+            fixed.append(Interval(lo, lo))
+        if hi == ends.hi and g.value(hi) >= 0.0:
+            fixed.append(Interval(hi, hi))
+        for u, v in zip(cuts, cuts[1:]):
+            fu, gu = _nonneg_part(f, u, v), _nonneg_part(g, u, v)
+            if fu is None or gu is None:
+                continue
+            a, b = max(fu[0], gu[0]), min(fu[1], gu[1])
+            if a > b:  # disjoint, unless they cross between adjacent floats
+                if math.nextafter(b, a) != a:
+                    continue
+                a = b
+            if a == hi and i < last:
+                continue
+            fixed.append(Interval(a, b))
 
-    candidates = [float(x) for x in xs[np.abs(psi) <= tol]]
-    for i in np.nonzero(psi[:-1] * psi[1:] < 0.0)[0]:
-        root = _bisect_root(t, float(xs[i]), float(xs[i + 1]), float(psi[i]), tol)
-        if dist_point_to_set(root, t.eval(root)) <= tol:
-            candidates.append(root)
-
-    candidates.sort()
-    fixed: list[float] = []
-    for c in candidates:
-        if fixed and c - fixed[-1] < tol:
-            # keep the representative with the smaller defect
-            if abs(_membership_defect(t, c)) < abs(_membership_defect(t, fixed[-1])):
-                fixed[-1] = c
+    candidates: list[float] = []
+    for p in normalize(fixed).parts if fixed else ():
+        if p.width < tol:
+            candidates.append(p.midpoint)
         else:
-            fixed.append(c)
-
-    strict: list[float] = []
-    for c in fixed:
-        if _strictness(t, c) < tol:
-            strict.append(c)
-            continue
-        arg, val = _refine_strict(t, c, step)
-        if val < tol and (not strict or arg - strict[-1] >= tol):
-            strict.append(arg)
-    # a strict point is a fixed point; keep the containment exact even when
-    # the strictness refinement moved off the membership root
-    for s in strict:
-        if all(abs(s - f) > tol for f in fixed):
-            fixed.append(s)
-    fixed.sort()
-    return FixedPointScan(tuple(fixed), tuple(strict), tol, grid_n)
+            candidates += [p.lo, p.hi, *(e for e in edges if p.lo < e < p.hi)]
+    strict += [Interval(x, x) for x in candidates
+               if hausdorff(t.eval(x), IntervalUnion.singleton(x)) < tol]
+    return FixedPointScan(_entries(fixed, tol), _entries(strict, tol), tol, grid_n)
 
 
 def orbit_steps(trace: OrbitTrace) -> list[dict]:

@@ -33,7 +33,6 @@ from .errors import (
     OutOfDomainError,
     ParameterRangeError,
     SchemaError,
-    UnsupportedPerturbationError,
 )
 from .intervals import AMBIENT_TOL, Domain, Interval, IntervalUnion, normalize
 
@@ -474,41 +473,31 @@ def perturbation_from_json(obj: object) -> PerturbationSpec:
 
 @dataclass(frozen=True)
 class AxiomReport:
-    """Result of grid verification of the admissibility axioms."""
+    """Result of the closed-form check of the admissibility axioms."""
 
     passes: bool
     max_identity_dev: float
     witness: tuple[float, float] | None
-    grid_n: int
 
 
-def check_perturbation_axioms(spec: PerturbationSpec, dom: Domain,
-                              grid_n: int = 1001) -> AxiomReport:
-    """Verify G(x,x) = x and (G(x,y) = x => y = x) on a grid.
+def check_perturbation_axioms(spec: PerturbationSpec, dom: Domain) -> AxiomReport:
+    """Decide G(x,x) = x and (G(x,y) = x => y = x) on X for affine G.
 
-    Passes iff max |G(x,x) - x| < 1e-12 and no witness pair (x, y), y != x,
-    with |G(x,y) - x| < 1e-9 exists.  Among violating pairs the one with the
-    largest |y - x| is reported.
+    |G(x,x) - x| = |(a+b-1)x + c| is affine in x, so its maximum over X is
+    attained at an endpoint.  Given the identity, G(x,y) - x = b(y - x), so
+    the second axiom holds iff b != 0.  Passes iff the maximum is below 1e-12
+    and b != 0; when only b = 0 fails, the witness is the pair of domain
+    endpoints (G(lo, hi) = lo with hi != lo), otherwise it is None.
     """
-    if grid_n < 2:
-        raise ParameterRangeError("axiom check needs grid_n >= 2")
     a, b, c = spec.coefficients
-    xs = dom.grid(grid_n)
-    dev = float(np.max(np.abs(a * xs + b * xs + c - xs)))
-    X = xs[:, None]
-    Y = xs[None, :]
-    off_diag = np.abs(Y - X) > 0.0
-    viol = (np.abs(a * X + b * Y + c - X) < 1e-9) & off_diag
-    witness = None
-    if viol.any():
-        sep = np.where(viol, np.abs(Y - X), -1.0)
-        i, j = np.unravel_index(int(np.argmax(sep)), sep.shape)
-        witness = (float(xs[i]), float(xs[j]))
-    return AxiomReport(dev < 1e-12 and witness is None, dev, witness, grid_n)
+    lo, hi = dom.bounds.lo, dom.bounds.hi
+    dev = max(abs(a * x + b * x + c - x) for x in (lo, hi))
+    identity = dev < 1e-12
+    witness = (lo, hi) if identity and b == 0.0 else None
+    return AxiomReport(identity and b != 0.0, dev, witness)
 
 
-def perturb(t: MultivaluedOperator, spec: PerturbationSpec,
-            axiom_grid_n: int = 1001) -> MultivaluedOperator:
+def perturb(t: MultivaluedOperator, spec: PerturbationSpec) -> MultivaluedOperator:
     """The admissible perturbation T_G(x) = {G(x, u) : u in T(x)}.
 
     For affine G(x, y) = a*x + b*y + c each boundary term maps into the
@@ -516,15 +505,12 @@ def perturb(t: MultivaluedOperator, spec: PerturbationSpec,
     composed boundaries so the result keeps the monotone-piece invariant
     and supports exact set images.
     """
-    report = check_perturbation_axioms(spec, t.domain, axiom_grid_n)
+    report = check_perturbation_axioms(spec, t.domain)
     if not report.passes:
         raise AxiomViolationError(
             f"perturbation {spec.to_json()} violates admissibility axioms: "
             f"max |G(x,x)-x| = {report.max_identity_dev:.3e}, witness = {report.witness}")
     a, b, c = spec.coefficients
-    if b == 0.0:
-        raise UnsupportedPerturbationError(
-            "perturbation is constant in its second argument")
     pieces: list[Piece] = []
     for pc in t.pieces:
         low = pc.lower.compose_affine(a, b, c)

@@ -43,6 +43,7 @@ from .errors import (
     StrictFixedPointMismatchError,
 )
 from .iteration import (
+    STRICT_TOL,
     orbit_rate,
     orbit_steps,
     picard_orbit,
@@ -373,14 +374,13 @@ def run_scenario(source: str | Path | Scenario) -> RunReport:
     timing: dict[str, float] = {}
 
     tick = time.perf_counter()
-    scan_t = scan_fixed_points(t, scenario.scan_grid_n, 1e-9)
-    scan_g = scan_fixed_points(tg, scenario.scan_grid_n, 1e-9)
+    scan_t = scan_fixed_points(t, scenario.scan_grid_n, STRICT_TOL)
+    scan_g = scan_fixed_points(tg, scenario.scan_grid_n, STRICT_TOL)
     timing["scan"] = time.perf_counter() - tick
-    fixed_points = {
-        "T": {"fixed": list(scan_t.fixed), "strict": list(scan_t.strict)},
-        "TG": {"fixed": list(scan_g.fixed), "strict": list(scan_g.strict)},
-    }
-    xstar = scan_t.strict[0] if len(scan_t.strict) == 1 else None
+    fixed_points = {"T": scan_t.to_json(), "TG": scan_g.to_json()}
+    # x* is used only when SFix(T) is one isolated point
+    strict = scan_t.strict
+    xstar = strict[0] if len(strict) == 1 and isinstance(strict[0], float) else None
 
     certificates: dict = {}
     constants: dict = {}
@@ -401,11 +401,12 @@ def run_scenario(source: str | Path | Scenario) -> RunReport:
                 l_sup, l_skipped = sup.value, sup.skipped
             except StrictFixedPointMismatchError:
                 l_sup = None
-        if cert_g.feasible and xstar is not None:
+        if cert_g.feasible:
             params = cert_g.params
             k = corollary_k(params).value
-            xi = retraction_displacement_check(
-                t, params, disp.value, xstar, scenario.grid_n).xi_max
+            if xstar is not None:
+                xi = retraction_displacement_check(
+                    t, params, disp.value, xstar, scenario.grid_n).xi_max
         consts = AuxiliaryConstants(
             l=l_sup, k=k, L=disp.value, xi=xi,
             valid_l=l_sup is not None and l_sup < 1.0,

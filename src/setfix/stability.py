@@ -13,9 +13,10 @@ actually used, and worst-case evidence:
 * quasi-contraction    H(T(x),{x*}) <= l k |x - x*|  (gap-based weak variant)
 
 Every harness takes the strict fixed point x* of T after its operators:
-run_scenario passes the point its scan found, direct callers can use
-unique_strict_fixed_point.  Each checks x* with one eval per operator at the
-scan tolerance and raises StrictFixedPointMismatchError if it is not strict.
+run_scenario passes it when SFix(T) is one isolated point, direct callers
+can use unique_strict_fixed_point (same rule).  Each checks x* with one eval
+per operator at iteration.STRICT_TOL and raises
+StrictFixedPointMismatchError if it is not strict.
 
 Verdicts use the uniform convention worst_ratio = max LHS/RHS with
 holds <=> worst_ratio <= 1 + 1e-9 (for applicable reports).  Hypothesis
@@ -65,10 +66,6 @@ from .operators import (
 
 #: Verdict slack shared by every harness: holds <=> worst_ratio <= 1 + HOLDS_TOL.
 HOLDS_TOL = 1e-9
-
-#: Grid used to locate strict fixed points inside the harnesses.
-_SCAN_GRID = 10_001
-_SCAN_TOL = 1e-9
 
 #: Grid used for residual rejection sampling in the Ulam-Hyers harness.
 UH_SAMPLING_GRID = 40_001
@@ -175,14 +172,24 @@ class ComparisonFunction:
 # -- shared helpers ---------------------------------------------------------------
 
 
-def unique_strict_fixed_point(t: MultivaluedOperator, grid_n: int = _SCAN_GRID,
-                              tol: float = _SCAN_TOL) -> float:
-    scan = scan_fixed_points(t, grid_n, tol)
-    if len(scan.strict) != 1:
+def unique_strict_fixed_point(t: MultivaluedOperator) -> float:
+    """The strict fixed point of T, if SFix(T) is exactly one isolated point."""
+    strict = scan_fixed_points(t).strict
+    if len(strict) != 1 or not isinstance(strict[0], float):
         raise NoStrictFixedPointError(
-            f"operator {t.name or '<anonymous>'} has {len(scan.strict)} strict "
-            f"fixed points; exactly one required")
-    return scan.strict[0]
+            f"operator {t.name or '<anonymous>'} has strict fixed point set "
+            f"{list(strict)}; exactly one isolated point required")
+    return strict[0]
+
+
+def _comparison_strict(f: MultivaluedOperator) -> tuple[list, np.ndarray]:
+    """SFix(F) as report rows, and its part ends, where |y - x*| peaks."""
+    scan = scan_fixed_points(f)
+    if not scan.strict:
+        raise NoStrictFixedPointError(
+            f"comparison operator {f.name or '<anonymous>'} has no strict fixed point")
+    ends = [v for e in scan.strict for v in (e if isinstance(e, tuple) else (e,))]
+    return scan.to_json()["strict"], np.array(ends)
 
 
 def _residual(t: MultivaluedOperator, x: float) -> float:
@@ -213,10 +220,7 @@ def data_dependence_verify(t: MultivaluedOperator, f: MultivaluedOperator,
     """Every strict fixed point of a uniform eta-approximation F of T lies
     within K * eta of x*, with K = L(1+g)/((1-a-b) xi)."""
     _verify_strict_point(xstar, t)
-    fscan = scan_fixed_points(f, _SCAN_GRID, _SCAN_TOL)
-    if not fscan.strict:
-        raise NoStrictFixedPointError(
-            f"comparison operator {f.name or '<anonymous>'} has no strict fixed point")
+    strict, ends = _comparison_strict(f)
     xi = retraction_displacement_check(t, params, L, xstar, grid_n)
     if not xi.holds:
         return not_applicable(
@@ -228,14 +232,13 @@ def data_dependence_verify(t: MultivaluedOperator, f: MultivaluedOperator,
     eta, eta_arg = _sup_on_grid(
         hausdorff_between_values(*t.eval_grid(xs), *f.eval_grid(xs)), xs,
         float(t.domain.bounds.lo))
-    worst, worst_y = _sup_on_grid(
-        _ratio(np.abs(np.array(fscan.strict) - xstar), K * eta), fscan.strict, None)
+    worst, worst_y = _sup_on_grid(_ratio(np.abs(ends - xstar), K * eta), ends, None)
     details = {
         "eta": eta, "eta_argmax": eta_arg, "K_tilde": K, "xi_used": xi.xi_max,
-        "fixed_point": xstar, "comparison_strict_points": list(fscan.strict),
+        "fixed_point": xstar, "comparison_strict_points": strict,
         "worst_strict_point": worst_y, "grid_n": grid_n,
     }
-    return _verdict("DataDependence", K, len(fscan.strict), worst, details)
+    return _verdict("DataDependence", K, len(ends), worst, details)
 
 
 def psi_mp_data_dependence(t: MultivaluedOperator, f: MultivaluedOperator,
@@ -265,21 +268,18 @@ def psi_mp_data_dependence(t: MultivaluedOperator, f: MultivaluedOperator,
         raise HypothesisFailedError(
             f"displacement premise fails: c={c} < sup D(x,T_G(x))/D(x,T(x)) = {disp.value}")
 
-    fscan = scan_fixed_points(f, _SCAN_GRID, _SCAN_TOL)
-    if not fscan.strict:
-        raise NoStrictFixedPointError(
-            f"comparison operator {f.name or '<anonymous>'} has no strict fixed point")
+    strict, ends = _comparison_strict(f)
     lo, hi = t.eval_grid(xs)
     eta = float(np.max(hausdorff_between_values(lo, hi, *f.eval_grid(xs))))
     worst = max(float(np.max(_ratio(err, psi(c * dist_to_value(xs, lo, hi))))),
-                float(np.max(_ratio(np.abs(np.array(fscan.strict) - xstar), psi(c * eta)))))
+                float(np.max(_ratio(np.abs(ends - xstar), psi(c * eta)))))
     details = {
         "psi": psi.to_json(), "c": c, "eta": eta,
         "premise_worst_ratio": worst_premise,
         "displacement_sup": disp.value, "fixed_point": xstar,
-        "comparison_strict_points": list(fscan.strict), "grid_n": grid_n,
+        "comparison_strict_points": strict, "grid_n": grid_n,
     }
-    return _verdict("PsiMPDataDependence", c, grid_n + len(fscan.strict), worst, details)
+    return _verdict("PsiMPDataDependence", c, grid_n + len(ends), worst, details)
 
 
 # -- Ulam-Hyers -------------------------------------------------------------------------

@@ -8,6 +8,7 @@ an independent reference accurate to the grid step.
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import reject, strategies as st
 
 from setfix import (
     BoundaryFn,
@@ -28,6 +29,9 @@ from setfix.certify import (
     _candidates,
     _pair_system,
 )
+from setfix.errors import ParameterRangeError
+from setfix.intervals import dist_point_to_set, hausdorff, nearest_point
+from setfix.iteration import FixedPointScan
 
 
 def set_grid(u: IntervalUnion, h: float) -> np.ndarray:
@@ -157,3 +161,143 @@ def exhaustive_certify(t: MultivaluedOperator, variant: str = "ciric",
     params = ContractionParams(*best, variant=variant)
     return ContractionCertificate(True, params, float(best_margin), None,
                                   grid_n, skipped)
+
+
+# -- grid scan of fixed points ---------------------------------------------------
+# The sampling scan that preceded the exact per-piece solver in
+# setfix.iteration, kept as the differential reference: fixed points are grid
+# hits and refined sign changes of the membership defect, merged within tol.
+
+
+def _membership_defect(t: MultivaluedOperator, x: float) -> float:
+    return x - nearest_point(t.eval(x), x)
+
+
+def _strictness(t: MultivaluedOperator, x: float) -> float:
+    return hausdorff(t.eval(x), IntervalUnion.singleton(x))
+
+
+def _bisect_root(t: MultivaluedOperator, a: float, b: float, fa: float,
+                 tol: float) -> float:
+    # plain bisection on the membership defect; continuous between grid points
+    for _ in range(200):
+        if b - a < tol * 0.25:
+            break
+        m = 0.5 * (a + b)
+        fm = _membership_defect(t, m)
+        if fm == 0.0:
+            return m
+        if (fm > 0.0) == (fa > 0.0):
+            a, fa = m, fm
+        else:
+            b = m
+    return 0.5 * (a + b)
+
+
+def _refine_strict(t: MultivaluedOperator, x: float, h: float) -> tuple[float, float]:
+    """Ternary search of the strictness defect around x; returns (argmin, min)."""
+    lo = max(t.domain.bounds.lo, x - h)
+    hi = min(t.domain.bounds.hi, x + h)
+    for _ in range(120):
+        if hi - lo < 1e-15:
+            break
+        m1 = lo + (hi - lo) / 3.0
+        m2 = hi - (hi - lo) / 3.0
+        if _strictness(t, m1) <= _strictness(t, m2):
+            hi = m2
+        else:
+            lo = m1
+    arg = 0.5 * (lo + hi)
+    cand = min((x, arg), key=lambda z: _strictness(t, z))
+    return cand, _strictness(t, cand)
+
+
+def grid_scan_fixed_points(t: MultivaluedOperator, grid_n: int = 10_001,
+                           tol: float = 1e-9) -> FixedPointScan:
+    """Grid scan plus bisection refinement of x - nearest point of T(x).
+
+    Fixed points are zeros of the membership defect (grid hits within tol
+    plus refined sign changes, accepted only if the refined point actually
+    lies in T(x) within tol).  Strict points additionally have
+    hausdorff(T(x), {x}) < tol after a local ternary refinement.  Refined
+    roots closer than tol are merged into one reported point.
+    """
+    if grid_n < 2:
+        raise ParameterRangeError("scan_fixed_points needs grid_n >= 2")
+    xs = t.domain.grid(grid_n)
+    step = float(xs[1] - xs[0])
+    lo, hi = t.eval_grid(xs)
+    psi = xs - np.clip(xs, lo, hi)
+
+    candidates = [float(x) for x in xs[np.abs(psi) <= tol]]
+    for i in np.nonzero(psi[:-1] * psi[1:] < 0.0)[0]:
+        root = _bisect_root(t, float(xs[i]), float(xs[i + 1]), float(psi[i]), tol)
+        if dist_point_to_set(root, t.eval(root)) <= tol:
+            candidates.append(root)
+
+    candidates.sort()
+    fixed: list[float] = []
+    for c in candidates:
+        if fixed and c - fixed[-1] < tol:
+            # keep the representative with the smaller defect
+            if abs(_membership_defect(t, c)) < abs(_membership_defect(t, fixed[-1])):
+                fixed[-1] = c
+        else:
+            fixed.append(c)
+
+    strict: list[float] = []
+    for c in fixed:
+        if _strictness(t, c) < tol:
+            strict.append(c)
+            continue
+        arg, val = _refine_strict(t, c, step)
+        if val < tol and (not strict or arg - strict[-1] >= tol):
+            strict.append(arg)
+    # a strict point is a fixed point; keep the containment exact even when
+    # the strictness refinement moved off the membership root
+    for s in strict:
+        if all(abs(s - f) > tol for f in fixed):
+            fixed.append(s)
+    fixed.sort()
+    return FixedPointScan(tuple(fixed), tuple(strict), tol, grid_n)
+
+
+# -- random catalog operators -------------------------------------------------------
+
+
+@st.composite
+def catalog_operators(draw, lo: float = 0.25, hi: float = 2.0) -> MultivaluedOperator:
+    """Random valid operators on [lo, hi] (lo > 0, so every base is defined).
+
+    Each piece draws a raw term per boundary and rescales it affinely into a
+    random band of the domain: lower into [a, m] and upper into [m, c], or
+    upper = lower for a single-valued piece, so lower <= upper and the
+    self-map property hold by construction.  Pieces are split at the extrema
+    of their boundaries; an operator the constructor still rejects is
+    discarded.
+    """
+    inner = draw(st.lists(st.floats(lo + 0.05, hi - 0.05), max_size=2, unique=True))
+    edges = [lo, *sorted(inner), hi]
+
+    def term(u: float, v: float, band_lo: float, band_hi: float) -> BoundaryFn:
+        base = draw(st.sampled_from(["none", "power", "sqrt", "invsqrt"]))
+        raw = BoundaryFn(base=base, p=draw(st.integers(1, 3)),
+                         coeff=0.0 if base == "none" else draw(st.floats(-2.0, 2.0)),
+                         slope=draw(st.floats(-2.0, 2.0)))
+        rmin, rmax = raw.range_on(u, v)
+        if rmax - rmin < 1e-6:
+            return BoundaryFn(offset=band_lo)
+        scale = (band_hi - band_lo) / (rmax - rmin)
+        return raw.compose_affine(0.0, scale, band_lo - scale * rmin)
+
+    pieces = []
+    for u, v in zip(edges, edges[1:]):
+        a, m, c = sorted(draw(st.floats(lo, hi)) for _ in range(3))
+        lower = term(u, v, a, m)
+        upper = lower if draw(st.booleans()) else term(u, v, m, c)
+        cuts = sorted({u, v, *lower.critical_points(u, v), *upper.critical_points(u, v)})
+        pieces += [Piece(Interval(s, e), lower, upper) for s, e in zip(cuts, cuts[1:])]
+    try:
+        return MultivaluedOperator(Domain(Interval(lo, hi)), tuple(pieces), name="random")
+    except ValueError:
+        reject()

@@ -238,6 +238,24 @@ class TestAxiomCheck:
         assert not rep.passes
         assert rep.max_identity_dev > 1e-12
 
+    def test_identity_violation_has_no_witness(self):
+        rep = check_perturbation_axioms(GeneralG(a=0.5, b=0.25),
+                                        Domain(Interval(0.0, 1.0)))
+        assert rep.witness is None
+
+    def test_tiny_weight_on_y_is_admissible(self):
+        # G(x, y) - x = 1e-10 (y - x) vanishes only at y = x, though below the
+        # 1e-9 level on every pair of [0, 1]
+        rep = check_perturbation_axioms(GeneralG(a=1.0 - 1e-10, b=1e-10),
+                                        Domain(Interval(0.0, 1.0)))
+        assert rep.passes
+        assert rep.witness is None
+
+    def test_identity_deviation_is_the_endpoint_maximum(self):
+        rep = check_perturbation_axioms(GeneralG(a=0.5, b=0.25, c=0.1),
+                                        Domain(Interval(-2.0, 1.0)))
+        assert rep.max_identity_dev == abs(0.5 * -2.0 + 0.25 * -2.0 + 0.1 + 2.0)
+
 
 class TestValidation:
     def test_non_self_map_rejected(self):

@@ -139,6 +139,31 @@ class TestSquareScenario:
         assert abs(square_report.fixed_points["T"]["strict"][0]) < 1e-9
 
 
+class TestIntervalFixedSet:
+    """T(x) = [0, 1] on [0, 1]: Fix(T) is the whole domain and SFix(T) is empty."""
+
+    @pytest.fixture(scope="class")
+    def report(self):
+        term = {"kind": "const", "value": 0.0}
+        unit = {"domain": [0.0, 1.0], "pieces": [
+            {"sub": [0.0, 1.0], "lower": term, "upper": {"kind": "const", "value": 1.0}}]}
+        return run_scenario(scenario_from_dict(minimal_scenario(
+            operator=unit, analyses=["certify", "stability"], grid_n=21, scan_grid_n=101),
+            name="unit_valued"))
+
+    def test_fixed_set_is_one_part(self, report):
+        written = json.loads(emit_report(report)["report.json"])
+        assert written["fixed_points"]["T"] == {"fixed": [[0.0, 1.0]], "strict": []}
+        assert written["fixed_points"]["TG"] == {"fixed": [[0.0, 1.0]], "strict": []}
+
+    def test_harnesses_name_the_missing_strict_point(self, report):
+        assert report.certificates["TG"]["feasible"] is True
+        assert report.stability
+        for rep in report.stability:
+            assert not rep["applicable"]
+            assert rep["details"]["reason"] == "no unique strict fixed point located"
+
+
 class TestDeterminismAndRoundTrip:
     def test_byte_identical_reports(self, sqrt_report):
         again = run_scenario("sqrt_takahashi_34")

@@ -269,6 +269,23 @@ class TestReportShape:
         with pytest.raises(NoStrictFixedPointError):
             unique_strict_fixed_point(shift_operator(sqrt_t, 0.01))
 
+    def test_unique_strict_fixed_point_needs_an_isolated_point(self, sqrt_t):
+        identity = setfix.MultivaluedOperator(
+            sqrt_t.domain, (setfix.Piece(sqrt_t.domain.bounds, setfix.BoundaryFn(slope=1.0),
+                                         setfix.BoundaryFn(slope=1.0)),))
+        with pytest.raises(NoStrictFixedPointError):
+            unique_strict_fixed_point(identity)
+
+    def test_strict_part_of_comparison_checked_at_its_ends(self, sqrt_t):
+        # SFix of the identity on [1/4, 4] is one part; |y - x*| peaks at y = 4
+        identity = setfix.MultivaluedOperator(
+            sqrt_t.domain, (setfix.Piece(sqrt_t.domain.bounds, setfix.BoundaryFn(slope=1.0),
+                                         setfix.BoundaryFn(slope=1.0)),))
+        rep = data_dependence_verify(sqrt_t, identity, 1.0, SQRT_PARAMS, SQRT_L, 201)
+        assert rep.details["comparison_strict_points"] == [[0.25, 4.0]]
+        assert rep.details["worst_strict_point"] == 4.0
+        assert rep.samples == 2
+
     def test_decay_spec(self):
         s = DecaySpec(0.1, 0.8)
         assert s.decays
