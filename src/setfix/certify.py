@@ -11,14 +11,16 @@ contraction condition is one linear constraint on the parameters
 
 Feasibility over the admissible simplex (a+b+g < 1 for ciric, a+2b < 1 for
 the other two) is decided by a deterministic coarse-to-fine grid search
-(initial step 0.05, three halvings) minimizing a+b+g.  The search is serial
-and screened: each candidate's minimum over a small working set of pair
-rows (seeded with the witness pair and the largest LHS) is an exact upper
-bound on its margin, computed from the same floats as the full minimum.
-Only a candidate the bound cannot reject is swept over all pairs, and a
-sweep that falls short adds its binding pair to the working set.  The
-infeasible path finds the best margin by branch and bound on the same
-bounds.  Results equal an exhaustive sweep of every candidate.  A genuinely
+(initial step 0.05, three halvings) minimizing a+b+g.  Each level's
+candidates are one numpy lattice (3 x m), and the pair system is kept as
+n x n arrays whose diagonal (x = y) carries LHS = -inf, so it never binds.
+The search is serial and screened: each candidate's minimum over a small
+working set of pair rows (seeded with the witness pair and the largest
+LHS) is an exact upper bound on its margin, computed from the same floats
+as the full minimum.  Only a candidate the bound cannot reject is swept
+over all pairs, and a sweep that falls short adds its binding pair to the
+working set.  The infeasible path finds the best margin by branch and
+bound on the same bounds.  Results equal an exhaustive sweep of every candidate.  A genuinely
 infeasible instance is proven by a single witness pair whose constraint
 alone cannot be met by any admissible parameters (reported bound > 1);
 otherwise infeasibility means exhaustion of the search grid and the
@@ -32,6 +34,7 @@ unique_strict_fixed_point), checked by one eval at iteration.STRICT_TOL.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -43,8 +46,7 @@ from .errors import (
     SchemaError,
     StrictFixedPointMismatchError,
 )
-from .intervals import IntervalUnion, hausdorff
-from .iteration import STRICT_TOL
+from .iteration import STRICT_TOL, strict_defect
 from .operators import (
     MultivaluedOperator,
     dist_to_value,
@@ -146,74 +148,50 @@ class ContractionCertificate:
 
 
 def _pair_system(t: MultivaluedOperator, variant: str, xs: np.ndarray):
-    """LHS and the three feature columns over all ordered pairs x != y."""
+    """LHS and the three feature columns as n x n arrays over the grid pairs (i, j).
+
+    The diagonal x = y is no pair: its LHS is -inf, so it never binds.
+    """
     lo, hi = t.eval_grid(xs)
     X = xs[:, None]
     dist = dist_to_value(X, lo[None, :], hi[None, :])
-    h = hausdorff_between_values(lo[:, None], hi[:, None], lo[None, :], hi[None, :])
-    d = np.abs(X - xs[None, :])
-    n = len(xs)
-    mask = ~np.eye(n, dtype=bool)
-    lhs = h[mask]
-    u = d[mask]
+    lhs = hausdorff_between_values(lo[:, None], hi[:, None], lo[None, :], hi[None, :])
+    np.fill_diagonal(lhs, -np.inf)
+    u = np.abs(X - xs[None, :])
     if variant == "ciric":
-        v = dist[mask]
-        w = dist.T[mask]
+        v, w = dist, dist.T.copy()
     elif variant == "ciric_reich_rus":
         diag = np.diag(dist)
-        v = np.broadcast_to(diag[:, None], (n, n))[mask]
-        w = np.broadcast_to(diag[None, :], (n, n))[mask]
+        v, w = np.broadcast_arrays(diag[:, None], diag[None, :])
     else:  # combined
         diag = np.diag(dist)
-        v = (diag[:, None] + diag[None, :])[mask]
-        w = (dist + dist.T)[mask]
+        v = diag[:, None] + diag[None, :]
+        w = dist + dist.T
     return lhs, u, v, w
 
 
-def _pair_of(k: int, n: int) -> tuple[int, int]:
-    """Grid indices (i, j) of flat pair k, in _pair_system's row-major order."""
-    i, r = divmod(k, n - 1)
-    return i, r + (r >= i)
-
-
-def _candidates(step: float, variant: str,
-                center: tuple[float, float, float] | None = None,
-                radius: float | None = None) -> list[tuple[float, float, float]]:
+def _lattice(axes, variant: str) -> np.ndarray:
+    """3 x m coefficients (a, b, g) of the axes' product inside the capped simplex,
+    in ascending (a+b+g, a, b, g) order."""
     cap = 1.0 - STRICTNESS
-
-    def ok(a: float, b: float, g: float) -> bool:
-        if min(a, b, g) < 0.0 or max(a, b, g) > cap:
-            return False
-        if variant == "ciric":
-            return a + b + g <= cap
-        return a + 2.0 * b <= cap
-
-    out = []
-    if center is None:
-        count = int(round(1.0 / step)) + 1
-        vals = [round(i * step, 10) for i in range(count)]
-        for a in vals:
-            for b in vals:
-                for g in vals:
-                    if ok(a, b, g):
-                        out.append((a, b, g))
-    else:
-        offs = (-radius, -0.5 * radius, 0.0, 0.5 * radius, radius)
-        seen = set()
-        for da in offs:
-            for db in offs:
-                for dg in offs:
-                    a = round(center[0] + da, 10)
-                    b = round(center[1] + db, 10)
-                    g = round(center[2] + dg, 10)
-                    if (a, b, g) not in seen and ok(a, b, g):
-                        seen.add((a, b, g))
-                        out.append((a, b, g))
-    out.sort(key=lambda t: (t[0] + t[1] + t[2], t))
-    return out
+    a, b, g = (c.ravel() for c in np.meshgrid(*axes, indexing="ij"))
+    keep = (np.minimum(np.minimum(a, b), g) >= 0.0) & (np.maximum(np.maximum(a, b), g) <= cap)
+    keep &= (a + b + g <= cap) if variant == "ciric" else (a + 2.0 * b <= cap)
+    a, b, g = a[keep], b[keep], g[keep]
+    order = np.lexsort((g, b, a, a + b + g))
+    return np.stack((a, b, g))[:, order]
 
 
-def _sweep(c: tuple[float, float, float], lhs, u, v, w) -> tuple[float, int]:
+def _refinement_axes(center, radius: float) -> list[list[float]]:
+    """Per-coordinate axes at offsets 0, +-radius/2 and +-radius around center.
+
+    Each value is rounded by Python's round: np.round can differ in the last bit.
+    """
+    offs = (-radius, -0.5 * radius, 0.0, 0.5 * radius, radius)
+    return [sorted({round(c + d, 10) for d in offs}) for c in center]
+
+
+def _sweep(c, lhs, u, v, w) -> tuple[float, int]:
     """Exact margin of one candidate over every pair, and the first pair attaining it."""
     a, b, g = c
     s = a * u + b * v + g * w - lhs
@@ -223,31 +201,33 @@ def _sweep(c: tuple[float, float, float], lhs, u, v, w) -> tuple[float, int]:
 class _Screen:
     """Exact margins of a candidate list, screened by a working set of pair rows.
 
-    bounds[i] is cands[i]'s minimum over the working set, built with the
-    same element expression as the full sweep, so it is an exact upper bound
-    on the margin (a matmul or any fused or reordered form would change the
-    bits and lose that).  A full sweep runs only where the bound cannot decide; its
-    argmin row joins the working set (shared across candidate lists) and
-    tightens every bound, so a swept candidate's bound equals its margin.
+    coef holds one candidate (a, b, g) per column, rows are flat n x n pair
+    indices, and bounds[i] is candidate i's minimum over those rows, built
+    with the same element expression as the full sweep, so it is an exact
+    upper bound on the margin (a matmul or any fused or reordered form would
+    change the bits and lose that).  A full sweep runs only where the bound
+    cannot decide; its argmin row joins the working set (shared across
+    candidate lists) and tightens every bound, so a swept candidate's bound
+    equals its margin.
     """
 
-    def __init__(self, cands, pairs, rows: list[int]) -> None:
-        self.cands = cands
+    def __init__(self, coef: np.ndarray, pairs, rows: list[int]) -> None:
+        self.coef = coef
         self.pairs = pairs
         self.rows = rows
-        self.coef = np.array(cands, dtype=float).reshape(-1, 3).T
-        self.bounds = np.full(len(cands), np.inf)
+        self.bounds = np.full(coef.shape[1], np.inf)
         for k in rows:
             self._tighten(k)
         self.max_swept = -np.inf
 
     def _tighten(self, k: int) -> None:
         a, b, g = self.coef
-        lhs, u, v, w = (col[k] for col in self.pairs)
+        ij = divmod(k, self.pairs[0].shape[1])
+        lhs, u, v, w = (col[ij] for col in self.pairs)
         np.minimum(self.bounds, a * u + b * v + g * w - lhs, out=self.bounds)
 
     def _exact(self, i: int) -> float:
-        m, k = _sweep(self.cands[i], *self.pairs)
+        m, k = _sweep(self.coef[:, i], *self.pairs)
         self.max_swept = max(self.max_swept, m)
         if k not in self.rows:
             self.rows.append(k)
@@ -257,13 +237,14 @@ class _Screen:
     def first_feasible(self, slack: float):
         """(candidate, margin) of the first candidate with margin >= slack, or None.
 
-        Every candidate before it is rejected exactly, by its bound or its sweep.
+        The candidate is a triple of Python floats.  Every candidate before it
+        is rejected exactly, by its bound or its sweep.
         """
         for i in np.flatnonzero(self.bounds >= slack):
             if self.bounds[i] >= slack:
                 m = self._exact(int(i))
                 if m >= slack:
-                    return self.cands[i], m
+                    return tuple(self.coef[:, i].tolist()), m
         return None
 
     def max_margin(self) -> float:
@@ -294,28 +275,30 @@ def certify_contraction(t: MultivaluedOperator, variant: str = "ciric",
         raise ParameterRangeError("margin_req must be >= 0")
 
     xs = t.domain.grid(grid_n)
+    n = len(xs)
     pairs = lhs, u, v, w = _pair_system(t, variant, xs)
     rowmax = np.maximum(u, np.maximum(v, w))
     active = lhs > 1e-14
-    skipped = int(np.sum(~active))
+    skipped = int(np.sum(~active)) - n
     required = np.zeros_like(lhs)
     np.divide(lhs, np.maximum(rowmax, 1e-300), out=required, where=active)
+    np.fill_diagonal(required, -np.inf)
     imax = int(np.argmax(required))
-    wi, wj = _pair_of(imax, len(xs))
-    witness = Witness(float(xs[wi]), float(xs[wj]), float(required[imax]))
-    scale = max(1.0, float(lhs.max())) if len(lhs) else 1.0
+    wi, wj = divmod(imax, n)
+    witness = Witness(float(xs[wi]), float(xs[wj]), float(required[wi, wj]))
+    scale = max(1.0, float(lhs.max()))
     slack = margin_req * scale
 
     if witness.bound > 1.0 / (1.0 - STRICTNESS):
         # this single pair forbids the whole admissible simplex; its best
         # achievable slack bounds every candidate's margin from above
-        ceiling = float((1.0 - STRICTNESS) * rowmax[imax] - lhs[imax])
+        ceiling = float((1.0 - STRICTNESS) * rowmax[wi, wj] - lhs[wi, wj])
         return ContractionCertificate(False, None, ceiling, witness,
                                       grid_n, skipped)
 
     rows = [imax, int(np.argmax(lhs))]
-    cands = _candidates(_SEARCH_STEP, variant)
-    screen = _Screen(cands, pairs, rows)
+    axis = [round(i * _SEARCH_STEP, 10) for i in range(int(round(1.0 / _SEARCH_STEP)) + 1)]
+    screen = _Screen(_lattice([axis] * 3, variant), pairs, rows)
     found = screen.first_feasible(slack)
     if found is None:
         return ContractionCertificate(False, None, screen.max_margin(), witness,
@@ -325,8 +308,9 @@ def certify_contraction(t: MultivaluedOperator, variant: str = "ciric",
     radius = _SEARCH_STEP
     for _ in range(_REFINEMENTS):
         radius *= 0.5
-        local = [c for c in _candidates(radius, variant, center=best, radius=radius)
-                 if sum(c) < sum(best) - 1e-12]
+        local = _lattice(_refinement_axes(best, radius), variant)
+        a, b, g = local
+        local = local[:, a + b + g < sum(best) - 1e-12]
         found = _Screen(local, pairs, rows).first_feasible(slack)
         if found is not None:
             best, best_margin = found
@@ -346,7 +330,7 @@ class GridSup(NamedTuple):
 def _verify_strict_point(xstar: float, *ops: MultivaluedOperator) -> None:
     """Raise unless T(x*) = {x*} for every operator, at STRICT_TOL."""
     for op in ops:
-        defect = hausdorff(op.eval(xstar), IntervalUnion.singleton(xstar))
+        defect = strict_defect(op, xstar)
         if defect >= STRICT_TOL:
             raise StrictFixedPointMismatchError(
                 f"{op.name or '<anonymous>'}: {xstar!r} is not a strict fixed point "
@@ -429,8 +413,9 @@ def retraction_displacement_check(t: MultivaluedOperator, params: ContractionPar
                                   grid_n: int = 2001) -> XiResult:
     """Largest xi in (0,1) with |x - x*| <= (1+g)L/((1-a-b) xi) * D(x, T(x)) on the grid.
 
-    Found by bisection; points with D(x,T(x)) < 1e-14 and |x - x*| < 1e-9
-    are skipped.  holds means xi_max >= 1e-6.
+    xi_max (at most 1 - 1e-12) is min C*D(x,T(x))/|x - x*| stepped by ulps to the
+    largest float that holds at every point, except those with D(x,T(x)) <
+    1e-14 and |x - x*| < 1e-9.  holds means xi_max >= 1e-6.
     """
     if L <= 0.0:
         raise ParameterRangeError("retraction-displacement check needs L > 0")
@@ -447,16 +432,14 @@ def retraction_displacement_check(t: MultivaluedOperator, params: ContractionPar
     def pred(xi: float) -> bool:
         return bool(np.all(ee * xi <= C * dd))
 
-    lo, hi = 0.0, 1.0
-    if pred(1.0 - 1e-12):
-        return XiResult(1.0 - 1e-12, True)
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if pred(mid):
-            lo = mid
-        else:
-            hi = mid
-    return XiResult(lo, lo >= 1e-6)
+    cap = 1.0 - 1e-12
+    pos = ee > 0.0
+    xi = min(cap, float(np.min(C * dd[pos] / ee[pos], initial=cap)))
+    while not pred(xi):
+        xi = math.nextafter(xi, 0.0)
+    while xi < cap and pred(up := math.nextafter(xi, 1.0)):
+        xi = up
+    return XiResult(xi, xi >= 1e-6)
 
 
 class KBound(NamedTuple):
@@ -479,7 +462,7 @@ class AuxiliaryConstants:
     l   -- comparison supremum H(T(x),{x*}) / H(T_G(x),{x*}) (None if unavailable)
     k   -- (alpha+beta)/(1-gamma) of a feasible perturbed certificate
     L   -- displacement comparison sup D(x,T_G(x)) / D(x,T(x))
-    xi  -- retraction-displacement free parameter found by bisection
+    xi  -- largest retraction-displacement free parameter on the grid
     """
 
     l: float | None

@@ -35,12 +35,18 @@ def _dump(payload: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _add_shared(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--grid", type=int, default=None, help="sweep grid size")
-    p.add_argument("--tol", type=float, default=None, help="tolerance override")
-    p.add_argument("--out", type=str, default=None, help="output path")
-    p.add_argument("--format", choices=("json", "csv"), default=None,
-                   help="report format")
+_SHARED = {
+    "grid": dict(type=int, default=None, help="sweep grid size"),
+    "tol": dict(type=float, default=None, help="tolerance override"),
+    "out": dict(type=str, default=None, help="output path"),
+    "format": dict(choices=("json", "csv"), default=None, help="report format"),
+}
+
+
+def _add_shared(p: argparse.ArgumentParser, *names: str) -> None:
+    """Add the named shared options; each subcommand takes only those it reads."""
+    for name in names:
+        p.add_argument(f"--{name}", **_SHARED[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run a scenario file or built-in scenario")
     p_run.add_argument("scenario", help="path to a scenario JSON or a built-in name")
-    _add_shared(p_run)
+    _add_shared(p_run, "grid", "tol", "out", "format")
 
     p_cert = sub.add_parser("certify", help="certify a contraction condition")
     p_cert.add_argument("operator", help="built-in operator name or operator JSON path")
@@ -61,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--variant", choices=("ciric", "ciric_reich_rus", "combined"),
                         default="ciric")
     p_cert.add_argument("--margin-req", type=float, default=0.0)
-    _add_shared(p_cert)
+    _add_shared(p_cert, "grid", "out")
 
     p_iter = sub.add_parser("iterate", help="run Picard set orbits")
     p_iter.add_argument("operator")
@@ -69,14 +75,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_iter.add_argument("--perturb-lam", type=float, default=None)
     p_iter.add_argument("--target", type=float, default=None)
     p_iter.add_argument("--max-n", type=int, default=10_000)
-    _add_shared(p_iter)
+    _add_shared(p_iter, "tol", "out", "format")
 
     p_stab = sub.add_parser("stability", help="run the stability suite via a scenario")
     p_stab.add_argument("operator")
     p_stab.add_argument("--perturb-lam", type=float, required=True)
     p_stab.add_argument("--harness", action="append", default=None,
                         help="restrict to specific harnesses (repeatable)")
-    _add_shared(p_stab)
+    _add_shared(p_stab, "grid", "out")
     return parser
 
 

@@ -66,6 +66,13 @@ class FixedPointScan:
             return [list(e) if isinstance(e, tuple) else e for e in entries]
         return {"fixed": rows(self.fixed), "strict": rows(self.strict)}
 
+    @property
+    def xstar(self) -> float | None:
+        """The strict fixed point if SFix(T) is one isolated point, else None."""
+        if len(self.strict) == 1 and isinstance(self.strict[0], float):
+            return self.strict[0]
+        return None
+
 
 def picard_orbit(t: MultivaluedOperator, x0: float, max_n: int = 10_000,
                  tol: float = 1e-10, target: float | None = None) -> OrbitTrace:
@@ -127,6 +134,11 @@ def orbit_rate(trace: OrbitTrace) -> float:
         raise InsufficientDataError(
             f"orbit_rate needs >= 3 steps with positive target distance, got {len(hs)}")
     return max(b / a for a, b in zip(hs, hs[1:]))
+
+
+def strict_defect(t: MultivaluedOperator, x: float) -> float:
+    """hausdorff(T(x), {x}); x is a strict fixed point iff it is below STRICT_TOL."""
+    return hausdorff(t.eval(x), IntervalUnion.singleton(x))
 
 
 def _nonneg_part(fn: BoundaryFn, u: float, v: float) -> tuple[float, float] | None:
@@ -206,8 +218,7 @@ def scan_fixed_points(t: MultivaluedOperator, grid_n: int = 10_001,
             candidates.append(p.midpoint)
         else:
             candidates += [p.lo, p.hi, *(e for e in edges if p.lo < e < p.hi)]
-    strict += [Interval(x, x) for x in candidates
-               if hausdorff(t.eval(x), IntervalUnion.singleton(x)) < tol]
+    strict += [Interval(x, x) for x in candidates if strict_defect(t, x) < tol]
     return FixedPointScan(_entries(fixed, tol), _entries(strict, tol), tol, grid_n)
 
 

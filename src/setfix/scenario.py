@@ -378,9 +378,7 @@ def run_scenario(source: str | Path | Scenario) -> RunReport:
     scan_g = scan_fixed_points(tg, scenario.scan_grid_n, STRICT_TOL)
     timing["scan"] = time.perf_counter() - tick
     fixed_points = {"T": scan_t.to_json(), "TG": scan_g.to_json()}
-    # x* is used only when SFix(T) is one isolated point
-    strict = scan_t.strict
-    xstar = strict[0] if len(strict) == 1 and isinstance(strict[0], float) else None
+    xstar = scan_t.xstar
 
     certificates: dict = {}
     constants: dict = {}

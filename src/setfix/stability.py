@@ -174,12 +174,12 @@ class ComparisonFunction:
 
 def unique_strict_fixed_point(t: MultivaluedOperator) -> float:
     """The strict fixed point of T, if SFix(T) is exactly one isolated point."""
-    strict = scan_fixed_points(t).strict
-    if len(strict) != 1 or not isinstance(strict[0], float):
+    scan = scan_fixed_points(t)
+    if scan.xstar is None:
         raise NoStrictFixedPointError(
             f"operator {t.name or '<anonymous>'} has strict fixed point set "
-            f"{list(strict)}; exactly one isolated point required")
-    return strict[0]
+            f"{list(scan.strict)}; exactly one isolated point required")
+    return scan.xstar
 
 
 def _comparison_strict(f: MultivaluedOperator) -> tuple[list, np.ndarray]:

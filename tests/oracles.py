@@ -1,8 +1,12 @@
 """Brute-force grid oracles used to cross-check the exact implementations.
 
-These deliberately share no code with the library's candidate-point
-algorithms: every functional is recomputed from dense point grids, giving
-an independent reference accurate to the grid step.
+These deliberately share no code with the library algorithms they check.
+Set functionals are recomputed from dense point grids, giving an
+independent reference accurate to the grid step.  The certification and
+fixed-point references are the implementations the library replaced (a
+flat off-diagonal pair system with a per-tuple candidate lattice, and a
+sampling scan); from the library they use only operator evaluation (eval,
+eval_grid and its single-interval closed forms), constants and result types.
 """
 
 from __future__ import annotations
@@ -26,12 +30,11 @@ from setfix.certify import (
     _SEARCH_STEP,
     STRICTNESS,
     Witness,
-    _candidates,
-    _pair_system,
 )
 from setfix.errors import ParameterRangeError
 from setfix.intervals import dist_point_to_set, hausdorff, nearest_point
 from setfix.iteration import FixedPointScan
+from setfix.operators import dist_to_value, hausdorff_between_values
 
 
 def set_grid(u: IntervalUnion, h: float) -> np.ndarray:
@@ -106,6 +109,74 @@ def linear_pair_operator(c: float = 0.5) -> MultivaluedOperator:
                                name=f"linear_scaling({c:g})")
 
 
+# -- exhaustive certification ----------------------------------------------------
+# The flat off-diagonal pair system and the per-tuple candidate lattice that
+# preceded setfix.certify's n x n arrays and numpy lattice, kept as the
+# independent reference for exhaustive_certify and the lattice tests.
+
+
+def _pair_system(t: MultivaluedOperator, variant: str, xs: np.ndarray):
+    """LHS and the three feature columns over all ordered pairs x != y."""
+    lo, hi = t.eval_grid(xs)
+    X = xs[:, None]
+    dist = dist_to_value(X, lo[None, :], hi[None, :])
+    h = hausdorff_between_values(lo[:, None], hi[:, None], lo[None, :], hi[None, :])
+    d = np.abs(X - xs[None, :])
+    n = len(xs)
+    mask = ~np.eye(n, dtype=bool)
+    lhs = h[mask]
+    u = d[mask]
+    if variant == "ciric":
+        v = dist[mask]
+        w = dist.T[mask]
+    elif variant == "ciric_reich_rus":
+        diag = np.diag(dist)
+        v = np.broadcast_to(diag[:, None], (n, n))[mask]
+        w = np.broadcast_to(diag[None, :], (n, n))[mask]
+    else:  # combined
+        diag = np.diag(dist)
+        v = (diag[:, None] + diag[None, :])[mask]
+        w = (dist + dist.T)[mask]
+    return lhs, u, v, w
+
+
+def _candidates(step: float, variant: str,
+                center: tuple[float, float, float] | None = None,
+                radius: float | None = None) -> list[tuple[float, float, float]]:
+    cap = 1.0 - STRICTNESS
+
+    def ok(a: float, b: float, g: float) -> bool:
+        if min(a, b, g) < 0.0 or max(a, b, g) > cap:
+            return False
+        if variant == "ciric":
+            return a + b + g <= cap
+        return a + 2.0 * b <= cap
+
+    out = []
+    if center is None:
+        count = int(round(1.0 / step)) + 1
+        vals = [round(i * step, 10) for i in range(count)]
+        for a in vals:
+            for b in vals:
+                for g in vals:
+                    if ok(a, b, g):
+                        out.append((a, b, g))
+    else:
+        offs = (-radius, -0.5 * radius, 0.0, 0.5 * radius, radius)
+        seen = set()
+        for da in offs:
+            for db in offs:
+                for dg in offs:
+                    a = round(center[0] + da, 10)
+                    b = round(center[1] + db, 10)
+                    g = round(center[2] + dg, 10)
+                    if (a, b, g) not in seen and ok(a, b, g):
+                        seen.add((a, b, g))
+                        out.append((a, b, g))
+    out.sort(key=lambda t: (t[0] + t[1] + t[2], t))
+    return out
+
+
 def exhaustive_certify(t: MultivaluedOperator, variant: str = "ciric",
                        grid_n: int = 501,
                        margin_req: float = 0.0) -> ContractionCertificate:
@@ -161,6 +232,36 @@ def exhaustive_certify(t: MultivaluedOperator, variant: str = "ciric",
     params = ContractionParams(*best, variant=variant)
     return ContractionCertificate(True, params, float(best_margin), None,
                                   grid_n, skipped)
+
+
+def bisect_retraction_xi(t: MultivaluedOperator, params: ContractionParams,
+                         L: float, xstar: float, grid_n: int = 2001) -> tuple[float, bool]:
+    """(xi_max, holds) of retraction_displacement_check by 100-step bisection.
+
+    The bisection that preceded the closed form in setfix.certify: the cap
+    1 - 1e-12 if it satisfies every kept point, else the largest xi found by
+    halving [0, 1]; holds means xi_max >= 1e-6.
+    """
+    C = (1.0 + params.gamma) * L / (1.0 - params.alpha - params.beta)
+    xs = t.domain.grid(grid_n)
+    dist = dist_to_value(xs, *t.eval_grid(xs))
+    err = np.abs(xs - xstar)
+    keep = (dist >= 1e-14) | (err >= 1e-9)
+    dd, ee = dist[keep], err[keep]
+
+    def pred(xi: float) -> bool:
+        return bool(np.all(ee * xi <= C * dd))
+
+    lo, hi = 0.0, 1.0
+    if pred(1.0 - 1e-12):
+        return 1.0 - 1e-12, True
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if pred(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, lo >= 1e-6
 
 
 # -- grid scan of fixed points ---------------------------------------------------

@@ -22,7 +22,13 @@ from setfix import (
     sup_gap_ratio_l,
     sup_ratio_l,
 )
-from oracles import exhaustive_certify, linear_pair_operator, random_subunion
+from oracles import (
+    _candidates,
+    bisect_retraction_xi,
+    exhaustive_certify,
+    linear_pair_operator,
+    random_subunion,
+)
 
 
 class TestCertifyContraction:
@@ -295,3 +301,38 @@ def test_full_sweeps_bounded(op_fixture, request, monkeypatch):
     count = _count_sweeps(monkeypatch)
     certify_contraction(op, "ciric", 501)
     assert 1 <= count[0] <= 25
+
+
+def _same_bits(coef: np.ndarray, cands: list[tuple[float, float, float]]) -> bool:
+    """coef holds cands as columns, in order and bit for bit (so -0.0 != 0.0)."""
+    ref = np.array(cands, dtype=float).reshape(-1, 3).T
+    return coef.shape == ref.shape and coef.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("variant", certify.VARIANTS)
+def test_lattice_matches_oracle_candidates(variant):
+    step = certify._SEARCH_STEP
+    level0 = _candidates(step, variant)
+    axis = [round(i * step, 10) for i in range(21)]
+    assert _same_bits(certify._lattice([axis] * 3, variant), level0)
+    for k in range(1, certify._REFINEMENTS + 1):
+        radius = step * 0.5 ** k
+        for center in level0:
+            local = certify._lattice(certify._refinement_axes(center, radius), variant)
+            assert _same_bits(local, _candidates(radius, variant, center=center, radius=radius))
+
+
+@pytest.mark.parametrize("name", _DIFF_OPERATORS)
+def test_closed_form_xi_matches_bisection(name):
+    op = _named_operator(name)
+    xstar = 0.0 if name.startswith("square") or name == "linear" else 1.0
+    below_cap = 0
+    for params in (ContractionParams(0.875, 0.0, 0.0), ContractionParams(0.3, 0.3, 0.3),
+                   ContractionParams(0.1, 0.4, 0.45)):
+        for L in (1e-3, 0.05, 1.0, 3.0):
+            for grid_n in (101, 2001):
+                res = retraction_displacement_check(op, params, L, xstar, grid_n)
+                assert (res.xi_max, res.holds) == bisect_retraction_xi(
+                    op, params, L, xstar, grid_n)
+                below_cap += res.xi_max < 1.0 - 1e-12
+    assert below_cap > 0

@@ -283,6 +283,13 @@ class TestExactFixedPointSets:
         scan = scan_fixed_points(unit_operator(term, term, "identity"))
         assert scan.fixed == scan.strict == ((0.0, 1.0),)
 
+    def test_xstar_is_the_single_isolated_strict_point(self, sqrt_t):
+        assert scan_fixed_points(sqrt_t).xstar == 1.0
+        unit = unit_operator(BoundaryFn(offset=0.0), BoundaryFn(offset=1.0), "unit_valued")
+        assert scan_fixed_points(unit).xstar is None
+        term = BoundaryFn(slope=1.0)
+        assert scan_fixed_points(unit_operator(term, term, "identity")).xstar is None
+
     def test_shifted_sqrt_fixes_an_interval(self, sqrt_t):
         scan = scan_fixed_points(shift_operator(sqrt_t, 0.01))
         assert len(scan.fixed) == 1 and isinstance(scan.fixed[0], tuple)

@@ -262,6 +262,18 @@ class TestCli:
         assert payload["stability"][0]["property"] == "UlamHyers"
         assert payload["stability"][0]["holds"] is True
 
+    @pytest.mark.parametrize("argv", [
+        ["certify", "sqrt_example", "--format", "csv"],
+        ["certify", "sqrt_example", "--tol", "1e-6"],
+        ["stability", "sqrt_example", "--perturb-lam", "0.75", "--format", "csv"],
+        ["iterate", "sqrt_example", "--x0", "2.0", "--grid", "11"],
+    ])
+    def test_unread_option_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_bad_input_exit_code(self, capsys):
         assert cli_main(["iterate", "sqrt_example", "--x0", "99"]) == 2
         assert "OutOfDomain" in capsys.readouterr().err
