@@ -8,7 +8,6 @@ sampling error on this representation.
 """
 
 from .certify import (
-    AuxiliaryConstants,
     ContractionCertificate,
     ContractionParams,
     GridSup,
@@ -36,7 +35,6 @@ from .errors import (
     SchemaError,
     SetfixError,
     StrictFixedPointMismatchError,
-    UnsupportedPerturbationError,
 )
 from .intervals import (
     MERGE_EPS,

@@ -14,6 +14,9 @@ the other two) is decided by a deterministic coarse-to-fine grid search
 (initial step 0.05, three halvings) minimizing a+b+g.  Each level's
 candidates are one numpy lattice (3 x m), and the pair system is kept as
 n x n arrays whose diagonal (x = y) carries LHS = -inf, so it never binds.
+Each call allocates one workspace of two n x n buffers, which the witness
+pass and every full sweep reuse; a sweep forms a*u + b*v + g*w - lhs there
+in that order, so it equals the plain expression bit for bit.
 The search is serial and screened: each candidate's minimum over a small
 working set of pair rows (seeded with the witness pair and the largest
 LHS) is an exact upper bound on its margin, computed from the same floats
@@ -159,7 +162,7 @@ def _pair_system(t: MultivaluedOperator, variant: str, xs: np.ndarray):
     np.fill_diagonal(lhs, -np.inf)
     u = np.abs(X - xs[None, :])
     if variant == "ciric":
-        v, w = dist, dist.T.copy()
+        v, w = dist, dist.T
     elif variant == "ciric_reich_rus":
         diag = np.diag(dist)
         v, w = np.broadcast_arrays(diag[:, None], diag[None, :])
@@ -191,10 +194,15 @@ def _refinement_axes(center, radius: float) -> list[list[float]]:
     return [sorted({round(c + d, 10) for d in offs}) for c in center]
 
 
-def _sweep(c, lhs, u, v, w) -> tuple[float, int]:
+def _sweep(c, pairs, work) -> tuple[float, int]:
     """Exact margin of one candidate over every pair, and the first pair attaining it."""
     a, b, g = c
-    s = a * u + b * v + g * w - lhs
+    lhs, u, v, w = pairs
+    s, tmp = work
+    np.multiply(a, u, out=s)
+    s += np.multiply(b, v, out=tmp)
+    s += np.multiply(g, w, out=tmp)
+    s -= lhs
     return float(np.min(s)), int(np.argmin(s))
 
 
@@ -211,9 +219,10 @@ class _Screen:
     equals its margin.
     """
 
-    def __init__(self, coef: np.ndarray, pairs, rows: list[int]) -> None:
+    def __init__(self, coef: np.ndarray, pairs, work, rows: list[int]) -> None:
         self.coef = coef
         self.pairs = pairs
+        self.work = work
         self.rows = rows
         self.bounds = np.full(coef.shape[1], np.inf)
         for k in rows:
@@ -227,7 +236,7 @@ class _Screen:
         np.minimum(self.bounds, a * u + b * v + g * w - lhs, out=self.bounds)
 
     def _exact(self, i: int) -> float:
-        m, k = _sweep(self.coef[:, i], *self.pairs)
+        m, k = _sweep(self.coef[:, i], self.pairs, self.work)
         self.max_swept = max(self.max_swept, m)
         if k not in self.rows:
             self.rows.append(k)
@@ -277,11 +286,12 @@ def certify_contraction(t: MultivaluedOperator, variant: str = "ciric",
     xs = t.domain.grid(grid_n)
     n = len(xs)
     pairs = lhs, u, v, w = _pair_system(t, variant, xs)
-    rowmax = np.maximum(u, np.maximum(v, w))
+    work = required, rowmax = np.empty_like(lhs), np.empty_like(lhs)
+    np.maximum(u, np.maximum(v, w, out=rowmax), out=rowmax)
     active = lhs > 1e-14
-    skipped = int(np.sum(~active)) - n
-    required = np.zeros_like(lhs)
-    np.divide(lhs, np.maximum(rowmax, 1e-300), out=required, where=active)
+    skipped = n * n - n - int(np.count_nonzero(active))
+    required.fill(0.0)
+    np.divide(lhs, np.maximum(rowmax, 1e-300, out=rowmax), out=required, where=active)
     np.fill_diagonal(required, -np.inf)
     imax = int(np.argmax(required))
     wi, wj = divmod(imax, n)
@@ -292,13 +302,14 @@ def certify_contraction(t: MultivaluedOperator, variant: str = "ciric",
     if witness.bound > 1.0 / (1.0 - STRICTNESS):
         # this single pair forbids the whole admissible simplex; its best
         # achievable slack bounds every candidate's margin from above
-        ceiling = float((1.0 - STRICTNESS) * rowmax[wi, wj] - lhs[wi, wj])
+        ceiling = float((1.0 - STRICTNESS) * max(u[wi, wj], v[wi, wj], w[wi, wj])
+                        - lhs[wi, wj])
         return ContractionCertificate(False, None, ceiling, witness,
                                       grid_n, skipped)
 
     rows = [imax, int(np.argmax(lhs))]
     axis = [round(i * _SEARCH_STEP, 10) for i in range(int(round(1.0 / _SEARCH_STEP)) + 1)]
-    screen = _Screen(_lattice([axis] * 3, variant), pairs, rows)
+    screen = _Screen(_lattice([axis] * 3, variant), pairs, work, rows)
     found = screen.first_feasible(slack)
     if found is None:
         return ContractionCertificate(False, None, screen.max_margin(), witness,
@@ -311,7 +322,7 @@ def certify_contraction(t: MultivaluedOperator, variant: str = "ciric",
         local = _lattice(_refinement_axes(best, radius), variant)
         a, b, g = local
         local = local[:, a + b + g < sum(best) - 1e-12]
-        found = _Screen(local, pairs, rows).first_feasible(slack)
+        found = _Screen(local, pairs, work, rows).first_feasible(slack)
         if found is not None:
             best, best_margin = found
     params = ContractionParams(*best, variant=variant)
@@ -453,27 +464,3 @@ def corollary_k(params: ContractionParams) -> KBound:
         raise ParameterRangeError("corollary_k needs gamma < 1")
     value = (params.alpha + params.beta) / (1.0 - params.gamma)
     return KBound(value, value < 1.0)
-
-
-@dataclass(frozen=True)
-class AuxiliaryConstants:
-    """The constants threaded from certification into the stability harnesses.
-
-    l   -- comparison supremum H(T(x),{x*}) / H(T_G(x),{x*}) (None if unavailable)
-    k   -- (alpha+beta)/(1-gamma) of a feasible perturbed certificate
-    L   -- displacement comparison sup D(x,T_G(x)) / D(x,T(x))
-    xi  -- largest retraction-displacement free parameter on the grid
-    """
-
-    l: float | None
-    k: float | None
-    L: float
-    xi: float | None
-    valid_l: bool
-    l_skipped: int = 0
-    L_skipped: int = 0
-
-    def to_json(self) -> dict:
-        return {"l": self.l, "k": self.k, "L": self.L, "xi": self.xi,
-                "valid_l": self.valid_l, "l_skipped": self.l_skipped,
-                "L_skipped": self.L_skipped}

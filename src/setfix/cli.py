@@ -68,6 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default="ciric")
     p_cert.add_argument("--margin-req", type=float, default=0.0)
     _add_shared(p_cert, "grid", "out")
+    p_cert.set_defaults(grid=501)
 
     p_iter = sub.add_parser("iterate", help="run Picard set orbits")
     p_iter.add_argument("operator")
@@ -76,6 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_iter.add_argument("--target", type=float, default=None)
     p_iter.add_argument("--max-n", type=int, default=10_000)
     _add_shared(p_iter, "tol", "out", "format")
+    p_iter.set_defaults(tol=1e-10)
 
     p_stab = sub.add_parser("stability", help="run the stability suite via a scenario")
     p_stab.add_argument("operator")
@@ -83,18 +85,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_stab.add_argument("--harness", action="append", default=None,
                         help="restrict to specific harnesses (repeatable)")
     _add_shared(p_stab, "grid", "out")
+    p_stab.set_defaults(grid=501)
     return parser
 
 
 def _cmd_run(args) -> int:
     scenario = load_scenario(args.scenario)
-    if args.grid or args.tol:
-        raw = dict(scenario.raw)
-        if args.grid:
-            raw["grid_n"] = args.grid
-        if args.tol:
-            raw["tol"] = args.tol
-        scenario = scenario_from_dict(raw, name=scenario.name)
+    overrides = {k: v for k, v in (("grid_n", args.grid), ("tol", args.tol)) if v is not None}
+    if overrides:
+        scenario = scenario_from_dict(dict(scenario.raw, **overrides), name=scenario.name)
     report = run_scenario(scenario)
     fmt = args.format or scenario.output.get("format", "json")
     out = args.out or scenario.output.get("path", f"{scenario.name or 'scenario'}_report.json")
@@ -108,18 +107,17 @@ def _cmd_run(args) -> int:
 
 def _cmd_certify(args) -> int:
     op = _maybe_perturbed(_resolve_operator(args.operator), args.perturb_lam)
-    cert = certify_contraction(op, args.variant, args.grid or 501, args.margin_req)
+    cert = certify_contraction(op, args.variant, args.grid, args.margin_req)
     _dump(cert.to_json(), args.out)
     return 0
 
 
 def _cmd_iterate(args) -> int:
     op = _maybe_perturbed(_resolve_operator(args.operator), args.perturb_lam)
-    tol = args.tol or 1e-10
     payload = []
     csv_parts = {}
     for x0 in args.x0:
-        trace = picard_orbit(op, x0, max_n=args.max_n, tol=tol, target=args.target)
+        trace = picard_orbit(op, x0, max_n=args.max_n, tol=args.tol, target=args.target)
         payload.append({
             "x0": x0,
             "steps": len(trace.steps),
@@ -148,7 +146,7 @@ def _cmd_stability(args) -> int:
         "operator": operator_spec,
         "perturbation": {"kind": "takahashi", "lam": args.perturb_lam},
         "analyses": ["certify", "stability"],
-        "grid_n": args.grid or 501,
+        "grid_n": args.grid,
         "x0_list": [],
     }
     if args.harness:

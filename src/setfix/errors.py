@@ -51,7 +51,3 @@ class ConstructionFailedError(SetfixError):
 
 class SchemaError(SetfixError):
     """A configuration or serialized artifact fails validation."""
-
-
-class UnsupportedPerturbationError(SetfixError):
-    """The requested perturbation cannot be represented in the term catalog."""

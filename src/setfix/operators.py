@@ -388,7 +388,8 @@ class MultivaluedOperator:
 
 def dist_to_value(x, lo, hi):
     """D(x, [lo, hi]) = max(0, lo - x, x - hi), elementwise."""
-    return np.maximum(0.0, np.maximum(lo - x, x - hi))
+    out = np.asarray(lo - x, dtype=float)
+    return np.maximum(0.0, np.maximum(out, x - hi, out=out), out=out)[()]
 
 
 def hausdorff_to_point(lo, hi, p):
@@ -398,7 +399,8 @@ def hausdorff_to_point(lo, hi, p):
 
 def hausdorff_between_values(lo1, hi1, lo2, hi2):
     """H([lo1, hi1], [lo2, hi2]) = max(|lo1 - lo2|, |hi1 - hi2|), elementwise."""
-    return np.maximum(np.abs(lo1 - lo2), np.abs(hi1 - hi2))
+    out = np.asarray(lo1 - lo2, dtype=float)
+    return np.maximum(np.abs(out, out=out), np.abs(hi1 - hi2), out=out)[()]
 
 
 # -- perturbations --------------------------------------------------------------

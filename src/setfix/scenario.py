@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import json
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
 from . import stability as st
 from .certify import (
-    AuxiliaryConstants,
     ContractionParams,
     VARIANTS,
     certify_contraction,
@@ -61,24 +61,79 @@ from .operators import (
 )
 
 ANALYSES = ("certify", "iterate", "stability")
-HARNESSES = (
-    "data_dependence",
-    "psi_mp_data_dependence",
-    "ulam_hyers",
-    "well_posed",
-    "ostrowski",
-    "quasi_contraction",
-    "weak_quasi_contraction",
-)
 
-_PROPERTY_NAMES = {
-    "data_dependence": "DataDependence",
-    "psi_mp_data_dependence": "PsiMPDataDependence",
-    "ulam_hyers": "UlamHyers",
-    "well_posed": "WellPosed",
-    "ostrowski": "Ostrowski",
-    "quasi_contraction": "QuasiContraction",
-    "weak_quasi_contraction": "WeakQuasiContraction",
+
+#: What the stability harnesses read from one run; f is the comparison operator F.
+_Run = namedtuple("_Run", "t tg f xstar params L l grid_n")
+
+
+def _psi_mp(r: _Run, o: dict) -> st.StabilityReport:
+    if o["psi"] != "auto":
+        psi = st.ComparisonFunction.from_json(o["psi"])
+    else:
+        xi = retraction_displacement_check(r.tg, r.params, 1.0, r.xstar, r.grid_n)
+        if not xi.holds:
+            raise HypothesisFailedError(
+                "retraction-displacement check failed for the perturbed "
+                "operator; no automatic comparison function available")
+        p = r.params
+        psi = st.ComparisonFunction(
+            "linear", (1.0 + p.gamma) / ((1.0 - p.alpha - p.beta) * xi.xi_max))
+    return st.psi_mp_data_dependence(r.t, r.f, r.tg, r.xstar, psi,
+                                     max(r.L, 1e-12), r.grid_n)
+
+
+def _quasi(r: _Run, weak: bool) -> st.StabilityReport:
+    l = sup_gap_ratio_l(r.t, r.tg, r.xstar, r.grid_n).value if weak else r.l
+    if l is None:
+        raise ParameterRangeError("comparison constant l unavailable")
+    return st.quasi_contraction_verify(r.t, r.tg, r.xstar, l, r.params, r.grid_n, weak=weak)
+
+
+#: A stability harness: the property its report carries, the options it takes
+#: with their defaults, and run(r, checked options), its report on a _Run.
+_Harness = namedtuple("_Harness", "property options run")
+
+#: Every stability harness, in the default report order.  Runners look each
+#: harness function up when called, so a wrapper put on its module sees it.
+_HARNESS_TABLE = {
+    "data_dependence": _Harness("DataDependence", {"f": "constant_mid"}, lambda r, o: (
+        st.data_dependence_verify(r.t, r.f, r.xstar, r.params, r.L, r.grid_n))),
+    "psi_mp_data_dependence": _Harness("PsiMPDataDependence", {"psi": "auto"}, _psi_mp),
+    "ulam_hyers": _Harness(
+        "UlamHyers", {"eps_list": [0.1, 0.05, 0.01], "samples_per_eps": 100},
+        lambda r, o: st.ulam_hyers_verify(r.t, r.tg, r.xstar, r.params, r.L, **o)),
+    "well_posed": _Harness(
+        "WellPosed", {"r0": 0.1, "rho": 0.8, "n_max": 60},
+        lambda r, o: st.well_posedness_verify(r.t, r.xstar, r.params, r.L,
+                                              st.DecaySpec(o["r0"], o["rho"]), o["n_max"])),
+    "ostrowski": _Harness(
+        "Ostrowski", {"delta0": 0.1, "rho": 0.5, "n_max": 60, "final_tol": 1e-6, "x0": None},
+        lambda r, o: st.ostrowski_verify(r.t, r.xstar, r.params, r.L, o["x0"],
+                                         st.DecaySpec(o["delta0"], o["rho"]),
+                                         o["n_max"], o["final_tol"])),
+    "quasi_contraction": _Harness("QuasiContraction", {}, lambda r, o: _quasi(r, False)),
+    "weak_quasi_contraction": _Harness("WeakQuasiContraction", {},
+                                       lambda r, o: _quasi(r, True)),
+}
+HARNESSES = tuple(_HARNESS_TABLE)
+
+
+def _number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+#: What each stability option must be, as (test, description); psi's test reads it.
+_OPTION_RULES = {
+    "f": (lambda v: v in ("self", "constant_mid"), "'self' or 'constant_mid'"),
+    "psi": (lambda v: v == "auto" or st.ComparisonFunction.from_json(v),
+            "'auto' or a comparison function"),
+    "eps_list": (lambda v: isinstance(v, list) and v != []
+                 and all(_number(e) and e > 0 for e in v), "a nonempty list of numbers > 0"),
+    "final_tol": (lambda v: _number(v) and v > 0, "a number > 0"),
+    **dict.fromkeys(("samples_per_eps", "n_max"), (
+        lambda v: _number(v) and isinstance(v, int) and v >= 1, "an integer >= 1")),
+    **dict.fromkeys(("r0", "rho", "delta0", "x0"), (_number, "a number")),
 }
 
 
@@ -111,6 +166,32 @@ class Scenario:
 def _expect(cond: bool, msg: str) -> None:
     if not cond:
         raise SchemaError(msg)
+
+
+def _harness_options(opts: dict, x0_list, domain) -> dict[str, dict]:
+    """Each harness's options from 'stability_options', checked, with defaults
+    filled in (Ostrowski's x0: the first iterate start, else the midpoint of X)."""
+    for key in opts:
+        _expect(key == "harnesses" or key in HARNESSES,
+                f"'stability_options' block {key!r} names no stability harness")
+    out = {}
+    for key, harness in _HARNESS_TABLE.items():
+        given = opts.get(key, {})
+        _expect(isinstance(given, dict), f"'stability_options.{key}' must be an object")
+        o = out[key] = {**harness.options, **given}
+        if "x0" in o and o["x0"] is None:
+            o["x0"] = x0_list[0] if x0_list else domain.bounds.midpoint
+        try:
+            for name, value in o.items():
+                _expect(name in harness.options,
+                        f"no option {name!r}; it takes {sorted(harness.options)}")
+                test, what = _OPTION_RULES[name]
+                _expect(test(value), f"{name!r} must be {what}, got {value!r}")
+            if "rho" in o:  # a DecaySpec ratio, with r0 or delta0 as its initial value
+                st.DecaySpec(o.get("r0", o.get("delta0")), o["rho"])
+        except (ParameterRangeError, SchemaError) as exc:
+            raise SchemaError(f"'stability_options.{key}': {exc}") from exc
+    return out
 
 
 def scenario_from_dict(obj: dict, name: str = "") -> Scenario:
@@ -174,7 +255,8 @@ def scenario_from_dict(obj: dict, name: str = "") -> Scenario:
     )
     # domain-dependent validation: x0 inside, perturbation well-formed
     op = scenario.resolve_operator()
-    for x0 in scenario.x0_list:
+    options = _harness_options(stability_options, scenario.x0_list, op.domain)
+    for x0 in (*scenario.x0_list, options["ostrowski"]["x0"]):
         _expect(op.domain.contains(x0),
                 f"x0 {x0!r} outside operator domain "
                 f"[{op.domain.bounds.lo}, {op.domain.bounds.hi}]")
@@ -273,96 +355,32 @@ def _orbit_summary(label: str, x0: float, trace) -> dict:
     }
 
 
-def _na(prop_key: str, reason: str) -> dict:
-    return st.not_applicable(_PROPERTY_NAMES[prop_key], reason).to_json()
-
-
 def _run_stability(scenario: Scenario, t: MultivaluedOperator,
                    tg: MultivaluedOperator, params: ContractionParams | None,
-                   consts: AuxiliaryConstants, xstar: float | None) -> list[dict]:
+                   constants: dict, xstar: float | None) -> list[dict]:
     opts = scenario.stability_options
-    harnesses = opts.get("harnesses", list(HARNESSES))
-    grid_n = scenario.grid_n
-    out: list[dict] = []
+    keys = opts.get("harnesses", HARNESSES)
+    if params is None or xstar is None:
+        reason = ("no feasible contraction certificate for the perturbed operator; "
+                  "certified constants unavailable" if params is None
+                  else "no unique strict fixed point located")
+        return [st.not_applicable(_HARNESS_TABLE[k].property, reason).to_json()
+                for k in keys]
 
-    def guarded(prop_key: str, fn):
-        if params is None:
-            out.append(_na(prop_key,
-                           "no feasible contraction certificate for the perturbed "
-                           "operator; certified constants unavailable"))
-            return
-        if xstar is None:
-            out.append(_na(prop_key, "no unique strict fixed point located"))
-            return
+    options = _harness_options(opts, scenario.x0_list, t.domain)
+    f = t if options["data_dependence"]["f"] == "self" else constant_operator(
+        t.domain, t.domain.bounds.midpoint)
+    r = _Run(t, tg, f, xstar, params, constants["L"], constants["l"], scenario.grid_n)
+    out: list[dict] = []
+    for key in keys:
+        harness = _HARNESS_TABLE[key]
         try:
-            out.append(fn().to_json())
+            report = harness.run(r, options[key])
         except (ParameterRangeError, NoStrictFixedPointError,
                 StrictFixedPointMismatchError, HypothesisFailedError,
-                NoApproximateSolutionsError) as exc:
-            out.append(_na(prop_key, f"{type(exc).__name__}: {exc}"))
-
-    def comparison_operator() -> MultivaluedOperator:
-        kind = opts.get("data_dependence", {}).get("f", "constant_mid")
-        if kind == "self":
-            return t
-        if kind == "constant_mid":
-            return constant_operator(t.domain, t.domain.bounds.midpoint)
-        raise SchemaError(f"unknown data-dependence comparison operator {kind!r}")
-
-    for h in harnesses:
-        if h == "data_dependence":
-            guarded(h, lambda: st.data_dependence_verify(
-                t, comparison_operator(), xstar, params, consts.L, grid_n))
-        elif h == "psi_mp_data_dependence":
-            def run_psi():
-                cfg = opts.get("psi_mp_data_dependence", {})
-                psi_cfg = cfg.get("psi", "auto")
-                if psi_cfg == "auto":
-                    xi = retraction_displacement_check(tg, params, 1.0, xstar, grid_n)
-                    if not xi.holds:
-                        raise HypothesisFailedError(
-                            "retraction-displacement check failed for the perturbed "
-                            "operator; no automatic comparison function available")
-                    C = (1.0 + params.gamma) / ((1.0 - params.alpha - params.beta)
-                                                * xi.xi_max)
-                    psi = st.ComparisonFunction("linear", C)
-                else:
-                    psi = st.ComparisonFunction.from_json(psi_cfg)
-                return st.psi_mp_data_dependence(t, comparison_operator(), tg, xstar, psi,
-                                                 max(consts.L, 1e-12), grid_n)
-            guarded(h, run_psi)
-        elif h == "ulam_hyers":
-            cfg = opts.get("ulam_hyers", {})
-            guarded(h, lambda: st.ulam_hyers_verify(
-                t, tg, xstar, params, consts.L,
-                cfg.get("eps_list", [0.1, 0.05, 0.01]),
-                cfg.get("samples_per_eps", 100)))
-        elif h == "well_posed":
-            cfg = opts.get("well_posed", {})
-            spec = st.DecaySpec(cfg.get("r0", 0.1), cfg.get("rho", 0.8))
-            guarded(h, lambda: st.well_posedness_verify(
-                t, xstar, params, consts.L, spec, cfg.get("n_max", 60)))
-        elif h == "ostrowski":
-            cfg = opts.get("ostrowski", {})
-            spec = st.DecaySpec(cfg.get("delta0", 0.1), cfg.get("rho", 0.5))
-            x0 = cfg.get("x0", scenario.x0_list[0] if scenario.x0_list
-                         else t.domain.bounds.midpoint)
-            guarded(h, lambda: st.ostrowski_verify(
-                t, xstar, params, consts.L, x0, spec, cfg.get("n_max", 60),
-                cfg.get("final_tol", 1e-6)))
-        elif h == "quasi_contraction":
-            def run_strong():
-                if consts.l is None:
-                    raise ParameterRangeError("comparison constant l unavailable")
-                return st.quasi_contraction_verify(
-                    t, tg, xstar, consts.l, params, grid_n, weak=False)
-            guarded(h, run_strong)
-        elif h == "weak_quasi_contraction":
-            def run_weak():
-                l_weak = sup_gap_ratio_l(t, tg, xstar, grid_n).value
-                return st.quasi_contraction_verify(
-                    t, tg, xstar, l_weak, params, grid_n, weak=True)
-            guarded(h, run_weak)
+                NoApproximateSolutionsError) as exc:  # a violated premise
+            report = st.not_applicable(harness.property, f"{type(exc).__name__}: {exc}")
+        out.append(report.to_json())
     return out
 
 
@@ -383,7 +401,6 @@ def run_scenario(source: str | Path | Scenario) -> RunReport:
     certificates: dict = {}
     constants: dict = {}
     params: ContractionParams | None = None
-    consts = AuxiliaryConstants(l=None, k=None, L=0.0, xi=None, valid_l=False)
     if "certify" in scenario.analyses:
         tick = time.perf_counter()
         cert_t = certify_contraction(t, scenario.variant, scenario.grid_n)
@@ -405,11 +422,9 @@ def run_scenario(source: str | Path | Scenario) -> RunReport:
             if xstar is not None:
                 xi = retraction_displacement_check(
                     t, params, disp.value, xstar, scenario.grid_n).xi_max
-        consts = AuxiliaryConstants(
-            l=l_sup, k=k, L=disp.value, xi=xi,
-            valid_l=l_sup is not None and l_sup < 1.0,
-            l_skipped=l_skipped, L_skipped=disp.skipped)
-        constants = consts.to_json()
+        constants = {"l": l_sup, "k": k, "L": disp.value, "xi": xi,
+                     "valid_l": l_sup is not None and l_sup < 1.0,
+                     "l_skipped": l_skipped, "L_skipped": disp.skipped}
         if params is not None:
             constants["params_TG"] = params.to_json()
             constants["ulam_hyers_c"] = st.ulam_hyers_constant(params, disp.value)
@@ -427,7 +442,7 @@ def run_scenario(source: str | Path | Scenario) -> RunReport:
     stability_reports: list[dict] = []
     if "stability" in scenario.analyses:
         tick = time.perf_counter()
-        stability_reports = _run_stability(scenario, t, tg, params, consts, xstar)
+        stability_reports = _run_stability(scenario, t, tg, params, constants, xstar)
         timing["stability"] = time.perf_counter() - tick
 
     return RunReport(

@@ -166,7 +166,10 @@ class ComparisonFunction:
     def from_json(cls, obj: object) -> "ComparisonFunction":
         if not isinstance(obj, dict) or obj.get("kind") not in ("linear", "power"):
             raise SchemaError(f"comparison function JSON invalid: {obj!r}")
-        return cls(obj["kind"], float(obj["C"]), float(obj.get("p", 1.0)))
+        try:
+            return cls(obj["kind"], float(obj["C"]), float(obj.get("p", 1.0)))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SchemaError(f"comparison function JSON invalid: {obj!r}") from exc
 
 
 # -- shared helpers ---------------------------------------------------------------

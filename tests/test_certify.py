@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -336,3 +337,29 @@ def test_closed_form_xi_matches_bisection(name):
                     op, params, L, xstar, grid_n)
                 below_cap += res.xi_max < 1.0 - 1e-12
     assert below_cap > 0
+
+
+def _peak_bytes(fn) -> int:
+    """Peak memory traced while fn runs, above what was live when it started."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name", ["sqrt|0.75", "square|0.5"])
+def test_certify_memory_bounded(name):
+    # the pair system, its witness pass and the sweeps share one workspace:
+    # at most 6.5 n x n float arrays live at once, for every variant
+    op = _named_operator(name)
+    n = 501
+    for variant in certify.VARIANTS:
+        peak = _peak_bytes(lambda: certify_contraction(op, variant, n))
+        assert peak < 6.5 * n * n * 8, (variant, peak / (n * n * 8))

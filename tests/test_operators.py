@@ -104,6 +104,17 @@ class TestEvalGrid:
             _bits(hausdorff_between_values(lo, hi, glo, ghi)),
             _bits([hausdorff(v, w) for v, w in zip(values, g_values)]))
 
+    def test_closed_forms_take_scalars(self, sqrt_t, sqrt_tg):
+        point = setfix.IntervalUnion.singleton(1.25)
+        for x in sqrt_t.domain.grid(1001).tolist():
+            v, w = sqrt_t.eval(x), sqrt_tg.eval(x)
+            (lo, hi), (glo, ghi) = (v.parts[0].lo, v.parts[0].hi), (w.parts[0].lo, w.parts[0].hi)
+            for got, want in ((dist_to_value(x, lo, hi), dist_point_to_set(x, v)),
+                              (hausdorff_to_point(lo, hi, 1.25), hausdorff(v, point)),
+                              (hausdorff_between_values(lo, hi, glo, ghi), hausdorff(v, w))):
+                assert np.ndim(got) == 0 and _bits(got) == _bits(want), x
+        assert dist_to_value(1, 2, 3) == 1.0 and hausdorff_between_values(0, 1, 3, 1) == 3.0
+
     def test_out_of_domain(self, sqrt_t):
         with pytest.raises(OutOfDomainError):
             sqrt_t.eval_grid(np.array([1.0, 5.0]))

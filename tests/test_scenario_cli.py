@@ -7,7 +7,13 @@ import pytest
 import setfix
 from setfix import RunReport, SchemaError, load_scenario, run_scenario, scenario_from_dict
 from setfix.cli import main as cli_main
-from setfix.scenario import builtin_scenario_names, emit_report, write_report
+from setfix.scenario import (
+    HARNESSES,
+    _HARNESS_TABLE,
+    builtin_scenario_names,
+    emit_report,
+    write_report,
+)
 
 
 def minimal_scenario(**overrides) -> dict:
@@ -302,3 +308,77 @@ class TestCli:
         op_path.write_text(json.dumps(setfix.sqrt_example().to_json()))
         assert cli_main(["certify", str(op_path), "--grid", "51"]) == 0
         assert json.loads(capsys.readouterr().out)["feasible"] is False
+
+
+def packaged_with_options(**blocks) -> dict:
+    """sqrt_takahashi_34's JSON with some 'stability_options' blocks replaced."""
+    raw = dict(load_scenario("sqrt_takahashi_34").raw)
+    raw["stability_options"] = dict(raw["stability_options"], **blocks)
+    return raw
+
+
+class TestStabilityOptions:
+    @pytest.mark.parametrize("blocks", [
+        {"ulam_hyer": {}},                                    # names no harness
+        {"ulam_hyers": {"samples_per_esp": 10}},              # a key it does not take
+        {"quasi_contraction": {"x": 1}},
+        {"ostrowski": [0.1]},
+        {"ulam_hyers": {"eps_list": "abc"}},                  # wrong JSON types
+        {"ulam_hyers": {"eps_list": [0.1, True]}},
+        {"ulam_hyers": {"samples_per_eps": 2.0}},
+        {"well_posed": {"r0": True}},
+        {"well_posed": {"n_max": "60"}},
+        {"ostrowski": {"x0": "4"}},
+        {"data_dependence": {"f": "other"}},
+        {"psi_mp_data_dependence": {"psi": "manual"}},
+        {"psi_mp_data_dependence": {"psi": {"kind": "cubic", "C": 1.0}}},
+        {"psi_mp_data_dependence": {"psi": {"kind": "linear"}}},
+        {"psi_mp_data_dependence": {"psi": {"kind": "power", "C": 1.0, "p": "x"}}},
+        {"psi_mp_data_dependence": {"psi": {"kind": "linear", "C": -1.0}}},
+        {"well_posed": {"r0": -0.1}},                         # outside its range
+        {"well_posed": {"rho": -0.8}},
+        {"ostrowski": {"delta0": -0.1}},
+        {"ostrowski": {"x0": 9.0}},
+        {"ulam_hyers": {"eps_list": []}},
+        {"ulam_hyers": {"eps_list": [0.1, -0.1]}},
+        {"ulam_hyers": {"eps_list": [0.0]}},
+        {"ulam_hyers": {"samples_per_eps": 0}},
+        {"well_posed": {"n_max": 0}},
+        {"ostrowski": {"n_max": 0}},
+        {"ostrowski": {"final_tol": 0.0}},
+    ])
+    def test_malformed_option_fails_at_load(self, blocks):
+        with pytest.raises(SchemaError):
+            scenario_from_dict(packaged_with_options(**blocks))
+
+    @pytest.mark.parametrize("blocks", [
+        {"ostrowski": {"x0": 4}},
+        {"data_dependence": {"f": "self"}},
+        {"psi_mp_data_dependence": {"psi": {"kind": "power", "C": 4.0, "p": 0.5}}},
+        {"well_posed": {"r0": 0, "rho": 1}},
+    ])
+    def test_wellformed_option_loads(self, blocks):
+        scenario_from_dict(packaged_with_options(**blocks))
+
+    def test_cli_exits_2_on_malformed_option(self, tmp_path, capsys):
+        spath = tmp_path / "bad.json"
+        spath.write_text(json.dumps(packaged_with_options(ulam_hyers={"eps_list": "abc"})))
+        assert cli_main(["run", str(spath), "--out", str(tmp_path / "r.json")]) == 2
+        assert "SchemaError" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["iterate", "sqrt_example", "--x0", "4", "--tol", "0"],
+        ["certify", "sqrt_example", "--grid", "0"],
+        ["run", "sqrt_takahashi_34", "--tol", "0"],
+    ])
+    def test_cli_passes_zero_on(self, argv):
+        assert cli_main(argv) == 2
+
+    @pytest.mark.parametrize("fixture, applicable", [
+        ("sqrt_report", True), ("square_report", False)])
+    def test_table_property_is_the_report_property(self, fixture, applicable, request):
+        report = request.getfixturevalue(fixture)
+        assert [_HARNESS_TABLE[key].property for key in HARNESSES] == [
+            rep["property"] for rep in report.stability]
+        assert any(rep["applicable"] for rep in report.stability) == applicable

@@ -167,6 +167,14 @@ class TestOstrowski:
         assert rep.holds
         assert rep.details["final_error"] < 1e-6
 
+    @pytest.mark.xfail(strict=True, reason="the coded bound weighs each perturbation r_j "
+                       "by L(1+g)/(1-g) = 0.25, but one step can move v a full r_j from "
+                       "x*; see README, Known measured discrepancies")
+    @pytest.mark.parametrize("x0", [0.9, 0.95, 1.0])
+    def test_bound_holds_near_the_fixed_point(self, sqrt_t, x0):
+        rep = ostrowski_verify(sqrt_t, 1.0, SQRT_PARAMS, SQRT_L, x0, DecaySpec(0.1, 0.5))
+        assert rep.holds, rep.worst_ratio
+
 
 class TestQuasiContraction:
     def test_strong_on_linear_example(self, linear_t, linear_tg, linear_tg_cert):
