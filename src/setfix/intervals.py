@@ -14,6 +14,20 @@ local maxima only at the midpoints of B's gaps, so suprema over another
 union are attained on a finite candidate set (part endpoints of A plus gap
 midpoints of B that lie inside A).  No sampling is involved.
 
+Because the parts are sorted, a point's nearest part is one of the two parts
+around it, and every functional reads the endpoints from the tuples each
+union keeps (``_los``, ``_his``):
+
+* ``dist_point_to_set`` bisects the part starts, O(log |A|);
+* ``gap`` bisects B's part ends for each part of A, starting where the
+  previous search ended, O(|A| log |B|);
+* ``excess`` walks A's endpoints and B's gap midpoints in ascending order
+  with a pointer into the other union that only moves right, O(|A| + |B|).
+
+Each takes the same float expressions over fewer candidates than a scan of
+all parts would, and fl(x - c) is monotone in c, so the values are those of
+the all-pairs scan bit for bit (``tests/oracles.py`` keeps that scan).
+
 Degenerate point intervals are first-class: singletons {x} appear as
 targets of every convergence statement in the rest of the library.
 """
@@ -21,6 +35,7 @@ targets of every convergence statement in the rest of the library.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -79,8 +94,14 @@ class IntervalUnion:
         if not parts:
             raise EmptySetError("an interval union needs at least one part")
         object.__setattr__(self, "parts", parts)
-        for a, b in zip(parts, parts[1:]):
-            if not a.hi + MERGE_EPS < b.lo:
+        # endpoint tuples for the sweeps below; not fields, so ==, hash and
+        # repr see only the parts
+        los = tuple([p.lo for p in parts])
+        his = tuple([p.hi for p in parts])
+        object.__setattr__(self, "_los", los)
+        object.__setattr__(self, "_his", his)
+        for hi, lo in zip(his, los[1:]):
+            if not hi + MERGE_EPS < lo:
                 raise ValueError(
                     "parts must be strictly sorted and separated; build via normalize()"
                 )
@@ -155,9 +176,24 @@ def set_from_json(obj: object, ambient: Interval | None = None) -> IntervalUnion
     return normalize(out, ambient)
 
 
+def _dist_around(x: float, los: tuple, his: tuple, i: int) -> float:
+    """D(x, A) from A's parts i - 1 and i, where i = bisect_right(los, x).
+
+    Every part left of i - 1 ends before part i - 1 does and every part right
+    of i starts after part i does, and fl(x - c) is monotone in c, so no other
+    part can be nearer.
+    """
+    if i == 0:
+        return max(0.0, los[0] - x, x - his[0])
+    d = max(0.0, los[i - 1] - x, x - his[i - 1])
+    if i < len(los):
+        d = min(d, max(0.0, los[i] - x, x - his[i]))
+    return d
+
+
 def dist_point_to_set(x: float, a: IntervalUnion) -> float:
     """Distance from the point x to the set A; 0 iff x is a member."""
-    return min(max(0.0, p.lo - x, x - p.hi) for p in a.parts)
+    return _dist_around(x, a._los, a._his, bisect_right(a._los, x))
 
 
 def nearest_point(a: IntervalUnion, x: float) -> float:
@@ -173,10 +209,15 @@ def nearest_point(a: IntervalUnion, x: float) -> float:
 
 def gap(a: IntervalUnion, b: IntervalUnion) -> float:
     """inf distance between the two sets; 0 iff they intersect."""
+    blos, bhis = b._los, b._his
     best = math.inf
+    j = 0
     for p in a.parts:
-        for q in b.parts:
-            d = max(0.0, p.lo - q.hi, q.lo - p.hi)
+        # the first part of B that ends at or after p starts, and the one
+        # before it, are the only candidates; j only moves right
+        j = bisect_left(bhis, p.lo, j)
+        for k in range(max(j - 1, 0), min(j + 1, len(bhis))):
+            d = max(0.0, p.lo - bhis[k], blos[k] - p.hi)
             if d < best:
                 best = d
             if best == 0.0:
@@ -189,15 +230,30 @@ def excess(a: IntervalUnion, b: IntervalUnion) -> float:
 
     D(., B) is piecewise linear with peaks only at midpoints of B's gaps,
     so the sup over A is attained at an endpoint of a part of A or at a gap
-    midpoint of B lying inside A.
+    midpoint of B lying inside A.  Both candidate lists ascend, so one pass
+    over each, with a pointer into the other union, finds every nearest part.
     """
+    alos, ahis = a._los, a._his
+    blos, bhis = b._los, b._his
+    na, nb = len(alos), len(blos)
     best = 0.0
-    for p in a.parts:
-        best = max(best, dist_point_to_set(p.lo, b), dist_point_to_set(p.hi, b))
-    for q1, q2 in zip(b.parts, b.parts[1:]):
-        m = 0.5 * (q1.hi + q2.lo)
-        if dist_point_to_set(m, a) == 0.0:
-            best = max(best, dist_point_to_set(m, b))
+    j = 0  # B parts starting at or before the current endpoint of A
+    for lo, hi in zip(alos, ahis):
+        for x in (lo, hi):
+            while j < nb and blos[j] <= x:
+                j += 1
+            d = _dist_around(x, blos, bhis, j)
+            if d > best:
+                best = d
+    i = 0  # A parts starting at or before the current midpoint
+    for k in range(1, nb):
+        m = 0.5 * (bhis[k - 1] + blos[k])
+        while i < na and alos[i] <= m:
+            i += 1
+        if i and ahis[i - 1] >= m:  # m lies in A
+            d = _dist_around(m, blos, bhis, k)
+            if d > best:
+                best = d
     return best
 
 

@@ -318,7 +318,12 @@ class MultivaluedOperator:
         return clamp(lo), clamp(hi)
 
     def set_image(self, y: IntervalUnion) -> IntervalUnion:
-        """Exact T(Y) = union of T(y) over y in Y (closure at piece junctions)."""
+        """Exact T(Y) = union of T(y) over y in Y (closure at piece junctions).
+
+        Construction rejects a piece whose boundary has an interior extremum,
+        so both boundaries are monotone on every subinterval [u, v] of a
+        piece and their ranges there are taken at u and v.
+        """
         b = self.domain.bounds
         if y.parts[0].lo < b.lo - AMBIENT_TOL or y.parts[-1].hi > b.hi + AMBIENT_TOL:
             raise OutOfDomainError(
@@ -332,8 +337,8 @@ class MultivaluedOperator:
                 v = min(z, pc.sub.hi)
                 if u > v:
                     continue
-                lo = pc.lower.range_on(u, v)[0]
-                hi = pc.upper.range_on(u, v)[1]
+                lo = min(pc.lower.value(u), pc.lower.value(v))
+                hi = max(pc.upper.value(u), pc.upper.value(v))
                 out.append(Interval(b.clamp(lo), b.clamp(max(lo, hi))))
         return normalize(out, ambient=b)
 

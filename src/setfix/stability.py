@@ -166,10 +166,11 @@ class ComparisonFunction:
     def from_json(cls, obj: object) -> "ComparisonFunction":
         if not isinstance(obj, dict) or obj.get("kind") not in ("linear", "power"):
             raise SchemaError(f"comparison function JSON invalid: {obj!r}")
-        try:
-            return cls(obj["kind"], float(obj["C"]), float(obj.get("p", 1.0)))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"comparison function JSON invalid: {obj!r}") from exc
+        C, p = obj.get("C"), obj.get("p", 1.0)
+        # JSON numbers only: a bool is an int to Python but not a number here
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (C, p)):
+            raise SchemaError(f"comparison function JSON invalid: {obj!r}")
+        return cls(obj["kind"], float(C), float(p))
 
 
 # -- shared helpers ---------------------------------------------------------------

@@ -2,14 +2,17 @@
 
 These deliberately share no code with the library algorithms they check.
 Set functionals are recomputed from dense point grids, giving an
-independent reference accurate to the grid step.  The certification and
-fixed-point references are the implementations the library replaced (a
-flat off-diagonal pair system with a per-tuple candidate lattice, and a
-sampling scan); from the library they use only operator evaluation (eval,
-eval_grid and its single-interval closed forms), constants and result types.
+independent reference accurate to the grid step.  The certification,
+fixed-point and exact set-functional references are the implementations the
+library replaced (a flat off-diagonal pair system with a per-tuple candidate
+lattice, a sampling scan, and all-pairs scans of the parts); from the library
+they use only operator evaluation (eval, eval_grid and its single-interval
+closed forms, and term values and ranges), constants and result types.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from hypothesis import reject, strategies as st
@@ -31,8 +34,8 @@ from setfix.certify import (
     STRICTNESS,
     Witness,
 )
-from setfix.errors import ParameterRangeError
-from setfix.intervals import dist_point_to_set, hausdorff, nearest_point
+from setfix.errors import OutOfDomainError, ParameterRangeError
+from setfix.intervals import AMBIENT_TOL, dist_point_to_set, hausdorff, nearest_point
 from setfix.iteration import FixedPointScan
 from setfix.operators import dist_to_value, hausdorff_between_values
 
@@ -72,6 +75,73 @@ def brute_set_image(t: MultivaluedOperator, y: IntervalUnion, h: float) -> Inter
     for x in set_grid(y, h):
         parts.extend(t.eval(float(x)).parts)
     return normalize(parts)
+
+
+# -- pairwise set functionals -----------------------------------------------------
+# The all-pairs scans that preceded setfix.intervals' sorted sweeps, and the
+# set image that took each boundary's range from BoundaryFn.range_on, kept as
+# exact references: the library must agree with them bit for bit.
+
+
+def pairwise_dist_point_to_set(x: float, a: IntervalUnion) -> float:
+    """Distance from the point x to the set A; 0 iff x is a member."""
+    return min(max(0.0, p.lo - x, x - p.hi) for p in a.parts)
+
+
+def pairwise_gap(a: IntervalUnion, b: IntervalUnion) -> float:
+    """inf distance between the two sets; 0 iff they intersect."""
+    best = math.inf
+    for p in a.parts:
+        for q in b.parts:
+            d = max(0.0, p.lo - q.hi, q.lo - p.hi)
+            if d < best:
+                best = d
+            if best == 0.0:
+                return 0.0
+    return best
+
+
+def pairwise_excess(a: IntervalUnion, b: IntervalUnion) -> float:
+    """sup_{x in A} D(x, B), computed exactly on the finite candidate set.
+
+    D(., B) is piecewise linear with peaks only at midpoints of B's gaps,
+    so the sup over A is attained at an endpoint of a part of A or at a gap
+    midpoint of B lying inside A.
+    """
+    best = 0.0
+    for p in a.parts:
+        best = max(best, pairwise_dist_point_to_set(p.lo, b),
+                   pairwise_dist_point_to_set(p.hi, b))
+    for q1, q2 in zip(b.parts, b.parts[1:]):
+        m = 0.5 * (q1.hi + q2.lo)
+        if pairwise_dist_point_to_set(m, a) == 0.0:
+            best = max(best, pairwise_dist_point_to_set(m, b))
+    return best
+
+
+def pairwise_hausdorff(a: IntervalUnion, b: IntervalUnion) -> float:
+    return max(pairwise_excess(a, b), pairwise_excess(b, a))
+
+
+def range_on_set_image(t: MultivaluedOperator, y: IntervalUnion) -> IntervalUnion:
+    """T(Y) with each boundary's range on [u, v] from ``range_on``."""
+    b = t.domain.bounds
+    if y.parts[0].lo < b.lo - AMBIENT_TOL or y.parts[-1].hi > b.hi + AMBIENT_TOL:
+        raise OutOfDomainError(
+            f"set {y.to_json()} escapes operator domain [{b.lo}, {b.hi}]")
+    out: list[Interval] = []
+    for part in y.parts:
+        a = max(part.lo, b.lo)
+        z = min(part.hi, b.hi)
+        for pc in t.pieces:
+            u = max(a, pc.sub.lo)
+            v = min(z, pc.sub.hi)
+            if u > v:
+                continue
+            lo = pc.lower.range_on(u, v)[0]
+            hi = pc.upper.range_on(u, v)[1]
+            out.append(Interval(b.clamp(lo), b.clamp(max(lo, hi))))
+    return normalize(out, ambient=b)
 
 
 def random_union(rng: np.random.Generator, max_parts: int = 4,

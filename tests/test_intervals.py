@@ -24,7 +24,17 @@ from setfix import (
     set_from_json,
     union_all,
 )
-from oracles import brute_excess, brute_gap, brute_hausdorff, random_union
+from setfix.intervals import MERGE_EPS
+from oracles import (
+    brute_excess,
+    brute_gap,
+    brute_hausdorff,
+    pairwise_dist_point_to_set,
+    pairwise_excess,
+    pairwise_gap,
+    pairwise_hausdorff,
+    random_union,
+)
 
 U = lambda *parts: normalize([Interval(a, b) for a, b in parts])
 
@@ -261,3 +271,95 @@ def test_domain_validation():
     assert len(d.grid(11)) == 11
     assert d.contains(0.5)
     assert not d.contains(2.0)
+
+
+# -- sorted sweeps against the all-pairs scans they replaced -----------------------
+
+
+@st.composite
+def union_pairs(draw, max_parts=80):
+    """Two interleaved unions of 1..max_parts parts around one offset.
+
+    Parts may be points; gaps may be just over MERGE_EPS, which at offsets
+    near 1e15 is below one ulp, so normalize merges some of them and the
+    distances that remain tie under rounding.
+    """
+    offset = draw(st.sampled_from([0.0, 1e15, -1e15]))
+    width = st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(0.0, 1e-9))
+    spacing = st.one_of(st.floats(1.000001 * MERGE_EPS, 2 * MERGE_EPS),
+                        st.floats(0.0, 1.0), st.floats(1.0, 5.0))
+
+    def union():
+        x = offset + draw(st.floats(-3.0, 3.0))
+        n = draw(st.integers(1, max_parts))
+        parts = []
+        for w, g in draw(st.lists(st.tuples(width, spacing), min_size=n, max_size=n)):
+            parts.append(Interval(x, x + w))
+            x = x + w + g
+        return normalize(parts)
+
+    return union(), union()
+
+
+def query_points(a):
+    """Part ends (and their float neighbours), gap midpoints and points
+    outside the hull of A."""
+    pts = [a.parts[0].lo - 1.0, a.parts[-1].hi + 1.0, a.parts[0].lo - 1e300, 1e300]
+    for p in a.parts:
+        pts += [p.lo, p.hi, p.midpoint, math.nextafter(p.lo, -math.inf),
+                math.nextafter(p.hi, math.inf)]
+    pts += [0.5 * (p.hi + q.lo) for p, q in zip(a.parts, a.parts[1:])]
+    return pts
+
+
+def assert_same_as_pairwise(a, b):
+    for x in query_points(a) + query_points(b):
+        assert repr(dist_point_to_set(x, a)) == repr(pairwise_dist_point_to_set(x, a))
+    for s, t in ((a, b), (b, a)):
+        assert repr(gap(s, t)) == repr(pairwise_gap(s, t))
+        assert repr(excess(s, t)) == repr(pairwise_excess(s, t))
+        assert repr(hausdorff(s, t)) == repr(pairwise_hausdorff(s, t))
+
+
+class TestSweepAgainstPairwise:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(union_pairs())
+    def test_functionals_bit_for_bit(self, pair):
+        assert_same_as_pairwise(*pair)
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(union_pairs(), st.sampled_from([0, 1, -1]))
+    def test_against_a_subset_and_its_shift(self, pair, side):
+        # the gap midpoints of every other part of A lie inside A, and A moved
+        # by one part's width overlaps A part for part
+        a = pair[0]
+        sub = IntervalUnion(a.parts[::2], a.ambient)
+        shift = a.parts[0].width if side else 0.0
+        moved = normalize([Interval(p.lo + side * shift, p.hi + side * shift)
+                           for p in a.parts])
+        assert_same_as_pairwise(a, sub)
+        assert_same_as_pairwise(moved, a)
+
+    def test_seeded_many_part_sweep(self):
+        rng = np.random.default_rng(8)
+        for _ in range(60):
+            k, m = (int(v) for v in rng.integers(1, 81, size=2))
+            for offset in (0.0, 1e15):
+                a = random_union(rng, k, offset - 40.0, offset + 40.0, 1.0)
+                b = random_union(rng, m, offset - 40.0, offset + 40.0, 1.0)
+                assert_same_as_pairwise(a, b)
+
+    def test_ties_near_1e15(self):
+        # one ulp is 0.125 here: x sits exactly halfway between two parts
+        a = U((1e15, 1e15), (1e15 + 1.0, 1e15 + 2.0))
+        x = 1e15 + 0.5
+        assert dist_point_to_set(x, a) == pairwise_dist_point_to_set(x, a) == 0.5
+        b = U((1e15 + 0.5, 1e15 + 0.5))
+        assert excess(a, b) == pairwise_excess(a, b) == 1.5
+        assert gap(a, b) == pairwise_gap(a, b) == 0.5
+
+    def test_endpoint_tuples_are_not_fields(self):
+        a = U((0, 1), (2, 3))
+        assert a._los == (0.0, 2.0) and a._his == (1.0, 3.0)
+        assert a == U((0, 1), (2, 3)) and hash(a) == hash(U((0, 1), (2, 3)))
+        assert "_los" not in repr(a) and a.to_json() == {"parts": [[0.0, 1.0], [2.0, 3.0]]}

@@ -28,7 +28,7 @@ from setfix import (
     perturb,
 )
 from setfix.operators import dist_to_value, hausdorff_between_values, hausdorff_to_point
-from oracles import brute_set_image, random_subunion
+from oracles import brute_set_image, catalog_operators, random_subunion, range_on_set_image
 
 
 def identity_operator():
@@ -158,6 +158,49 @@ class TestSetImage:
                 p = y2.parts[0]
                 y1 = normalize([Interval(p.lo, p.lo + 0.5 * p.width)])
                 assert excess(op.set_image(y1), op.set_image(y2)) == 0.0
+
+
+@st.composite
+def junction_unions(draw, t: MultivaluedOperator, max_parts: int = 80):
+    """Unions of 1..max_parts parts in T's domain whose ends are often piece
+    junctions, so parts start, end or sit as points exactly on them."""
+    b = t.domain.bounds
+    junctions = sorted({b.lo, b.hi, *(pc.sub.lo for pc in t.pieces)})
+    coord = st.one_of(st.sampled_from(junctions), st.floats(b.lo, b.hi))
+    n = draw(st.integers(1, max_parts))
+    ends = sorted(draw(st.lists(coord, min_size=2 * n, max_size=2 * n)))
+    return normalize([Interval(lo, hi) for lo, hi in zip(ends[::2], ends[1::2])], b)
+
+
+def _builtins_and_perturbations() -> list[MultivaluedOperator]:
+    ops = []
+    for base, lam in ((setfix.sqrt_example(), 0.75), (setfix.square_example(), 0.5)):
+        ops += [base, perturb(base, Takahashi(lam)), perturb(base, Takahashi(0.05))]
+    return ops
+
+
+class TestSetImageAgainstRangeOn:
+    """set_image takes each boundary's range at the ends of [u, v]; the copy
+    in oracles asks range_on, which also checks interior extrema."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.sampled_from(_builtins_and_perturbations()), st.data())
+    def test_builtins_bit_for_bit(self, t, data):
+        y = data.draw(junction_unions(t))
+        assert repr(t.set_image(y)) == repr(range_on_set_image(t, y))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(catalog_operators(), st.floats(0.01, 0.99), st.data())
+    def test_catalog_operators_bit_for_bit(self, t, lam, data):
+        for op in (t, perturb(t, Takahashi(lam))):
+            y = data.draw(junction_unions(op))
+            assert repr(op.set_image(y)) == repr(range_on_set_image(op, y))
+
+    def test_every_piece_junction_as_a_point(self):
+        for t in _builtins_and_perturbations():
+            for pc in t.pieces:
+                y = setfix.IntervalUnion.singleton(pc.sub.lo, t.domain.bounds)
+                assert repr(t.set_image(y)) == repr(range_on_set_image(t, y))
 
 
 class TestPerturb:

@@ -309,6 +309,22 @@ class TestCli:
         assert cli_main(["certify", str(op_path), "--grid", "51"]) == 0
         assert json.loads(capsys.readouterr().out)["feasible"] is False
 
+    @pytest.mark.parametrize("args", [
+        ["certify", "{op}", "--grid", "51"],
+        ["iterate", "{op}", "--x0", "1.0"],
+        ["stability", "{op}", "--perturb-lam", "0.75"],
+    ])
+    @pytest.mark.parametrize("text", ["{bad", b"\xff\xfe"])
+    def test_malformed_operator_file_exits_2(self, args, text, tmp_path, capsys):
+        op_path = tmp_path / "bad_op.json"
+        if isinstance(text, bytes):
+            op_path.write_bytes(text)
+        else:
+            op_path.write_text(text)
+        assert cli_main([a.format(op=op_path) for a in args]) == 2
+        err = capsys.readouterr().err
+        assert "SchemaError" in err and "bad_op.json" in err
+
 
 def packaged_with_options(**blocks) -> dict:
     """sqrt_takahashi_34's JSON with some 'stability_options' blocks replaced."""
@@ -359,6 +375,15 @@ class TestStabilityOptions:
     ])
     def test_wellformed_option_loads(self, blocks):
         scenario_from_dict(packaged_with_options(**blocks))
+
+    @pytest.mark.parametrize("psi", [
+        {"kind": "linear", "C": True},
+        {"kind": "power", "C": 4.0, "p": False},
+        {"kind": "linear", "C": "2"},
+    ])
+    def test_comparison_function_needs_json_numbers(self, psi):
+        with pytest.raises(SchemaError):
+            scenario_from_dict(packaged_with_options(psi_mp_data_dependence={"psi": psi}))
 
     def test_cli_exits_2_on_malformed_option(self, tmp_path, capsys):
         spath = tmp_path / "bad.json"

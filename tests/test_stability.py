@@ -12,6 +12,7 @@ from setfix import (
     NoApproximateSolutionsError,
     NoStrictFixedPointError,
     ParameterRangeError,
+    SchemaError,
     StrictFixedPointMismatchError,
     cauchy_toeplitz_sum,
     constant_operator,
@@ -271,6 +272,22 @@ class TestReportShape:
         f = ComparisonFunction("power", 2.0, 0.5)
         assert f(0.0) == 0.0
         assert f(0.25) == 1.0
+
+    @pytest.mark.parametrize("obj", [
+        {"kind": "linear", "C": True},
+        {"kind": "linear", "C": False},
+        {"kind": "power", "C": 2.0, "p": True},
+        {"kind": "linear", "C": "2.0"},
+        {"kind": "linear", "C": None},
+        {"kind": "linear"},
+    ])
+    def test_comparison_function_json_needs_numbers(self, obj):
+        with pytest.raises(SchemaError):
+            ComparisonFunction.from_json(obj)
+
+    def test_comparison_function_json_round_trip(self):
+        for f in (ComparisonFunction("linear", 2), ComparisonFunction("power", 4.0, 0.5)):
+            assert ComparisonFunction.from_json(f.to_json()) == f
 
     def test_unique_strict_fixed_point_helper(self, sqrt_t):
         assert abs(unique_strict_fixed_point(sqrt_t) - 1.0) <= 1e-9
