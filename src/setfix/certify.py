@@ -12,22 +12,26 @@ contraction condition is one linear constraint on the parameters
 Feasibility over the admissible simplex (a+b+g < 1 for ciric, a+2b < 1 for
 the other two) is decided by a deterministic coarse-to-fine grid search
 (initial step 0.05, three halvings) minimizing a+b+g.  Each level's
-candidates are one numpy lattice (3 x m), and the pair system is kept as
-n x n arrays whose diagonal (x = y) carries LHS = -inf, so it never binds.
-Each call allocates one workspace of two n x n buffers, which the witness
-pass and every full sweep reuse; a sweep forms a*u + b*v + g*w - lhs there
-in that order, so it equals the plain expression bit for bit.
+candidates are one numpy lattice (3 x m); level 0 is built once per variant.
+Of the pair system only two n x n arrays are stored: LHS, whose diagonal
+(x = y) carries -inf so it never binds, and D(x_i, T(x_j)) (not for
+ciric_reich_rus).  The rest is formed in row blocks of max(1, 2**15 // n)
+rows, whose buffers stay in cache: the witness pass and every full sweep
+run block by block, a sweep forms a*u + b*v + g*w - lhs in that order, so
+it equals the plain expression bit for bit, and a later block replaces a
+running best only when strictly better, so ties go to the first pair.
 The search is serial and screened: each candidate's minimum over a small
-working set of pair rows (seeded with the witness pair and the largest
-LHS) is an exact upper bound on its margin, computed from the same floats
-as the full minimum.  Only a candidate the bound cannot reject is swept
-over all pairs, and a sweep that falls short adds its binding pair to the
-working set.  The infeasible path finds the best margin by branch and
-bound on the same bounds.  Results equal an exhaustive sweep of every candidate.  A genuinely
-infeasible instance is proven by a single witness pair whose constraint
-alone cannot be met by any admissible parameters (reported bound > 1);
-otherwise infeasibility means exhaustion of the search grid and the
-hardest pair is reported with its bound <= 1.
+working set of pair rows (seeded with the witness pair, the largest LHS and
+each block's hardest pair) is an exact upper bound on its margin, computed
+from the same floats as the full minimum.  Only a candidate the bound
+cannot reject is swept over all pairs, and a sweep that falls short adds
+its binding pair to the working set.  The infeasible path finds the best
+margin by branch and bound on the same bounds.  Results equal an
+exhaustive sweep of every candidate.  A genuinely infeasible instance is
+proven by a single witness pair whose constraint alone cannot be met by
+any admissible parameters (reported bound > 1); otherwise infeasibility
+means exhaustion of the search grid and the hardest pair is reported with
+its bound <= 1.
 
 Grid sweeps evaluate T once via eval_grid and the single-interval closed
 forms in operators.  The strict fixed point x* comes from the caller
@@ -37,6 +41,7 @@ unique_strict_fixed_point), checked by one eval at iteration.STRICT_TOL.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -150,27 +155,61 @@ class ContractionCertificate:
                    int(obj["grid_n"]), int(obj.get("skipped", 0)))
 
 
-def _pair_system(t: MultivaluedOperator, variant: str, xs: np.ndarray):
-    """LHS and the three feature columns as n x n arrays over the grid pairs (i, j).
+#: Pairs per row block: the pair system is built and swept max(1, _BLOCK // n)
+#: rows at a time, so each block's buffers stay in cache.
+_BLOCK = 2 ** 15
 
-    The diagonal x = y is no pair: its LHS is -inf, so it never binds.
+
+def _block_rows(n: int) -> int:
+    return max(1, _BLOCK // n)
+
+
+class _PairSystem:
+    """The pair system over the grid pairs (i, j), handed out in row blocks.
+
+    Only two n x n arrays are stored: lhs = H(T(x_i), T(x_j)), whose diagonal
+    x = y is no pair and carries -inf, so it never binds, and dist =
+    D(x_i, T(x_j)), which ciric_reich_rus does not need (it uses the diagonal
+    alone).  block(r0, r1) gives (lhs, u, v, w) for rows r0:r1, with
+    u = |x_i - x_j| and, for combined, v and w formed in buffers that the next
+    block overwrites.
     """
-    lo, hi = t.eval_grid(xs)
-    X = xs[:, None]
-    dist = dist_to_value(X, lo[None, :], hi[None, :])
-    lhs = hausdorff_between_values(lo[:, None], hi[:, None], lo[None, :], hi[None, :])
-    np.fill_diagonal(lhs, -np.inf)
-    u = np.abs(X - xs[None, :])
-    if variant == "ciric":
-        v, w = dist, dist.T
-    elif variant == "ciric_reich_rus":
-        diag = np.diag(dist)
-        v, w = np.broadcast_arrays(diag[:, None], diag[None, :])
-    else:  # combined
-        diag = np.diag(dist)
-        v = diag[:, None] + diag[None, :]
-        w = dist + dist.T
-    return lhs, u, v, w
+
+    def __init__(self, t: MultivaluedOperator, variant: str, xs: np.ndarray) -> None:
+        n = len(xs)
+        self.n, self.xs, self.variant = n, xs, variant
+        self.rows = _block_rows(n)
+        lo, hi = t.eval_grid(xs)
+        self.diag = dist_to_value(xs, lo, hi)
+        self.lhs = np.empty((n, n))
+        self.dist = None if variant == "ciric_reich_rus" else np.empty((n, n))
+        for r0 in range(0, n, self.rows):
+            r1 = min(r0 + self.rows, n)
+            self.lhs[r0:r1] = hausdorff_between_values(lo[r0:r1, None], hi[r0:r1, None], lo, hi)
+            np.fill_diagonal(self.lhs[r0:r1, r0:r1], -np.inf)
+            if self.dist is not None:
+                self.dist[r0:r1] = dist_to_value(xs[r0:r1, None], lo, hi)
+        self._u = np.empty((self.rows, n))
+        if variant == "combined":
+            self._v, self._w = np.empty((self.rows, n)), np.empty((self.rows, n))
+
+    def block(self, r0: int, r1: int):
+        lhs, d = self.lhs[r0:r1], self.diag
+        u = np.subtract(self.xs[r0:r1, None], self.xs, out=self._u[:r1 - r0])
+        np.abs(u, out=u)
+        if self.variant == "ciric":
+            v, w = self.dist[r0:r1], self.dist[:, r0:r1].T
+        elif self.variant == "ciric_reich_rus":
+            v, w = np.broadcast_arrays(d[r0:r1, None], d[None, :])
+        else:  # combined
+            v = np.add(d[r0:r1, None], d, out=self._v[:r1 - r0])
+            w = np.add(self.dist[r0:r1], self.dist[:, r0:r1].T, out=self._w[:r1 - r0])
+        return lhs, u, v, w
+
+    def blocks(self):
+        """(r0, block) for each row block in order; a block is valid until the next."""
+        for r0 in range(0, self.n, self.rows):
+            yield r0, self.block(r0, min(r0 + self.rows, self.n))
 
 
 def _lattice(axes, variant: str) -> np.ndarray:
@@ -185,6 +224,15 @@ def _lattice(axes, variant: str) -> np.ndarray:
     return np.stack((a, b, g))[:, order]
 
 
+@functools.lru_cache(maxsize=None)
+def _level0(variant: str) -> np.ndarray:
+    """The whole simplex at step 0.05, built on first use and shared read-only."""
+    axis = [round(i * _SEARCH_STEP, 10) for i in range(int(round(1.0 / _SEARCH_STEP)) + 1)]
+    coef = _lattice([axis] * 3, variant)
+    coef.flags.writeable = False
+    return coef
+
+
 def _refinement_axes(center, radius: float) -> list[list[float]]:
     """Per-coordinate axes at offsets 0, +-radius/2 and +-radius around center.
 
@@ -194,16 +242,50 @@ def _refinement_axes(center, radius: float) -> list[list[float]]:
     return [sorted({round(c + d, 10) for d in offs}) for c in center]
 
 
+def _witness_pass(pairs: _PairSystem, work):
+    """Each block's first argmax of required = LHS / max(u, v, w) as a flat pair
+    index, its value, and the number of active pairs (LHS > 1e-14).
+
+    required is 0 at inactive pairs and -inf on the diagonal.
+    """
+    s_buf, t_buf = work
+    act_buf = np.empty(s_buf.shape, dtype=bool)
+    hardest, tops, active = [], [], 0
+    for r0, (lhs, u, v, w) in pairs.blocks():
+        m = len(lhs)
+        required, rowmax, act = s_buf[:m], t_buf[:m], act_buf[:m]
+        np.maximum(u, np.maximum(v, w, out=rowmax), out=rowmax)
+        np.greater(lhs, 1e-14, out=act)
+        active += int(np.count_nonzero(act))
+        required.fill(0.0)
+        np.divide(lhs, np.maximum(rowmax, 1e-300, out=rowmax), out=required, where=act)
+        np.fill_diagonal(required[:, r0:r0 + m], -np.inf)
+        k = int(np.argmax(required))
+        hardest.append(r0 * pairs.n + k)
+        tops.append(float(required.flat[k]))
+    return hardest, tops, active
+
+
 def _sweep(c, pairs, work) -> tuple[float, int]:
-    """Exact margin of one candidate over every pair, and the first pair attaining it."""
+    """Exact margin of one candidate over every pair, and the first pair attaining it.
+
+    Each block forms a*u + b*v + g*w - lhs in that order, so it equals the
+    plain expression bit for bit; a later block replaces the running minimum
+    only when strictly lower, so the pair is the first flat index.
+    """
     a, b, g = c
-    lhs, u, v, w = pairs
-    s, tmp = work
-    np.multiply(a, u, out=s)
-    s += np.multiply(b, v, out=tmp)
-    s += np.multiply(g, w, out=tmp)
-    s -= lhs
-    return float(np.min(s)), int(np.argmin(s))
+    s_buf, t_buf = work
+    best, arg = np.inf, -1
+    for r0, (lhs, u, v, w) in pairs.blocks():
+        s, tmp = s_buf[:len(lhs)], t_buf[:len(lhs)]
+        np.multiply(a, u, out=s)
+        s += np.multiply(b, v, out=tmp)
+        s += np.multiply(g, w, out=tmp)
+        s -= lhs
+        k = int(np.argmin(s))
+        if arg < 0 or s.flat[k] < best:
+            best, arg = float(s.flat[k]), r0 * pairs.n + k
+    return best, arg
 
 
 class _Screen:
@@ -219,7 +301,7 @@ class _Screen:
     equals its margin.
     """
 
-    def __init__(self, coef: np.ndarray, pairs, work, rows: list[int]) -> None:
+    def __init__(self, coef: np.ndarray, pairs: _PairSystem, work, rows: list[int]) -> None:
         self.coef = coef
         self.pairs = pairs
         self.work = work
@@ -231,8 +313,8 @@ class _Screen:
 
     def _tighten(self, k: int) -> None:
         a, b, g = self.coef
-        ij = divmod(k, self.pairs[0].shape[1])
-        lhs, u, v, w = (col[ij] for col in self.pairs)
+        i, j = divmod(k, self.pairs.n)
+        lhs, u, v, w = (col[0, j] for col in self.pairs.block(i, i + 1))
         np.minimum(self.bounds, a * u + b * v + g * w - lhs, out=self.bounds)
 
     def _exact(self, i: int) -> float:
@@ -285,31 +367,29 @@ def certify_contraction(t: MultivaluedOperator, variant: str = "ciric",
 
     xs = t.domain.grid(grid_n)
     n = len(xs)
-    pairs = lhs, u, v, w = _pair_system(t, variant, xs)
-    work = required, rowmax = np.empty_like(lhs), np.empty_like(lhs)
-    np.maximum(u, np.maximum(v, w, out=rowmax), out=rowmax)
-    active = lhs > 1e-14
-    skipped = n * n - n - int(np.count_nonzero(active))
-    required.fill(0.0)
-    np.divide(lhs, np.maximum(rowmax, 1e-300, out=rowmax), out=required, where=active)
-    np.fill_diagonal(required, -np.inf)
-    imax = int(np.argmax(required))
-    wi, wj = divmod(imax, n)
-    witness = Witness(float(xs[wi]), float(xs[wj]), float(required[wi, wj]))
-    scale = max(1.0, float(lhs.max()))
+    pairs = _PairSystem(t, variant, xs)
+    work = np.empty((pairs.rows, n)), np.empty((pairs.rows, n))
+    hardest, tops, active = _witness_pass(pairs, work)
+    top = int(np.argmax(tops))
+    wi, wj = divmod(hardest[top], n)
+    witness = Witness(float(xs[wi]), float(xs[wj]), tops[top])
+    skipped = n * n - n - active
+    lmax = int(np.argmax(pairs.lhs))
+    scale = max(1.0, float(pairs.lhs.flat[lmax]))
     slack = margin_req * scale
 
     if witness.bound > 1.0 / (1.0 - STRICTNESS):
         # this single pair forbids the whole admissible simplex; its best
         # achievable slack bounds every candidate's margin from above
-        ceiling = float((1.0 - STRICTNESS) * max(u[wi, wj], v[wi, wj], w[wi, wj])
-                        - lhs[wi, wj])
+        lhs, u, v, w = (col[0, wj] for col in pairs.block(wi, wi + 1))
+        ceiling = float((1.0 - STRICTNESS) * max(u, v, w) - lhs)
         return ContractionCertificate(False, None, ceiling, witness,
                                       grid_n, skipped)
 
-    rows = [imax, int(np.argmax(lhs))]
-    axis = [round(i * _SEARCH_STEP, 10) for i in range(int(round(1.0 / _SEARCH_STEP)) + 1)]
-    screen = _Screen(_lattice([axis] * 3, variant), pairs, work, rows)
+    # every block's hardest pair (the witness among them) seeds the working
+    # set beside the largest LHS; the rows only tighten bounds, never results
+    rows = list(dict.fromkeys([*hardest, lmax]))
+    screen = _Screen(_level0(variant), pairs, work, rows)
     found = screen.first_feasible(slack)
     if found is None:
         return ContractionCertificate(False, None, screen.max_margin(), witness,

@@ -8,24 +8,18 @@ import sys
 from pathlib import Path
 
 from .certify import certify_contraction
-from .errors import SchemaError, SetfixError
+from .errors import SetfixError
 from .iteration import orbit_to_csv, picard_orbit
 from .operators import BUILTIN_OPERATORS, MultivaluedOperator, Takahashi, get_builtin, perturb
-from .scenario import load_scenario, run_scenario, scenario_from_dict, write_report
-
-
-def _operator_file(path: Path) -> object:
-    try:
-        return json.loads(path.read_text())
-    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError from read_text
-        raise SchemaError(f"operator file {str(path)!r} is not valid JSON: {exc}") from exc
+from .scenario import load_scenario, read_json, run_scenario, scenario_from_dict, write_report
 
 
 def _resolve_operator(spec: str) -> MultivaluedOperator:
     if spec in BUILTIN_OPERATORS:
         return get_builtin(spec)
     path = Path(spec)
-    return MultivaluedOperator.from_json(_operator_file(path), name=path.stem)
+    obj = read_json(path, f"operator file {spec!r}")
+    return MultivaluedOperator.from_json(obj, name=path.stem)
 
 
 def _maybe_perturbed(op: MultivaluedOperator, lam: float | None) -> MultivaluedOperator:
@@ -147,7 +141,7 @@ def _cmd_iterate(args) -> int:
 
 def _cmd_stability(args) -> int:
     name = args.operator if args.operator in BUILTIN_OPERATORS else None
-    operator_spec = name or _operator_file(Path(args.operator))
+    operator_spec = name or read_json(Path(args.operator), f"operator file {args.operator!r}")
     scenario_dict = {
         "name": "cli_stability",
         "operator": operator_spec,

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all setfix modules."""
+"""Exception hierarchy shared by all setfix modules, and the JSON number test
+that every reader of serialized input applies before raising SchemaError."""
 
 
 class SetfixError(Exception):
@@ -51,3 +52,9 @@ class ConstructionFailedError(SetfixError):
 
 class SchemaError(SetfixError):
     """A configuration or serialized artifact fails validation."""
+
+
+def is_json_number(v: object) -> bool:
+    """True for a JSON number: an int or float that is not a bool (a bool is an
+    int to Python, but true and false are not numbers in JSON)."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)

@@ -41,7 +41,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import EmptySetError, ParameterRangeError, SchemaError
+from .errors import EmptySetError, ParameterRangeError, SchemaError, is_json_number
 
 #: Canonicalization constant: parts whose gap is <= MERGE_EPS are merged.
 MERGE_EPS = 1e-12
@@ -165,7 +165,7 @@ def set_from_json(obj: object, ambient: Interval | None = None) -> IntervalUnion
     out = []
     for entry in parts:
         if (not isinstance(entry, (list, tuple)) or len(entry) != 2
-                or not all(isinstance(v, (int, float)) for v in entry)):
+                or not all(is_json_number(v) for v in entry)):
             raise SchemaError(f"set JSON part must be a [lo, hi] pair, got {entry!r}")
         lo, hi = float(entry[0]), float(entry[1])
         if not (math.isfinite(lo) and math.isfinite(hi)):

@@ -33,6 +33,7 @@ from .errors import (
     OutOfDomainError,
     ParameterRangeError,
     SchemaError,
+    is_json_number,
 )
 from .intervals import AMBIENT_TOL, Domain, Interval, IntervalUnion, normalize
 
@@ -193,7 +194,7 @@ class BoundaryFn:
         kind = obj["kind"]
         def num(key, default=None):
             v = obj.get(key, default)
-            if not isinstance(v, (int, float)):
+            if not is_json_number(v):
                 raise SchemaError(f"term field {key!r} must be a number in {obj!r}")
             return float(v)
         if kind == "const":
@@ -361,7 +362,7 @@ class MultivaluedOperator:
             raise SchemaError("operator JSON must be an object")
         dom = obj.get("domain")
         if (not isinstance(dom, (list, tuple)) or len(dom) != 2
-                or not all(isinstance(v, (int, float)) for v in dom)):
+                or not all(is_json_number(v) for v in dom)):
             raise SchemaError(f"operator 'domain' must be [lo, hi], got {dom!r}")
         pieces_json = obj.get("pieces")
         if not isinstance(pieces_json, list) or not pieces_json:
@@ -372,7 +373,7 @@ class MultivaluedOperator:
                 raise SchemaError(f"piece must be an object with 'sub', got {pj!r}")
             sub = pj["sub"]
             if (not isinstance(sub, (list, tuple)) or len(sub) != 2
-                    or not all(isinstance(v, (int, float)) for v in sub)):
+                    or not all(is_json_number(v) for v in sub)):
                 raise SchemaError(f"piece 'sub' must be [a, b], got {sub!r}")
             pieces.append(Piece(
                 Interval(float(sub[0]), float(sub[1])),
@@ -461,7 +462,7 @@ def perturbation_from_json(obj: object) -> PerturbationSpec:
     kind = obj["kind"]
     if kind == "takahashi":
         lam = obj.get("lam")
-        if not isinstance(lam, (int, float)):
+        if not is_json_number(lam):
             raise SchemaError("takahashi perturbation needs a numeric 'lam'")
         try:
             return Takahashi(float(lam))
@@ -471,7 +472,7 @@ def perturbation_from_json(obj: object) -> PerturbationSpec:
         vals = []
         for key in ("a", "b", "c"):
             v = obj.get(key, 0.0)
-            if not isinstance(v, (int, float)):
+            if not is_json_number(v):
                 raise SchemaError(f"general perturbation field {key!r} must be a number")
             vals.append(float(v))
         return GeneralG(*vals)

@@ -41,6 +41,7 @@ from .errors import (
     ParameterRangeError,
     SchemaError,
     StrictFixedPointMismatchError,
+    is_json_number,
 )
 from .iteration import (
     STRICT_TOL,
@@ -119,21 +120,18 @@ _HARNESS_TABLE = {
 HARNESSES = tuple(_HARNESS_TABLE)
 
 
-def _number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
 #: What each stability option must be, as (test, description); psi's test reads it.
 _OPTION_RULES = {
     "f": (lambda v: v in ("self", "constant_mid"), "'self' or 'constant_mid'"),
     "psi": (lambda v: v == "auto" or st.ComparisonFunction.from_json(v),
             "'auto' or a comparison function"),
     "eps_list": (lambda v: isinstance(v, list) and v != []
-                 and all(_number(e) and e > 0 for e in v), "a nonempty list of numbers > 0"),
-    "final_tol": (lambda v: _number(v) and v > 0, "a number > 0"),
+                 and all(is_json_number(e) and e > 0 for e in v),
+                 "a nonempty list of numbers > 0"),
+    "final_tol": (lambda v: is_json_number(v) and v > 0, "a number > 0"),
     **dict.fromkeys(("samples_per_eps", "n_max"), (
-        lambda v: _number(v) and isinstance(v, int) and v >= 1, "an integer >= 1")),
-    **dict.fromkeys(("r0", "rho", "delta0", "x0"), (_number, "a number")),
+        lambda v: is_json_number(v) and isinstance(v, int) and v >= 1, "an integer >= 1")),
+    **dict.fromkeys(("r0", "rho", "delta0", "x0"), (is_json_number, "a number")),
 }
 
 
@@ -217,13 +215,13 @@ def scenario_from_dict(obj: dict, name: str = "") -> Scenario:
     _expect(isinstance(scan_grid_n, int) and scan_grid_n >= 2,
             "scenario 'scan_grid_n' must be >= 2")
     tol = obj.get("tol", 1e-10)
-    _expect(isinstance(tol, (int, float)) and tol > 0, "scenario 'tol' must be > 0")
+    _expect(is_json_number(tol) and tol > 0, "scenario 'tol' must be > 0")
     x0_list = obj.get("x0_list", [])
     _expect(isinstance(x0_list, list), "scenario 'x0_list' must be a list")
     if "iterate" in analyses:
         _expect(bool(x0_list), "'iterate' requested but 'x0_list' is empty")
     for x0 in x0_list:
-        _expect(isinstance(x0, (int, float)), f"x0 entries must be numbers, got {x0!r}")
+        _expect(is_json_number(x0), f"x0 entries must be numbers, got {x0!r}")
     variant = obj.get("variant", "ciric")
     _expect(variant in VARIANTS, f"unknown variant {variant!r}")
     stability_options = obj.get("stability_options", {})
@@ -269,27 +267,32 @@ def builtin_scenario_names() -> list[str]:
     return sorted(p.name[:-5] for p in pkg.iterdir() if p.name.endswith(".json"))
 
 
+def read_json(source, label: str) -> object:
+    """Parse the JSON text of a file or package resource.
+
+    A file that is not UTF-8 or not JSON raises SchemaError naming label.
+    """
+    try:
+        return json.loads(source.read_text())
+    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError from read_text
+        raise SchemaError(f"{label} is not valid JSON: {exc}") from exc
+
+
 def load_scenario(source: str | Path) -> Scenario:
     """Load a scenario from a file path or a built-in scenario name."""
     path = Path(source)
     if path.exists():
-        text = path.read_text()
-        name = path.stem
-    else:
-        name = str(source)
-        if name.endswith(".json"):
-            name = name[:-5]
-        pkg = resources.files("setfix").joinpath("scenarios").joinpath(f"{name}.json")
-        try:
-            text = pkg.read_text()
-        except FileNotFoundError:
-            raise SchemaError(
-                f"scenario {source!r} is neither a file nor a built-in; "
-                f"built-ins: {builtin_scenario_names()}") from None
+        return scenario_from_dict(read_json(path, f"scenario {source!r}"), name=path.stem)
+    name = str(source)
+    if name.endswith(".json"):
+        name = name[:-5]
+    pkg = resources.files("setfix").joinpath("scenarios").joinpath(f"{name}.json")
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"scenario {source!r} is not valid JSON: {exc}") from exc
+        obj = read_json(pkg, f"scenario {source!r}")
+    except FileNotFoundError:
+        raise SchemaError(
+            f"scenario {source!r} is neither a file nor a built-in; "
+            f"built-ins: {builtin_scenario_names()}") from None
     return scenario_from_dict(obj, name=name)
 
 

@@ -54,6 +54,7 @@ from .errors import (
     OutOfDomainError,
     ParameterRangeError,
     SchemaError,
+    is_json_number,
 )
 from .intervals import dist_point_to_set, nearest_point
 from .iteration import scan_fixed_points
@@ -167,8 +168,7 @@ class ComparisonFunction:
         if not isinstance(obj, dict) or obj.get("kind") not in ("linear", "power"):
             raise SchemaError(f"comparison function JSON invalid: {obj!r}")
         C, p = obj.get("C"), obj.get("p", 1.0)
-        # JSON numbers only: a bool is an int to Python but not a number here
-        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (C, p)):
+        if not all(is_json_number(v) for v in (C, p)):
             raise SchemaError(f"comparison function JSON invalid: {obj!r}")
         return cls(obj["kind"], float(C), float(p))
 

@@ -316,6 +316,8 @@ def test_lattice_matches_oracle_candidates(variant):
     level0 = _candidates(step, variant)
     axis = [round(i * step, 10) for i in range(21)]
     assert _same_bits(certify._lattice([axis] * 3, variant), level0)
+    assert _same_bits(certify._level0(variant), level0)
+    assert not certify._level0(variant).flags.writeable
     for k in range(1, certify._REFINEMENTS + 1):
         radius = step * 0.5 ** k
         for center in level0:
@@ -356,10 +358,57 @@ def _peak_bytes(fn) -> int:
 
 @pytest.mark.parametrize("name", ["sqrt|0.75", "square|0.5"])
 def test_certify_memory_bounded(name):
-    # the pair system, its witness pass and the sweeps share one workspace:
-    # at most 6.5 n x n float arrays live at once, for every variant
+    # only lhs and dist are n x n; the rest is row blocks of about 2**15
+    # floats: at most 3.5 n x n float arrays live at once, for every variant
     op = _named_operator(name)
     n = 501
     for variant in certify.VARIANTS:
         peak = _peak_bytes(lambda: certify_contraction(op, variant, n))
-        assert peak < 6.5 * n * n * 8, (variant, peak / (n * n * 8))
+        assert peak < 3.5 * n * n * 8, (variant, peak / (n * n * 8))
+    n = 2001
+    peak = _peak_bytes(lambda: certify_contraction(op, "ciric", n))
+    assert peak < 2.5 * n * n * 8, peak / (n * n * 8)
+
+
+@pytest.mark.parametrize("name", _DIFF_OPERATORS)
+def test_row_blocks_match_exhaustive(name, monkeypatch):
+    # 1, 2 and 7 rows per block; 3 and 101 are not multiples of 2 or 7
+    op = _named_operator(name)
+    refs = {(variant, grid_n, margin_req): exhaustive_certify(op, variant, grid_n, margin_req)
+            for variant in certify.VARIANTS for grid_n in (3, 101) for margin_req in (0.0, 10.0)}
+    for rows in (1, 2, 7):
+        monkeypatch.setattr(certify, "_block_rows", lambda n: rows)
+        for (variant, grid_n, margin_req), ref in refs.items():
+            cert = certify_contraction(op, variant, grid_n, margin_req)
+            assert cert.to_json() == ref.to_json(), (rows, variant, grid_n, margin_req)
+            assert cert.params == ref.params
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7])
+def test_block_ties_resolve_to_first_flat_index(rows, monkeypatch):
+    # with b = g = 0 a ciric margin a*u - lhs and required = lhs / max(u, v, w)
+    # are symmetric in (i, j), so each extreme is also attained at (j, i), a
+    # later flat index that lies in another block when rows = 1
+    monkeypatch.setattr(certify, "_block_rows", lambda n: rows)
+    op = _named_operator("square|0.5")
+    n = 23
+    xs = op.domain.grid(n)
+    pairs = certify._PairSystem(op, "ciric", xs)
+    work = np.empty((rows, n)), np.empty((rows, n))
+    lhs, dist = pairs.lhs, pairs.dist
+    u = np.abs(xs[:, None] - xs[None, :])
+
+    s = 0.5 * u - lhs
+    k = int(np.argmin(s))
+    i, j = divmod(k, n)
+    assert i < j and s[j, i] == s[i, j]
+    assert certify._sweep((0.5, 0.0, 0.0), pairs, work) == (float(s[i, j]), k)
+
+    rowmax = np.maximum(np.maximum(u, np.maximum(dist, dist.T)), 1e-300)
+    required = np.where(lhs > 1e-14, lhs / rowmax, 0.0)
+    np.fill_diagonal(required, -np.inf)
+    k = int(np.argmax(required))
+    i, j = divmod(k, n)
+    assert i < j and required[j, i] == required[i, j]
+    hardest, tops, _ = certify._witness_pass(pairs, work)
+    assert hardest[int(np.argmax(tops))] == k and max(tops) == required[i, j]

@@ -181,6 +181,7 @@ class TestJson:
         {"parts": [[2, 1]]},
         {"parts": [[0, float("nan")]]},
         {"parts": [[0]]},
+        {"parts": [[False, True]]},
         {"wrong": 1},
         [1, 2],
     ])

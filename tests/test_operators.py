@@ -26,6 +26,7 @@ from setfix import (
     hausdorff,
     normalize,
     perturb,
+    perturbation_from_json,
 )
 from setfix.operators import dist_to_value, hausdorff_between_values, hausdorff_to_point
 from oracles import brute_set_image, catalog_operators, random_subunion, range_on_set_image
@@ -362,10 +363,27 @@ class TestJsonSchema:
         {"domain": [0, 1], "pieces": [{"sub": [0, 1],
                                        "lower": {"kind": "const", "value": 2.0},
                                        "upper": {"kind": "const", "value": 2.0}}]},
+        {"domain": [False, True], "pieces": [{"sub": [0, 1],
+                                              "lower": {"kind": "const", "value": 0.5},
+                                              "upper": {"kind": "const", "value": 0.5}}]},
+        {"domain": [0, 1], "pieces": [{"sub": [False, True],
+                                       "lower": {"kind": "const", "value": 0.5},
+                                       "upper": {"kind": "const", "value": 0.5}}]},
     ])
     def test_rejects(self, bad):
         with pytest.raises(SchemaError):
             MultivaluedOperator.from_json(bad)
+
+    @pytest.mark.parametrize("reader, obj", [
+        (BoundaryFn.from_json, {"kind": "const", "value": True}),
+        (BoundaryFn.from_json, {"kind": "affine", "a": False}),
+        (perturbation_from_json, {"kind": "general", "a": True}),
+        (perturbation_from_json, {"kind": "general", "b": True}),
+        (perturbation_from_json, {"kind": "general", "c": False}),
+    ])
+    def test_rejects_bools_as_numbers(self, reader, obj):
+        with pytest.raises(SchemaError):
+            reader(obj)
 
     def test_builtin_registry(self):
         assert set(setfix.BUILTIN_OPERATORS) == {"square_example", "sqrt_example"}

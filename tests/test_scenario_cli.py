@@ -74,6 +74,11 @@ class TestSchemaValidation:
             scenario_from_dict(minimal_scenario(
                 perturbation={"kind": "takahashi", "lam": 1.5}))
 
+    @pytest.mark.parametrize("overrides", [{"tol": True}, {"x0_list": [True]}])
+    def test_rejects_bools_as_numbers(self, overrides):
+        with pytest.raises(SchemaError):
+            scenario_from_dict(minimal_scenario(**overrides))
+
     def test_bad_harness(self):
         with pytest.raises(SchemaError, match="harness"):
             scenario_from_dict(minimal_scenario(
@@ -324,6 +329,15 @@ class TestCli:
         assert cli_main([a.format(op=op_path) for a in args]) == 2
         err = capsys.readouterr().err
         assert "SchemaError" in err and "bad_op.json" in err
+
+    @pytest.mark.parametrize("text", [b"{bad", b"\xff\xfe{"])
+    def test_malformed_scenario_file_exits_2(self, text, tmp_path, capsys):
+        spath = tmp_path / "bad.json"
+        spath.write_bytes(text)
+        assert cli_main(["run", str(spath), "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert "SchemaError" in err and "bad.json" in err
+        assert not (tmp_path / "r.json").exists()
 
 
 def packaged_with_options(**blocks) -> dict:
