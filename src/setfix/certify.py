@@ -298,7 +298,7 @@ class _Screen:
     change the bits and lose that).  A full sweep runs only where the bound
     cannot decide; its argmin row joins the working set (shared across
     candidate lists) and tightens every bound, so a swept candidate's bound
-    equals its margin.
+    equals its margin; _exact raises if it does not.
     """
 
     def __init__(self, coef: np.ndarray, pairs: _PairSystem, work, rows: list[int]) -> None:
@@ -323,6 +323,11 @@ class _Screen:
         if k not in self.rows:
             self.rows.append(k)
             self._tighten(k)
+        if self.bounds[i] != m:  # else max_margin would pick it again forever
+            raise RuntimeError(
+                f"screen out of step: candidate {tuple(self.coef[:, i].tolist())} swept "
+                f"to margin {m!r} at pair {divmod(k, self.pairs.n)}, but its bound "
+                f"is {float(self.bounds[i])!r}")
         return m
 
     def first_feasible(self, slack: float):
@@ -451,8 +456,6 @@ def sup_ratio_l(t: MultivaluedOperator, tg: MultivaluedOperator, xstar: float,
     the comparison constant used by the convergence and quasi-contraction
     arguments.
     """
-    if grid_n < 2:
-        raise ParameterRangeError("sup_ratio_l needs grid_n >= 2")
     _verify_strict_point(xstar, t, tg)
     xs = t.domain.grid(grid_n)
     den = hausdorff_to_point(*tg.eval_grid(xs), xstar)
@@ -463,8 +466,6 @@ def sup_ratio_l(t: MultivaluedOperator, tg: MultivaluedOperator, xstar: float,
 def sup_gap_ratio_l(t: MultivaluedOperator, tg: MultivaluedOperator, xstar: float,
                     grid_n: int = 2001) -> GridSup:
     """Gap-based analogue: sup of D(T(x), {x*}) / D(T_G(x), {x*}) (weak variant)."""
-    if grid_n < 2:
-        raise ParameterRangeError("sup_gap_ratio_l needs grid_n >= 2")
     _verify_strict_point(xstar, t, tg)
     xs = t.domain.grid(grid_n)
     den = dist_to_value(xstar, *tg.eval_grid(xs))
@@ -480,8 +481,6 @@ def displacement_constant_L(t: MultivaluedOperator, tg: MultivaluedOperator,
     denominator with nonvanishing numerator yields +inf.  For the Takahashi
     combination the ratio is identically 1 - lam.
     """
-    if grid_n < 2:
-        raise ParameterRangeError("displacement_constant_L needs grid_n >= 2")
     xs = t.domain.grid(grid_n)
     num = dist_to_value(xs, *tg.eval_grid(xs))
     den = dist_to_value(xs, *t.eval_grid(xs))

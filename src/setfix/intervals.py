@@ -303,7 +303,7 @@ class Domain:
 
     def grid(self, n: int) -> np.ndarray:
         if n < 2:
-            raise ValueError("a domain grid needs at least 2 points")
+            raise ParameterRangeError(f"a domain grid needs at least 2 points, got {n}")
         return np.linspace(self.bounds.lo, self.bounds.hi, n)
 
     def contains(self, x: float, tol: float = AMBIENT_TOL) -> bool:

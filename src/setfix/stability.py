@@ -12,6 +12,9 @@ actually used, and worst-case evidence:
                                          + k^(n+1) |v_0 - x*|
 * quasi-contraction    H(T(x),{x*}) <= l k |x - x*|  (gap-based weak variant)
 
+D(x, T(x)) comes from eval_grid throughout; the well-posedness points u_n
+are found by one bisection run in lockstep over all their residual bands.
+
 Every harness takes the strict fixed point x* of T after its operators:
 run_scenario passes it when SFix(T) is one isolated point, direct callers
 can use unique_strict_fixed_point (same rule).  Each checks x* with one eval
@@ -42,6 +45,7 @@ from .certify import (
     ContractionParams,
     _sup_on_grid,
     _verify_strict_point,
+    corollary_k,
     displacement_constant_L,
     retraction_displacement_check,
 )
@@ -196,10 +200,6 @@ def _comparison_strict(f: MultivaluedOperator) -> tuple[list, np.ndarray]:
     return scan.to_json()["strict"], np.array(ends)
 
 
-def _residual(t: MultivaluedOperator, x: float) -> float:
-    return dist_point_to_set(x, t.eval(x))
-
-
 def _ratio(lhs, rhs) -> np.ndarray:
     """lhs / rhs elementwise; below rhs = 1e-300 it reads 0 if lhs <= 1e-12, else inf."""
     out = np.where(np.asarray(lhs) <= 1e-12, 0.0, math.inf)
@@ -304,8 +304,8 @@ def ulam_hyers_verify(t: MultivaluedOperator, tg: MultivaluedOperator,
     for eps in eps_list:
         if eps <= 0.0:
             raise ParameterRangeError(f"eps values must be positive, got {eps}")
-    if L <= 0.0:
-        raise ParameterRangeError("ulam_hyers_verify needs L > 0")
+    if L <= 0.0 or samples_per_eps < 1:
+        raise ParameterRangeError("ulam_hyers_verify needs L > 0 and samples_per_eps >= 1")
     _verify_strict_point(xstar, t, tg)
     c = ulam_hyers_constant(params, L)
 
@@ -342,38 +342,46 @@ def ulam_hyers_verify(t: MultivaluedOperator, tg: MultivaluedOperator,
 # -- well-posedness ------------------------------------------------------------------------
 
 
-def _point_with_residual(t: MultivaluedOperator, xstar: float,
-                         lo: float, hi: float) -> float:
-    """A point whose displacement D(x, T(x)) lies in [lo, hi], by bisection
-    from x* outward (right side first)."""
+def _points_with_residuals(t: MultivaluedOperator, xstar: float,
+                           r: np.ndarray) -> np.ndarray:
+    """u_n with D(u_n, T(u_n)) in [r_n/2, r_n] for each r_n > 0, else x*: per
+    side (right first, tried if the residual brackets the band's midpoint),
+    200 halvings from x* outward and one last midpoint, in lockstep over the
+    bands still open; the first midpoint in its band wins."""
+    lo, hi = 0.5 * r, r
     target = 0.5 * (lo + hi)
     b = t.domain.bounds
-    for far in (b.hi, b.lo):
-        a, fa = xstar, _residual(t, xstar) - target
-        z, fz = far, _residual(t, far) - target
-        if fa > 0.0 or fz < 0.0:
-            continue
-        for _ in range(200):
+    ends = np.array([xstar, b.hi, b.lo])
+    at_star, *at_far = dist_to_value(ends, *t.eval_grid(ends))
+    u = np.full(len(r), xstar)
+    open_ = r > 0.0
+    for far, at_end in zip((b.hi, b.lo), at_far):
+        idx = np.flatnonzero(open_ & (at_star - target <= 0.0) & (at_end - target >= 0.0))
+        a, z = np.full(len(idx), xstar), np.full(len(idx), far)
+        for _ in range(201):
+            if not idx.size:
+                break
             m = 0.5 * (a + z)
-            r = _residual(t, m)
-            if lo <= r <= hi:
-                return m
-            if r - target < 0.0:
-                a = m
-            else:
-                z = m
-        m = 0.5 * (a + z)
-        if lo <= _residual(t, m) <= hi:
-            return m
-    raise ConstructionFailedError(
-        f"no point with displacement in [{lo:.3e}, {hi:.3e}] reachable by bisection")
+            d = dist_to_value(m, *t.eval_grid(m))
+            hit = (lo[idx] <= d) & (d <= hi[idx])
+            u[idx[hit]] = m[hit]
+            open_[idx[hit]] = False
+            below = d - target[idx] < 0.0
+            a, z = np.where(below, m, a)[~hit], np.where(below, z, m)[~hit]
+            idx = idx[~hit]
+    if open_.any():
+        n = int(np.argmax(open_))
+        raise ConstructionFailedError(
+            f"no point with displacement in [{lo[n]:.3e}, {hi[n]:.3e}] reachable by bisection")
+    return u
 
 
 def well_posedness_verify(t: MultivaluedOperator, xstar: float,
                           params: ContractionParams, L: float, sequence_spec: DecaySpec,
                           n_max: int = 60) -> StabilityReport:
     """Construct u_n with D(u_n, T(u_n)) in [r_n/2, r_n] and check
-    |u_n - x*| <= L(1+b)/(1-a-b-g) * D(u_n, T(u_n)) along the way."""
+    |u_n - x*| <= L(1+b)/(1-a-b-g) * D(u_n, T(u_n)) along the way; all u_n
+    come from one array bisection on eval_grid."""
     if n_max < 1:
         raise ParameterRangeError("well_posedness_verify needs n_max >= 1")
     if L <= 0.0:
@@ -386,23 +394,15 @@ def well_posedness_verify(t: MultivaluedOperator, xstar: float,
             {"sequence": sequence_spec.to_json()})
     _verify_strict_point(xstar, t)
     c = ulam_hyers_constant(params, L)
-    worst = 0.0
-    final_err = math.inf
-    errors = []
-    for n in range(n_max + 1):
-        r = sequence_spec.value(n)
-        if r <= 0.0:
-            u = xstar
-        else:
-            u = _point_with_residual(t, xstar, 0.5 * r, r)
-        err = abs(u - xstar)
-        worst = max(worst, float(_ratio(err, c * _residual(t, u))) if r > 0.0 else 0.0)
-        errors.append(err)
-        final_err = err
+    u = _points_with_residuals(
+        t, xstar, np.array([sequence_spec.value(n) for n in range(n_max + 1)]))
+    err = np.abs(u - xstar)
+    # u_n = x* where r_n <= 0, so its ratio is 0
+    worst = float(np.max(_ratio(err, c * dist_to_value(u, *t.eval_grid(u)))))
     details = {
-        "c": c, "fixed_point": xstar, "final_error": final_err,
+        "c": c, "fixed_point": xstar, "final_error": float(err[-1]),
         "sequence": sequence_spec.to_json(), "n_max": n_max,
-        "max_error": max(errors),
+        "max_error": float(np.max(err)),
     }
     return _verdict("WellPosed", c, n_max + 1, worst, details)
 
@@ -458,7 +458,7 @@ def ostrowski_verify(t: MultivaluedOperator, xstar: float, params: ContractionPa
             "D(v_{n+1}, T(v_n)) -> 0 is violated by construction",
             {"delta": delta_spec.to_json()})
     _verify_strict_point(xstar, t)
-    k = corollary_k_value = (params.alpha + params.beta) / (1.0 - params.gamma)
+    k = corollary_k_value = corollary_k(params).value
     if not 0.0 < k < 1.0:
         # k = 0 means T_G maps everything to {x*}: the bound degenerates but
         # the orbit check still makes sense with an arbitrary small k.
@@ -486,8 +486,7 @@ def ostrowski_verify(t: MultivaluedOperator, xstar: float, params: ContractionPa
             # the permitted perturbation, so take the plain selection step
             v_next = base
             r = dist_point_to_set(v_next, image)
-        r_ratio = (float(_ratio(r, delta)) if delta > 0.0
-                   else (0.0 if r <= 1e-12 else math.inf))
+        r_ratio = float(_ratio(r, delta))
         ct = k * ct + r
         bound = pref * ct + k ** (n + 1) * d0
         b_ratio = float(_ratio(abs(v_next - xstar), bound))
@@ -514,12 +513,10 @@ def quasi_contraction_verify(t: MultivaluedOperator, tg: MultivaluedOperator,
                              grid_n: int = 2001, weak: bool = False) -> StabilityReport:
     """Conclusion check H(T(x),{x*}) <= l*k*|x-x*| (strong) or the gap-based
     weak analogue D(T(x),{x*}) <= l*k*|x-x*|, with k = (a+b)/(1-g)."""
-    if grid_n < 2:
-        raise ParameterRangeError("quasi_contraction_verify needs grid_n >= 2")
     if l < 0.0:
         raise ParameterRangeError("quasi-contraction comparison constant must be >= 0")
     _verify_strict_point(xstar, t, tg)
-    k = (params.alpha + params.beta) / (1.0 - params.gamma)
+    k = corollary_k(params).value
     eff = l * k
     if eff >= 1.0:
         raise ParameterRangeError(

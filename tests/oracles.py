@@ -3,9 +3,10 @@
 These deliberately share no code with the library algorithms they check.
 Set functionals are recomputed from dense point grids, giving an
 independent reference accurate to the grid step.  The certification,
-fixed-point and exact set-functional references are the implementations the
-library replaced (a flat off-diagonal pair system with a per-tuple candidate
-lattice, a sampling scan, and all-pairs scans of the parts); from the library
+fixed-point, exact set-functional and well-posedness references are the
+implementations the library replaced (a flat off-diagonal pair system with a
+per-tuple candidate lattice, a sampling scan, all-pairs scans of the parts,
+and a scalar bisection per residual band); from the library
 they use only operator evaluation (eval, eval_grid and its single-interval
 closed forms, and term values and ranges), constants and result types.
 """
@@ -34,7 +35,7 @@ from setfix.certify import (
     STRICTNESS,
     Witness,
 )
-from setfix.errors import OutOfDomainError, ParameterRangeError
+from setfix.errors import ConstructionFailedError, OutOfDomainError, ParameterRangeError
 from setfix.intervals import AMBIENT_TOL, dist_point_to_set, hausdorff, nearest_point
 from setfix.iteration import FixedPointScan
 from setfix.operators import dist_to_value, hausdorff_between_values
@@ -332,6 +333,59 @@ def bisect_retraction_xi(t: MultivaluedOperator, params: ContractionParams,
         else:
             hi = mid
     return lo, lo >= 1e-6
+
+
+# -- scalar well-posedness construction -------------------------------------------
+# The per-band scalar bisection over eval that preceded the lockstep array
+# search in setfix.stability, kept as the differential reference.
+
+
+def _residual(t: MultivaluedOperator, x: float) -> float:
+    return dist_point_to_set(x, t.eval(x))
+
+
+def point_with_residual(t: MultivaluedOperator, xstar: float,
+                        lo: float, hi: float) -> float:
+    """A point whose displacement D(x, T(x)) lies in [lo, hi], by bisection
+    from x* outward (right side first)."""
+    target = 0.5 * (lo + hi)
+    b = t.domain.bounds
+    for far in (b.hi, b.lo):
+        a, fa = xstar, _residual(t, xstar) - target
+        z, fz = far, _residual(t, far) - target
+        if fa > 0.0 or fz < 0.0:
+            continue
+        for _ in range(200):
+            m = 0.5 * (a + z)
+            r = _residual(t, m)
+            if lo <= r <= hi:
+                return m
+            if r - target < 0.0:
+                a = m
+            else:
+                z = m
+        m = 0.5 * (a + z)
+        if lo <= _residual(t, m) <= hi:
+            return m
+    raise ConstructionFailedError(
+        f"no point with displacement in [{lo:.3e}, {hi:.3e}] reachable by bisection")
+
+
+def scalar_well_posedness(t: MultivaluedOperator, xstar: float, c: float,
+                          targets: list[float]) -> dict:
+    """u_n, worst_ratio, final_error and max_error of the well-posedness
+    harness, one band and one scalar ratio at a time."""
+    us, worst = [], 0.0
+    for r in targets:
+        u = xstar if r <= 0.0 else point_with_residual(t, xstar, 0.5 * r, r)
+        err, rhs = abs(u - xstar), c * _residual(t, u)
+        if r > 0.0:
+            ratio = err / rhs if rhs >= 1e-300 else (0.0 if err <= 1e-12 else math.inf)
+            worst = max(worst, ratio)
+        us.append(u)
+    errors = [abs(u - xstar) for u in us]
+    return {"u": us, "worst_ratio": worst, "final_error": errors[-1],
+            "max_error": max(errors)}
 
 
 # -- grid scan of fixed points ---------------------------------------------------

@@ -412,3 +412,17 @@ def test_block_ties_resolve_to_first_flat_index(rows, monkeypatch):
     assert i < j and required[j, i] == required[i, j]
     hardest, tops, _ = certify._witness_pass(pairs, work)
     assert hardest[int(np.argmax(tops))] == k and max(tops) == required[i, j]
+
+
+def test_screen_raises_when_a_sweep_reports_a_wrong_pair(monkeypatch):
+    # the next flat index does not bring the swept candidate's bound down to
+    # its margin; max_margin would then pick that candidate again forever
+    sweep = certify._sweep
+
+    def wrong_pair(c, pairs, work):
+        m, k = sweep(c, pairs, work)
+        return m, (k + 1) % (pairs.n * pairs.n)
+
+    monkeypatch.setattr(certify, "_sweep", wrong_pair)
+    with pytest.raises(RuntimeError, match=r"candidate \(0\.85, 0\.0, 0\.1\) .* pair \(0, 153\)"):
+        certify_contraction(_named_operator("square|0.5"), "ciric", 501)

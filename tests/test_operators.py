@@ -180,6 +180,16 @@ def _builtins_and_perturbations() -> list[MultivaluedOperator]:
     return ops
 
 
+def _composed_takahashi_gap(t: MultivaluedOperator, lam1: float, lam2: float) -> float:
+    """Largest endpoint difference on 10 001 points between T perturbed by lam1
+    then lam2 and T perturbed once by 1 - (1-lam1)(1-lam2).  Values, not
+    pieces: the twice-perturbed operator keeps splits the direct one needs not."""
+    xs = t.domain.grid(10_001)
+    twice = perturb(perturb(t, Takahashi(lam1)), Takahashi(lam2))
+    once = perturb(t, Takahashi(1.0 - (1.0 - lam1) * (1.0 - lam2)))
+    return float(np.max(hausdorff_between_values(*twice.eval_grid(xs), *once.eval_grid(xs))))
+
+
 class TestSetImageAgainstRangeOn:
     """set_image takes each boundary's range at the ends of [u, v]; the copy
     in oracles asks range_on, which also checks interior extrema."""
@@ -241,6 +251,16 @@ class TestPerturb:
                 direct = pert.eval(x).parts
                 combined = affine_combine(x, base.eval(x), lam).parts
                 assert direct == combined
+
+    @pytest.mark.parametrize("lam1, lam2", [(0.3, 0.5), (0.75, 0.2), (0.05, 0.9)])
+    def test_composed_takahashi_on_builtins(self, sqrt_t, square_t, lam1, lam2):
+        for t in (sqrt_t, square_t):
+            assert _composed_takahashi_gap(t, lam1, lam2) <= 1e-12
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(catalog_operators(), st.floats(0.01, 0.99), st.floats(0.01, 0.99))
+    def test_composed_takahashi_on_catalog_operators(self, t, lam1, lam2):
+        assert _composed_takahashi_gap(t, lam1, lam2) <= 1e-12
 
     def test_general_affine_equivalent_to_takahashi(self, sqrt_t):
         tg = perturb(sqrt_t, GeneralG(a=0.75, b=0.25))

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import re
+
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import setfix
 from setfix import (
@@ -25,7 +29,9 @@ from setfix import (
     unique_strict_fixed_point,
     well_posedness_verify,
 )
+from setfix import stability
 from setfix.stability import ulam_hyers_constant
+from oracles import catalog_operators, scalar_well_posedness
 
 SQRT_PARAMS = ContractionParams(0.875, 0.0, 0.0)
 SQRT_L = 0.25
@@ -112,6 +118,8 @@ class TestUlamHyers:
             ulam_hyers_verify(sqrt_t, sqrt_tg, 1.0, SQRT_PARAMS, SQRT_L, [-0.1])
         with pytest.raises(ParameterRangeError):
             ulam_hyers_verify(sqrt_t, sqrt_tg, 1.0, SQRT_PARAMS, 0.0, [0.1])
+        with pytest.raises(ParameterRangeError):
+            ulam_hyers_verify(sqrt_t, sqrt_tg, 1.0, SQRT_PARAMS, SQRT_L, [0.1], 0)
 
 
 class TestWellPosedness:
@@ -139,6 +147,91 @@ class TestWellPosedness:
         with pytest.raises(setfix.ConstructionFailedError):
             well_posedness_verify(sqrt_t, 1.0, SQRT_PARAMS, SQRT_L,
                                   DecaySpec(100.0, 0.8), 5)
+
+
+def _builtins_and_perturbations():
+    sqrt, square = setfix.sqrt_example(), setfix.square_example()
+    return [sqrt, square, setfix.perturb(sqrt, setfix.Takahashi(0.75)),
+            setfix.perturb(square, setfix.Takahashi(0.5))]
+
+
+def _same_as_scalar(t, xstar, targets, c=2.0):
+    """The lockstep search gives the scalar reference's u_n bit for bit, or
+    raises its ConstructionFailedError message; returns the reference, or the
+    message."""
+    try:
+        ref = scalar_well_posedness(t, xstar, c, targets)
+    except setfix.ConstructionFailedError as exc:
+        with pytest.raises(setfix.ConstructionFailedError) as got:
+            stability._points_with_residuals(t, xstar, np.array(targets))
+        assert str(got.value) == str(exc)
+        return str(exc)
+    u = stability._points_with_residuals(t, xstar, np.array(targets))
+    assert [repr(v) for v in u.tolist()] == [repr(v) for v in ref["u"]]
+    return ref
+
+
+def _same_report_as_scalar(t, xstar, params, L, spec, n_max):
+    ref = _same_as_scalar(t, xstar, [spec.value(n) for n in range(n_max + 1)],
+                          ulam_hyers_constant(params, L))
+    if isinstance(ref, str):
+        with pytest.raises(setfix.ConstructionFailedError, match=re.escape(ref)):
+            well_posedness_verify(t, xstar, params, L, spec, n_max)
+        return None
+    rep = well_posedness_verify(t, xstar, params, L, spec, n_max)
+    got = (rep.worst_ratio, rep.details["final_error"], rep.details["max_error"])
+    assert list(map(repr, got)) == [
+        repr(ref[k]) for k in ("worst_ratio", "final_error", "max_error")]
+    return rep
+
+
+class TestWellPosednessAgainstScalarSearch:
+    # initial = 0 keeps every u_n = x*; ratio = 0 leaves one positive band;
+    # the large and the fast-decaying specs end at a band that neither side
+    # reaches (the first band, or one past the float resolution at x*)
+    SPECS = [DecaySpec(0.1, 0.8), DecaySpec(0.05, 0.9), DecaySpec(0.0, 0.5),
+             DecaySpec(0.3, 0.0), DecaySpec(1.0, 0.5), DecaySpec(0.1, 0.1),
+             DecaySpec(100.0, 0.8)]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=repr)
+    @pytest.mark.parametrize("t", _builtins_and_perturbations(), ids=lambda t: t.name)
+    def test_builtins(self, t, spec):
+        _same_report_as_scalar(t, unique_strict_fixed_point(t),
+                               ContractionParams(0.5, 0.1, 0.1), 0.5, spec, 40)
+
+    def test_last_midpoint_decides(self, square_t):
+        # floats are dense at x* = 0: the band of r_197 = 0.1 * 2^-197 is met
+        # only by the midpoint after the 200 halvings, and r_198's by none
+        params = ContractionParams(0.5, 0.1, 0.1)
+        assert _same_report_as_scalar(square_t, 0.0, params, 0.5,
+                                      DecaySpec(0.1, 0.5), 197) is not None
+        assert _same_report_as_scalar(square_t, 0.0, params, 0.5,
+                                      DecaySpec(0.1, 0.5), 198) is None
+
+    def test_side_tried_when_its_end_meets_the_target(self):
+        # T(x) = {x/4} on [0, 1]: D(1, T(1)) = 0.75 is the target of [0.5, 1]
+        term = setfix.BoundaryFn(slope=0.25)
+        t = setfix.MultivaluedOperator(
+            setfix.Domain(setfix.Interval(0.0, 1.0)),
+            (setfix.Piece(setfix.Interval(0.0, 1.0), term, term),))
+        assert _same_report_as_scalar(t, 0.0, SQRT_PARAMS, 1.0,
+                                      DecaySpec(1.0, 0.5), 10) is not None
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(catalog_operators(), st.floats(0.0, 0.5), st.floats(0.0, 0.9))
+    def test_catalog_operators(self, t, initial, ratio):
+        xstar = setfix.scan_fixed_points(t).xstar
+        assume(xstar is not None)
+        _same_report_as_scalar(t, xstar, SQRT_PARAMS, 1.0, DecaySpec(initial, ratio), 15)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(catalog_operators(), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+           st.floats(0.0, 0.9))
+    def test_catalog_operators_from_any_start(self, t, at, initial, ratio):
+        # the search needs no fixed point: start it anywhere in the domain
+        b = t.domain.bounds
+        xstar = b.lo + at * (b.hi - b.lo)
+        _same_as_scalar(t, xstar, [DecaySpec(initial, ratio).value(n) for n in range(16)])
 
 
 class TestOstrowski:
@@ -198,6 +291,44 @@ class TestQuasiContraction:
         assert rep.holds
         assert rep.property == "WeakQuasiContraction"
         assert rep.worst_ratio == 0.0
+
+
+@pytest.mark.parametrize("gamma", [1.0, 1.5])
+def test_k_needs_gamma_below_one(sqrt_t, sqrt_tg, gamma):
+    # combined parameters leave gamma free; k = (a+b)/(1-g) is then undefined
+    # or negative, a premise error in both harnesses that use it
+    params = ContractionParams(0.1, 0.1, gamma, "combined")
+    with pytest.raises(ParameterRangeError, match="gamma < 1"):
+        ostrowski_verify(sqrt_t, 1.0, params, SQRT_L, 4.0, DecaySpec(0.1, 0.5))
+    with pytest.raises(ParameterRangeError, match="gamma < 1"):
+        quasi_contraction_verify(sqrt_t, sqrt_tg, 1.0, 0.5, params, 101)
+
+
+#: Every public call that takes a grid size, at grid_n = 1.  certify_contraction
+#: keeps its own DegenerateDomainError; scan_fixed_points only records grid_n.
+_ONE_POINT_GRID = {
+    "Domain.grid": lambda t, tg: t.domain.grid(1),
+    "certify_contraction": lambda t, tg: setfix.certify_contraction(tg, "ciric", 1),
+    "sup_ratio_l": lambda t, tg: setfix.sup_ratio_l(t, tg, 1.0, 1),
+    "sup_gap_ratio_l": lambda t, tg: setfix.sup_gap_ratio_l(t, tg, 1.0, 1),
+    "displacement_constant_L": lambda t, tg: setfix.displacement_constant_L(t, tg, 1),
+    "retraction_displacement_check": lambda t, tg: setfix.retraction_displacement_check(
+        t, SQRT_PARAMS, SQRT_L, 1.0, 1),
+    "data_dependence_verify": lambda t, tg: data_dependence_verify(
+        t, tg, 1.0, SQRT_PARAMS, SQRT_L, 1),
+    "psi_mp_data_dependence": lambda t, tg: psi_mp_data_dependence(
+        t, tg, tg, 1.0, ComparisonFunction("linear", 10.0), 1.0, 1),
+    "quasi_contraction_verify": lambda t, tg: quasi_contraction_verify(
+        t, tg, 1.0, 0.5, SQRT_PARAMS, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ONE_POINT_GRID))
+def test_one_point_grid_is_a_parameter_error(name, sqrt_t, sqrt_tg):
+    error = (setfix.DegenerateDomainError if name == "certify_contraction"
+             else ParameterRangeError)
+    with pytest.raises(error, match="2"):
+        _ONE_POINT_GRID[name](sqrt_t, sqrt_tg)
 
 
 class TestDataDependence:
