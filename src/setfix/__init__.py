@@ -23,6 +23,7 @@ from .certify import (
 )
 from .errors import (
     AxiomViolationError,
+    BoundaryOrderError,
     ConstructionFailedError,
     DegenerateDomainError,
     EmptySetError,

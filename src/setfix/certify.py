@@ -13,13 +13,21 @@ Feasibility over the admissible simplex (a+b+g < 1 for ciric, a+2b < 1 for
 the other two) is decided by a deterministic coarse-to-fine grid search
 (initial step 0.05, three halvings) minimizing a+b+g.  Each level's
 candidates are one numpy lattice (3 x m); level 0 is built once per variant.
-Of the pair system only two n x n arrays are stored: LHS, whose diagonal
-(x = y) carries -inf so it never binds, and D(x_i, T(x_j)) (not for
-ciric_reich_rus).  The rest is formed in row blocks of max(1, 2**15 // n)
-rows, whose buffers stay in cache: the witness pass and every full sweep
-run block by block, a sweep forms a*u + b*v + g*w - lhs in that order, so
-it equals the plain expression bit for bit, and a later block replaces a
-running best only when strictly better, so ties go to the first pair.
+
+Each unordered grid pair i < j is stored once: H(T(x), T(y)) and d(x, y)
+do not change when x and y swap, and the (y, x) constraint is the (x, y)
+one with its two displacement terms v and w exchanged (for combined both
+terms are symmetric, so it is the same constraint).  The ordered pair (j, i)
+is thus the mirrored orientation a*u + b*w + g*v - lhs of entry (i, j).
+The entries are row blocks of max(1, 2**15 // n) rows i by columns j > r0,
+back to back, so each block is one contiguous, cache-sized slice; corner
+entries j <= i carry lhs = -inf and never bind.  The witness pass (once per
+pair: required = lhs / max(u, v, w) is the same in both orientations) and
+every full sweep run block by block; a sweep forms a*u + b*v + g*w - lhs in
+that order, so it equals the plain expression bit for bit, and a later
+block replaces a running best only when strictly better.  So the witness is
+the first ordered pair in row-major order attaining it, since a pair below
+the diagonal comes after its mirror above it.
 The search is serial and screened: each candidate's minimum over a small
 working set of pair rows (seeded with the witness pair, the largest LHS and
 each block's hardest pair) is an exact upper bound on its margin, computed
@@ -41,7 +49,9 @@ unique_strict_fixed_point), checked by one eval at iteration.STRICT_TOL.
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -156,7 +166,7 @@ class ContractionCertificate:
 
 
 #: Pairs per row block: the pair system is built and swept max(1, _BLOCK // n)
-#: rows at a time, so each block's buffers stay in cache.
+#: rows at a time, so each block's slices stay in cache.
 _BLOCK = 2 ** 15
 
 
@@ -164,52 +174,67 @@ def _block_rows(n: int) -> int:
     return max(1, _BLOCK // n)
 
 
-class _PairSystem:
-    """The pair system over the grid pairs (i, j), handed out in row blocks.
+#: Whether a variant's (j, i) constraint is its (i, j) one with v and w
+#: swapped (then both orientations are swept), or the same constraint.
+_MIRRORED = {"ciric": True, "ciric_reich_rus": True, "combined": False}
 
-    Only two n x n arrays are stored: lhs = H(T(x_i), T(x_j)), whose diagonal
-    x = y is no pair and carries -inf, so it never binds, and dist =
-    D(x_i, T(x_j)), which ciric_reich_rus does not need (it uses the diagonal
-    alone).  block(r0, r1) gives (lhs, u, v, w) for rows r0:r1, with
-    u = |x_i - x_j| and, for combined, v and w formed in buffers that the next
-    block overwrites.
+
+class _PairSystem:
+    """The pair system with one entry per unordered grid pair i < j.
+
+    u = |x_i - x_j|, lhs = H(T(x_i), T(x_j)) and the displacement terms v, w
+    of the orientation (i, j) (ciric: D(x_i, T(x_j)), D(x_j, T(x_i));
+    ciric_reich_rus: D(x_i, T(x_i)), D(x_j, T(x_j)); combined: their sums)
+    are flat arrays of row-block rectangles, rows r0:r1 by columns r0+1:n,
+    stored back to back; the corner entries j <= i carry lhs = -inf.  A row
+    of the system is (entry, orientation), orientation 1 being the mirrored
+    pair (j, i), which reads v and w swapped.
     """
 
     def __init__(self, t: MultivaluedOperator, variant: str, xs: np.ndarray) -> None:
-        n = len(xs)
-        self.n, self.xs, self.variant = n, xs, variant
-        self.rows = _block_rows(n)
+        n = self.n = len(xs)
+        rows = _block_rows(n)
+        self.orientations = (0, 1) if _MIRRORED[variant] else (0,)
+        self.r0s = list(range(0, n - 1, rows))
+        shapes = [(min(r0 + rows, n - 1) - r0, n - 1 - r0) for r0 in self.r0s]
+        self.ends = [0, *itertools.accumulate(h * w for h, w in shapes)]
+        self.u, self.lhs, self.v, self.w = (np.empty(self.ends[-1]) for _ in range(4))
         lo, hi = t.eval_grid(xs)
-        self.diag = dist_to_value(xs, lo, hi)
-        self.lhs = np.empty((n, n))
-        self.dist = None if variant == "ciric_reich_rus" else np.empty((n, n))
-        for r0 in range(0, n, self.rows):
-            r1 = min(r0 + self.rows, n)
-            self.lhs[r0:r1] = hausdorff_between_values(lo[r0:r1, None], hi[r0:r1, None], lo, hi)
-            np.fill_diagonal(self.lhs[r0:r1, r0:r1], -np.inf)
-            if self.dist is not None:
-                self.dist[r0:r1] = dist_to_value(xs[r0:r1, None], lo, hi)
-        self._u = np.empty((self.rows, n))
-        if variant == "combined":
-            self._v, self._w = np.empty((self.rows, n)), np.empty((self.rows, n))
-
-    def block(self, r0: int, r1: int):
-        lhs, d = self.lhs[r0:r1], self.diag
-        u = np.subtract(self.xs[r0:r1, None], self.xs, out=self._u[:r1 - r0])
-        np.abs(u, out=u)
-        if self.variant == "ciric":
-            v, w = self.dist[r0:r1], self.dist[:, r0:r1].T
-        elif self.variant == "ciric_reich_rus":
-            v, w = np.broadcast_arrays(d[r0:r1, None], d[None, :])
-        else:  # combined
-            v = np.add(d[r0:r1, None], d, out=self._v[:r1 - r0])
-            w = np.add(self.dist[r0:r1], self.dist[:, r0:r1].T, out=self._w[:r1 - r0])
-        return lhs, u, v, w
+        d = dist_to_value(xs, lo, hi)
+        for r0, (h, width), e0, e1 in zip(self.r0s, shapes, self.ends, self.ends[1:]):
+            i, j = slice(r0, r0 + h), slice(r0 + 1, n)
+            xi, loi, hii = xs[i, None], lo[i, None], hi[i, None]
+            u, lhs, v, w = (a[e0:e1].reshape(h, width) for a in (self.u, self.lhs, self.v, self.w))
+            np.abs(np.subtract(xi, xs[j], out=u), out=u)
+            hausdorff_between_values(loi, hii, lo[j], hi[j], out=lhs)
+            np.copyto(lhs[:, :h], -np.inf, where=np.tri(h, h, -1, dtype=bool))
+            if variant == "ciric_reich_rus":
+                v[...], w[...] = d[i, None], d[j]
+            else:
+                dist_to_value(xi, lo[j], hi[j], out=v)
+                dist_to_value(xs[j], loi, hii, out=w)
+            if variant == "combined":
+                np.add(v, w, out=w)
+                np.add(d[i, None], d[j], out=v)
+        self.block_size = max(e1 - e0 for e0, e1 in self.blocks())
 
     def blocks(self):
-        """(r0, block) for each row block in order; a block is valid until the next."""
-        for r0 in range(0, self.n, self.rows):
-            yield r0, self.block(r0, min(r0 + self.rows, self.n))
+        """(e0, e1), the entry range of each row block, in order."""
+        return zip(self.ends, self.ends[1:])
+
+    def terms(self, e0: int, e1: int, orientation: int):
+        """(lhs, u, v, w) of the entries e0:e1 in one orientation."""
+        v, w = self.v[e0:e1], self.w[e0:e1]
+        return self.lhs[e0:e1], self.u[e0:e1], *((w, v) if orientation else (v, w))
+
+    def pair(self, row) -> tuple[int, int]:
+        """The ordered grid pair (i, j) of a row (entry, orientation)."""
+        e, orientation = row
+        b = bisect.bisect_right(self.ends, e) - 1
+        r0 = self.r0s[b]
+        di, dj = divmod(e - self.ends[b], self.n - 1 - r0)
+        i, j = r0 + di, r0 + 1 + dj
+        return (j, i) if orientation else (i, j)
 
 
 def _lattice(axes, variant: str) -> np.ndarray:
@@ -243,90 +268,95 @@ def _refinement_axes(center, radius: float) -> list[list[float]]:
 
 
 def _witness_pass(pairs: _PairSystem, work):
-    """Each block's first argmax of required = LHS / max(u, v, w) as a flat pair
-    index, its value, and the number of active pairs (LHS > 1e-14).
+    """Each block's first argmax of required = LHS / max(u, v, w) as an entry
+    index, its value, and the number of active ordered pairs (LHS > 1e-14).
 
-    required is 0 at inactive pairs and -inf on the diagonal.
+    One pass covers both orientations; required is 0 at inactive pairs and
+    at the corner entries.
     """
     s_buf, t_buf = work
     act_buf = np.empty(s_buf.shape, dtype=bool)
     hardest, tops, active = [], [], 0
-    for r0, (lhs, u, v, w) in pairs.blocks():
-        m = len(lhs)
-        required, rowmax, act = s_buf[:m], t_buf[:m], act_buf[:m]
+    for e0, e1 in pairs.blocks():
+        lhs, u, v, w = pairs.terms(e0, e1, 0)
+        required, rowmax, act = s_buf[:e1 - e0], t_buf[:e1 - e0], act_buf[:e1 - e0]
         np.maximum(u, np.maximum(v, w, out=rowmax), out=rowmax)
         np.greater(lhs, 1e-14, out=act)
-        active += int(np.count_nonzero(act))
+        active += 2 * int(np.count_nonzero(act))
         required.fill(0.0)
         np.divide(lhs, np.maximum(rowmax, 1e-300, out=rowmax), out=required, where=act)
-        np.fill_diagonal(required[:, r0:r0 + m], -np.inf)
         k = int(np.argmax(required))
-        hardest.append(r0 * pairs.n + k)
-        tops.append(float(required.flat[k]))
+        hardest.append(e0 + k)
+        tops.append(float(required[k]))
     return hardest, tops, active
 
 
-def _sweep(c, pairs, work) -> tuple[float, int]:
-    """Exact margin of one candidate over every pair, and the first pair attaining it.
+def _sweep(c, pairs, work) -> tuple[float, tuple[int, int]]:
+    """Exact margin of one candidate over every ordered pair, and the first row
+    (entry, orientation) attaining it.
 
     Each block forms a*u + b*v + g*w - lhs in that order, so it equals the
-    plain expression bit for bit; a later block replaces the running minimum
-    only when strictly lower, so the pair is the first flat index.
+    plain expression bit for bit; a later block or orientation replaces the
+    running minimum only when strictly lower, so ties go to the first block,
+    then orientation 0, then the first entry.
     """
     a, b, g = c
     s_buf, t_buf = work
-    best, arg = np.inf, -1
-    for r0, (lhs, u, v, w) in pairs.blocks():
-        s, tmp = s_buf[:len(lhs)], t_buf[:len(lhs)]
-        np.multiply(a, u, out=s)
-        s += np.multiply(b, v, out=tmp)
-        s += np.multiply(g, w, out=tmp)
-        s -= lhs
-        k = int(np.argmin(s))
-        if arg < 0 or s.flat[k] < best:
-            best, arg = float(s.flat[k]), r0 * pairs.n + k
+    best, arg = np.inf, None
+    for e0, e1 in pairs.blocks():
+        s, tmp = s_buf[:e1 - e0], t_buf[:e1 - e0]
+        for o in pairs.orientations:
+            lhs, u, v, w = pairs.terms(e0, e1, o)
+            np.multiply(a, u, out=s)
+            s += np.multiply(b, v, out=tmp)
+            s += np.multiply(g, w, out=tmp)
+            s -= lhs
+            k = int(np.argmin(s))
+            if arg is None or s[k] < best:
+                best, arg = float(s[k]), (e0 + k, o)
     return best, arg
 
 
 class _Screen:
     """Exact margins of a candidate list, screened by a working set of pair rows.
 
-    coef holds one candidate (a, b, g) per column, rows are flat n x n pair
-    indices, and bounds[i] is candidate i's minimum over those rows, built
-    with the same element expression as the full sweep, so it is an exact
-    upper bound on the margin (a matmul or any fused or reordered form would
-    change the bits and lose that).  A full sweep runs only where the bound
-    cannot decide; its argmin row joins the working set (shared across
-    candidate lists) and tightens every bound, so a swept candidate's bound
-    equals its margin; _exact raises if it does not.
+    coef holds one candidate (a, b, g) per column, rows are (entry,
+    orientation) rows of the pair system, and bounds[i] is candidate i's
+    minimum over those rows, built with the same element expression as the
+    full sweep, so it is an exact upper bound on the margin (a matmul or any
+    fused or reordered form would change the bits and lose that).  A full
+    sweep runs only where the bound cannot decide; its argmin row joins the
+    working set (shared across candidate lists) and tightens every bound, so
+    a swept candidate's bound equals its margin; _exact raises if it does not.
     """
 
-    def __init__(self, coef: np.ndarray, pairs: _PairSystem, work, rows: list[int]) -> None:
+    def __init__(self, coef: np.ndarray, pairs: _PairSystem, work,
+                 rows: list[tuple[int, int]]) -> None:
         self.coef = coef
         self.pairs = pairs
         self.work = work
         self.rows = rows
         self.bounds = np.full(coef.shape[1], np.inf)
-        for k in rows:
-            self._tighten(k)
+        for row in rows:
+            self._tighten(row)
         self.max_swept = -np.inf
 
-    def _tighten(self, k: int) -> None:
+    def _tighten(self, row: tuple[int, int]) -> None:
         a, b, g = self.coef
-        i, j = divmod(k, self.pairs.n)
-        lhs, u, v, w = (col[0, j] for col in self.pairs.block(i, i + 1))
+        e, o = row
+        lhs, u, v, w = self.pairs.terms(e, e + 1, o)
         np.minimum(self.bounds, a * u + b * v + g * w - lhs, out=self.bounds)
 
     def _exact(self, i: int) -> float:
-        m, k = _sweep(self.coef[:, i], self.pairs, self.work)
+        m, row = _sweep(self.coef[:, i], self.pairs, self.work)
         self.max_swept = max(self.max_swept, m)
-        if k not in self.rows:
-            self.rows.append(k)
-            self._tighten(k)
+        if row not in self.rows:
+            self.rows.append(row)
+            self._tighten(row)
         if self.bounds[i] != m:  # else max_margin would pick it again forever
             raise RuntimeError(
                 f"screen out of step: candidate {tuple(self.coef[:, i].tolist())} swept "
-                f"to margin {m!r} at pair {divmod(k, self.pairs.n)}, but its bound "
+                f"to margin {m!r} at pair {self.pairs.pair(row)}, but its bound "
                 f"is {float(self.bounds[i])!r}")
         return m
 
@@ -373,27 +403,29 @@ def certify_contraction(t: MultivaluedOperator, variant: str = "ciric",
     xs = t.domain.grid(grid_n)
     n = len(xs)
     pairs = _PairSystem(t, variant, xs)
-    work = np.empty((pairs.rows, n)), np.empty((pairs.rows, n))
+    work = np.empty(pairs.block_size), np.empty(pairs.block_size)
     hardest, tops, active = _witness_pass(pairs, work)
     top = int(np.argmax(tops))
-    wi, wj = divmod(hardest[top], n)
+    wi, wj = pairs.pair((hardest[top], 0))
     witness = Witness(float(xs[wi]), float(xs[wj]), tops[top])
     skipped = n * n - n - active
     lmax = int(np.argmax(pairs.lhs))
-    scale = max(1.0, float(pairs.lhs.flat[lmax]))
+    scale = max(1.0, float(pairs.lhs[lmax]))
     slack = margin_req * scale
 
     if witness.bound > 1.0 / (1.0 - STRICTNESS):
         # this single pair forbids the whole admissible simplex; its best
         # achievable slack bounds every candidate's margin from above
-        lhs, u, v, w = (col[0, wj] for col in pairs.block(wi, wi + 1))
-        ceiling = float((1.0 - STRICTNESS) * max(u, v, w) - lhs)
+        e = hardest[top]
+        ceiling = float((1.0 - STRICTNESS) * max(pairs.u[e], pairs.v[e], pairs.w[e])
+                        - pairs.lhs[e])
         return ContractionCertificate(False, None, ceiling, witness,
                                       grid_n, skipped)
 
     # every block's hardest pair (the witness among them) seeds the working
-    # set beside the largest LHS; the rows only tighten bounds, never results
-    rows = list(dict.fromkeys([*hardest, lmax]))
+    # set beside the largest LHS, in each orientation; the rows only tighten
+    # bounds, never results
+    rows = list(dict.fromkeys((e, o) for e in [*hardest, lmax] for o in pairs.orientations))
     screen = _Screen(_level0(variant), pairs, work, rows)
     found = screen.first_feasible(slack)
     if found is None:

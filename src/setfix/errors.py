@@ -22,6 +22,10 @@ class AxiomViolationError(SetfixError):
     """A perturbation function fails the admissibility axioms."""
 
 
+class BoundaryOrderError(SetfixError):
+    """An operator's lower boundary exceeds its upper one beyond float noise."""
+
+
 class InsufficientDataError(SetfixError):
     """Not enough usable samples/steps to compute the requested quantity."""
 

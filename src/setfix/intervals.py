@@ -118,13 +118,6 @@ class IntervalUnion:
     def hull(self) -> Interval:
         return Interval(self.parts[0].lo, self.parts[-1].hi)
 
-    @property
-    def is_point(self) -> bool:
-        return len(self.parts) == 1 and self.parts[0].lo == self.parts[0].hi
-
-    def contains_point(self, x: float, tol: float = 0.0) -> bool:
-        return dist_point_to_set(x, self) <= tol
-
     def to_json(self) -> dict:
         return {"parts": [[p.lo, p.hi] for p in self.parts]}
 

@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import (
     AxiomViolationError,
+    BoundaryOrderError,
     OutOfDomainError,
     ParameterRangeError,
     SchemaError,
@@ -42,6 +43,11 @@ VALIDATION_STEP = 1e-4
 
 #: Tolerance for the self-map requirement T(x) subset of X at construction.
 SELF_MAP_SLACK = 1e-9
+
+#: lower(x) may exceed upper(x) by at most this much (float noise): more is
+#: rejected at construction on the validation grid and raises at eval, where
+#: ends within it are swapped.
+ORDER_SLACK = 1e-12
 
 _BASES = ("none", "power", "sqrt", "invsqrt")
 
@@ -220,6 +226,16 @@ class Piece:
     upper: BoundaryFn
 
 
+def _check_order(xs: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
+    """Raise BoundaryOrderError where lower exceeds upper beyond ORDER_SLACK."""
+    bad = lo > hi + ORDER_SLACK
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise BoundaryOrderError(
+            f"lower boundary exceeds upper at x={float(xs[i])!r} by "
+            f"{float(lo[i] - hi[i])!r}, beyond the slack {ORDER_SLACK!r}")
+
+
 @dataclass(frozen=True)
 class MultivaluedOperator:
     """Piecewise-monotone description of x -> [lower(x), upper(x)].
@@ -264,7 +280,7 @@ class MultivaluedOperator:
         xs = np.linspace(lo, hi, n)
         low = pc.lower.value_array(xs)
         upp = pc.upper.value_array(xs)
-        if np.any(low > upp + 1e-12):
+        if np.any(low > upp + ORDER_SLACK):
             i = int(np.argmax(low - upp))
             raise ValueError(
                 f"lower boundary exceeds upper at x={xs[i]!r} on piece [{lo}, {hi}]")
@@ -291,7 +307,8 @@ class MultivaluedOperator:
         pc = self.pieces[self._piece_index(x)]
         lo = pc.lower.value(x)
         hi = pc.upper.value(x)
-        if hi < lo:  # float noise within validation slack only
+        if hi < lo:
+            _check_order(np.array([x]), np.array([lo]), np.array([hi]))
             lo, hi = hi, lo
         return IntervalUnion((Interval(b.clamp(lo), b.clamp(hi)),), ambient=b)
 
@@ -315,6 +332,8 @@ class MultivaluedOperator:
             lo[sel] = pc.lower.value_array(xs[sel])
             hi[sel] = pc.upper.value_array(xs[sel])
         swap = hi < lo
+        if swap.any():
+            _check_order(xs, lo, hi)
         lo, hi = np.where(swap, hi, lo), np.where(swap, lo, hi)
         return clamp(lo), clamp(hi)
 
@@ -392,9 +411,9 @@ class MultivaluedOperator:
 # closed forms equal dist_point_to_set and hausdorff bit for bit.
 
 
-def dist_to_value(x, lo, hi):
-    """D(x, [lo, hi]) = max(0, lo - x, x - hi), elementwise."""
-    out = np.asarray(lo - x, dtype=float)
+def dist_to_value(x, lo, hi, out=None):
+    """D(x, [lo, hi]) = max(0, lo - x, x - hi), elementwise, into out if given."""
+    out = np.asarray(np.subtract(lo, x, out=out), dtype=float)
     return np.maximum(0.0, np.maximum(out, x - hi, out=out), out=out)[()]
 
 
@@ -403,9 +422,10 @@ def hausdorff_to_point(lo, hi, p):
     return np.maximum(np.abs(lo - p), np.abs(hi - p))
 
 
-def hausdorff_between_values(lo1, hi1, lo2, hi2):
-    """H([lo1, hi1], [lo2, hi2]) = max(|lo1 - lo2|, |hi1 - hi2|), elementwise."""
-    out = np.asarray(lo1 - lo2, dtype=float)
+def hausdorff_between_values(lo1, hi1, lo2, hi2, out=None):
+    """H([lo1, hi1], [lo2, hi2]) = max(|lo1 - lo2|, |hi1 - hi2|), elementwise,
+    into out if given."""
+    out = np.asarray(np.subtract(lo1, lo2, out=out), dtype=float)
     return np.maximum(np.abs(out, out=out), np.abs(hi1 - hi2), out=out)[()]
 
 

@@ -25,6 +25,7 @@ from setfix import (
 )
 from oracles import (
     _candidates,
+    _pair_system,
     bisect_retraction_xi,
     exhaustive_certify,
     linear_pair_operator,
@@ -358,8 +359,8 @@ def _peak_bytes(fn) -> int:
 
 @pytest.mark.parametrize("name", ["sqrt|0.75", "square|0.5"])
 def test_certify_memory_bounded(name):
-    # only lhs and dist are n x n; the rest is row blocks of about 2**15
-    # floats: at most 3.5 n x n float arrays live at once, for every variant
+    # four arrays of about n x n / 2 entries and row-block buffers of about
+    # 2**15 floats: at most 3.5 n x n float arrays live at once, for every variant
     op = _named_operator(name)
     n = 501
     for variant in certify.VARIANTS:
@@ -384,45 +385,98 @@ def test_row_blocks_match_exhaustive(name, monkeypatch):
             assert cert.params == ref.params
 
 
+def _ordered_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) of the oracle's ordered pairs, in its order (row-major, no diagonal)."""
+    return np.nonzero(~np.eye(n, dtype=bool))
+
+
+def _oracle_index(n: int, pair: tuple[int, int]) -> int:
+    i, j = pair
+    return i * (n - 1) + (j if j < i else j - 1)
+
+
 @pytest.mark.parametrize("rows", [1, 2, 7])
 def test_block_ties_resolve_to_first_flat_index(rows, monkeypatch):
     # with b = g = 0 a ciric margin a*u - lhs and required = lhs / max(u, v, w)
-    # are symmetric in (i, j), so each extreme is also attained at (j, i), a
-    # later flat index that lies in another block when rows = 1
+    # are symmetric in (i, j), so each extreme is also attained at (j, i), the
+    # mirrored orientation of the same entry; the first ordered pair attaining
+    # it is the entry's pair i < j, in orientation 0
     monkeypatch.setattr(certify, "_block_rows", lambda n: rows)
     op = _named_operator("square|0.5")
     n = 23
     xs = op.domain.grid(n)
     pairs = certify._PairSystem(op, "ciric", xs)
-    work = np.empty((rows, n)), np.empty((rows, n))
-    lhs, dist = pairs.lhs, pairs.dist
-    u = np.abs(xs[:, None] - xs[None, :])
+    work = np.empty(pairs.block_size), np.empty(pairs.block_size)
+    lhs, u, v, w = _pair_system(op, "ciric", xs)
+    idx_i, idx_j = _ordered_pairs(n)
 
     s = 0.5 * u - lhs
     k = int(np.argmin(s))
-    i, j = divmod(k, n)
-    assert i < j and s[j, i] == s[i, j]
-    assert certify._sweep((0.5, 0.0, 0.0), pairs, work) == (float(s[i, j]), k)
+    i, j = int(idx_i[k]), int(idx_j[k])
+    assert i < j and s[_oracle_index(n, (j, i))] == s[k]
+    margin, row = certify._sweep((0.5, 0.0, 0.0), pairs, work)
+    assert margin == float(s[k]) and row[1] == 0 and pairs.pair(row) == (i, j)
 
-    rowmax = np.maximum(np.maximum(u, np.maximum(dist, dist.T)), 1e-300)
-    required = np.where(lhs > 1e-14, lhs / rowmax, 0.0)
-    np.fill_diagonal(required, -np.inf)
+    required = np.where(lhs > 1e-14, lhs / np.maximum(np.maximum(u, np.maximum(v, w)), 1e-300), 0.0)
     k = int(np.argmax(required))
-    i, j = divmod(k, n)
-    assert i < j and required[j, i] == required[i, j]
+    i, j = int(idx_i[k]), int(idx_j[k])
+    assert i < j and required[_oracle_index(n, (j, i))] == required[k]
     hardest, tops, _ = certify._witness_pass(pairs, work)
-    assert hardest[int(np.argmax(tops))] == k and max(tops) == required[i, j]
+    assert pairs.pair((hardest[int(np.argmax(tops))], 0)) == (i, j)
+    assert max(tops) == required[k]
+
+
+_PROBES = [(0.0, 0.0, 0.0), (0.5, 0.0, 0.0), (0.875, 0.0, 0.0), (0.5, 0.2, 0.1),
+           (0.1, 0.45, 0.3), (0.3, 0.05, 0.6), (0.2, 0.2, 0.55)]
+
+
+@pytest.mark.parametrize("name", _DIFF_OPERATORS)
+def test_pair_system_matches_ordered_oracle(name, monkeypatch):
+    # the witness, skipped, the largest LHS and every probe's margin equal
+    # those of the oracle's n(n-1) ordered pairs bit for bit, and the swept
+    # row names an ordered pair that attains the margin there
+    op = _named_operator(name)
+    for rows in (1, 2, 7):
+        monkeypatch.setattr(certify, "_block_rows", lambda n: rows)
+        for variant in certify.VARIANTS:
+            for n in (2, 3, 101):
+                xs = op.domain.grid(n)
+                pairs = certify._PairSystem(op, variant, xs)
+                work = np.empty(pairs.block_size), np.empty(pairs.block_size)
+                lhs, u, v, w = _pair_system(op, variant, xs)
+                idx_i, idx_j = _ordered_pairs(n)
+                active = lhs > 1e-14
+                required = np.zeros_like(lhs)
+                np.divide(lhs, np.maximum(np.maximum(u, np.maximum(v, w)), 1e-300),
+                          out=required, where=active)
+                k = int(np.argmax(required))
+
+                hardest, tops, n_active = certify._witness_pass(pairs, work)
+                top = int(np.argmax(tops))
+                wi, wj = pairs.pair((hardest[top], 0))
+                case = (rows, variant, n)
+                assert (repr(float(xs[wi])), repr(float(xs[wj])), repr(tops[top])) == (
+                    repr(float(xs[idx_i[k]])), repr(float(xs[idx_j[k]])),
+                    repr(float(required[k]))), case
+                assert n * n - n - n_active == int(np.sum(~active)), case
+                assert repr(float(pairs.lhs.max())) == repr(float(lhs.max())), case
+                for a, b, g in _PROBES:
+                    ref = a * u + b * v + g * w - lhs
+                    margin, row = certify._sweep((a, b, g), pairs, work)
+                    assert repr(margin) == repr(float(ref.min())), (case, a, b, g)
+                    at = _oracle_index(n, pairs.pair(row))
+                    assert repr(float(ref[at])) == repr(margin), (case, a, b, g)
 
 
 def test_screen_raises_when_a_sweep_reports_a_wrong_pair(monkeypatch):
-    # the next flat index does not bring the swept candidate's bound down to
-    # its margin; max_margin would then pick that candidate again forever
+    # the next entry does not bring the swept candidate's bound down to its
+    # margin; max_margin would then pick that candidate again forever
     sweep = certify._sweep
 
     def wrong_pair(c, pairs, work):
-        m, k = sweep(c, pairs, work)
-        return m, (k + 1) % (pairs.n * pairs.n)
+        m, (e, o) = sweep(c, pairs, work)
+        return m, ((e + 1) % len(pairs.lhs), o)
 
     monkeypatch.setattr(certify, "_sweep", wrong_pair)
-    with pytest.raises(RuntimeError, match=r"candidate \(0\.85, 0\.0, 0\.1\) .* pair \(0, 153\)"):
+    with pytest.raises(RuntimeError, match=r"candidate \(0\.95, 0\.0, 0\.0\) .* pair \(378, 326\)"):
         certify_contraction(_named_operator("square|0.5"), "ciric", 501)

@@ -10,6 +10,7 @@ import setfix
 from setfix import (
     AxiomViolationError,
     BoundaryFn,
+    BoundaryOrderError,
     Domain,
     GeneralG,
     Interval,
@@ -28,7 +29,7 @@ from setfix import (
     perturb,
     perturbation_from_json,
 )
-from setfix.operators import dist_to_value, hausdorff_between_values, hausdorff_to_point
+from setfix.operators import ORDER_SLACK, VALIDATION_STEP, dist_to_value, hausdorff_between_values, hausdorff_to_point
 from oracles import brute_set_image, catalog_operators, random_subunion, range_on_set_image
 
 
@@ -351,6 +352,32 @@ class TestValidation:
         with pytest.raises(ValueError, match="lower boundary exceeds"):
             MultivaluedOperator(Domain(Interval(0.0, 1.0)),
                                 (Piece(Interval(0.0, 1.0), lo, hi),))
+
+    def test_crossing_between_validation_nodes_raises_at_eval(self):
+        # lower is the tangent of x^2 at c raised by 1e-9, so it lies above
+        # upper = x^2 only within about 3.2e-5 of c; c is midway between two
+        # nodes of the validation grid, so the operator constructs
+        c = 0.5 + 5000.5 * VALIDATION_STEP
+        lower = BoundaryFn(slope=2.0 * c, offset=1e-9 - c * c)
+        upper = BoundaryFn(base="power", p=2, coeff=1.0)
+        flat = BoundaryFn(offset=1.0)
+        t = MultivaluedOperator(Domain(Interval(-1.0, 3.0)),
+                                (Piece(Interval(-1.0, 0.5), flat, flat),
+                                 Piece(Interval(0.5, 1.5), lower, upper),
+                                 Piece(Interval(1.5, 3.0), flat, flat)))
+        assert lower.value(c) - upper.value(c) > 0.9e-9
+        with pytest.raises(BoundaryOrderError, match=f"x={c!r}"):
+            t.eval(c)
+        with pytest.raises(BoundaryOrderError, match=f"x={c!r}"):
+            t.eval_grid(np.array([0.0, 1.0, c, 2.0]))
+        assert t.eval(1.0).parts[0].hi == 1.0
+
+    def test_ends_within_order_slack_are_swapped(self):
+        lo, hi = BoundaryFn(offset=0.5 + 0.5 * ORDER_SLACK), BoundaryFn(offset=0.5)
+        t = MultivaluedOperator(Domain(Interval(0.0, 1.0)), (Piece(Interval(0.0, 1.0), lo, hi),))
+        part = t.eval(0.3).parts[0]
+        assert (part.lo, part.hi) == (0.5, lo.offset)
+        assert [v.tolist() for v in t.eval_grid(np.array([0.3]))] == [[0.5], [lo.offset]]
 
     def test_coverage_gap_rejected(self):
         term = BoundaryFn(offset=0.5)
