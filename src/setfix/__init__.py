@@ -42,16 +42,13 @@ from .intervals import (
     Domain,
     Interval,
     IntervalUnion,
-    affine_combine,
     dist_point_to_set,
     excess,
     gap,
     hausdorff,
-    is_subset,
     nearest_point,
     normalize,
     set_from_json,
-    union_all,
 )
 from .iteration import (
     FixedPointScan,

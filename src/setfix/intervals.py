@@ -255,35 +255,6 @@ def hausdorff(a: IntervalUnion, b: IntervalUnion) -> float:
     return max(excess(a, b), excess(b, a))
 
 
-def is_subset(a: IntervalUnion, b: IntervalUnion, tol: float = 0.0) -> bool:
-    return excess(a, b) <= tol
-
-
-def affine_combine(x: float, s: IntervalUnion, lam: float) -> IntervalUnion:
-    """{lam*x + (1-lam)*s : s in S} -- the Takahashi convex combination on R.
-
-    lam = 0 returns S unchanged; lam = 1 collapses to the singleton {x}.
-    """
-    if not 0.0 <= lam <= 1.0:
-        raise ParameterRangeError(f"affine_combine needs lam in [0, 1], got {lam}")
-    w = 1.0 - lam
-    parts = [Interval(lam * x + w * p.lo, lam * x + w * p.hi) for p in s.parts]
-    return normalize(parts, s.ambient)
-
-
-def union_all(sets: Sequence[IntervalUnion]) -> IntervalUnion:
-    """Normalized union of all parts of all the given sets."""
-    if not sets:
-        raise EmptySetError("union_all() needs at least one set")
-    parts: list[Interval] = []
-    ambient = sets[0].ambient
-    for s in sets:
-        parts.extend(s.parts)
-        if s.ambient != ambient:
-            ambient = None
-    return normalize(parts, ambient)
-
-
 @dataclass(frozen=True)
 class Domain:
     """The ambient complete metric space: a real interval with d(x,y) = |x-y|."""

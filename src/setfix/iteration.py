@@ -91,9 +91,10 @@ def picard_orbit(t: MultivaluedOperator, x0: float, max_n: int = 10_000,
     x0 = bounds.clamp(x0)
 
     def h_target(s: IntervalUnion) -> float | None:
+        # H(S, {p}) in closed form, bit for bit hausdorff(S, {p})
         if target is None:
             return None
-        return hausdorff(s, IntervalUnion.singleton(target))
+        return max(abs(s.parts[0].lo - target), abs(s.parts[-1].hi - target))
 
     current = IntervalUnion.singleton(x0, ambient=bounds)
     steps = [OrbitStep(0, current, 0.0, h_target(current))]

@@ -38,15 +38,12 @@ from .errors import (
 )
 from .intervals import AMBIENT_TOL, Domain, Interval, IntervalUnion, normalize
 
-#: Step used for grid validation of piece invariants (order, self-map).
-VALIDATION_STEP = 1e-4
-
 #: Tolerance for the self-map requirement T(x) subset of X at construction.
 SELF_MAP_SLACK = 1e-9
 
 #: lower(x) may exceed upper(x) by at most this much (float noise): more is
-#: rejected at construction on the validation grid and raises at eval, where
-#: ends within it are swapped.
+#: rejected at construction, at the exact minimum of upper - lower on each
+#: piece, and raises at eval, where ends within it are swapped.
 ORDER_SLACK = 1e-12
 
 _BASES = ("none", "power", "sqrt", "invsqrt")
@@ -65,7 +62,8 @@ class BoundaryFn:
     def __post_init__(self) -> None:
         if self.base not in _BASES:
             raise ValueError(f"unknown base {self.base!r}")
-        if self.base == "power" and (not isinstance(self.p, int) or self.p < 1):
+        if self.base == "power" and (not is_json_number(self.p) or not isinstance(self.p, int)
+                                     or self.p < 1):
             raise ValueError(f"power base needs an integer exponent >= 1, got {self.p!r}")
 
     # -- evaluation ---------------------------------------------------------
@@ -137,20 +135,6 @@ class BoundaryFn:
         vals.extend(self.value(x) for x in self.critical_points(lo, hi))
         return min(vals), max(vals)
 
-    def is_monotone_on(self, lo: float, hi: float) -> bool:
-        return not self.critical_points(lo, hi)
-
-    def direction_on(self, lo: float, hi: float) -> int:
-        """+1 nondecreasing, -1 nonincreasing, 0 if not monotone on the piece."""
-        if not self.is_monotone_on(lo, hi):
-            return 0
-        d = self.value(hi) - self.value(lo)
-        if d > 0:
-            return 1
-        if d < 0:
-            return -1
-        return 1  # constant: weakly increasing by convention
-
     def min_domain(self) -> tuple[float, bool]:
         """(lowest admissible x, whether that bound is inclusive)."""
         if self.base == "sqrt" and self.coeff != 0.0:
@@ -209,7 +193,7 @@ class BoundaryFn:
             return cls(slope=num("a"), offset=num("b", 0.0))
         if kind in ("power", "sqrt", "invsqrt"):
             p = obj.get("p", 2)
-            if kind == "power" and (not isinstance(p, int) or p < 1):
+            if kind == "power" and (not is_json_number(p) or not isinstance(p, int) or p < 1):
                 raise SchemaError(f"power term needs integer p >= 1, got {p!r}")
             return cls(base=kind, p=p if kind == "power" else 2,
                        coeff=num("coeff", 1.0), slope=num("slope", 0.0),
@@ -236,14 +220,52 @@ def _check_order(xs: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
             f"{float(lo[i] - hi[i])!r}, beyond the slack {ORDER_SLACK!r}")
 
 
+def _worst_order_point(lower: BoundaryFn, upper: BoundaryFn, lo: float, hi: float) -> float:
+    """The x of [lo, hi] where lower - upper is largest, from the exact extrema
+    of the gap upper - lower.
+
+    With s = sqrt(x) when either term has a sqrt or 1/sqrt part (then lo >= 0),
+    else s = x, the gap is a sum of c*s^e with integer e >= -1, so
+    s^2 * d(gap)/ds is a polynomial.  The real parts of its roots (a multiple
+    root may come back as a complex cluster) are the interior candidates,
+    besides the ends and 0; extra candidates do no harm.
+    """
+    half = any(fn.base in ("sqrt", "invsqrt") and fn.coeff != 0.0 for fn in (lower, upper))
+    gap: dict[int, float] = {}  # exponent of s -> coefficient; offsets drop out
+    for fn, sign in ((upper, 1.0), (lower, -1.0)):
+        e = 2 if half else 1
+        gap[e] = gap.get(e, 0.0) + sign * fn.slope
+        if fn.coeff != 0.0 and fn.base != "none":
+            e = {"power": fn.p * e, "sqrt": 1, "invsqrt": -1}[fn.base]
+            gap[e] = gap.get(e, 0.0) + sign * fn.coeff
+    # s^2 * d/ds sum(c*s^e) = sum(e*c*s^(e+1)), highest degree first
+    deg = max(gap) + 1
+    poly = np.zeros(deg + 1)
+    for e, c in gap.items():
+        poly[deg - e - 1] += e * c
+    # np.roots divides by the leading coefficient; this keeps the quotients finite
+    poly[np.abs(poly) < 1e-280 * np.abs(poly).max()] = 0.0
+    cands = [lo, hi]
+    if lo < 0.0 < hi:
+        cands.append(0.0)
+    if poly.any():
+        s_lo, s_hi = (math.sqrt(lo), math.sqrt(hi)) if half else (lo, hi)
+        for s in np.roots(poly).real.tolist():
+            if s_lo < s < s_hi:  # before squaring: a far root would overflow
+                cands.append(min(max(s * s if half else s, lo), hi))
+    return max(cands, key=lambda x: lower.value(x) - upper.value(x))
+
+
 @dataclass(frozen=True)
 class MultivaluedOperator:
     """Piecewise-monotone description of x -> [lower(x), upper(x)].
 
     Construction is strict: pieces must cover the domain with disjoint
     interiors, both boundaries must be monotone on every piece (split at
-    extrema first), lower <= upper on a validation grid, and all values must
-    stay inside the domain (self-map) up to SELF_MAP_SLACK.
+    extrema first), lower <= upper up to ORDER_SLACK at the exact minimum of
+    upper - lower, and all values must stay inside the domain (self-map) up
+    to SELF_MAP_SLACK.  Both checks evaluate the terms at finitely many
+    points taken from the catalog's closed forms, and take no samples.
     """
 
     domain: Domain
@@ -272,21 +294,19 @@ class MultivaluedOperator:
             if lo < mlo or (lo == mlo and not inclusive):
                 raise ValueError(
                     f"term {fn.to_json()} undefined on piece [{lo}, {hi}]")
-            if not fn.is_monotone_on(lo, hi):
+            if fn.critical_points(lo, hi):
                 raise ValueError(
                     f"boundary {fn.to_json()} is not monotone on [{lo}, {hi}]; "
                     f"split the piece at its extrema")
-        n = min(max(2, int(pc.sub.width / VALIDATION_STEP) + 1), 200_000)
-        xs = np.linspace(lo, hi, n)
-        low = pc.lower.value_array(xs)
-        upp = pc.upper.value_array(xs)
-        if np.any(low > upp + ORDER_SLACK):
-            i = int(np.argmax(low - upp))
+        x = _worst_order_point(pc.lower, pc.upper, lo, hi)
+        if pc.lower.value(x) - pc.upper.value(x) > ORDER_SLACK:
             raise ValueError(
-                f"lower boundary exceeds upper at x={xs[i]!r} on piece [{lo}, {hi}]")
+                f"lower boundary exceeds upper at x={x!r} on piece [{lo}, {hi}]")
+        # both boundaries are monotone, so their ranges are taken at the ends
         b = self.domain.bounds
-        vals = np.concatenate([low, upp])
-        if vals.min() < b.lo - SELF_MAP_SLACK or vals.max() > b.hi + SELF_MAP_SLACK:
+        (l_min, l_max), (u_min, u_max) = pc.lower.range_on(lo, hi), pc.upper.range_on(lo, hi)
+        if (min(l_min, u_min) < b.lo - SELF_MAP_SLACK
+                or max(l_max, u_max) > b.hi + SELF_MAP_SLACK):
             raise ValueError(
                 f"operator is not a self-map: values of piece [{lo}, {hi}] escape "
                 f"[{b.lo}, {b.hi}]")

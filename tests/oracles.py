@@ -84,6 +84,19 @@ def brute_set_image(t: MultivaluedOperator, y: IntervalUnion, h: float) -> Inter
 # exact references: the library must agree with them bit for bit.
 
 
+def affine_combine(x: float, s: IntervalUnion, lam: float) -> IntervalUnion:
+    """{lam*x + (1-lam)*s : s in S} -- the Takahashi convex combination on R,
+    the pointwise reference for perturb.
+
+    lam = 0 returns S unchanged; lam = 1 collapses to the singleton {x}.
+    """
+    if not 0.0 <= lam <= 1.0:
+        raise ParameterRangeError(f"affine_combine needs lam in [0, 1], got {lam}")
+    w = 1.0 - lam
+    parts = [Interval(lam * x + w * p.lo, lam * x + w * p.hi) for p in s.parts]
+    return normalize(parts, s.ambient)
+
+
 def pairwise_dist_point_to_set(x: float, a: IntervalUnion) -> float:
     """Distance from the point x to the set A; 0 iff x is a member."""
     return min(max(0.0, p.lo - x, x - p.hi) for p in a.parts)

@@ -14,18 +14,16 @@ from setfix import (
     IntervalUnion,
     ParameterRangeError,
     SchemaError,
-    affine_combine,
     dist_point_to_set,
     excess,
     gap,
     hausdorff,
-    is_subset,
     normalize,
     set_from_json,
-    union_all,
 )
 from setfix.intervals import MERGE_EPS
 from oracles import (
+    affine_combine,
     brute_excess,
     brute_gap,
     brute_hausdorff,
@@ -150,22 +148,6 @@ class TestAffineCombine:
             affine_combine(0.0, U((0, 1)), -0.1)
 
 
-class TestUnionAll:
-    def test_adjacent(self):
-        assert union_all([U((0, 1)), U((1, 2))]).to_json() == {"parts": [[0.0, 2.0]]}
-
-    def test_singleton(self):
-        assert union_all([U((0, 1))]).to_json() == {"parts": [[0.0, 1.0]]}
-
-    def test_bridging(self):
-        out = union_all([U((0, 1)), U((3, 4)), U((0.5, 3.5))])
-        assert out.to_json() == {"parts": [[0.0, 4.0]]}
-
-    def test_empty(self):
-        with pytest.raises(EmptySetError):
-            union_all([])
-
-
 class TestJson:
     def test_round_trip(self):
         a = U((0, 1), (2.5, 3.25))
@@ -251,11 +233,6 @@ def test_seeded_oracle_sweep():
         h = 1e-3
         assert abs(gap(a, b) - brute_gap(a, b, h)) <= 2 * h
         assert abs(excess(a, b) - brute_excess(a, b, h)) <= 2 * h
-
-
-def test_subset_predicate():
-    assert is_subset(U((1, 2)), U((0, 3)))
-    assert not is_subset(U((0, 3)), U((1, 2)))
 
 
 def test_nearest_point():

@@ -3,7 +3,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 import setfix
 from setfix import (
@@ -84,6 +84,19 @@ class TestPicardOrbit:
     def test_step_indices_consecutive(self, sqrt_t):
         trace = picard_orbit(sqrt_t, 2.0, max_n=30, tol=1e-10)
         assert [s.n for s in trace.steps] == list(range(len(trace.steps)))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(catalog_operators(), st.floats(0.25, 2.0),
+           st.one_of(st.none(), st.floats(0.0, 3.0)))
+    def test_target_distance_is_hausdorff_to_the_point(self, t, x0, target):
+        # target None stands for x0 itself, so step 0 is at distance zero
+        target = x0 if target is None else target
+        trace = picard_orbit(t, x0, max_n=20, tol=1e-300, target=target)
+        for step in trace.steps:
+            expected = hausdorff(step.set, IntervalUnion.singleton(target))
+            assert step.h_to_target == expected
+            assert math.copysign(1.0, step.h_to_target) == math.copysign(1.0, expected)
+            assert type(step.h_to_target) is float
 
     def test_perturbed_orbit_target_distance_monotone(self, sqrt_tg, square_tg):
         # contractive-toward-x* perturbations approach the target monotonically

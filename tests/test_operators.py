@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from setfix import (
     Piece,
     SchemaError,
     Takahashi,
-    affine_combine,
     check_perturbation_axioms,
     dist_point_to_set,
     excess,
@@ -29,8 +29,14 @@ from setfix import (
     perturb,
     perturbation_from_json,
 )
-from setfix.operators import ORDER_SLACK, VALIDATION_STEP, dist_to_value, hausdorff_between_values, hausdorff_to_point
-from oracles import brute_set_image, catalog_operators, random_subunion, range_on_set_image
+from setfix.operators import ORDER_SLACK, dist_to_value, hausdorff_between_values, hausdorff_to_point
+from oracles import (
+    affine_combine,
+    brute_set_image,
+    catalog_operators,
+    random_subunion,
+    range_on_set_image,
+)
 
 
 def identity_operator():
@@ -333,6 +339,42 @@ class TestAxiomCheck:
         assert rep.max_identity_dev == abs(0.5 * -2.0 + 0.25 * -2.0 + 0.1 + 2.0)
 
 
+def _flanked(lower, upper, lo, hi, dom):
+    """An operator on dom with (lower, upper) on [lo, hi] and a constant elsewhere."""
+    flat = BoundaryFn(offset=lo)
+    b = dom.bounds
+    return MultivaluedOperator(dom, (Piece(Interval(b.lo, lo), flat, flat),
+                                     Piece(Interval(lo, hi), lower, upper),
+                                     Piece(Interval(hi, b.hi), flat, flat)))
+
+
+def _order_witness(exc: Exception) -> float:
+    """The x named by an order rejection."""
+    return float(re.search(r"exceeds upper at x=(\S+) on piece", str(exc)).group(1))
+
+
+@st.composite
+def _monotone_pair(draw):
+    """Catalog terms (lower, upper) and a piece [lo, hi] where both are monotone."""
+    sqrt_kinds = draw(st.booleans())
+    bases = ["none", "power", "sqrt", "invsqrt"] if sqrt_kinds else ["none", "power"]
+    coef = st.floats(-2.0, 2.0)
+
+    def term():
+        base = draw(st.sampled_from(bases))
+        return BoundaryFn(base=base, p=draw(st.integers(1, 4)),
+                          coeff=0.0 if base == "none" else draw(coef),
+                          slope=draw(coef), offset=draw(coef))
+
+    lower, upper = term(), term()
+    lo = draw(st.floats(0.05, 2.0) if sqrt_kinds else st.floats(-2.0, 2.0))
+    hi = lo + draw(st.floats(0.01, 2.0))
+    # the widest monotone stretch between the extrema of either term
+    cuts = sorted({lo, hi, *lower.critical_points(lo, hi), *upper.critical_points(lo, hi)})
+    k = int(np.argmax(np.diff(cuts)))
+    return lower, upper, cuts[k], cuts[k + 1]
+
+
 class TestValidation:
     def test_non_self_map_rejected(self):
         term = BoundaryFn(slope=1.0, offset=0.5)
@@ -353,24 +395,77 @@ class TestValidation:
             MultivaluedOperator(Domain(Interval(0.0, 1.0)),
                                 (Piece(Interval(0.0, 1.0), lo, hi),))
 
-    def test_crossing_between_validation_nodes_raises_at_eval(self):
+    @staticmethod
+    def _narrow_crossing():
         # lower is the tangent of x^2 at c raised by 1e-9, so it lies above
         # upper = x^2 only within about 3.2e-5 of c; c is midway between two
-        # nodes of the validation grid, so the operator constructs
-        c = 0.5 + 5000.5 * VALIDATION_STEP
+        # nodes of a 1e-4 grid, which a sampled check would miss
+        c = 0.5 + 5000.5e-4
         lower = BoundaryFn(slope=2.0 * c, offset=1e-9 - c * c)
         upper = BoundaryFn(base="power", p=2, coeff=1.0)
-        flat = BoundaryFn(offset=1.0)
-        t = MultivaluedOperator(Domain(Interval(-1.0, 3.0)),
-                                (Piece(Interval(-1.0, 0.5), flat, flat),
-                                 Piece(Interval(0.5, 1.5), lower, upper),
-                                 Piece(Interval(1.5, 3.0), flat, flat)))
+        return c, lower, upper
+
+    def test_narrow_crossing_rejected_at_construction(self):
+        c, lower, upper = self._narrow_crossing()
+        with pytest.raises(ValueError, match="lower boundary exceeds upper") as exc:
+            _flanked(lower, upper, 0.5, 1.5, Domain(Interval(-1.0, 3.0)))
+        x = _order_witness(exc.value)
+        assert abs(x - c) < 3.2e-5
+        assert lower.value(x) - upper.value(x) > ORDER_SLACK
+
+    def test_narrow_crossing_raises_at_eval(self, monkeypatch):
+        c, lower, upper = self._narrow_crossing()
+        monkeypatch.setattr(MultivaluedOperator, "_validate_piece", lambda self, pc: None)
+        t = _flanked(lower, upper, 0.5, 1.5, Domain(Interval(-1.0, 3.0)))
         assert lower.value(c) - upper.value(c) > 0.9e-9
         with pytest.raises(BoundaryOrderError, match=f"x={c!r}"):
             t.eval(c)
         with pytest.raises(BoundaryOrderError, match=f"x={c!r}"):
             t.eval_grid(np.array([0.0, 1.0, c, 2.0]))
         assert t.eval(1.0).parts[0].hi == 1.0
+
+    def test_mixed_base_tangency(self):
+        # 4 sqrt(x) - 3 touches x^2 from below at x = 1 only
+        lower = BoundaryFn(base="sqrt", coeff=4.0, offset=-3.0)
+        upper = BoundaryFn(base="power", p=2, coeff=1.0)
+        dom = Domain(Interval(-1.0, 5.0))
+        _flanked(lower, upper, 0.5, 2.0, dom)
+        with pytest.raises(ValueError, match="lower boundary exceeds upper") as exc:
+            _flanked(lower.shifted(1e-9), upper, 0.5, 2.0, dom)
+        x = _order_witness(exc.value)
+        assert abs(x - 1.0) < 1e-6
+        assert lower.shifted(1e-9).value(x) - upper.value(x) > ORDER_SLACK
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_order_decided_at_the_exact_minimum(self, data):
+        lower, upper, lo, hi = data.draw(_monotone_pair())
+        xs = np.linspace(lo, hi, 10_001)
+        # shift lower so the sampled minimum gap lands on a value near the slack
+        gap_min = float(np.min(upper.value_array(xs) - lower.value_array(xs)))
+        target = data.draw(st.sampled_from([0.0, 1e-13, -1e-13, 1e-11, -1e-11,
+                                            1e-9, -1e-9, 1e-3]))
+        lower = lower.shifted(gap_min - target)
+        vals = [*lower.range_on(lo, hi), *upper.range_on(lo, hi)]
+        dom = Domain(Interval(min(lo, *vals) - 1.0, max(hi, *vals) + 1.0))
+        try:
+            _flanked(lower, upper, lo, hi, dom)
+        except ValueError as exc:
+            x = _order_witness(exc)
+            assert lo <= x <= hi
+            assert lower.value(x) - upper.value(x) > ORDER_SLACK
+        else:
+            assert np.all(lower.value_array(xs) - upper.value_array(xs) <= ORDER_SLACK)
+
+    def test_construction_takes_no_samples(self, monkeypatch):
+        calls = []
+        value_array = BoundaryFn.value_array
+        monkeypatch.setattr(BoundaryFn, "value_array",
+                            lambda self, xs: calls.append(1) or value_array(self, xs))
+        t = setfix.sqrt_example()
+        perturb(t, Takahashi(0.75))
+        setfix.constant_operator(t.domain, 1.0)
+        assert calls == []
 
     def test_ends_within_order_slack_are_swapped(self):
         lo, hi = BoundaryFn(offset=0.5 + 0.5 * ORDER_SLACK), BoundaryFn(offset=0.5)
@@ -424,6 +519,7 @@ class TestJsonSchema:
     @pytest.mark.parametrize("reader, obj", [
         (BoundaryFn.from_json, {"kind": "const", "value": True}),
         (BoundaryFn.from_json, {"kind": "affine", "a": False}),
+        (BoundaryFn.from_json, {"kind": "power", "p": True, "coeff": 1.0}),
         (perturbation_from_json, {"kind": "general", "a": True}),
         (perturbation_from_json, {"kind": "general", "b": True}),
         (perturbation_from_json, {"kind": "general", "c": False}),
@@ -458,17 +554,16 @@ class TestBoundaryFn:
         assert fn.critical_points(-1.0, 1.0) == [0.0]
         assert fn.critical_points(0.5, 1.0) == []
 
+    def test_bool_power_exponent_rejected(self):
+        with pytest.raises(ValueError, match="integer exponent"):
+            BoundaryFn(base="power", p=True, coeff=1.0)
+
     def test_critical_points_cubic_with_slope(self):
         # f = x^3 - 0.75 x has extrema at +-0.5
         fn = BoundaryFn(base="power", p=3, coeff=1.0, slope=-0.75)
         pts = fn.critical_points(-1.0, 1.0)
         assert len(pts) == 2
         assert abs(pts[0] + 0.5) < 1e-12 and abs(pts[1] - 0.5) < 1e-12
-
-    def test_direction(self):
-        assert BoundaryFn(base="invsqrt", coeff=1.0).direction_on(0.25, 1.0) == -1
-        assert BoundaryFn(base="sqrt", coeff=1.0).direction_on(0.25, 1.0) == 1
-        assert BoundaryFn(offset=3.0).direction_on(0.0, 1.0) == 1  # constant
 
 
 def test_constant_operator_and_shift(sqrt_t):
