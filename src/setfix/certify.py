@@ -21,13 +21,16 @@ terms are symmetric, so it is the same constraint).  The ordered pair (j, i)
 is thus the mirrored orientation a*u + b*w + g*v - lhs of entry (i, j).
 The entries are row blocks of max(1, 2**15 // n) rows i by columns j > r0,
 back to back, so each block is one contiguous, cache-sized slice; corner
-entries j <= i carry lhs = -inf and never bind.  The witness pass (once per
-pair: required = lhs / max(u, v, w) is the same in both orientations) and
-every full sweep run block by block; a sweep forms a*u + b*v + g*w - lhs in
-that order, so it equals the plain expression bit for bit, and a later
-block replaces a running best only when strictly better.  So the witness is
-the first ordered pair in row-major order attaining it, since a pair below
-the diagonal comes after its mirror above it.
+entries j <= i carry lhs = -inf and never bind.  The four entry arrays are
+the rows of one allocation, which the heap keeps for the next call instead
+of returning its pages to the OS and faulting them in again.  The witness
+pass (once per pair: required = lhs / max(u, v, w) is the same in both
+orientations) and every full sweep run block by block; a sweep forms
+a*u + b*v + g*w - lhs in that order, so it equals the plain expression bit
+for bit, and a later block replaces a running best only when strictly
+better.  So the witness is the first ordered pair in row-major order
+attaining it, since a pair below the diagonal comes after its mirror above
+it.
 The search is serial and screened: each candidate's minimum over a small
 working set of pair rows (seeded with the witness pair, the largest LHS and
 each block's hardest pair) is an exact upper bound on its margin, computed
@@ -63,6 +66,7 @@ from .errors import (
     ParameterRangeError,
     SchemaError,
     StrictFixedPointMismatchError,
+    is_json_number,
 )
 from .iteration import STRICT_TOL, strict_defect
 from .operators import (
@@ -154,15 +158,49 @@ class ContractionCertificate:
 
     @classmethod
     def from_json(cls, obj: dict, variant: str = "ciric") -> "ContractionCertificate":
+        """Load a certificate written by to_json; alpha, witness and skipped
+        may be omitted (no params, no witness, 0 skipped).  Any missing
+        required key or value of the wrong JSON type raises SchemaError."""
         if not isinstance(obj, dict):
             raise SchemaError("certificate JSON must be an object")
+        feasible = _json_field(obj, "feasible", lambda v: isinstance(v, bool), "a bool")
         params = None
         if obj.get("alpha") is not None:
-            params = ContractionParams(obj["alpha"], obj["beta"], obj["gamma"], variant)
+            abg = (_json_field(obj, k, is_json_number, "a number")
+                   for k in ("alpha", "beta", "gamma"))
+            try:
+                params = ContractionParams(*map(float, abg), variant)
+            except ParameterRangeError as exc:
+                raise SchemaError(f"certificate params: {exc}") from exc
+        elif feasible:
+            raise SchemaError("a feasible certificate must carry alpha, beta and gamma")
+        margin = float(_json_field(obj, "margin", is_json_number, "a number"))
         wit = obj.get("witness")
-        witness = None if wit is None else Witness(wit["x"], wit["y"], wit["bound"])
-        return cls(bool(obj["feasible"]), params, float(obj["margin"]), witness,
-                   int(obj["grid_n"]), int(obj.get("skipped", 0)))
+        witness = None
+        if wit is not None:
+            if not isinstance(wit, dict):
+                raise SchemaError(f"certificate 'witness' must be an object, got {wit!r}")
+            witness = Witness(*(float(_json_field(wit, k, is_json_number, "a number"))
+                                for k in ("x", "y", "bound")))
+        grid_n = _json_field(obj, "grid_n", _is_json_int, "an integer")
+        skipped = 0
+        if "skipped" in obj:
+            skipped = _json_field(obj, "skipped", _is_json_int, "an integer")
+        return cls(feasible, params, margin, witness, grid_n, skipped)
+
+
+def _is_json_int(v: object) -> bool:
+    return is_json_number(v) and isinstance(v, int)
+
+
+def _json_field(obj: dict, key: str, ok, what: str):
+    """obj[key], or SchemaError if it is missing or fails ok."""
+    if key not in obj:
+        raise SchemaError(f"certificate JSON is missing {key!r}")
+    v = obj[key]
+    if not ok(v):
+        raise SchemaError(f"certificate {key!r} must be {what}, got {v!r}")
+    return v
 
 
 #: Pairs per row block: the pair system is built and swept max(1, _BLOCK // n)
@@ -186,9 +224,12 @@ class _PairSystem:
     of the orientation (i, j) (ciric: D(x_i, T(x_j)), D(x_j, T(x_i));
     ciric_reich_rus: D(x_i, T(x_i)), D(x_j, T(x_j)); combined: their sums)
     are flat arrays of row-block rectangles, rows r0:r1 by columns r0+1:n,
-    stored back to back; the corner entries j <= i carry lhs = -inf.  A row
-    of the system is (entry, orientation), orientation 1 being the mirrored
-    pair (j, i), which reads v and w swapped.
+    stored back to back; the corner entries j <= i carry lhs = -inf.  They
+    are the four rows of one (4, E) block: four separate arrays, freed
+    together, trimmed glibc's heap top and cost about 1 200 page faults per
+    call at grid 501.  A row of the system is (entry, orientation),
+    orientation 1 being the mirrored pair (j, i), which reads v and w
+    swapped.
     """
 
     def __init__(self, t: MultivaluedOperator, variant: str, xs: np.ndarray) -> None:
@@ -198,7 +239,7 @@ class _PairSystem:
         self.r0s = list(range(0, n - 1, rows))
         shapes = [(min(r0 + rows, n - 1) - r0, n - 1 - r0) for r0 in self.r0s]
         self.ends = [0, *itertools.accumulate(h * w for h, w in shapes)]
-        self.u, self.lhs, self.v, self.w = (np.empty(self.ends[-1]) for _ in range(4))
+        self.u, self.lhs, self.v, self.w = np.empty((4, self.ends[-1]))
         lo, hi = t.eval_grid(xs)
         d = dist_to_value(xs, lo, hi)
         for r0, (h, width), e0, e1 in zip(self.r0s, shapes, self.ends, self.ends[1:]):

@@ -1,7 +1,13 @@
 from __future__ import annotations
 
 import json
+import os
+import platform
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,6 +126,76 @@ class TestCertifyContraction:
             assert clone.params == cert.params
             assert clone.margin == cert.margin
             assert clone.witness == cert.witness
+
+    _CERT_BLOBS = {
+        "feasible": {"feasible": True, "alpha": 0.5, "beta": 0.25, "gamma": 0.0,
+                     "margin": 0.0, "witness": None, "grid_n": 101, "skipped": 3},
+        "infeasible": {"feasible": False, "alpha": None, "beta": None, "gamma": None,
+                       "margin": -0.5, "witness": {"x": 0.0, "y": 1.0, "bound": 2.0},
+                       "grid_n": 101, "skipped": 0},
+    }
+
+    @pytest.mark.parametrize("base, key, value", [
+        ("infeasible", "feasible", "no"),
+        ("infeasible", "feasible", 0),
+        ("feasible", "feasible", 1),
+        ("infeasible", "margin", True),
+        ("infeasible", "margin", "0.5"),
+        ("infeasible", "margin", None),
+        ("infeasible", "grid_n", 2.7),
+        ("infeasible", "grid_n", 101.0),
+        ("infeasible", "grid_n", True),
+        ("infeasible", "skipped", 1.5),
+        ("infeasible", "skipped", False),
+        ("infeasible", "witness", [0.0, 1.0, 2.0]),
+        ("infeasible", "witness", {"x": True, "y": 1.0, "bound": 2.0}),
+        ("infeasible", "witness", {"x": 0.0, "y": "1", "bound": 2.0}),
+        ("infeasible", "witness", {"x": 0.0, "y": 1.0, "bound": None}),
+        ("feasible", "alpha", True),
+        ("feasible", "beta", "0.25"),
+        ("feasible", "gamma", None),
+        ("feasible", "alpha", 0.9),
+    ])
+    def test_certificate_json_rejects_wrong_types(self, base, key, value):
+        with pytest.raises(setfix.SchemaError):
+            ContractionCertificate.from_json({**self._CERT_BLOBS[base], key: value})
+
+    def test_certificate_json_rejects_the_loose_blob(self):
+        blob = {"feasible": "no", "alpha": None, "margin": True, "witness": None,
+                "grid_n": 2.7}
+        with pytest.raises(setfix.SchemaError, match="feasible"):
+            ContractionCertificate.from_json(blob)
+
+    def test_feasible_certificate_json_needs_params(self):
+        blob = {**self._CERT_BLOBS["feasible"], "alpha": None}
+        with pytest.raises(setfix.SchemaError, match="feasible certificate"):
+            ContractionCertificate.from_json(blob)
+        del blob["alpha"]
+        with pytest.raises(setfix.SchemaError, match="feasible certificate"):
+            ContractionCertificate.from_json(blob)
+
+    @pytest.mark.parametrize("base, key", [
+        ("infeasible", "feasible"), ("infeasible", "margin"), ("infeasible", "grid_n"),
+        ("feasible", "beta"), ("feasible", "gamma"),
+        ("infeasible", "x"), ("infeasible", "y"), ("infeasible", "bound"),
+    ])
+    def test_certificate_json_missing_key(self, base, key):
+        blob = json.loads(json.dumps(self._CERT_BLOBS[base]))
+        if key in ("x", "y", "bound"):
+            del blob["witness"][key]
+        else:
+            del blob[key]
+        with pytest.raises(setfix.SchemaError, match=f"missing '{key}'"):
+            ContractionCertificate.from_json(blob)
+
+    def test_certificate_json_optional_keys(self):
+        blob = {k: v for k, v in self._CERT_BLOBS["infeasible"].items()
+                if k not in ("alpha", "beta", "gamma", "witness", "skipped")}
+        cert = ContractionCertificate.from_json(blob)
+        assert (cert.params, cert.witness, cert.skipped) == (None, None, 0)
+        cert = ContractionCertificate.from_json(self._CERT_BLOBS["feasible"])
+        assert cert.params == ContractionParams(0.5, 0.25, 0.0)
+        assert (cert.margin, cert.sample_grid, cert.skipped) == (0.0, 101, 3)
 
 
 class TestContractionParams:
@@ -359,7 +435,7 @@ def _peak_bytes(fn) -> int:
 
 @pytest.mark.parametrize("name", ["sqrt|0.75", "square|0.5"])
 def test_certify_memory_bounded(name):
-    # four arrays of about n x n / 2 entries and row-block buffers of about
+    # a block of four rows of about n x n / 2 entries and row-block buffers of about
     # 2**15 floats: at most 3.5 n x n float arrays live at once, for every variant
     op = _named_operator(name)
     n = 501
@@ -369,6 +445,40 @@ def test_certify_memory_bounded(name):
     n = 2001
     peak = _peak_bytes(lambda: certify_contraction(op, "ciric", n))
     assert peak < 2.5 * n * n * 8, peak / (n * n * 8)
+
+
+_FAULT_PROBE = textwrap.dedent("""
+    import resource
+    import setfix
+
+    t = setfix.square_example()
+    ops = (t, setfix.perturb(t, setfix.Takahashi(0.5)))
+    for op in ops:
+        setfix.certify_contraction(op, "ciric", 501)
+    for op in ops:
+        for _ in range(10):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            setfix.certify_contraction(op, "ciric", 501)
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+""")
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="counts glibc heap page faults on Linux")
+def test_certify_reuses_pair_system_pages():
+    # the pair system is one block, which the allocator keeps between calls;
+    # as four separate arrays their frees trimmed the heap top, so every call
+    # faulted about 1 200 pages in again.  A fresh interpreter is needed:
+    # larger grids earlier in the session raise the allocator's thresholds
+    # and would hide those faults.
+    src = str(Path(setfix.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", _FAULT_PROBE], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    faults = [int(line) for line in out.split()]
+    assert len(faults) == 20
+    assert max(faults) < 100, faults
 
 
 @pytest.mark.parametrize("name", _DIFF_OPERATORS)
