@@ -66,7 +66,10 @@ from .errors import (
     ParameterRangeError,
     SchemaError,
     StrictFixedPointMismatchError,
+    is_json_int,
     is_json_number,
+    json_field,
+    json_keys,
 )
 from .iteration import STRICT_TOL, strict_defect
 from .operators import (
@@ -144,7 +147,7 @@ class ContractionCertificate:
     skipped: int
 
     def to_json(self) -> dict:
-        return {
+        out = {
             "feasible": self.feasible,
             "alpha": None if self.params is None else self.params.alpha,
             "beta": None if self.params is None else self.params.beta,
@@ -155,52 +158,38 @@ class ContractionCertificate:
             "grid_n": self.sample_grid,
             "skipped": self.skipped,
         }
+        if self.params is not None and self.params.variant != "ciric":
+            out["variant"] = self.params.variant
+        return out
 
     @classmethod
-    def from_json(cls, obj: dict, variant: str = "ciric") -> "ContractionCertificate":
-        """Load a certificate written by to_json; alpha, witness and skipped
-        may be omitted (no params, no witness, 0 skipped).  Any missing
-        required key or value of the wrong JSON type raises SchemaError."""
-        if not isinstance(obj, dict):
-            raise SchemaError("certificate JSON must be an object")
-        feasible = _json_field(obj, "feasible", lambda v: isinstance(v, bool), "a bool")
+    def from_json(cls, obj: object) -> "ContractionCertificate":
+        """Load to_json's output; alpha, witness, skipped and variant may be omitted
+        (no params, no witness, 0 skipped, "ciric").  Bad JSON raises SchemaError."""
+        json_keys(obj, ("feasible", "alpha", "beta", "gamma", "margin", "witness",
+                        "grid_n", "skipped", "variant"), "certificate")
+        number = is_json_number, "a number", "certificate"
+        feasible = json_field(obj, "feasible", lambda v: isinstance(v, bool), "a bool",
+                              "certificate")
+        variant = json_field(obj, "variant", lambda v: v in VARIANTS, f"one of {VARIANTS}",
+                             "certificate", "ciric")
         params = None
         if obj.get("alpha") is not None:
-            abg = (_json_field(obj, k, is_json_number, "a number")
-                   for k in ("alpha", "beta", "gamma"))
+            abg = [float(json_field(obj, k, *number)) for k in ("alpha", "beta", "gamma")]
             try:
-                params = ContractionParams(*map(float, abg), variant)
+                params = ContractionParams(*abg, variant)
             except ParameterRangeError as exc:
                 raise SchemaError(f"certificate params: {exc}") from exc
         elif feasible:
             raise SchemaError("a feasible certificate must carry alpha, beta and gamma")
-        margin = float(_json_field(obj, "margin", is_json_number, "a number"))
-        wit = obj.get("witness")
-        witness = None
-        if wit is not None:
-            if not isinstance(wit, dict):
-                raise SchemaError(f"certificate 'witness' must be an object, got {wit!r}")
-            witness = Witness(*(float(_json_field(wit, k, is_json_number, "a number"))
-                                for k in ("x", "y", "bound")))
-        grid_n = _json_field(obj, "grid_n", _is_json_int, "an integer")
-        skipped = 0
-        if "skipped" in obj:
-            skipped = _json_field(obj, "skipped", _is_json_int, "an integer")
-        return cls(feasible, params, margin, witness, grid_n, skipped)
-
-
-def _is_json_int(v: object) -> bool:
-    return is_json_number(v) and isinstance(v, int)
-
-
-def _json_field(obj: dict, key: str, ok, what: str):
-    """obj[key], or SchemaError if it is missing or fails ok."""
-    if key not in obj:
-        raise SchemaError(f"certificate JSON is missing {key!r}")
-    v = obj[key]
-    if not ok(v):
-        raise SchemaError(f"certificate {key!r} must be {what}, got {v!r}")
-    return v
+        witness = obj.get("witness")
+        if witness is not None:
+            json_keys(witness, Witness._fields, "witness")
+            witness = Witness(*(float(json_field(witness, k, is_json_number, "a number",
+                                                 "witness")) for k in Witness._fields))
+        return cls(feasible, params, float(json_field(obj, "margin", *number)), witness,
+                   json_field(obj, "grid_n", is_json_int, "an integer", "certificate"),
+                   json_field(obj, "skipped", is_json_int, "an integer", "certificate", 0))
 
 
 #: Pairs per row block: the pair system is built and swept max(1, _BLOCK // n)

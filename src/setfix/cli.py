@@ -7,7 +7,7 @@ import json
 import sys
 from pathlib import Path
 
-from .certify import certify_contraction
+from .certify import VARIANTS, certify_contraction
 from .errors import SetfixError
 from .iteration import orbit_to_csv, picard_orbit
 from .operators import BUILTIN_OPERATORS, MultivaluedOperator, Takahashi, get_builtin, perturb
@@ -65,8 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("operator", help="built-in operator name or operator JSON path")
     p_cert.add_argument("--perturb-lam", type=float, default=None,
                         help="certify the Takahashi perturbation with this lambda")
-    p_cert.add_argument("--variant", choices=("ciric", "ciric_reich_rus", "combined"),
-                        default="ciric")
+    p_cert.add_argument("--variant", choices=VARIANTS, default="ciric")
     p_cert.add_argument("--margin-req", type=float, default=0.0)
     _add_shared(p_cert, "grid", "out")
     p_cert.set_defaults(grid=501)

@@ -1,5 +1,6 @@
-"""Exception hierarchy shared by all setfix modules, and the JSON number test
-that every reader of serialized input applies before raising SchemaError."""
+"""Exception hierarchy shared by all setfix modules, and the one JSON field reader."""
+
+import math
 
 
 class SetfixError(Exception):
@@ -59,6 +60,46 @@ class SchemaError(SetfixError):
 
 
 def is_json_number(v: object) -> bool:
-    """True for a JSON number: an int or float that is not a bool (a bool is an
-    int to Python, but true and false are not numbers in JSON)."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """True for a JSON number: a finite int or float that is not a bool (true,
+    false, NaN and Infinity are not JSON numbers, though Python reads them)."""
+    try:
+        return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:  # an int beyond the range of a float
+        return False
+
+
+def is_json_int(v: object) -> bool:
+    return is_json_number(v) and isinstance(v, int)
+
+
+def is_json_pair(v: object) -> bool:
+    """True for an interval [lo, hi] of two JSON numbers with lo <= hi."""
+    return (isinstance(v, (list, tuple)) and len(v) == 2
+            and all(map(is_json_number, v)) and float(v[0]) <= float(v[1]))
+
+
+_REQUIRED = object()
+
+
+def json_field(obj: object, key: str, test, what: str, reader: str,
+               default: object = _REQUIRED):
+    """obj[key] if it passes test (described by what), or default if key is absent
+    and a default is given; else SchemaError, naming reader, key and bad value."""
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{reader} must be a JSON object with {key!r}, got {obj!r}")
+    if key not in obj:
+        if default is _REQUIRED:
+            raise SchemaError(f"{reader} is missing {key!r}")
+        return default
+    if not test(obj[key]):
+        raise SchemaError(f"{reader} {key!r} must be {what}, got {obj[key]!r}")
+    return obj[key]
+
+
+def json_keys(obj: object, keys, reader: str) -> None:
+    """Raise SchemaError unless obj is a JSON object with no key outside keys."""
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{reader} must be a JSON object, got {obj!r}")
+    for k in obj:
+        if k not in keys:
+            raise SchemaError(f"{reader} has unknown key {k!r}; it takes {list(keys)}")

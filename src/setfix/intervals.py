@@ -41,7 +41,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import EmptySetError, ParameterRangeError, SchemaError, is_json_number
+from .errors import EmptySetError, ParameterRangeError, is_json_pair, json_field, json_keys
 
 #: Canonicalization constant: parts whose gap is <= MERGE_EPS are merged.
 MERGE_EPS = 1e-12
@@ -150,23 +150,10 @@ def normalize(raw: Iterable[Interval | Sequence[float]],
 
 def set_from_json(obj: object, ambient: Interval | None = None) -> IntervalUnion:
     """Parse ``{"parts": [[lo, hi], ...]}``, re-normalizing; reject bad shapes."""
-    if not isinstance(obj, dict) or "parts" not in obj:
-        raise SchemaError("set JSON must be an object with a 'parts' key")
-    parts = obj["parts"]
-    if not isinstance(parts, list) or not parts:
-        raise SchemaError("set JSON 'parts' must be a nonempty list")
-    out = []
-    for entry in parts:
-        if (not isinstance(entry, (list, tuple)) or len(entry) != 2
-                or not all(is_json_number(v) for v in entry)):
-            raise SchemaError(f"set JSON part must be a [lo, hi] pair, got {entry!r}")
-        lo, hi = float(entry[0]), float(entry[1])
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise SchemaError(f"set JSON part endpoints must be finite, got {entry!r}")
-        if lo > hi:
-            raise SchemaError(f"set JSON part has lo > hi: {entry!r}")
-        out.append(Interval(lo, hi))
-    return normalize(out, ambient)
+    json_keys(obj, ("parts",), "set")
+    parts = json_field(obj, "parts", lambda v: isinstance(v, list) and v != []
+                       and all(map(is_json_pair, v)), "a nonempty list of [lo, hi]", "set")
+    return normalize([Interval(float(lo), float(hi)) for lo, hi in parts], ambient)
 
 
 def _dist_around(x: float, los: tuple, his: tuple, i: int) -> float:

@@ -34,7 +34,11 @@ from .errors import (
     OutOfDomainError,
     ParameterRangeError,
     SchemaError,
+    is_json_int,
     is_json_number,
+    is_json_pair,
+    json_field,
+    json_keys,
 )
 from .intervals import AMBIENT_TOL, Domain, Interval, IntervalUnion, normalize
 
@@ -47,6 +51,11 @@ SELF_MAP_SLACK = 1e-9
 ORDER_SLACK = 1e-12
 
 _BASES = ("none", "power", "sqrt", "invsqrt")
+
+#: The keys of each term kind in JSON; a const term may give its value as "b".
+_TERM_KEYS = {"const": ("kind", "value", "b"), "affine": ("kind", "a", "b"),
+              "power": ("kind", "coeff", "p", "slope", "offset"),
+              **dict.fromkeys(("sqrt", "invsqrt"), ("kind", "coeff", "slope", "offset"))}
 
 
 @dataclass(frozen=True)
@@ -62,9 +71,10 @@ class BoundaryFn:
     def __post_init__(self) -> None:
         if self.base not in _BASES:
             raise ValueError(f"unknown base {self.base!r}")
-        if self.base == "power" and (not is_json_number(self.p) or not isinstance(self.p, int)
-                                     or self.p < 1):
+        if self.base == "power" and not (is_json_int(self.p) and self.p >= 1):
             raise ValueError(f"power base needs an integer exponent >= 1, got {self.p!r}")
+        if not all(map(math.isfinite, (self.coeff, self.slope, self.offset))):
+            raise ValueError(f"term coefficients must be finite, got {self!r}")
 
     # -- evaluation ---------------------------------------------------------
 
@@ -179,26 +189,21 @@ class BoundaryFn:
 
     @classmethod
     def from_json(cls, obj: object) -> "BoundaryFn":
-        if not isinstance(obj, dict) or "kind" not in obj:
-            raise SchemaError(f"term must be an object with a 'kind', got {obj!r}")
-        kind = obj["kind"]
-        def num(key, default=None):
-            v = obj.get(key, default)
-            if not is_json_number(v):
-                raise SchemaError(f"term field {key!r} must be a number in {obj!r}")
-            return float(v)
+        kind = json_field(obj, "kind", lambda v: isinstance(v, str) and v in _TERM_KEYS,
+                          f"one of {list(_TERM_KEYS)}", "term")
+        json_keys(obj, _TERM_KEYS[kind], "term")
+        number = is_json_number, "a number", "term"
+        b = float(json_field(obj, "b", *number, 0.0))  # const and affine terms only
         if kind == "const":
-            return cls(offset=num("value", obj.get("b", 0.0)))
+            return cls(offset=float(json_field(obj, "value", *number, b)))
         if kind == "affine":
-            return cls(slope=num("a"), offset=num("b", 0.0))
-        if kind in ("power", "sqrt", "invsqrt"):
-            p = obj.get("p", 2)
-            if kind == "power" and (not is_json_number(p) or not isinstance(p, int) or p < 1):
-                raise SchemaError(f"power term needs integer p >= 1, got {p!r}")
-            return cls(base=kind, p=p if kind == "power" else 2,
-                       coeff=num("coeff", 1.0), slope=num("slope", 0.0),
-                       offset=num("offset", 0.0))
-        raise SchemaError(f"unknown term kind {kind!r}")
+            return cls(slope=float(json_field(obj, "a", *number)), offset=b)
+        return cls(base=kind,
+                   p=json_field(obj, "p", lambda v: is_json_int(v) and v >= 1,
+                                "an integer >= 1", "term", 2),
+                   coeff=float(json_field(obj, "coeff", *number, 1.0)),
+                   slope=float(json_field(obj, "slope", *number, 0.0)),
+                   offset=float(json_field(obj, "offset", *number, 0.0)))
 
 
 @dataclass(frozen=True)
@@ -397,31 +402,19 @@ class MultivaluedOperator:
 
     @classmethod
     def from_json(cls, obj: object, name: str = "") -> "MultivaluedOperator":
-        if not isinstance(obj, dict):
-            raise SchemaError("operator JSON must be an object")
-        dom = obj.get("domain")
-        if (not isinstance(dom, (list, tuple)) or len(dom) != 2
-                or not all(is_json_number(v) for v in dom)):
-            raise SchemaError(f"operator 'domain' must be [lo, hi], got {dom!r}")
-        pieces_json = obj.get("pieces")
-        if not isinstance(pieces_json, list) or not pieces_json:
-            raise SchemaError("operator 'pieces' must be a nonempty list")
+        json_keys(obj, ("domain", "pieces"), "operator")
+        dom = json_field(obj, "domain", is_json_pair, "[lo, hi] with lo <= hi", "operator")
         pieces = []
-        for pj in pieces_json:
-            if not isinstance(pj, dict) or "sub" not in pj:
-                raise SchemaError(f"piece must be an object with 'sub', got {pj!r}")
-            sub = pj["sub"]
-            if (not isinstance(sub, (list, tuple)) or len(sub) != 2
-                    or not all(is_json_number(v) for v in sub)):
-                raise SchemaError(f"piece 'sub' must be [a, b], got {sub!r}")
-            pieces.append(Piece(
-                Interval(float(sub[0]), float(sub[1])),
-                BoundaryFn.from_json(pj.get("lower")),
-                BoundaryFn.from_json(pj.get("upper")),
-            ))
+        for pj in json_field(obj, "pieces", lambda v: isinstance(v, list) and v != [],
+                             "a nonempty list", "operator"):
+            json_keys(pj, ("sub", "lower", "upper"), "piece")
+            a, b = json_field(pj, "sub", is_json_pair, "[a, b] with a <= b", "piece")
+            terms = [BoundaryFn.from_json(json_field(pj, k, lambda v: isinstance(v, dict),
+                                                     "a term object", "piece"))
+                     for k in ("lower", "upper")]
+            pieces.append(Piece(Interval(float(a), float(b)), *terms))
         try:
-            return cls(Domain(Interval(float(dom[0]), float(dom[1]))),
-                       tuple(pieces), name=name)
+            return cls(Domain(Interval(float(dom[0]), float(dom[1]))), tuple(pieces), name=name)
         except ValueError as exc:
             raise SchemaError(f"invalid operator: {exc}") from exc
 
@@ -497,26 +490,15 @@ PerturbationSpec = Union[Takahashi, GeneralG]
 
 
 def perturbation_from_json(obj: object) -> PerturbationSpec:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise SchemaError(f"perturbation must be an object with 'kind', got {obj!r}")
-    kind = obj["kind"]
+    kind = json_field(obj, "kind", lambda v: v in ("takahashi", "general"),
+                      "'takahashi' or 'general'", "perturbation")
     if kind == "takahashi":
-        lam = obj.get("lam")
-        if not is_json_number(lam):
-            raise SchemaError("takahashi perturbation needs a numeric 'lam'")
-        try:
-            return Takahashi(float(lam))
-        except ParameterRangeError as exc:
-            raise SchemaError(str(exc)) from exc
-    if kind == "general":
-        vals = []
-        for key in ("a", "b", "c"):
-            v = obj.get(key, 0.0)
-            if not is_json_number(v):
-                raise SchemaError(f"general perturbation field {key!r} must be a number")
-            vals.append(float(v))
-        return GeneralG(*vals)
-    raise SchemaError(f"unknown perturbation kind {kind!r}")
+        json_keys(obj, ("kind", "lam"), "perturbation")
+        return Takahashi(float(json_field(obj, "lam", lambda v: is_json_number(v) and 0 < v < 1,
+                                          "a number strictly inside (0, 1)", "perturbation")))
+    json_keys(obj, ("kind", "a", "b", "c"), "perturbation")
+    return GeneralG(*(float(json_field(obj, k, is_json_number, "a number", "perturbation", 0.0))
+                      for k in ("a", "b", "c")))
 
 
 @dataclass(frozen=True)

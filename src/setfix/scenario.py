@@ -41,7 +41,10 @@ from .errors import (
     ParameterRangeError,
     SchemaError,
     StrictFixedPointMismatchError,
+    is_json_int,
     is_json_number,
+    json_field,
+    json_keys,
 )
 from .iteration import (
     STRICT_TOL,
@@ -52,7 +55,6 @@ from .iteration import (
     steps_to_csv,
 )
 from .operators import (
-    BUILTIN_OPERATORS,
     MultivaluedOperator,
     PerturbationSpec,
     constant_operator,
@@ -130,8 +132,10 @@ _OPTION_RULES = {
                  "a nonempty list of numbers > 0"),
     "final_tol": (lambda v: is_json_number(v) and v > 0, "a number > 0"),
     **dict.fromkeys(("samples_per_eps", "n_max"), (
-        lambda v: is_json_number(v) and isinstance(v, int) and v >= 1, "an integer >= 1")),
-    **dict.fromkeys(("r0", "rho", "delta0", "x0"), (is_json_number, "a number")),
+        lambda v: is_json_int(v) and v >= 1, "an integer >= 1")),
+    **dict.fromkeys(("r0", "rho", "delta0"), (
+        lambda v: is_json_number(v) and v >= 0, "a number >= 0")),
+    "x0": (is_json_number, "a number"),
 }
 
 
@@ -161,103 +165,70 @@ class Scenario:
         return perturbation_from_json(self.perturbation)
 
 
-def _expect(cond: bool, msg: str) -> None:
-    if not cond:
-        raise SchemaError(msg)
-
-
 def _harness_options(opts: dict, x0_list, domain) -> dict[str, dict]:
     """Each harness's options from 'stability_options', checked, with defaults
     filled in (Ostrowski's x0: the first iterate start, else the midpoint of X)."""
-    for key in opts:
-        _expect(key == "harnesses" or key in HARNESSES,
-                f"'stability_options' block {key!r} names no stability harness")
+    json_keys(opts, ("harnesses", *HARNESSES), "'stability_options'")
     out = {}
     for key, harness in _HARNESS_TABLE.items():
-        given = opts.get(key, {})
-        _expect(isinstance(given, dict), f"'stability_options.{key}' must be an object")
-        o = out[key] = {**harness.options, **given}
+        reader = f"'stability_options.{key}'"
+        json_keys(opts.get(key, {}), harness.options, reader)
+        o = out[key] = {**harness.options, **opts.get(key, {})}
         if "x0" in o and o["x0"] is None:
             o["x0"] = x0_list[0] if x0_list else domain.bounds.midpoint
-        try:
-            for name, value in o.items():
-                _expect(name in harness.options,
-                        f"no option {name!r}; it takes {sorted(harness.options)}")
-                test, what = _OPTION_RULES[name]
-                _expect(test(value), f"{name!r} must be {what}, got {value!r}")
-            if "rho" in o:  # a DecaySpec ratio, with r0 or delta0 as its initial value
-                st.DecaySpec(o.get("r0", o.get("delta0")), o["rho"])
-        except (ParameterRangeError, SchemaError) as exc:
-            raise SchemaError(f"'stability_options.{key}': {exc}") from exc
+        for name in o:
+            json_field(o, name, *_OPTION_RULES[name], reader)
     return out
 
 
 def scenario_from_dict(obj: dict, name: str = "") -> Scenario:
-    _expect(isinstance(obj, dict), "scenario must be a JSON object")
-    operator = obj.get("operator")
-    _expect(isinstance(operator, (str, dict)),
-            "scenario 'operator' must be a built-in name or an operator object")
-    if isinstance(operator, str):
-        _expect(operator in BUILTIN_OPERATORS,
-                f"unknown built-in operator {operator!r}")
-    perturbation = obj.get("perturbation")
-    _expect(isinstance(perturbation, dict), "scenario 'perturbation' must be an object")
-    analyses = obj.get("analyses")
-    _expect(isinstance(analyses, list) and analyses, "scenario 'analyses' must be nonempty")
-    for a in analyses:
-        _expect(a in ANALYSES, f"unknown analysis {a!r}; choose from {ANALYSES}")
-    if "stability" in analyses:
-        _expect("certify" in analyses,
-                "'stability' requires 'certify' (its constants come from certification)")
-    grid_n = obj.get("grid_n", 501)
-    _expect(isinstance(grid_n, int) and grid_n >= 2, "scenario 'grid_n' must be >= 2")
-    scan_grid_n = obj.get("scan_grid_n", 10_001)
-    _expect(isinstance(scan_grid_n, int) and scan_grid_n >= 2,
-            "scenario 'scan_grid_n' must be >= 2")
-    tol = obj.get("tol", 1e-10)
-    _expect(is_json_number(tol) and tol > 0, "scenario 'tol' must be > 0")
-    x0_list = obj.get("x0_list", [])
-    _expect(isinstance(x0_list, list), "scenario 'x0_list' must be a list")
-    if "iterate" in analyses:
-        _expect(bool(x0_list), "'iterate' requested but 'x0_list' is empty")
-    for x0 in x0_list:
-        _expect(is_json_number(x0), f"x0 entries must be numbers, got {x0!r}")
-    variant = obj.get("variant", "ciric")
-    _expect(variant in VARIANTS, f"unknown variant {variant!r}")
+    json_keys(obj, ("name", "operator", "perturbation", "analyses", "variant", "grid_n",
+                    "scan_grid_n", "tol", "x0_list", "stability_options", "output"), "scenario")
+    grid_size = (lambda v: is_json_int(v) and v >= 2), "an integer >= 2", "scenario"
+    analyses = json_field(obj, "analyses", lambda v: (
+        isinstance(v, list) and v != [] and ("stability" not in v or "certify" in v)),
+        "a nonempty list, with 'certify' if it has 'stability'", "scenario")
+    x0_list = json_field(obj, "x0_list", lambda v: isinstance(v, list) and (
+        v != [] or "iterate" not in analyses) and all(map(is_json_number, v)),
+        "a list of numbers, nonempty for 'iterate'", "scenario", [])
     stability_options = obj.get("stability_options", {})
-    _expect(isinstance(stability_options, dict),
-            "scenario 'stability_options' must be an object")
-    harnesses = stability_options.get("harnesses", list(HARNESSES))
-    _expect(isinstance(harnesses, list) and harnesses,
-            "'stability_options.harnesses' must be a nonempty list")
-    for h in harnesses:
-        _expect(h in HARNESSES, f"unknown stability harness {h!r}")
+    harnesses = json_field(stability_options, "harnesses", lambda v: isinstance(v, list)
+                           and v != [], "a nonempty list", "'stability_options'", HARNESSES)
+    for what, names, known in (("analysis", analyses, ANALYSES),
+                               ("stability harness", harnesses, HARNESSES)):
+        for n in names:
+            if n not in known:
+                raise SchemaError(f"unknown {what} {n!r}; choose from {known}")
     output = obj.get("output", {})
-    _expect(isinstance(output, dict), "scenario 'output' must be an object")
-    fmt = output.get("format", "json")
-    _expect(fmt in ("json", "csv"), "output format must be 'json' or 'csv'")
-
+    json_keys(output, ("path", "format"), "output")
+    json_field(output, "path", lambda v: isinstance(v, str), "a string", "output", None)
+    json_field(output, "format", lambda v: v in ("json", "csv"), "'json' or 'csv'", "output",
+               "json")
     scenario = Scenario(
         name=obj.get("name", name),
-        operator=operator,
-        perturbation=perturbation,
+        operator=json_field(obj, "operator", lambda v: isinstance(v, (str, dict)),
+                            "a built-in operator name or an operator object", "scenario"),
+        perturbation=json_field(obj, "perturbation", lambda v: isinstance(v, dict),
+                                "an object", "scenario"),
         analyses=tuple(analyses),
-        grid_n=grid_n,
-        scan_grid_n=scan_grid_n,
-        tol=float(tol),
+        grid_n=json_field(obj, "grid_n", *grid_size, 501),
+        scan_grid_n=json_field(obj, "scan_grid_n", *grid_size, 10_001),
+        tol=float(json_field(obj, "tol", lambda v: is_json_number(v) and v > 0,
+                             "a number > 0", "scenario", 1e-10)),
         x0_list=tuple(float(x) for x in x0_list),
-        variant=variant,
+        variant=json_field(obj, "variant", lambda v: v in VARIANTS, f"one of {VARIANTS}",
+                           "scenario", "ciric"),
         stability_options=stability_options,
         output=output,
         raw=obj,
     )
-    # domain-dependent validation: x0 inside, perturbation well-formed
+    # domain-dependent validation: operator known, x0 inside, perturbation well-formed
     op = scenario.resolve_operator()
     options = _harness_options(stability_options, scenario.x0_list, op.domain)
     for x0 in (*scenario.x0_list, options["ostrowski"]["x0"]):
-        _expect(op.domain.contains(x0),
-                f"x0 {x0!r} outside operator domain "
-                f"[{op.domain.bounds.lo}, {op.domain.bounds.hi}]")
+        if not op.domain.contains(x0):
+            raise SchemaError(f"x0 {x0!r} outside operator domain "
+                              f"[{op.domain.bounds.lo}, {op.domain.bounds.hi}]")
     scenario.resolve_perturbation()
     return scenario
 

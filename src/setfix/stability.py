@@ -57,8 +57,9 @@ from .errors import (
     NoStrictFixedPointError,
     OutOfDomainError,
     ParameterRangeError,
-    SchemaError,
     is_json_number,
+    json_field,
+    json_keys,
 )
 from .intervals import dist_point_to_set, nearest_point
 from .iteration import scan_fixed_points
@@ -169,12 +170,12 @@ class ComparisonFunction:
 
     @classmethod
     def from_json(cls, obj: object) -> "ComparisonFunction":
-        if not isinstance(obj, dict) or obj.get("kind") not in ("linear", "power"):
-            raise SchemaError(f"comparison function JSON invalid: {obj!r}")
-        C, p = obj.get("C"), obj.get("p", 1.0)
-        if not all(is_json_number(v) for v in (C, p)):
-            raise SchemaError(f"comparison function JSON invalid: {obj!r}")
-        return cls(obj["kind"], float(C), float(p))
+        json_keys(obj, ("kind", "C", "p"), "comparison function")
+        positive = (lambda v: is_json_number(v) and v > 0), "a number > 0", "comparison function"
+        return cls(json_field(obj, "kind", lambda v: v in ("linear", "power"),
+                              "'linear' or 'power'", "comparison function"),
+                   float(json_field(obj, "C", *positive)),
+                   float(json_field(obj, "p", *positive, 1.0)))
 
 
 # -- shared helpers ---------------------------------------------------------------

@@ -188,6 +188,18 @@ class TestCertifyContraction:
         with pytest.raises(setfix.SchemaError, match=f"missing '{key}'"):
             ContractionCertificate.from_json(blob)
 
+    @pytest.mark.parametrize("variant, params", [
+        ("ciric_reich_rus", (0.590625, 0.16875, 0.35625)),
+        ("combined", (0.0, 0.0, 0.65625)),
+    ])
+    def test_certificate_json_round_trip_keeps_the_variant(self, variant, params):
+        tg = setfix.perturb(setfix.sqrt_example(), setfix.Takahashi(0.3))
+        cert = certify_contraction(tg, variant, 101)
+        assert cert.params == ContractionParams(*params, variant)
+        blob = json.loads(json.dumps(cert.to_json()))
+        assert blob["variant"] == variant
+        assert ContractionCertificate.from_json(blob) == cert
+
     def test_certificate_json_optional_keys(self):
         blob = {k: v for k, v in self._CERT_BLOBS["infeasible"].items()
                 if k not in ("alpha", "beta", "gamma", "witness", "skipped")}

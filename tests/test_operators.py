@@ -554,6 +554,12 @@ class TestBoundaryFn:
         assert fn.critical_points(-1.0, 1.0) == [0.0]
         assert fn.critical_points(0.5, 1.0) == []
 
+    @pytest.mark.parametrize("field", ["coeff", "slope", "offset"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_coefficient_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            BoundaryFn(base="sqrt", **{field: value})
+
     def test_bool_power_exponent_rejected(self):
         with pytest.raises(ValueError, match="integer exponent"):
             BoundaryFn(base="power", p=True, coeff=1.0)

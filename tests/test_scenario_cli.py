@@ -308,6 +308,21 @@ class TestCli:
     def test_unknown_scenario_exit_code(self, capsys):
         assert cli_main(["run", "definitely_missing"]) == 2
 
+    def test_nan_coefficient_operator_file_exits_2(self, tmp_path, capsys):
+        op = setfix.sqrt_example().to_json()
+        op["pieces"][1]["upper"]["coeff"] = float("nan")
+        op_path = tmp_path / "nan_op.json"
+        op_path.write_text(json.dumps(op))  # writes the bare token NaN
+        assert cli_main(["certify", str(op_path), "--grid", "51"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "SchemaError" in err and "'coeff'" in err
+
+    def test_non_string_output_path_exits_2(self, tmp_path, capsys):
+        spath = tmp_path / "scenario.json"
+        spath.write_text(json.dumps(minimal_scenario(output={"path": 5})))
+        assert cli_main(["run", str(spath)]) == 2
+        assert "'path'" in capsys.readouterr().err
+
     def test_operator_json_file(self, tmp_path, capsys):
         op_path = tmp_path / "op.json"
         op_path.write_text(json.dumps(setfix.sqrt_example().to_json()))
