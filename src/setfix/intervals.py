@@ -18,7 +18,8 @@ Because the parts are sorted, a point's nearest part is one of the two parts
 around it, and every functional reads the endpoints from the tuples each
 union keeps (``_los``, ``_his``):
 
-* ``dist_point_to_set`` bisects the part starts, O(log |A|);
+* ``dist_point_to_set`` and ``nearest_point`` bisect the part starts,
+  O(log |A|);
 * ``gap`` bisects B's part ends for each part of A, starting where the
   previous search ended, O(|A| log |B|);
 * ``excess`` walks A's endpoints and B's gap midpoints in ascending order
@@ -27,6 +28,18 @@ union keeps (``_los``, ``_his``):
 Each takes the same float expressions over fewer candidates than a scan of
 all parts would, and fl(x - c) is monotone in c, so the values are those of
 the all-pairs scan bit for bit (``tests/oracles.py`` keeps that scan).
+
+``normalize`` and ``excess`` have two paths.  The loop in plain Python costs
+about a microsecond per part; the numpy path costs a fixed dozen or two numpy
+calls and little per part.  Lists and unions of at least
+``VECTOR_MIN_PARTS`` parts (for ``excess``, |A| + |B|) take the numpy path:
+``normalize`` sorts with np.lexsort and merges with a running maximum
+(``_normalize_ends``), ``excess`` finds every nearest part with np.searchsorted.  The
+constant is where the two paths cost the same, measured on unions like those
+of the benchmark; the sets of a Picard orbit have one part each and stay on
+the loops.  Both paths compute the same expressions on the same candidates
+and break ties the loop's way, 0.0 against -0.0 included, so they agree bit
+for bit (``tests/oracles.py`` keeps normalize's merging loop).
 
 Degenerate point intervals are first-class: singletons {x} appear as
 targets of every convergence statement in the rest of the library.
@@ -41,13 +54,18 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import EmptySetError, ParameterRangeError, is_json_pair, json_field, json_keys
+from .errors import (EmptySetError, ParameterRangeError, SchemaError, is_json_pair,
+                     json_field, json_keys)
 
 #: Canonicalization constant: parts whose gap is <= MERGE_EPS are merged.
 MERGE_EPS = 1e-12
 
 #: Slack used when checking containment in an ambient interval.
 AMBIENT_TOL = 1e-9
+
+#: normalize of a raw list and excess of two unions with at least this many
+#: parts between them take the numpy path; below it the loops are faster.
+VECTOR_MIN_PARTS = 20
 
 
 @dataclass(frozen=True, order=True)
@@ -126,8 +144,16 @@ def normalize(raw: Iterable[Interval | Sequence[float]],
               ambient: Interval | None = None) -> IntervalUnion:
     """Canonical sorted disjoint form covering exactly the same point set.
 
-    Intervals whose gap is <= MERGE_EPS are merged into one part.
+    Intervals whose gap is <= MERGE_EPS are merged into one part.  ``raw`` may
+    also be an (n, 2) array of [lo, hi] rows.  Arrays, and lists of at least
+    VECTOR_MIN_PARTS items, take the numpy path.
     """
+    if isinstance(raw, np.ndarray):
+        return _normalize_ends(raw, ambient)
+    raw = list(raw)
+    if len(raw) >= VECTOR_MIN_PARTS:
+        return _normalize_ends([(e.lo, e.hi) if isinstance(e, Interval) else e for e in raw],
+                               ambient)
     items: list[Interval] = []
     for entry in raw:
         if isinstance(entry, Interval):
@@ -148,11 +174,49 @@ def normalize(raw: Iterable[Interval | Sequence[float]],
     return IntervalUnion(tuple(Interval(lo, hi) for lo, hi in merged), ambient)
 
 
+def _normalize_ends(raw, ambient: Interval | None) -> IntervalUnion:
+    """normalize's loop on an array of [lo, hi] rows, bit for bit.
+
+    A stable sort by (lo, hi) orders ties as the loop's sort does.  A part
+    starts where lo exceeds the largest hi before it plus MERGE_EPS: earlier
+    parts all end below the current one's first hi, so that running maximum
+    is the loop's ``cur[1]``.  Each part ends at the largest hi of its run;
+    the loop's ``max`` keeps the first of equal values, which only shows in
+    the sign of a zero, and np.maximum may keep either.
+    """
+    ends = np.asarray(raw, dtype=float)
+    if ends.ndim != 2 or ends.shape[1] != 2:
+        raise ValueError(f"normalize() needs [lo, hi] pairs, got an array of shape {ends.shape}")
+    if not len(ends):
+        raise EmptySetError("normalize() needs at least one interval")
+    los, his = ends[:, 0], ends[:, 1]
+    if not (np.isfinite(ends).all() and (los <= his).all()):
+        i = int(np.argmin(np.isfinite(ends).all(axis=1) & (los <= his)))
+        Interval(float(los[i]), float(his[i]))  # raises the loop's ValueError
+    order = np.lexsort((his, los))
+    los, his = los[order], his[order]
+    start = np.empty(len(los), dtype=bool)
+    start[0] = True
+    np.greater(los[1:], np.maximum.accumulate(his)[:-1] + MERGE_EPS, out=start[1:])
+    first = start.nonzero()[0]
+    tops = np.maximum.reduceat(his, first)
+    if not tops.all():  # one part ends at zero: tops ascend strictly
+        k = int(np.argmin(tops != 0.0))
+        run = his[first[k]:]
+        tops[k] = run[np.argmax(run == 0.0)]
+    return IntervalUnion(tuple(map(Interval, los[first].tolist(), tops.tolist())), ambient)
+
+
 def set_from_json(obj: object, ambient: Interval | None = None) -> IntervalUnion:
     """Parse ``{"parts": [[lo, hi], ...]}``, re-normalizing; reject bad shapes."""
     json_keys(obj, ("parts",), "set")
     parts = json_field(obj, "parts", lambda v: isinstance(v, list) and v != []
                        and all(map(is_json_pair, v)), "a nonempty list of [lo, hi]", "set")
+    if ambient is not None:
+        for part in parts:
+            if not all(ambient.contains(v, AMBIENT_TOL) for v in part):
+                raise SchemaError(f"set part {part!r} escapes the ambient interval "
+                                  f"[{ambient.lo!r}, {ambient.hi!r}]")
     return normalize([Interval(float(lo), float(hi)) for lo, hi in parts], ambient)
 
 
@@ -178,13 +242,16 @@ def dist_point_to_set(x: float, a: IntervalUnion) -> float:
 
 def nearest_point(a: IntervalUnion, x: float) -> float:
     """Point of A closest to x (leftmost on ties)."""
-    best, best_d = None, math.inf
-    for p in a.parts:
-        c = p.clamp(x)
-        d = abs(x - c)
-        if d < best_d:
-            best, best_d = c, d
-    return best  # parts nonempty
+    los, his = a._los, a._his
+    i = bisect_right(los, x)
+    if i and x <= his[i - 1]:
+        return a.parts[i - 1].clamp(x)
+    if i < len(los) and (not i or los[i] - x < x - his[i - 1]):
+        return los[i]
+    # fl(x - h) falls as h grows, so the parts left of x whose distance rounds
+    # to that of part i - 1 are a run ending there; the leftmost of it wins
+    d = x - his[i - 1]
+    return his[bisect_left(his, True, 0, i - 1, key=lambda h: x - h <= d)]
 
 
 def gap(a: IntervalUnion, b: IntervalUnion) -> float:
@@ -211,11 +278,14 @@ def excess(a: IntervalUnion, b: IntervalUnion) -> float:
     D(., B) is piecewise linear with peaks only at midpoints of B's gaps,
     so the sup over A is attained at an endpoint of a part of A or at a gap
     midpoint of B lying inside A.  Both candidate lists ascend, so one pass
-    over each, with a pointer into the other union, finds every nearest part.
+    over each, with a pointer into the other union, finds every nearest part;
+    from VECTOR_MIN_PARTS parts on, np.searchsorted finds them all at once.
     """
     alos, ahis = a._los, a._his
     blos, bhis = b._los, b._his
     na, nb = len(alos), len(blos)
+    if na + nb >= VECTOR_MIN_PARTS:
+        return _excess_arrays(alos, ahis, blos, bhis)
     best = 0.0
     j = 0  # B parts starting at or before the current endpoint of A
     for lo, hi in zip(alos, ahis):
@@ -235,6 +305,29 @@ def excess(a: IntervalUnion, b: IntervalUnion) -> float:
             if d > best:
                 best = d
     return best
+
+
+def _excess_arrays(alos: tuple, ahis: tuple, blos: tuple, bhis: tuple) -> float:
+    """excess from the endpoint tuples: the loops' candidates, with every
+    nearest part found by np.searchsorted.
+
+    Where x lies between part j - 1 of B and part j, max(0, lo - x, x - hi)
+    is x - hi on the left and lo - x on the right, as values; ends of -inf
+    and inf stand in for the missing neighbours of the outermost parts.  A
+    gap midpoint m of B lies between the two parts around the gap.
+    """
+    bl = np.array(blos + (math.inf,))
+    bh = np.array((-math.inf,) + bhis)
+    xs = np.array(alos + ahis)
+    j = bl.searchsorted(xs, side="right")
+    best = np.minimum(np.maximum(xs - bh[j], 0.0), bl[j] - xs).max()
+    gl, gh = bh[1:-1], bl[1:-1]  # the ends around each gap of B
+    m = 0.5 * (gl + gh)
+    ah = np.array((-math.inf,) + ahis)
+    inside = ah[np.array(alos).searchsorted(m, side="right")] >= m  # m lies in A
+    best = max(best, np.minimum(m - gl, gh - m).max(where=inside, initial=0.0))
+    # the loops' best is 0.0 unless some distance is positive
+    return float(best) if best > 0.0 else 0.0
 
 
 def hausdorff(a: IntervalUnion, b: IntervalUnion) -> float:

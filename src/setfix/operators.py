@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Union
 
 import numpy as np
@@ -41,6 +42,10 @@ from .errors import (
     json_keys,
 )
 from .intervals import AMBIENT_TOL, Domain, Interval, IntervalUnion, normalize
+
+#: set_image of a set with at least this many parts takes the numpy path;
+#: below it the loop over parts and pieces is faster (measured crossover).
+IMAGE_VECTOR_MIN_PARTS = 12
 
 #: Tolerance for the self-map requirement T(x) subset of X at construction.
 SELF_MAP_SLACK = 1e-9
@@ -291,6 +296,17 @@ class MultivaluedOperator:
         for pc in pieces:
             self._validate_piece(pc)
         object.__setattr__(self, "_piece_los", tuple(pc.sub.lo for pc in pieces))
+        object.__setattr__(self, "_sub_ends", np.array([[pc.sub.lo for pc in pieces],
+                                                        [pc.sub.hi for pc in pieces]]))
+        # (lower, upper, columns) of each run of adjacent pieces with the same
+        # terms, as splitting at extrema leaves them; set_image evaluates a
+        # run's terms once
+        runs, j = [], 0
+        for (lower, upper), run in groupby(pieces, key=lambda pc: (pc.lower, pc.upper)):
+            k = j + len(list(run))
+            runs.append((lower, upper, slice(j, k)))
+            j = k
+        object.__setattr__(self, "_term_runs", tuple(runs))
 
     def _validate_piece(self, pc: Piece) -> None:
         lo, hi = pc.sub.lo, pc.sub.hi
@@ -367,12 +383,16 @@ class MultivaluedOperator:
 
         Construction rejects a piece whose boundary has an interior extremum,
         so both boundaries are monotone on every subinterval [u, v] of a
-        piece and their ranges there are taken at u and v.
+        piece and their ranges there are taken at u and v.  A set of at least
+        IMAGE_VECTOR_MIN_PARTS parts takes these ranges for all parts and
+        pieces at once from numpy arrays, bit for bit those of the loop.
         """
         b = self.domain.bounds
         if y.parts[0].lo < b.lo - AMBIENT_TOL or y.parts[-1].hi > b.hi + AMBIENT_TOL:
             raise OutOfDomainError(
                 f"set {y.to_json()} escapes operator domain [{b.lo}, {b.hi}]")
+        if len(y.parts) >= IMAGE_VECTOR_MIN_PARTS:
+            return normalize(self._image_ends(y), ambient=b)
         out: list[Interval] = []
         for part in y.parts:
             a = max(part.lo, b.lo)
@@ -386,6 +406,46 @@ class MultivaluedOperator:
                 hi = max(pc.upper.value(u), pc.upper.value(v))
                 out.append(Interval(b.clamp(lo), b.clamp(max(lo, hi))))
         return normalize(out, ambient=b)
+
+    def _image_ends(self, y: IntervalUnion) -> np.ndarray:
+        """The intervals of set_image's loop as the rows of an (n, 2) array, in
+        the loop's order, from (part, piece) arrays.
+
+        Python's max(p, q) is q only if q > p, and min(p, q) is q only if
+        q < p.  np.copyto under those masks keeps that choice, which
+        np.maximum and np.minimum do not make between 0.0 and -0.0.
+        """
+        b = self.domain.bounds
+        sub_lo, sub_hi = self._sub_ends
+        n, m = len(y.parts), len(self.pieces)
+        # uv[0] and uv[1]: max(a, sub.lo) and min(z, sub.hi) for each part and piece
+        uv = np.empty((2, n, m))
+        uv[0] = np.array(y._los)[:, None]
+        uv[1] = np.array(y._his)[:, None]
+        if y._los[0] < b.lo:
+            np.copyto(uv[0], b.lo, where=b.lo > uv[0])
+        if y._his[-1] > b.hi:
+            np.copyto(uv[1], b.hi, where=b.hi < uv[1])
+        np.copyto(uv[0], sub_lo, where=sub_lo > uv[0])
+        np.copyto(uv[1], sub_hi, where=sub_hi < uv[1])
+        hit = uv[0] <= uv[1]
+        # a part that misses a piece is evaluated inside it, then dropped
+        np.copyto(uv[0], sub_hi, where=uv[0] > sub_hi)
+        np.copyto(uv[1], sub_lo, where=uv[1] < sub_lo)
+        low, upp = np.empty_like(uv), np.empty_like(uv)
+        for lower, upper, cols in self._term_runs:
+            low[:, :, cols] = lower.value_array(uv[:, :, cols])
+            upp[:, :, cols] = upper.value_array(uv[:, :, cols])
+        ends = np.empty((n, m, 2))
+        lo, hi = ends[:, :, 0], ends[:, :, 1]
+        lo[...] = low[0]
+        np.copyto(lo, low[1], where=low[1] < low[0])
+        np.copyto(upp[0], upp[1], where=upp[1] > upp[0])
+        hi[...] = upp[0]
+        np.copyto(hi, lo, where=upp[0] <= lo)
+        np.putmask(ends, ends < b.lo, b.lo)  # Interval.clamp
+        np.putmask(ends, ends > b.hi, b.hi)
+        return ends[hit]
 
     # -- serialization ----------------------------------------------------------
 

@@ -6,7 +6,8 @@ independent reference accurate to the grid step.  The certification,
 fixed-point, exact set-functional and well-posedness references are the
 implementations the library replaced (a flat off-diagonal pair system with a
 per-tuple candidate lattice, a sampling scan, all-pairs scans of the parts,
-and a scalar bisection per residual band); from the library
+a part scan for the nearest point, the merging loop of normalize, and a
+scalar bisection per residual band); from the library
 they use only operator evaluation (eval, eval_grid and its single-interval
 closed forms, and term values and ranges), constants and result types.
 """
@@ -36,7 +37,7 @@ from setfix.certify import (
     Witness,
 )
 from setfix.errors import ConstructionFailedError, OutOfDomainError, ParameterRangeError
-from setfix.intervals import AMBIENT_TOL, dist_point_to_set, hausdorff, nearest_point
+from setfix.intervals import AMBIENT_TOL, MERGE_EPS, dist_point_to_set, hausdorff
 from setfix.iteration import FixedPointScan
 from setfix.operators import dist_to_value, hausdorff_between_values
 
@@ -79,9 +80,11 @@ def brute_set_image(t: MultivaluedOperator, y: IntervalUnion, h: float) -> Inter
 
 
 # -- pairwise set functionals -----------------------------------------------------
-# The all-pairs scans that preceded setfix.intervals' sorted sweeps, and the
-# set image that took each boundary's range from BoundaryFn.range_on, kept as
-# exact references: the library must agree with them bit for bit.
+# The all-pairs scans that preceded setfix.intervals' sorted sweeps, the part
+# scan of nearest_point, the merging loop of normalize, and the set image that
+# took each boundary's range from BoundaryFn.range_on (one part against one
+# piece at a time), kept as exact references: the library must agree with
+# them bit for bit.
 
 
 def affine_combine(x: float, s: IntervalUnion, lam: float) -> IntervalUnion:
@@ -137,6 +140,37 @@ def pairwise_hausdorff(a: IntervalUnion, b: IntervalUnion) -> float:
     return max(pairwise_excess(a, b), pairwise_excess(b, a))
 
 
+def scan_nearest_point(a: IntervalUnion, x: float) -> float:
+    """Point of A closest to x (leftmost on ties)."""
+    best, best_d = None, math.inf
+    for p in a.parts:
+        c = p.clamp(x)
+        d = abs(x - c)
+        if d < best_d:
+            best, best_d = c, d
+    return best  # parts nonempty
+
+
+def sequential_normalize(raw, ambient: Interval | None = None) -> IntervalUnion:
+    """Canonical form of raw [lo, hi] items by a sort and one merging pass."""
+    items: list[Interval] = []
+    for entry in raw:
+        if isinstance(entry, Interval):
+            items.append(entry)
+        else:
+            lo, hi = entry
+            items.append(Interval(float(lo), float(hi)))
+    items.sort(key=lambda iv: (iv.lo, iv.hi))
+    merged: list[list[float]] = [[items[0].lo, items[0].hi]]
+    for iv in items[1:]:
+        cur = merged[-1]
+        if iv.lo <= cur[1] + MERGE_EPS:
+            cur[1] = max(cur[1], iv.hi)
+        else:
+            merged.append([iv.lo, iv.hi])
+    return IntervalUnion(tuple(Interval(lo, hi) for lo, hi in merged), ambient)
+
+
 def range_on_set_image(t: MultivaluedOperator, y: IntervalUnion) -> IntervalUnion:
     """T(Y) with each boundary's range on [u, v] from ``range_on``."""
     b = t.domain.bounds
@@ -155,7 +189,7 @@ def range_on_set_image(t: MultivaluedOperator, y: IntervalUnion) -> IntervalUnio
             lo = pc.lower.range_on(u, v)[0]
             hi = pc.upper.range_on(u, v)[1]
             out.append(Interval(b.clamp(lo), b.clamp(max(lo, hi))))
-    return normalize(out, ambient=b)
+    return sequential_normalize(out, ambient=b)
 
 
 def random_union(rng: np.random.Generator, max_parts: int = 4,
@@ -408,7 +442,7 @@ def scalar_well_posedness(t: MultivaluedOperator, xstar: float, c: float,
 
 
 def _membership_defect(t: MultivaluedOperator, x: float) -> float:
-    return x - nearest_point(t.eval(x), x)
+    return x - scan_nearest_point(t.eval(x), x)
 
 
 def _strictness(t: MultivaluedOperator, x: float) -> float:

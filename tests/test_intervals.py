@@ -21,7 +21,7 @@ from setfix import (
     normalize,
     set_from_json,
 )
-from setfix.intervals import MERGE_EPS
+from setfix.intervals import MERGE_EPS, VECTOR_MIN_PARTS
 from oracles import (
     affine_combine,
     brute_excess,
@@ -32,6 +32,8 @@ from oracles import (
     pairwise_gap,
     pairwise_hausdorff,
     random_union,
+    scan_nearest_point,
+    sequential_normalize,
 )
 
 U = lambda *parts: normalize([Interval(a, b) for a, b in parts])
@@ -255,8 +257,9 @@ def test_domain_validation():
 
 
 @st.composite
-def union_pairs(draw, max_parts=80):
-    """Two interleaved unions of 1..max_parts parts around one offset.
+def union_pairs(draw, max_parts=max(80, 2 * VECTOR_MIN_PARTS)):
+    """Two interleaved unions of 1..max_parts parts around one offset, so
+    excess takes either path.
 
     Parts may be points; gaps may be just over MERGE_EPS, which at offsets
     near 1e15 is below one ulp, so normalize merges some of them and the
@@ -293,6 +296,7 @@ def query_points(a):
 def assert_same_as_pairwise(a, b):
     for x in query_points(a) + query_points(b):
         assert repr(dist_point_to_set(x, a)) == repr(pairwise_dist_point_to_set(x, a))
+        assert repr(setfix.nearest_point(a, x)) == repr(scan_nearest_point(a, x))
     for s, t in ((a, b), (b, a)):
         assert repr(gap(s, t)) == repr(pairwise_gap(s, t))
         assert repr(excess(s, t)) == repr(pairwise_excess(s, t))
@@ -341,3 +345,80 @@ class TestSweepAgainstPairwise:
         assert a._los == (0.0, 2.0) and a._his == (1.0, 3.0)
         assert a == U((0, 1), (2, 3)) and hash(a) == hash(U((0, 1), (2, 3)))
         assert "_los" not in repr(a) and a.to_json() == {"parts": [[0.0, 1.0], [2.0, 3.0]]}
+
+
+# -- normalize against its merging loop, on both sides of VECTOR_MIN_PARTS --------
+
+
+@st.composite
+def raw_lists(draw, max_items=3 * VECTOR_MIN_PARTS):
+    """Unsorted [lo, hi] lists of 1..max_items items around one offset: a
+    chain of parts whose gaps are often just over MERGE_EPS (or overlaps),
+    points, repeats of earlier items and, at offset 0, ends of 0.0 and -0.0."""
+    offset = draw(st.sampled_from([0.0, 1e15, -1e15]))
+    width = st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(0.0, 1e-9))
+    spacing = st.one_of(st.floats(1.000001 * MERGE_EPS, 2 * MERGE_EPS), st.just(MERGE_EPS),
+                        st.floats(-1.0, 1.0), st.floats(1.0, 5.0))
+    n = draw(st.integers(1, max_items))
+    x = offset + draw(st.floats(-3.0, 3.0))
+    items = []
+    for w, g, kind in draw(st.lists(st.tuples(width, spacing, st.integers(0, 5)),
+                                    min_size=n, max_size=n)):
+        if kind == 0 and items:
+            items.append(items[draw(st.integers(0, len(items) - 1))])
+        elif kind == 1 and offset == 0.0:
+            items.append(draw(st.sampled_from([(-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0),
+                                               (0.0, 0.0), (-w, -0.0), (-0.0, w), (0.0, w),
+                                               (-w, 0.0)])))
+        else:
+            items.append((x, x + w))
+            x = x + w + g
+    return draw(st.permutations(items))
+
+
+class TestNormalizeAgainstLoop:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(raw_lists(), st.sampled_from(["pairs", "intervals", "array"]))
+    def test_bit_for_bit(self, raw, form):
+        expected = repr(sequential_normalize(raw))
+        if form == "intervals":
+            raw = [Interval(lo, hi) for lo, hi in raw]
+        elif form == "array":
+            raw = np.array(raw)
+        assert repr(normalize(raw)) == expected
+
+    def test_seeded_signed_zero_sweep(self):
+        # ends from a few values around 0.0 and -0.0, so that runs of equal
+        # ends, and parts that start or end at a zero, mix both signs
+        rng = np.random.default_rng(15)
+        values = np.array([-1.0, -1e-13, -0.0, 0.0, 1e-13, 2e-12, 1.0])
+        for n in (1, VECTOR_MIN_PARTS - 1, VECTOR_MIN_PARTS, 2 * VECTOR_MIN_PARTS):
+            for _ in range(300):
+                ends = rng.choice(values, int(rng.integers(2, 5)), replace=False)
+                raw = [tuple(sorted(rng.choice(ends, 2).tolist())) for _ in range(n)]
+                assert repr(normalize(raw)) == repr(sequential_normalize(raw))
+
+    @pytest.mark.parametrize("bad", [(math.nan, 1.0), (0.0, math.nan), (-math.inf, 0.0),
+                                     (0.0, math.inf), (1.0, 0.0)])
+    @pytest.mark.parametrize("n", [1, 2 * VECTOR_MIN_PARTS])
+    def test_rejects_non_finite_and_reversed_on_both_paths(self, bad, n):
+        raw = [(float(k), k + 0.5) for k in range(n - 1)] + [bad]
+        with pytest.raises(ValueError) as loop_error:
+            sequential_normalize(raw)
+        for form in (raw, np.array(raw)):
+            with pytest.raises(ValueError) as error:
+                normalize(form)
+            assert str(error.value) == str(loop_error.value)
+
+    @pytest.mark.parametrize("n", [1, 2 * VECTOR_MIN_PARTS])
+    def test_ambient_is_checked_on_both_paths(self, n):
+        raw = [(0.1 * k, 0.1 * k + 0.05) for k in range(n)]
+        assert normalize(raw, Interval(0.0, 0.1 * n)).ambient == Interval(0.0, 0.1 * n)
+        with pytest.raises(ValueError, match="escape"):
+            normalize(raw, Interval(0.0, 0.01))
+
+    def test_array_shape_is_checked(self):
+        with pytest.raises(ValueError, match="shape"):
+            normalize(np.zeros((3, 3)))
+        with pytest.raises(EmptySetError):
+            normalize(np.zeros((0, 2)))

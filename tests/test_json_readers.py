@@ -1,12 +1,14 @@
 """Every JSON reader applies the same rules through errors.json_field and
 errors.json_keys: a missing required key, a value of the wrong JSON type, a
 bool where a number is due, NaN, Infinity and -Infinity, and an unknown key
-each raise SchemaError naming the field."""
+each raise SchemaError naming the field.  A set read into an ambient interval
+names the part that escapes it."""
 
 from __future__ import annotations
 
 import copy
 import math
+import re
 
 import pytest
 
@@ -14,6 +16,7 @@ import setfix
 from setfix import (
     BoundaryFn,
     ContractionCertificate,
+    Interval,
     MultivaluedOperator,
     SchemaError,
     perturbation_from_json,
@@ -79,3 +82,12 @@ def test_reader_rejects_and_names_the_field(reader, case):
         field = [k for k in number if isinstance(k, str)][-1]
     with pytest.raises(SchemaError, match=f"'{field}'"):
         read(obj)
+
+
+@pytest.mark.parametrize("part", [[0, 5], [-1, 0.5], [2, 3]])
+def test_set_part_outside_the_ambient_names_the_part(part):
+    obj = {"parts": [[0.25, 0.5], part]}
+    with pytest.raises(SchemaError, match=re.escape(f"set part {part!r} escapes")):
+        set_from_json(obj, Interval(0, 1))
+    set_from_json(obj)  # without an ambient the same parts load
+    set_from_json({"parts": [[0, 1 + 5e-10]]}, Interval(0, 1))  # within AMBIENT_TOL

@@ -29,7 +29,13 @@ from setfix import (
     perturb,
     perturbation_from_json,
 )
-from setfix.operators import ORDER_SLACK, dist_to_value, hausdorff_between_values, hausdorff_to_point
+from setfix.operators import (
+    IMAGE_VECTOR_MIN_PARTS,
+    ORDER_SLACK,
+    dist_to_value,
+    hausdorff_between_values,
+    hausdorff_to_point,
+)
 from oracles import (
     affine_combine,
     brute_set_image,
@@ -157,6 +163,14 @@ class TestSetImage:
         with pytest.raises(OutOfDomainError):
             sqrt_t.set_image(normalize([Interval(0.0, 1.0)]))
 
+    @pytest.mark.parametrize("n", [1, 2 * IMAGE_VECTOR_MIN_PARTS])
+    def test_escape_is_rejected_on_both_paths(self, sqrt_t, n):
+        b = sqrt_t.domain.bounds
+        inside = [Interval(b.lo + 0.1 * k, b.lo + 0.1 * k + 0.05) for k in range(n - 1)]
+        for last in (Interval(b.hi, b.hi + 1e-6), Interval(b.lo - 1e-6, b.lo)):
+            with pytest.raises(OutOfDomainError):
+                sqrt_t.set_image(normalize(inside + [last]))
+
     def test_monotone_union_property(self, sqrt_t, square_t):
         rng = np.random.default_rng(11)
         for op in (sqrt_t, square_t):
@@ -169,11 +183,16 @@ class TestSetImage:
 
 
 @st.composite
-def junction_unions(draw, t: MultivaluedOperator, max_parts: int = 80):
-    """Unions of 1..max_parts parts in T's domain whose ends are often piece
-    junctions, so parts start, end or sit as points exactly on them."""
+def junction_unions(draw, t: MultivaluedOperator,
+                    max_parts: int = max(80, 2 * IMAGE_VECTOR_MIN_PARTS)):
+    """Unions of 1..max_parts parts in T's domain, on both sides of the part
+    count from which set_image takes its array path, whose ends are often
+    piece junctions, so parts start, end or sit as points exactly on them; where
+    the domain holds 0, ends of 0.0 and -0.0 too."""
     b = t.domain.bounds
     junctions = sorted({b.lo, b.hi, *(pc.sub.lo for pc in t.pieces)})
+    if b.lo <= 0.0 <= b.hi:
+        junctions += [0.0, -0.0]
     coord = st.one_of(st.sampled_from(junctions), st.floats(b.lo, b.hi))
     n = draw(st.integers(1, max_parts))
     ends = sorted(draw(st.lists(coord, min_size=2 * n, max_size=2 * n)))
@@ -199,7 +218,8 @@ def _composed_takahashi_gap(t: MultivaluedOperator, lam1: float, lam2: float) ->
 
 class TestSetImageAgainstRangeOn:
     """set_image takes each boundary's range at the ends of [u, v]; the copy
-    in oracles asks range_on, which also checks interior extrema."""
+    in oracles asks range_on, which also checks interior extrema, one part
+    and one piece at a time."""
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.sampled_from(_builtins_and_perturbations()), st.data())
@@ -213,6 +233,43 @@ class TestSetImageAgainstRangeOn:
         for op in (t, perturb(t, Takahashi(lam))):
             y = data.draw(junction_unions(op))
             assert repr(op.set_image(y)) == repr(range_on_set_image(op, y))
+
+    @pytest.mark.parametrize("n", [2, 2 * IMAGE_VECTOR_MIN_PARTS])
+    def test_ends_within_the_slack_outside_the_domain(self, n):
+        # pieces may reach up to 1e-9 past the domain, so that a part end is
+        # clipped to the domain before it is clipped to a piece
+        term = BoundaryFn(slope=0.5, offset=0.25)
+        wide = MultivaluedOperator(Domain(Interval(0.0, 1.0)),
+                                   (Piece(Interval(-5e-10, 1.0 + 5e-10), term, term),))
+        for t in (*_builtins_and_perturbations(), wide):
+            b = t.domain.bounds
+            xs = np.linspace(b.lo, b.hi, 2 * n).tolist()
+            xs[0], xs[-1] = b.lo - 4e-10, b.hi + 4e-10
+            y = normalize([Interval(lo, hi) for lo, hi in zip(xs[::2], xs[1::2])])
+            assert repr(t.set_image(y)) == repr(range_on_set_image(t, y))
+
+    @pytest.mark.parametrize("n", [1, 2 * IMAGE_VECTOR_MIN_PARTS])
+    def test_parts_missing_a_sqrt_piece(self, n):
+        # parts left of 0 miss the sqrt piece; sqrt must not see them
+        zero = BoundaryFn()
+        t = MultivaluedOperator(Domain(Interval(-1.0, 1.0)),
+                                (Piece(Interval(-1.0, 0.0), zero, zero),
+                                 Piece(Interval(0.0, 1.0), zero, BoundaryFn(base="sqrt", coeff=1.0))))
+        y = normalize([Interval(-1.0 + 0.03 * k, -0.99 + 0.03 * k) for k in range(n)])
+        assert repr(t.set_image(y)) == repr(range_on_set_image(t, y))
+
+    @pytest.mark.parametrize("n", [1, 2 * IMAGE_VECTOR_MIN_PARTS])
+    def test_signed_zero_ends(self, n):
+        # with the offset -0.0, T(x) = {x} keeps the sign of a zero x, so an
+        # image end shows which of max(-0.0, 0.0) and max(0.0, -0.0) was taken
+        term = BoundaryFn(slope=1.0, offset=-0.0)
+        t = MultivaluedOperator(Domain(Interval(0.0, 1.0)),
+                                (Piece(Interval(0.0, 0.5), term, term),
+                                 Piece(Interval(0.5, 1.0), term, term)))
+        right = [Interval(0.3 + 0.01 * k, 0.305 + 0.01 * k) for k in range(n - 1)]
+        for zero in ((-0.0, -0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, 0.25)):
+            y = normalize([Interval(*zero), *right], t.domain.bounds)
+            assert repr(t.set_image(y)) == repr(range_on_set_image(t, y))
 
     def test_every_piece_junction_as_a_point(self):
         for t in _builtins_and_perturbations():
