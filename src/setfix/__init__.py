@@ -31,6 +31,7 @@ from .errors import (
     InsufficientDataError,
     NoApproximateSolutionsError,
     NoStrictFixedPointError,
+    NotSelfMapError,
     OutOfDomainError,
     ParameterRangeError,
     SchemaError,

@@ -27,6 +27,10 @@ class BoundaryOrderError(SetfixError):
     """An operator's lower boundary exceeds its upper one beyond float noise."""
 
 
+class NotSelfMapError(SetfixError, ValueError):
+    """An operator's values escape its domain beyond SELF_MAP_SLACK."""
+
+
 class InsufficientDataError(SetfixError):
     """Not enough usable samples/steps to compute the requested quantity."""
 

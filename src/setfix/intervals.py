@@ -14,9 +14,10 @@ local maxima only at the midpoints of B's gaps, so suprema over another
 union are attained on a finite candidate set (part endpoints of A plus gap
 midpoints of B that lie inside A).  No sampling is involved.
 
-Because the parts are sorted, a point's nearest part is one of the two parts
-around it, and every functional reads the endpoints from the tuples each
-union keeps (``_los``, ``_his``):
+A union's state is its endpoint tuples ``_los`` and ``_his``; its parts are
+built as ``Interval`` objects only when a caller reads ``parts``.  Because
+the parts are sorted, a point's nearest part is one of the two parts around
+it, and every functional reads the endpoint tuples:
 
 * ``dist_point_to_set`` and ``nearest_point`` bisect the part starts,
   O(log |A|);
@@ -29,17 +30,17 @@ Each takes the same float expressions over fewer candidates than a scan of
 all parts would, and fl(x - c) is monotone in c, so the values are those of
 the all-pairs scan bit for bit (``tests/oracles.py`` keeps that scan).
 
-``normalize`` and ``excess`` have two paths.  The loop in plain Python costs
-about a microsecond per part; the numpy path costs a fixed dozen or two numpy
-calls and little per part.  Lists and unions of at least
-``VECTOR_MIN_PARTS`` parts (for ``excess``, |A| + |B|) take the numpy path:
-``normalize`` sorts with np.lexsort and merges with a running maximum
-(``_normalize_ends``), ``excess`` finds every nearest part with np.searchsorted.  The
-constant is where the two paths cost the same, measured on unions like those
-of the benchmark; the sets of a Picard orbit have one part each and stay on
-the loops.  Both paths compute the same expressions on the same candidates
-and break ties the loop's way, 0.0 against -0.0 included, so they agree bit
-for bit (``tests/oracles.py`` keeps normalize's merging loop).
+``normalize`` and ``excess`` have two paths: a loop over floats, and a
+numpy path of a fixed dozen or two numpy calls.  ``normalize`` loops over a
+list (converting a list to an array costs about as much per item) and takes
+the numpy path on an array, sorting with np.lexsort and merging with a
+running maximum (``_normalize_ends``).  ``excess`` takes the numpy path from
+``VECTOR_MIN_PARTS`` parts in |A| + |B| on, where the two cost the same on
+unions like the benchmark's, with np.searchsorted on endpoint arrays that
+each union builds once (``_array``).  Both paths compute the same
+expressions on the same candidates and break ties the loop's way, 0.0
+against -0.0 included, so they agree bit for bit (``tests/oracles.py`` keeps
+normalize's merging loop).
 
 Degenerate point intervals are first-class: singletons {x} appear as
 targets of every convergence statement in the rest of the library.
@@ -49,7 +50,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -63,9 +64,11 @@ MERGE_EPS = 1e-12
 #: Slack used when checking containment in an ambient interval.
 AMBIENT_TOL = 1e-9
 
-#: normalize of a raw list and excess of two unions with at least this many
-#: parts between them take the numpy path; below it the loops are faster.
+#: excess of two unions with at least this many parts between them takes the
+#: numpy path; below it the loops are faster.
 VECTOR_MIN_PARTS = 20
+
+_set = object.__setattr__  # writes the slots of an immutable IntervalUnion
 
 
 @dataclass(frozen=True, order=True)
@@ -96,48 +99,103 @@ class Interval:
         return min(max(x, self.lo), self.hi)
 
 
-@dataclass(frozen=True)
 class IntervalUnion:
     """Nonempty compact subset of R as a sorted disjoint union of intervals.
 
     ``ambient``, when present, is the surrounding space X; every part must
-    lie inside it (up to ``AMBIENT_TOL`` of floating-point slack).
+    lie inside it (up to ``AMBIENT_TOL`` of floating-point slack).  Instances
+    are immutable; ==, hash and repr are those of (parts, ambient).
     """
 
-    parts: tuple[Interval, ...]
-    ambient: Interval | None = None
+    __slots__ = ("_los", "_his", "ambient", "_parts", "_arr")
 
-    def __post_init__(self) -> None:
-        parts = tuple(self.parts)
-        if not parts:
+    def __init__(self, parts: Iterable[Interval], ambient: Interval | None = None) -> None:
+        parts = tuple(parts)
+        self._init(tuple([p.lo for p in parts]), tuple([p.hi for p in parts]), ambient)
+        _set(self, "_parts", parts)
+
+    @classmethod
+    def _from_ends(cls, los: tuple, his: tuple,
+                   ambient: Interval | None = None) -> "IntervalUnion":
+        """The union of the parts [los[i], his[i]], checked as the constructor checks."""
+        self = object.__new__(cls)
+        self._init(los, his, ambient)
+        return self
+
+    def _init(self, los: tuple, his: tuple, ambient: Interval | None) -> None:
+        if not los:
             raise EmptySetError("an interval union needs at least one part")
-        object.__setattr__(self, "parts", parts)
-        # endpoint tuples for the sweeps below; not fields, so ==, hash and
-        # repr see only the parts
-        los = tuple([p.lo for p in parts])
-        his = tuple([p.hi for p in parts])
-        object.__setattr__(self, "_los", los)
-        object.__setattr__(self, "_his", his)
-        for hi, lo in zip(his, los[1:]):
-            if not hi + MERGE_EPS < lo:
-                raise ValueError(
-                    "parts must be strictly sorted and separated; build via normalize()"
-                )
-        if self.ambient is not None:
-            if (parts[0].lo < self.ambient.lo - AMBIENT_TOL
-                    or parts[-1].hi > self.ambient.hi + AMBIENT_TOL):
-                raise ValueError("parts escape the ambient interval")
+        if not _canonical(los, his):
+            for lo, hi in zip(los, his):
+                Interval(lo, hi)  # raises for a non-finite or reversed part
+            raise ValueError("parts must be strictly sorted and separated; build via normalize()")
+        if ambient is not None and (los[0] < ambient.lo - AMBIENT_TOL
+                                    or his[-1] > ambient.hi + AMBIENT_TOL):
+            raise ValueError("parts escape the ambient interval")
+        _set(self, "_los", los)
+        _set(self, "_his", his)
+        _set(self, "ambient", ambient)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self)._from_ends, (self._los, self._his, self.ambient)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._los, self._his, self.ambient) == (other._los, other._his, other.ambient)
+
+    def __hash__(self) -> int:  # hash((parts, ambient)), as an Interval hashes as (lo, hi)
+        return hash((tuple(zip(self._los, self._his)), self.ambient))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(parts={self.parts!r}, ambient={self.ambient!r})"
+
+    @property
+    def parts(self) -> tuple[Interval, ...]:
+        """The parts as Interval objects, built from the endpoints on the first read."""
+        try:
+            return self._parts
+        except AttributeError:
+            _set(self, "_parts", tuple(map(Interval, self._los, self._his)))
+            return self._parts
+
+    def _array(self) -> np.ndarray:
+        """[-inf, *his, *los, inf], read-only: the numpy paths slice the ends,
+        with or without a sentinel, from it."""
+        try:
+            return self._arr
+        except AttributeError:
+            arr = np.array((-math.inf, *self._his, *self._los, math.inf))
+            arr.flags.writeable = False
+            _set(self, "_arr", arr)
+            return arr
 
     @classmethod
     def singleton(cls, x: float, ambient: Interval | None = None) -> "IntervalUnion":
-        return cls((Interval(x, x),), ambient)
+        return cls._from_ends((x,), (x,), ambient)
 
     @property
     def hull(self) -> Interval:
-        return Interval(self.parts[0].lo, self.parts[-1].hi)
+        return Interval(self._los[0], self._his[-1])
 
     def to_json(self) -> dict:
-        return {"parts": [[p.lo, p.hi] for p in self.parts]}
+        return {"parts": [[lo, hi] for lo, hi in zip(self._los, self._his)]}
+
+
+def _canonical(los: tuple, his: tuple) -> bool:
+    """Whether every part has finite ends lo <= hi and starts more than
+    MERGE_EPS after the part before it ends; a NaN fails a comparison."""
+    prev = -math.inf
+    for lo, hi in zip(los, his):
+        if not prev < lo <= hi:
+            return False
+        prev = hi + MERGE_EPS
+    return prev < math.inf
 
 
 def normalize(raw: Iterable[Interval | Sequence[float]],
@@ -145,33 +203,31 @@ def normalize(raw: Iterable[Interval | Sequence[float]],
     """Canonical sorted disjoint form covering exactly the same point set.
 
     Intervals whose gap is <= MERGE_EPS are merged into one part.  ``raw`` may
-    also be an (n, 2) array of [lo, hi] rows.  Arrays, and lists of at least
-    VECTOR_MIN_PARTS items, take the numpy path.
+    also be an (n, 2) array of [lo, hi] rows, which takes the numpy path.
     """
     if isinstance(raw, np.ndarray):
         return _normalize_ends(raw, ambient)
-    raw = list(raw)
-    if len(raw) >= VECTOR_MIN_PARTS:
-        return _normalize_ends([(e.lo, e.hi) if isinstance(e, Interval) else e for e in raw],
-                               ambient)
-    items: list[Interval] = []
+    ends: list[tuple] = []
     for entry in raw:
         if isinstance(entry, Interval):
-            items.append(entry)
+            ends.append((entry.lo, entry.hi))
         else:
-            lo, hi = entry
-            items.append(Interval(float(lo), float(hi)))
-    if not items:
+            lo, hi = map(float, entry)
+            if not -math.inf < lo <= hi < math.inf:
+                Interval(lo, hi)  # raises Interval's ValueError
+            ends.append((lo, hi))
+    if not ends:
         raise EmptySetError("normalize() needs at least one interval")
-    items.sort(key=lambda iv: (iv.lo, iv.hi))
-    merged: list[list[float]] = [[items[0].lo, items[0].hi]]
-    for iv in items[1:]:
-        cur = merged[-1]
-        if iv.lo <= cur[1] + MERGE_EPS:
-            cur[1] = max(cur[1], iv.hi)
+    ends.sort()
+    los, his = [ends[0][0]], [ends[0][1]]
+    for lo, hi in ends[1:]:
+        if lo <= his[-1] + MERGE_EPS:
+            if hi > his[-1]:  # max(his[-1], hi) keeps the first of equal values
+                his[-1] = hi
         else:
-            merged.append([iv.lo, iv.hi])
-    return IntervalUnion(tuple(Interval(lo, hi) for lo, hi in merged), ambient)
+            los.append(lo)
+            his.append(hi)
+    return IntervalUnion._from_ends(tuple(los), tuple(his), ambient)
 
 
 def _normalize_ends(raw, ambient: Interval | None) -> IntervalUnion:
@@ -180,7 +236,7 @@ def _normalize_ends(raw, ambient: Interval | None) -> IntervalUnion:
     A stable sort by (lo, hi) orders ties as the loop's sort does.  A part
     starts where lo exceeds the largest hi before it plus MERGE_EPS: earlier
     parts all end below the current one's first hi, so that running maximum
-    is the loop's ``cur[1]``.  Each part ends at the largest hi of its run;
+    is the loop's ``his[-1]``.  Each part ends at the largest hi of its run;
     the loop's ``max`` keeps the first of equal values, which only shows in
     the sign of a zero, and np.maximum may keep either.
     """
@@ -204,7 +260,7 @@ def _normalize_ends(raw, ambient: Interval | None) -> IntervalUnion:
         k = int(np.argmin(tops != 0.0))
         run = his[first[k]:]
         tops[k] = run[np.argmax(run == 0.0)]
-    return IntervalUnion(tuple(map(Interval, los[first].tolist(), tops.tolist())), ambient)
+    return IntervalUnion._from_ends(tuple(los[first].tolist()), tuple(tops.tolist()), ambient)
 
 
 def set_from_json(obj: object, ambient: Interval | None = None) -> IntervalUnion:
@@ -217,7 +273,7 @@ def set_from_json(obj: object, ambient: Interval | None = None) -> IntervalUnion
             if not all(ambient.contains(v, AMBIENT_TOL) for v in part):
                 raise SchemaError(f"set part {part!r} escapes the ambient interval "
                                   f"[{ambient.lo!r}, {ambient.hi!r}]")
-    return normalize([Interval(float(lo), float(hi)) for lo, hi in parts], ambient)
+    return normalize(parts, ambient)
 
 
 def _dist_around(x: float, los: tuple, his: tuple, i: int) -> float:
@@ -244,8 +300,8 @@ def nearest_point(a: IntervalUnion, x: float) -> float:
     """Point of A closest to x (leftmost on ties)."""
     los, his = a._los, a._his
     i = bisect_right(los, x)
-    if i and x <= his[i - 1]:
-        return a.parts[i - 1].clamp(x)
+    if i and x <= his[i - 1]:  # x lies in part i - 1
+        return x
     if i < len(los) and (not i or los[i] - x < x - his[i - 1]):
         return los[i]
     # fl(x - h) falls as h grows, so the parts left of x whose distance rounds
@@ -259,12 +315,12 @@ def gap(a: IntervalUnion, b: IntervalUnion) -> float:
     blos, bhis = b._los, b._his
     best = math.inf
     j = 0
-    for p in a.parts:
-        # the first part of B that ends at or after p starts, and the one
-        # before it, are the only candidates; j only moves right
-        j = bisect_left(bhis, p.lo, j)
+    for lo, hi in zip(a._los, a._his):
+        # the first part of B that ends at or after [lo, hi] starts, and the
+        # one before it, are the only candidates; j only moves right
+        j = bisect_left(bhis, lo, j)
         for k in range(max(j - 1, 0), min(j + 1, len(bhis))):
-            d = max(0.0, p.lo - bhis[k], blos[k] - p.hi)
+            d = max(0.0, lo - bhis[k], blos[k] - hi)
             if d < best:
                 best = d
             if best == 0.0:
@@ -285,7 +341,7 @@ def excess(a: IntervalUnion, b: IntervalUnion) -> float:
     blos, bhis = b._los, b._his
     na, nb = len(alos), len(blos)
     if na + nb >= VECTOR_MIN_PARTS:
-        return _excess_arrays(alos, ahis, blos, bhis)
+        return _excess_arrays(a, b)
     best = 0.0
     j = 0  # B parts starting at or before the current endpoint of A
     for lo, hi in zip(alos, ahis):
@@ -307,24 +363,24 @@ def excess(a: IntervalUnion, b: IntervalUnion) -> float:
     return best
 
 
-def _excess_arrays(alos: tuple, ahis: tuple, blos: tuple, bhis: tuple) -> float:
-    """excess from the endpoint tuples: the loops' candidates, with every
-    nearest part found by np.searchsorted.
+def _excess_arrays(a: IntervalUnion, b: IntervalUnion) -> float:
+    """excess from the unions' endpoint arrays: the loops' candidates, with
+    every nearest part found by np.searchsorted.
 
     Where x lies between part j - 1 of B and part j, max(0, lo - x, x - hi)
     is x - hi on the left and lo - x on the right, as values; ends of -inf
     and inf stand in for the missing neighbours of the outermost parts.  A
     gap midpoint m of B lies between the two parts around the gap.
     """
-    bl = np.array(blos + (math.inf,))
-    bh = np.array((-math.inf,) + bhis)
-    xs = np.array(alos + ahis)
+    na, nb = len(a._los), len(b._los)
+    ea, eb = a._array(), b._array()
+    bh, bl = eb[:nb + 1], eb[nb + 1:]  # -inf and B's his; B's los and inf
+    xs = ea[1:-1]  # A's endpoints
     j = bl.searchsorted(xs, side="right")
     best = np.minimum(np.maximum(xs - bh[j], 0.0), bl[j] - xs).max()
     gl, gh = bh[1:-1], bl[1:-1]  # the ends around each gap of B
     m = 0.5 * (gl + gh)
-    ah = np.array((-math.inf,) + ahis)
-    inside = ah[np.array(alos).searchsorted(m, side="right")] >= m  # m lies in A
+    inside = ea[:na + 1][ea[na + 1:-1].searchsorted(m, side="right")] >= m  # m lies in A
     best = max(best, np.minimum(m - gl, gh - m).max(where=inside, initial=0.0))
     # the loops' best is 0.0 unless some distance is positive
     return float(best) if best > 0.0 else 0.0

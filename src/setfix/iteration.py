@@ -94,7 +94,7 @@ def picard_orbit(t: MultivaluedOperator, x0: float, max_n: int = 10_000,
         # H(S, {p}) in closed form, bit for bit hausdorff(S, {p})
         if target is None:
             return None
-        return max(abs(s.parts[0].lo - target), abs(s.parts[-1].hi - target))
+        return max(abs(s._los[0] - target), abs(s._his[-1] - target))
 
     current = IntervalUnion.singleton(x0, ambient=bounds)
     steps = [OrbitStep(0, current, 0.0, h_target(current))]
@@ -225,7 +225,7 @@ def scan_fixed_points(t: MultivaluedOperator, grid_n: int = 10_001,
 
 def orbit_steps(trace: OrbitTrace) -> list[dict]:
     """The steps of an orbit as report rows: n, parts, h_to_prev, h_to_target."""
-    return [{"n": s.n, "parts": [[p.lo, p.hi] for p in s.set.parts],
+    return [{"n": s.n, "parts": s.set.to_json()["parts"],
              "h_to_prev": s.h_to_prev, "h_to_target": s.h_to_target}
             for s in trace.steps]
 

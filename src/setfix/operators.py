@@ -32,6 +32,7 @@ import numpy as np
 from .errors import (
     AxiomViolationError,
     BoundaryOrderError,
+    NotSelfMapError,
     OutOfDomainError,
     ParameterRangeError,
     SchemaError,
@@ -45,7 +46,7 @@ from .intervals import AMBIENT_TOL, Domain, Interval, IntervalUnion, normalize
 
 #: set_image of a set with at least this many parts takes the numpy path;
 #: below it the loop over parts and pieces is faster (measured crossover).
-IMAGE_VECTOR_MIN_PARTS = 12
+IMAGE_VECTOR_MIN_PARTS = 18
 
 #: Tolerance for the self-map requirement T(x) subset of X at construction.
 SELF_MAP_SLACK = 1e-9
@@ -82,29 +83,31 @@ class BoundaryFn:
             raise ValueError(f"term coefficients must be finite, got {self!r}")
 
     # -- evaluation ---------------------------------------------------------
-
-    def _base(self, x, sqrt):
-        # one formula for scalars and arrays, so value and value_array agree bit
-        # for bit: powers by repeated multiplication, 1/sqrt before the coeff
-        if self.base == "power":
-            v = x
-            for _ in range(self.p - 1):
-                v = v * x
-            return v
-        if self.base == "sqrt":
-            return sqrt(x)
-        return 1.0 / sqrt(x)
+    # value and value_array take the same float steps, so they agree bit for
+    # bit: powers by repeated multiplication, 1/sqrt before the coeff
 
     def value(self, x: float) -> float:
         acc = self.offset + self.slope * x
-        if self.coeff != 0.0 and self.base != "none":
-            acc += self.coeff * self._base(x, math.sqrt)
-        return acc
+        if self.coeff == 0.0 or self.base == "none":
+            return acc
+        if self.base == "power":
+            v, k = x, self.p
+            while k > 1:
+                v, k = v * x, k - 1
+        else:
+            v = math.sqrt(x) if self.base == "sqrt" else 1.0 / math.sqrt(x)
+        return acc + self.coeff * v
 
     def value_array(self, xs: np.ndarray) -> np.ndarray:
         acc = self.offset + self.slope * xs
         if self.coeff != 0.0 and self.base != "none":
-            acc = acc + self.coeff * self._base(xs, np.sqrt)
+            if self.base == "power":
+                v = xs
+                for _ in range(self.p - 1):
+                    v = v * xs
+            else:
+                v = np.sqrt(xs) if self.base == "sqrt" else 1.0 / np.sqrt(xs)
+            acc = acc + self.coeff * v
         return np.asarray(acc, dtype=float)
 
     # -- calculus on the catalog -------------------------------------------
@@ -328,7 +331,7 @@ class MultivaluedOperator:
         (l_min, l_max), (u_min, u_max) = pc.lower.range_on(lo, hi), pc.upper.range_on(lo, hi)
         if (min(l_min, u_min) < b.lo - SELF_MAP_SLACK
                 or max(l_max, u_max) > b.hi + SELF_MAP_SLACK):
-            raise ValueError(
+            raise NotSelfMapError(
                 f"operator is not a self-map: values of piece [{lo}, {hi}] escape "
                 f"[{b.lo}, {b.hi}]")
 
@@ -351,14 +354,17 @@ class MultivaluedOperator:
         if hi < lo:
             _check_order(np.array([x]), np.array([lo]), np.array([hi]))
             lo, hi = hi, lo
-        return IntervalUnion((Interval(b.clamp(lo), b.clamp(hi)),), ambient=b)
+        return IntervalUnion._from_ends((b.clamp(lo),), (b.clamp(hi),), ambient=b)
 
     def eval_grid(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Endpoints (lo, hi) of T(x) for every x in xs, bit for bit those of eval."""
         b = self.domain.bounds
 
-        def clamp(v):  # Interval.clamp, signed zeros included
-            return np.minimum(np.maximum(v, b.lo), b.hi)
+        def clamp(v):  # Interval.clamp's max and min, which keep the sign of a zero
+            v = np.array(v, dtype=float)
+            np.copyto(v, b.lo, where=b.lo > v)
+            np.copyto(v, b.hi, where=b.hi < v)
+            return v
 
         xs = np.asarray(xs, dtype=float)
         inside = (xs >= b.lo - AMBIENT_TOL) & (xs <= b.hi + AMBIENT_TOL)
@@ -388,23 +394,25 @@ class MultivaluedOperator:
         pieces at once from numpy arrays, bit for bit those of the loop.
         """
         b = self.domain.bounds
-        if y.parts[0].lo < b.lo - AMBIENT_TOL or y.parts[-1].hi > b.hi + AMBIENT_TOL:
+        los, his = y._los, y._his
+        if los[0] < b.lo - AMBIENT_TOL or his[-1] > b.hi + AMBIENT_TOL:
             raise OutOfDomainError(
                 f"set {y.to_json()} escapes operator domain [{b.lo}, {b.hi}]")
-        if len(y.parts) >= IMAGE_VECTOR_MIN_PARTS:
+        if len(los) >= IMAGE_VECTOR_MIN_PARTS:
             return normalize(self._image_ends(y), ambient=b)
-        out: list[Interval] = []
-        for part in y.parts:
-            a = max(part.lo, b.lo)
-            z = min(part.hi, b.hi)
+        x_lo, x_hi = b.lo, b.hi
+        out = []
+        for lo_y, hi_y in zip(los, his):
+            a = max(lo_y, x_lo)
+            z = min(hi_y, x_hi)
             for pc in self.pieces:
                 u = max(a, pc.sub.lo)
                 v = min(z, pc.sub.hi)
                 if u > v:
                     continue
                 lo = min(pc.lower.value(u), pc.lower.value(v))
-                hi = max(pc.upper.value(u), pc.upper.value(v))
-                out.append(Interval(b.clamp(lo), b.clamp(max(lo, hi))))
+                hi = max(lo, max(pc.upper.value(u), pc.upper.value(v)))
+                out.append((min(max(lo, x_lo), x_hi), min(max(hi, x_lo), x_hi)))  # b.clamp
         return normalize(out, ambient=b)
 
     def _image_ends(self, y: IntervalUnion) -> np.ndarray:
@@ -417,11 +425,12 @@ class MultivaluedOperator:
         """
         b = self.domain.bounds
         sub_lo, sub_hi = self._sub_ends
-        n, m = len(y.parts), len(self.pieces)
+        n, m = len(y._los), len(self.pieces)
+        y_ends = y._array()
         # uv[0] and uv[1]: max(a, sub.lo) and min(z, sub.hi) for each part and piece
         uv = np.empty((2, n, m))
-        uv[0] = np.array(y._los)[:, None]
-        uv[1] = np.array(y._his)[:, None]
+        uv[0] = y_ends[n + 1:-1, None]
+        uv[1] = y_ends[1:n + 1, None]
         if y._los[0] < b.lo:
             np.copyto(uv[0], b.lo, where=b.lo > uv[0])
         if y._his[-1] > b.hi:
@@ -593,7 +602,8 @@ def perturb(t: MultivaluedOperator, spec: PerturbationSpec) -> MultivaluedOperat
     For affine G(x, y) = a*x + b*y + c each boundary term maps into the
     catalog via compose_affine; pieces are re-split at the extrema of the
     composed boundaries so the result keeps the monotone-piece invariant
-    and supports exact set images.
+    and supports exact set images.  An admissible G can still carry values
+    out of X; that raises NotSelfMapError, naming the perturbation.
     """
     report = check_perturbation_axioms(spec, t.domain)
     if not report.passes:
@@ -618,7 +628,10 @@ def perturb(t: MultivaluedOperator, spec: PerturbationSpec) -> MultivaluedOperat
     else:
         label = f"general({a:g},{b:g},{c:g})"
     base_name = t.name or "operator"
-    return MultivaluedOperator(t.domain, tuple(pieces), name=f"{base_name}|{label}")
+    try:
+        return MultivaluedOperator(t.domain, tuple(pieces), name=f"{base_name}|{label}")
+    except NotSelfMapError as exc:
+        raise NotSelfMapError(f"perturbation {spec.to_json()} of {base_name}: {exc}") from exc
 
 
 # -- built-in operators ----------------------------------------------------------
@@ -672,9 +685,13 @@ def constant_operator(dom: Domain, value: float, name: str = "") -> MultivaluedO
 
 
 def shift_operator(t: MultivaluedOperator, delta: float) -> MultivaluedOperator:
-    """T(x) + delta (value translation).  Raises if the self-map property breaks."""
+    """T(x) + delta (value translation).  Raises NotSelfMapError if the
+    self-map property breaks."""
     pieces = tuple(
         Piece(pc.sub, pc.lower.shifted(delta), pc.upper.shifted(delta))
         for pc in t.pieces)
-    return MultivaluedOperator(t.domain, pieces,
-                               name=f"{t.name or 'operator'}+{delta:g}")
+    base_name = t.name or "operator"
+    try:
+        return MultivaluedOperator(t.domain, pieces, name=f"{base_name}+{delta:g}")
+    except NotSelfMapError as exc:
+        raise NotSelfMapError(f"shift by {delta!r} of {base_name}: {exc}") from exc

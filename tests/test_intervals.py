@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import copy
+import dataclasses
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -347,11 +350,11 @@ class TestSweepAgainstPairwise:
         assert "_los" not in repr(a) and a.to_json() == {"parts": [[0.0, 1.0], [2.0, 3.0]]}
 
 
-# -- normalize against its merging loop, on both sides of VECTOR_MIN_PARTS --------
+# -- normalize against its merging loop, on lists (the loop) and arrays (numpy) ----
 
 
 @st.composite
-def raw_lists(draw, max_items=3 * VECTOR_MIN_PARTS):
+def raw_lists(draw, max_items=60):
     """Unsorted [lo, hi] lists of 1..max_items items around one offset: a
     chain of parts whose gaps are often just over MERGE_EPS (or overlaps),
     points, repeats of earlier items and, at offset 0, ends of 0.0 and -0.0."""
@@ -392,15 +395,16 @@ class TestNormalizeAgainstLoop:
         # ends, and parts that start or end at a zero, mix both signs
         rng = np.random.default_rng(15)
         values = np.array([-1.0, -1e-13, -0.0, 0.0, 1e-13, 2e-12, 1.0])
-        for n in (1, VECTOR_MIN_PARTS - 1, VECTOR_MIN_PARTS, 2 * VECTOR_MIN_PARTS):
+        for n in (1, 19, 20, 40):
             for _ in range(300):
                 ends = rng.choice(values, int(rng.integers(2, 5)), replace=False)
                 raw = [tuple(sorted(rng.choice(ends, 2).tolist())) for _ in range(n)]
-                assert repr(normalize(raw)) == repr(sequential_normalize(raw))
+                expected = repr(sequential_normalize(raw))
+                assert repr(normalize(raw)) == repr(normalize(np.array(raw))) == expected
 
     @pytest.mark.parametrize("bad", [(math.nan, 1.0), (0.0, math.nan), (-math.inf, 0.0),
                                      (0.0, math.inf), (1.0, 0.0)])
-    @pytest.mark.parametrize("n", [1, 2 * VECTOR_MIN_PARTS])
+    @pytest.mark.parametrize("n", [1, 40])
     def test_rejects_non_finite_and_reversed_on_both_paths(self, bad, n):
         raw = [(float(k), k + 0.5) for k in range(n - 1)] + [bad]
         with pytest.raises(ValueError) as loop_error:
@@ -410,9 +414,10 @@ class TestNormalizeAgainstLoop:
                 normalize(form)
             assert str(error.value) == str(loop_error.value)
 
-    @pytest.mark.parametrize("n", [1, 2 * VECTOR_MIN_PARTS])
-    def test_ambient_is_checked_on_both_paths(self, n):
-        raw = [(0.1 * k, 0.1 * k + 0.05) for k in range(n)]
+    @pytest.mark.parametrize("n", [1, 40])
+    @pytest.mark.parametrize("form", [list, np.array])
+    def test_ambient_is_checked_on_both_paths(self, n, form):
+        raw = form([(0.1 * k, 0.1 * k + 0.05) for k in range(n)])
         assert normalize(raw, Interval(0.0, 0.1 * n)).ambient == Interval(0.0, 0.1 * n)
         with pytest.raises(ValueError, match="escape"):
             normalize(raw, Interval(0.0, 0.01))
@@ -422,3 +427,78 @@ class TestNormalizeAgainstLoop:
             normalize(np.zeros((3, 3)))
         with pytest.raises(EmptySetError):
             normalize(np.zeros((0, 2)))
+
+
+# -- the endpoint constructor against the public one ---------------------------------
+
+
+def corrupted_ends(los: list, his: list, kind: str, i: int) -> None:
+    """Spoil the canonical ends in place: part i gets a NaN, an infinite or a
+    reversed end, or part i + 1 starts within MERGE_EPS of part i's end."""
+    n = len(los)
+    if kind == "nan":
+        (los if i % 2 else his)[i % n] = math.nan
+    elif kind == "inf":
+        los[0], his[-1] = (-math.inf, his[-1]) if i % 2 else (los[0], math.inf)
+    elif kind == "inner_inf":  # an inner end, where the order check alone fails
+        his[i % n], los[i % n] = math.inf, (math.inf if i % 3 else los[i % n])
+    elif kind == "reversed":
+        los[i % n] = his[i % n] + 0.5
+    else:  # "unseparated"; callers give n >= 2
+        k = i % (n - 1)
+        los[k + 1] = his[k] + MERGE_EPS
+
+
+class TestEndpointConstructor:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(raw_lists(), st.sampled_from([None, "hull", "wide"]))
+    def test_same_union_as_the_public_constructor(self, raw, ambient):
+        u = sequential_normalize(raw)
+        if ambient is not None:
+            pad = 1.0 if ambient == "wide" else 0.0
+            ambient = Interval(u.parts[0].lo - pad, u.parts[-1].hi + pad)
+        los = tuple(p.lo for p in u.parts)
+        his = tuple(p.hi for p in u.parts)
+        public = IntervalUnion(u.parts, ambient)
+        private = IntervalUnion._from_ends(los, his, ambient)
+        assert private == public and hash(private) == hash(public)
+        assert hash(public) == hash((public.parts, ambient))
+        assert repr(private) == repr(public)  # the signs of zeros included
+        assert private.to_json() == public.to_json()
+        first = private.parts
+        assert private.parts is first and public.parts is public.parts
+        assert repr(copy.deepcopy(private)) == repr(pickle.loads(pickle.dumps(private))) \
+            == repr(public)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(raw_lists(), st.sampled_from(["nan", "inf", "inner_inf", "reversed",
+                                         "unseparated", "ambient"]),
+           st.integers(0, 1000))
+    def test_rejects_what_the_public_constructor_rejects(self, raw, kind, i):
+        u = sequential_normalize(raw)
+        los, his = [p.lo for p in u.parts], [p.hi for p in u.parts]
+        ambient = None
+        if kind == "ambient":
+            ambient = Interval(his[-1] + 1.0, his[-1] + 2.0)
+        else:
+            if kind == "unseparated" and len(los) < 2:
+                los, his = los + [his[-1] + 1.0], his + [his[-1] + 2.0]
+            corrupted_ends(los, his, kind, i)
+        with pytest.raises(ValueError) as public:
+            IntervalUnion(tuple(map(Interval, los, his)), ambient)
+        with pytest.raises(ValueError) as private:
+            IntervalUnion._from_ends(tuple(los), tuple(his), ambient)
+        assert type(private.value) is type(public.value)
+        assert str(private.value) == str(public.value)
+
+    def test_empty_and_immutable(self):
+        with pytest.raises(EmptySetError):
+            IntervalUnion._from_ends((), ())
+        with pytest.raises(EmptySetError):
+            IntervalUnion(())
+        a = U((0, 1))
+        for name in ("_los", "parts", "ambient"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(a, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(a, name)

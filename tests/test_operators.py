@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 import setfix
 from setfix import (
@@ -16,6 +16,7 @@ from setfix import (
     GeneralG,
     Interval,
     MultivaluedOperator,
+    NotSelfMapError,
     OutOfDomainError,
     ParameterRangeError,
     Piece,
@@ -132,6 +133,30 @@ class TestEvalGrid:
     def test_out_of_domain(self, sqrt_t):
         with pytest.raises(OutOfDomainError):
             sqrt_t.eval_grid(np.array([1.0, 5.0]))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.sampled_from([(0.0, 1.0), (-0.0, 1.0), (-1.0, 0.0), (-1.0, -0.0)]),
+           st.lists(st.tuples(st.sampled_from([0.0, -0.0, 1e-12, -1e-12, 0.5, -0.5, 1.0, -1.0]),
+                              st.sampled_from([0.0, -0.0, 1e-13, -1e-13])),
+                    min_size=2, max_size=2),
+           st.lists(st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 0.5, -0.5, 1.0, -1.0]),
+                    min_size=1, max_size=8))
+    @example((0.0, 1.0), [(-1e-12, -0.0), (1.0, 0.0)], [0.0])
+    def test_signed_zeros_at_domain_ends(self, ends, terms, xs):
+        # values that touch or cross an end at 0.0 or -0.0 are clamped to it
+        # as eval clamps them, the sign of a zero included
+        lo, hi = ends
+        xs = [x for x in xs if lo <= x <= hi]
+        lower, upper = (BoundaryFn(slope=s, offset=c) for s, c in terms)
+        try:
+            t = MultivaluedOperator(Domain(Interval(lo, hi)),
+                                    (Piece(Interval(lo, hi), lower, upper),))
+        except ValueError:
+            reject()
+        glo, ghi = t.eval_grid(np.array(xs, dtype=float))
+        for x, gl, gh in zip(xs, glo, ghi):
+            v = t.eval(x)
+            assert np.array_equal(_bits([gl, gh]), _bits([v._los[0], v._his[0]])), x
 
 
 class TestSetImage:
@@ -270,6 +295,11 @@ class TestSetImageAgainstRangeOn:
         for zero in ((-0.0, -0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, 0.25)):
             y = normalize([Interval(*zero), *right], t.domain.bounds)
             assert repr(t.set_image(y)) == repr(range_on_set_image(t, y))
+        # at 0, lower = -0.0 ties upper = 0.0, and the image ends at max(lo, hi) = lo
+        tie = MultivaluedOperator(Domain(Interval(0.0, 1.0)), (Piece(
+            Interval(0.0, 1.0), BoundaryFn(slope=-1e-12, offset=-0.0), BoundaryFn()),))
+        y = normalize([Interval(0.0, 0.0), *right], tie.domain.bounds)
+        assert repr(tie.set_image(y)) == repr(range_on_set_image(tie, y))
 
     def test_every_piece_junction_as_a_point(self):
         for t in _builtins_and_perturbations():
@@ -345,6 +375,15 @@ class TestPerturb:
         tg = perturb(op, GeneralG(a=2.0, b=-1.0))
         for x in (0.0, 0.4, 1.0):
             assert tg.eval(x).parts == op.eval(x).parts
+
+    def test_non_self_map_names_the_perturbation(self, sqrt_t):
+        # admissible (a + b = 1, b != 0), but T_G(4) = [-0.5, 1] leaves X = [0.25, 4]
+        spec = GeneralG(a=-0.5, b=1.5)
+        assert check_perturbation_axioms(spec, sqrt_t.domain).passes
+        with pytest.raises(NotSelfMapError, match=re.escape(f"perturbation {spec.to_json()}")):
+            perturb(sqrt_t, spec)
+        with pytest.raises(NotSelfMapError, match="shift by 3.0 of sqrt_example"):
+            setfix.shift_operator(sqrt_t, 3.0)
 
     def test_axiom_violation_raises(self, sqrt_t):
         with pytest.raises(AxiomViolationError):
@@ -616,6 +655,18 @@ class TestBoundaryFn:
     def test_non_finite_coefficient_rejected(self, field, value):
         with pytest.raises(ValueError, match="finite"):
             BoundaryFn(base="sqrt", **{field: value})
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.sampled_from(["none", "power", "sqrt", "invsqrt"]), st.integers(1, 9),
+           *[st.sampled_from([0.0, -0.0]) | st.floats(-4.0, 4.0)] * 3, st.data())
+    def test_value_is_value_array_bit_for_bit(self, base, p, coeff, slope, offset, data):
+        fn = BoundaryFn(base=base, p=p, coeff=coeff, slope=slope, offset=offset)
+        if base == "invsqrt":  # defined for x > 0 only
+            x = data.draw(st.floats(0.0, 4.0, exclude_min=True))
+        else:
+            zeros = st.sampled_from([0.0, -0.0])
+            x = data.draw(zeros | st.floats(0.0 if base == "sqrt" else -4.0, 4.0))
+        assert _bits(fn.value(x)) == _bits(fn.value_array(np.array([x]))[0])
 
     def test_bool_power_exponent_rejected(self):
         with pytest.raises(ValueError, match="integer exponent"):

@@ -305,6 +305,18 @@ class TestCli:
         payload = json.loads(out.read_text())
         assert any(not o["converged"] for o in payload["orbits"])
 
+    def test_non_self_map_perturbation_exits_2(self, tmp_path, capsys):
+        # the perturbation passes the axiom check, but T_G leaves X
+        raw = dict(load_scenario("sqrt_takahashi_34").raw,
+                   perturbation={"kind": "general", "a": -0.5, "b": 1.5})
+        spath = tmp_path / "escape.json"
+        spath.write_text(json.dumps(raw))
+        out = tmp_path / "escape_report.json"
+        assert cli_main(["run", str(spath), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: NotSelfMapError: perturbation")
+        assert "'a': -0.5, 'b': 1.5" in err[0] and not out.exists()
+
     def test_unknown_scenario_exit_code(self, capsys):
         assert cli_main(["run", "definitely_missing"]) == 2
 
