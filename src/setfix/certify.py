@@ -25,24 +25,30 @@ entries j <= i carry lhs = -inf and never bind.  The four entry arrays are
 the rows of one allocation, which the heap keeps for the next call instead
 of returning its pages to the OS and faulting them in again.  The witness
 pass (once per pair: required = lhs / max(u, v, w) is the same in both
-orientations) and every full sweep run block by block; a sweep forms
+orientations) and every sweep run block by block; a sweep forms
 a*u + b*v + g*w - lhs in that order, so it equals the plain expression bit
 for bit, and a later block replaces a running best only when strictly
 better.  So the witness is the first ordered pair in row-major order
 attaining it, since a pair below the diagonal comes after its mirror above
 it.
+A sweep skips b*v when b == 0 and g*w when g == 0, and with b == g == 0
+forms orientation 0 alone, since the mirrored one is then the same
+constraint: u, v and w are finite and >= 0, so a*u + 0*v == a*u bit for
+bit, and ties go to orientation 0 anyway.
 The search is serial and screened: each candidate's minimum over a small
 working set of pair rows (seeded with the witness pair, the largest LHS and
 each block's hardest pair) is an exact upper bound on its margin, computed
 from the same floats as the full minimum.  Only a candidate the bound
-cannot reject is swept over all pairs, and a sweep that falls short adds
-its binding pair to the working set.  The infeasible path finds the best
-margin by branch and bound on the same bounds.  Results equal an
-exhaustive sweep of every candidate.  A genuinely infeasible instance is
-proven by a single witness pair whose constraint alone cannot be met by
-any admissible parameters (reported bound > 1); otherwise infeasibility
-means exhaustion of the search grid and the hardest pair is reported with
-its bound <= 1.
+cannot reject is swept, and the sweep stops after the first block that
+brings its running minimum below what would decide it (the required slack,
+or the best margin so far on the infeasible path); the row it stops at
+joins the working set.  The infeasible path finds the best margin by
+branch and bound on the same bounds, raising the best only from sweeps
+that ran to the end.  Results equal an exhaustive sweep of every
+candidate.  A genuinely infeasible instance is proven by a single witness
+pair whose constraint alone cannot be met by any admissible parameters
+(reported bound > 1); otherwise infeasibility means exhaustion of the
+search grid and the hardest pair is reported with its bound <= 1.
 
 Grid sweeps evaluate T once via eval_grid and the single-interval closed
 forms in operators.  The strict fixed point x* comes from the caller
@@ -257,6 +263,12 @@ class _PairSystem:
         v, w = self.v[e0:e1], self.w[e0:e1]
         return self.lhs[e0:e1], self.u[e0:e1], *((w, v) if orientation else (v, w))
 
+    def row_terms(self, rows):
+        """(lhs, u, v, w) of a list of rows (entry, orientation), one element each."""
+        e, o = np.array(rows, dtype=np.intp).T
+        v, w, mirrored = self.v[e], self.w[e], o == 1
+        return self.lhs[e], self.u[e], np.where(mirrored, w, v), np.where(mirrored, v, w)
+
     def pair(self, row) -> tuple[int, int]:
         """The ordered grid pair (i, j) of a row (entry, orientation)."""
         e, orientation = row
@@ -321,29 +333,40 @@ def _witness_pass(pairs: _PairSystem, work):
     return hardest, tops, active
 
 
-def _sweep(c, pairs, work) -> tuple[float, tuple[int, int]]:
-    """Exact margin of one candidate over every ordered pair, and the first row
-    (entry, orientation) attaining it.
+def _sweep(c, pairs, work, stop: float) -> tuple[float, tuple[int, int]]:
+    """Margin of one candidate over the ordered pairs, and the first row
+    (entry, orientation) attaining it, returned after the first row block
+    whose running minimum falls below stop (or after the last block).
 
+    The margin is exact when it is >= stop; below stop it is the running
+    minimum, an upper bound on the margin that the returned row attains.
     Each block forms a*u + b*v + g*w - lhs in that order, so it equals the
-    plain expression bit for bit; a later block or orientation replaces the
-    running minimum only when strictly lower, so ties go to the first block,
-    then orientation 0, then the first entry.
+    plain expression bit for bit.  b*v is skipped when b == 0, g*w when
+    g == 0, and with b == g == 0 only orientation 0 is formed: u, v and w
+    are finite and >= 0, so a*u + 0*v is a*u and the mirrored orientation
+    a*u - lhs is the same constraint.  A later block or orientation replaces
+    the running minimum only when strictly lower, so ties go to the first
+    block, then orientation 0, then the first entry.
     """
     a, b, g = c
     s_buf, t_buf = work
+    orientations = pairs.orientations if b or g else (0,)
     best, arg = np.inf, None
     for e0, e1 in pairs.blocks():
         s, tmp = s_buf[:e1 - e0], t_buf[:e1 - e0]
-        for o in pairs.orientations:
+        for o in orientations:
             lhs, u, v, w = pairs.terms(e0, e1, o)
             np.multiply(a, u, out=s)
-            s += np.multiply(b, v, out=tmp)
-            s += np.multiply(g, w, out=tmp)
+            if b:
+                s += np.multiply(b, v, out=tmp)
+            if g:
+                s += np.multiply(g, w, out=tmp)
             s -= lhs
             k = int(np.argmin(s))
             if arg is None or s[k] < best:
                 best, arg = float(s[k]), (e0 + k, o)
+        if best < stop:
+            break
     return best, arg
 
 
@@ -353,11 +376,15 @@ class _Screen:
     coef holds one candidate (a, b, g) per column, rows are (entry,
     orientation) rows of the pair system, and bounds[i] is candidate i's
     minimum over those rows, built with the same element expression as the
-    full sweep, so it is an exact upper bound on the margin (a matmul or any
-    fused or reordered form would change the bits and lose that).  A full
-    sweep runs only where the bound cannot decide; its argmin row joins the
-    working set (shared across candidate lists) and tightens every bound, so
-    a swept candidate's bound equals its margin; _exact raises if it does not.
+    full sweep (one (m, R) broadcast for R rows, no matmul), so it is an
+    exact upper bound on the margin (a matmul or any fused or reordered form
+    would change the bits and lose that; the sweep's skipped zero products
+    add +0.0 here and change nothing).  A sweep runs only where the bound
+    cannot decide, and stops once its running minimum decides; its row
+    joins the working set (shared across candidate lists) and tightens every
+    bound, so a swept candidate's bound equals what the sweep returned:
+    the bound was at least the stop value, which the returned minimum is
+    below unless the sweep ran to the end.  _exact raises if it does not.
     """
 
     def __init__(self, coef: np.ndarray, pairs: _PairSystem, work,
@@ -367,22 +394,23 @@ class _Screen:
         self.work = work
         self.rows = rows
         self.bounds = np.full(coef.shape[1], np.inf)
-        for row in rows:
-            self._tighten(row)
-        self.max_swept = -np.inf
+        self._tighten(rows)
 
-    def _tighten(self, row: tuple[int, int]) -> None:
-        a, b, g = self.coef
-        e, o = row
-        lhs, u, v, w = self.pairs.terms(e, e + 1, o)
-        np.minimum(self.bounds, a * u + b * v + g * w - lhs, out=self.bounds)
+    def _tighten(self, rows: list[tuple[int, int]]) -> None:
+        lhs, u, v, w = self.pairs.row_terms(rows)
+        a, b, g = self.coef[:, :, None]
+        s, tmp = a * u, b * v
+        s += tmp
+        s += np.multiply(g, w, out=tmp)
+        s -= lhs
+        np.minimum(self.bounds, s.min(axis=1), out=self.bounds)
 
-    def _exact(self, i: int) -> float:
-        m, row = _sweep(self.coef[:, i], self.pairs, self.work)
-        self.max_swept = max(self.max_swept, m)
+    def _exact(self, i: int, stop: float) -> float:
+        """Candidate i's sweep with stop; exact when it is >= stop."""
+        m, row = _sweep(self.coef[:, i], self.pairs, self.work, stop)
         if row not in self.rows:
             self.rows.append(row)
-            self._tighten(row)
+            self._tighten([row])
         if self.bounds[i] != m:  # else max_margin would pick it again forever
             raise RuntimeError(
                 f"screen out of step: candidate {tuple(self.coef[:, i].tolist())} swept "
@@ -398,19 +426,23 @@ class _Screen:
         """
         for i in np.flatnonzero(self.bounds >= slack):
             if self.bounds[i] >= slack:
-                m = self._exact(int(i))
+                m = self._exact(int(i), slack)
                 if m >= slack:
                     return tuple(self.coef[:, i].tolist()), m
         return None
 
     def max_margin(self) -> float:
-        """Largest margin over the list, by branch and bound on the bounds."""
+        """Largest margin over the list, by branch and bound on the bounds.
+
+        A sweep stopped below the best so far leaves best as it is, and the
+        candidate's bound, now below best, never picks it again.
+        """
+        best = -np.inf
         while True:
             i = int(np.argmax(self.bounds))
-            if not self.bounds[i] > self.max_swept:
-                break
-            self._exact(i)
-        return self.max_swept
+            if not self.bounds[i] > best:
+                return best
+            best = max(best, self._exact(i, best))
 
 
 def certify_contraction(t: MultivaluedOperator, variant: str = "ciric",

@@ -387,7 +387,15 @@ def _excess_arrays(a: IntervalUnion, b: IntervalUnion) -> float:
 
 
 def hausdorff(a: IntervalUnion, b: IntervalUnion) -> float:
-    """Pompeiu-Hausdorff distance max(e(A,B), e(B,A)); a metric on canonical forms."""
+    """Pompeiu-Hausdorff distance max(e(A,B), e(B,A)); a metric on canonical forms.
+
+    Between two single parts it is max(|lo_a - lo_b|, |hi_a - hi_b|), with
+    the excess loops' bits: their other candidates are dominated, because
+    fl(c - q) <= fl(c - p) for p <= q, and a zero distance is +0.0 both ways
+    (the loops' best starts at +0.0, abs drops the sign).
+    """
+    if len(a._los) == 1 == len(b._los):
+        return max(abs(a._los[0] - b._los[0]), abs(a._his[0] - b._his[0]))
     return max(excess(a, b), excess(b, a))
 
 

@@ -393,6 +393,24 @@ def test_full_sweeps_bounded(op_fixture, request, monkeypatch):
     assert 1 <= count[0] <= 25
 
 
+@pytest.mark.parametrize("name, passes", [("sqrt|0.75", 32), ("square|0.5", 16)])
+def test_block_passes_pinned(name, passes, monkeypatch):
+    # the witness pass and every sweep read the pair system one row block per
+    # orientation through terms; a sweep that runs on past the block that
+    # decides its candidate, or forms a mirrored orientation equal to the
+    # first, reads more (88 and 24 passes when every sweep ran to the end)
+    count = [0]
+    terms = certify._PairSystem.terms
+
+    def counted(self, e0, e1, orientation):
+        count[0] += 1
+        return terms(self, e0, e1, orientation)
+
+    monkeypatch.setattr(certify._PairSystem, "terms", counted)
+    certify_contraction(_named_operator(name), "ciric", 501)
+    assert count[0] == passes
+
+
 def _same_bits(coef: np.ndarray, cands: list[tuple[float, float, float]]) -> bool:
     """coef holds cands as columns, in order and bit for bit (so -0.0 != 0.0)."""
     ref = np.array(cands, dtype=float).reshape(-1, 3).T
@@ -536,7 +554,7 @@ def test_block_ties_resolve_to_first_flat_index(rows, monkeypatch):
     k = int(np.argmin(s))
     i, j = int(idx_i[k]), int(idx_j[k])
     assert i < j and s[_oracle_index(n, (j, i))] == s[k]
-    margin, row = certify._sweep((0.5, 0.0, 0.0), pairs, work)
+    margin, row = certify._sweep((0.5, 0.0, 0.0), pairs, work, -np.inf)
     assert margin == float(s[k]) and row[1] == 0 and pairs.pair(row) == (i, j)
 
     required = np.where(lhs > 1e-14, lhs / np.maximum(np.maximum(u, np.maximum(v, w)), 1e-300), 0.0)
@@ -548,15 +566,19 @@ def test_block_ties_resolve_to_first_flat_index(rows, monkeypatch):
     assert max(tops) == required[k]
 
 
+# b == 0 or g == 0 skips that product in the sweep; b == g == 0 also skips
+# the mirrored orientation
 _PROBES = [(0.0, 0.0, 0.0), (0.5, 0.0, 0.0), (0.875, 0.0, 0.0), (0.5, 0.2, 0.1),
-           (0.1, 0.45, 0.3), (0.3, 0.05, 0.6), (0.2, 0.2, 0.55)]
+           (0.1, 0.45, 0.3), (0.3, 0.05, 0.6), (0.2, 0.2, 0.55), (0.3, 0.0, 0.6),
+           (0.2, 0.5, 0.0)]
 
 
 @pytest.mark.parametrize("name", _DIFF_OPERATORS)
 def test_pair_system_matches_ordered_oracle(name, monkeypatch):
     # the witness, skipped, the largest LHS and every probe's margin equal
     # those of the oracle's n(n-1) ordered pairs bit for bit, and the swept
-    # row names an ordered pair that attains the margin there
+    # row names an ordered pair that attains the margin there; a sweep that
+    # stops early returns a value below its stop, attained at its row
     op = _named_operator(name)
     for rows in (1, 2, 7):
         monkeypatch.setattr(certify, "_block_rows", lambda n: rows)
@@ -584,9 +606,14 @@ def test_pair_system_matches_ordered_oracle(name, monkeypatch):
                 assert repr(float(pairs.lhs.max())) == repr(float(lhs.max())), case
                 for a, b, g in _PROBES:
                     ref = a * u + b * v + g * w - lhs
-                    margin, row = certify._sweep((a, b, g), pairs, work)
-                    assert repr(margin) == repr(float(ref.min())), (case, a, b, g)
+                    for stop in (-np.inf, float(ref.min())):
+                        margin, row = certify._sweep((a, b, g), pairs, work, stop)
+                        assert repr(margin) == repr(float(ref.min())), (case, a, b, g)
+                        at = _oracle_index(n, pairs.pair(row))
+                        assert repr(float(ref[at])) == repr(margin), (case, a, b, g)
+                    margin, row = certify._sweep((a, b, g), pairs, work, np.inf)
                     at = _oracle_index(n, pairs.pair(row))
+                    assert margin < np.inf and margin >= ref.min(), (case, a, b, g)
                     assert repr(float(ref[at])) == repr(margin), (case, a, b, g)
 
 
@@ -595,8 +622,8 @@ def test_screen_raises_when_a_sweep_reports_a_wrong_pair(monkeypatch):
     # margin; max_margin would then pick that candidate again forever
     sweep = certify._sweep
 
-    def wrong_pair(c, pairs, work):
-        m, (e, o) = sweep(c, pairs, work)
+    def wrong_pair(c, pairs, work, stop):
+        m, (e, o) = sweep(c, pairs, work, stop)
         return m, ((e + 1) % len(pairs.lhs), o)
 
     monkeypatch.setattr(certify, "_sweep", wrong_pair)

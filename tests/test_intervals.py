@@ -325,6 +325,23 @@ class TestSweepAgainstPairwise:
         assert_same_as_pairwise(a, sub)
         assert_same_as_pairwise(moved, a)
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                         -2.225073858507201e-308, 1.0, -1.0, 1e308, -1e308]),
+        st.floats(allow_nan=False, allow_infinity=False)), min_size=4, max_size=4),
+        st.booleans(), st.booleans())
+    def test_one_part_hausdorff_closed_form(self, ends, point_a, point_b):
+        # hausdorff's one-part shortcut against the oracle's excess scans;
+        # point_a / point_b make that part a point, so its ends are equal
+        a0, a1, b0, b1 = ends
+        a1 = a0 if point_a else a1
+        b1 = b0 if point_b else b1
+        a = normalize([Interval(min(a0, a1), max(a0, a1))])
+        b = normalize([Interval(min(b0, b1), max(b0, b1))])
+        assert repr(hausdorff(a, b)) == repr(pairwise_hausdorff(a, b))
+        assert repr(hausdorff(b, a)) == repr(max(excess(a, b), excess(b, a)))
+
     def test_seeded_many_part_sweep(self):
         rng = np.random.default_rng(8)
         for _ in range(60):
