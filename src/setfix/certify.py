@@ -50,8 +50,12 @@ pair whose constraint alone cannot be met by any admissible parameters
 (reported bound > 1); otherwise infeasibility means exhaustion of the
 search grid and the hardest pair is reported with its bound <= 1.
 
-Grid sweeps evaluate T once via eval_grid and the single-interval closed
-forms in operators.  The strict fixed point x* comes from the caller
+Grid sweeps read each operator's values from its grid table
+(MultivaluedOperator.grid_values: eval_grid once per operator and grid size,
+on first use, kept on the operator) and apply the single-interval closed
+forms in operators to them.  T_G on T's domain object reads its own table;
+an operator on another domain is evaluated at T's grid on each call.  The
+strict fixed point x* comes from the caller
 (SFix(T) from scan_fixed_points in run_scenario, or
 unique_strict_fixed_point), checked by one eval at iteration.STRICT_TOL.
 """
@@ -227,7 +231,7 @@ class _PairSystem:
     swapped.
     """
 
-    def __init__(self, t: MultivaluedOperator, variant: str, xs: np.ndarray) -> None:
+    def __init__(self, variant: str, xs: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
         n = self.n = len(xs)
         rows = _block_rows(n)
         self.orientations = (0, 1) if _MIRRORED[variant] else (0,)
@@ -235,7 +239,6 @@ class _PairSystem:
         shapes = [(min(r0 + rows, n - 1) - r0, n - 1 - r0) for r0 in self.r0s]
         self.ends = [0, *itertools.accumulate(h * w for h, w in shapes)]
         self.u, self.lhs, self.v, self.w = np.empty((4, self.ends[-1]))
-        lo, hi = t.eval_grid(xs)
         d = dist_to_value(xs, lo, hi)
         for r0, (h, width), e0, e1 in zip(self.r0s, shapes, self.ends, self.ends[1:]):
             i, j = slice(r0, r0 + h), slice(r0 + 1, n)
@@ -462,9 +465,9 @@ def certify_contraction(t: MultivaluedOperator, variant: str = "ciric",
     if margin_req < 0.0:
         raise ParameterRangeError("margin_req must be >= 0")
 
-    xs = t.domain.grid(grid_n)
+    xs, lo, hi = t.grid_values(grid_n)
     n = len(xs)
-    pairs = _PairSystem(t, variant, xs)
+    pairs = _PairSystem(variant, xs, lo, hi)
     work = np.empty(pairs.block_size), np.empty(pairs.block_size)
     hardest, tops, active = _witness_pass(pairs, work)
     top = int(np.argmax(tops))
@@ -551,9 +554,9 @@ def sup_ratio_l(t: MultivaluedOperator, tg: MultivaluedOperator, xstar: float,
     arguments.
     """
     _verify_strict_point(xstar, t, tg)
-    xs = t.domain.grid(grid_n)
-    den = hausdorff_to_point(*tg.eval_grid(xs), xstar)
-    return _grid_sup(xs, hausdorff_to_point(*t.eval_grid(xs), xstar), den,
+    den = hausdorff_to_point(*tg.grid_values(grid_n, t.domain)[1:], xstar)
+    xs, lo, hi = t.grid_values(grid_n)
+    return _grid_sup(xs, hausdorff_to_point(lo, hi, xstar), den,
                      (xs == xstar) | (den < 1e-14), xstar)
 
 
@@ -561,9 +564,9 @@ def sup_gap_ratio_l(t: MultivaluedOperator, tg: MultivaluedOperator, xstar: floa
                     grid_n: int = 2001) -> GridSup:
     """Gap-based analogue: sup of D(T(x), {x*}) / D(T_G(x), {x*}) (weak variant)."""
     _verify_strict_point(xstar, t, tg)
-    xs = t.domain.grid(grid_n)
-    den = dist_to_value(xstar, *tg.eval_grid(xs))
-    return _grid_sup(xs, dist_to_value(xstar, *t.eval_grid(xs)), den,
+    den = dist_to_value(xstar, *tg.grid_values(grid_n, t.domain)[1:])
+    xs, lo, hi = t.grid_values(grid_n)
+    return _grid_sup(xs, dist_to_value(xstar, lo, hi), den,
                      (xs == xstar) | (den < 1e-14), xstar)
 
 
@@ -575,9 +578,9 @@ def displacement_constant_L(t: MultivaluedOperator, tg: MultivaluedOperator,
     denominator with nonvanishing numerator yields +inf.  For the Takahashi
     combination the ratio is identically 1 - lam.
     """
-    xs = t.domain.grid(grid_n)
-    num = dist_to_value(xs, *tg.eval_grid(xs))
-    den = dist_to_value(xs, *t.eval_grid(xs))
+    xs, glo, ghi = tg.grid_values(grid_n, t.domain)
+    num = dist_to_value(xs, glo, ghi)
+    den = dist_to_value(xs, *t.grid_values(grid_n)[1:])
     zero = den < 1e-14
     skip = zero & (num < 1e-14)
     blowup = np.flatnonzero(zero & ~skip)
@@ -607,8 +610,8 @@ def retraction_displacement_check(t: MultivaluedOperator, params: ContractionPar
     if denom <= 0.0:
         raise ParameterRangeError("need alpha + beta < 1 for the displacement bound")
     C = (1.0 + params.gamma) * L / denom
-    xs = t.domain.grid(grid_n)
-    dist = dist_to_value(xs, *t.eval_grid(xs))
+    xs, lo, hi = t.grid_values(grid_n)
+    dist = dist_to_value(xs, lo, hi)
     err = np.abs(xs - xstar)
     keep = (dist >= 1e-14) | (err >= 1e-9)
     dd, ee = dist[keep], err[keep]

@@ -233,6 +233,19 @@ def _check_order(xs: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
             f"{float(lo[i] - hi[i])!r}, beyond the slack {ORDER_SLACK!r}")
 
 
+def _clamp(v: np.ndarray, b: Interval) -> np.ndarray:
+    """Interval.clamp elementwise: v itself when it lies in b, else a copy with
+    the ends put in.  np.copyto under b.lo > v and b.hi < v keeps the choice of
+    Python's max and min, which np.maximum and np.minimum do not make between
+    0.0 and -0.0."""
+    if not v.size or (v.min() >= b.lo and v.max() <= b.hi):
+        return v
+    v = v.copy()
+    np.copyto(v, b.lo, where=b.lo > v)
+    np.copyto(v, b.hi, where=b.hi < v)
+    return v
+
+
 def _worst_order_point(lower: BoundaryFn, upper: BoundaryFn, lo: float, hi: float) -> float:
     """The x of [lo, hi] where lower - upper is largest, from the exact extrema
     of the gap upper - lower.
@@ -310,6 +323,12 @@ class MultivaluedOperator:
             runs.append((lower, upper, slice(j, k)))
             j = k
         object.__setattr__(self, "_term_runs", tuple(runs))
+        # eval_grid cuts a sorted array at the lower end of each later run's
+        # first piece; that takes the pieces' lower ends in sorted order
+        los = self._piece_los
+        starts = [los[r.start] for _, _, r in runs[1:]]
+        object.__setattr__(self, "_run_cuts", starts if list(los) == sorted(los) else None)
+        object.__setattr__(self, "_grids", {})
 
     def _validate_piece(self, pc: Piece) -> None:
         lo, hi = pc.sub.lo, pc.sub.hi
@@ -357,32 +376,71 @@ class MultivaluedOperator:
         return IntervalUnion._from_ends((b.clamp(lo),), (b.clamp(hi),), ambient=b)
 
     def eval_grid(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Endpoints (lo, hi) of T(x) for every x in xs, bit for bit those of eval."""
+        """Endpoints (lo, hi) of T(x) for every x in xs, bit for bit those of eval,
+        as fresh arrays.
+
+        Each run of adjacent pieces with the same terms is evaluated once: a
+        sorted 1-d xs is cut into one slice per run, any other xs is masked
+        per run by its piece index.  The clamps into X copy only where a
+        min/max check finds a value outside X; otherwise they are the
+        identity, the sign of a zero included.
+        """
         b = self.domain.bounds
-
-        def clamp(v):  # Interval.clamp's max and min, which keep the sign of a zero
-            v = np.array(v, dtype=float)
-            np.copyto(v, b.lo, where=b.lo > v)
-            np.copyto(v, b.hi, where=b.hi < v)
-            return v
-
         xs = np.asarray(xs, dtype=float)
-        inside = (xs >= b.lo - AMBIENT_TOL) & (xs <= b.hi + AMBIENT_TOL)
-        if not inside.all():
+        if xs.size and not (xs.min() >= b.lo - AMBIENT_TOL and xs.max() <= b.hi + AMBIENT_TOL):
+            inside = (xs >= b.lo - AMBIENT_TOL) & (xs <= b.hi + AMBIENT_TOL)
             raise OutOfDomainError(f"x={float(xs[np.argmin(inside)])!r} outside operator "
                                    f"domain [{b.lo}, {b.hi}]")
-        xs = clamp(xs)
-        idx = np.maximum(np.searchsorted(self._piece_los, xs, side="right") - 1, 0)
-        lo, hi = np.empty_like(xs), np.empty_like(xs)
-        for i, pc in enumerate(self.pieces):
-            sel = idx == i
-            lo[sel] = pc.lower.value_array(xs[sel])
-            hi[sel] = pc.upper.value_array(xs[sel])
+        xs = _clamp(xs, b)
+        lo, hi = self._run_values(xs)
         swap = hi < lo
         if swap.any():
             _check_order(xs, lo, hi)
-        lo, hi = np.where(swap, hi, lo), np.where(swap, lo, hi)
-        return clamp(lo), clamp(hi)
+            lo, hi = np.where(swap, hi, lo), np.where(swap, lo, hi)
+        return _clamp(lo, b), _clamp(hi, b)
+
+    def _run_values(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """lower and upper of the piece of each x in xs (clamped into X), per term run."""
+        runs = self._term_runs
+        if len(runs) == 1:
+            lower, upper, _ = runs[0]
+            return lower.value_array(xs), upper.value_array(xs)
+        lo, hi = np.empty_like(xs), np.empty_like(xs)
+        if self._run_cuts is not None and xs.ndim == 1 and np.all(xs[1:] >= xs[:-1]):
+            # with the lower ends sorted, x lies at or above a run's first
+            # lower end exactly when its piece index (bisect right, as in
+            # _piece_index) falls in that run or a later one
+            cuts = [0, *np.searchsorted(xs, self._run_cuts, side="left").tolist(), len(xs)]
+            for (lower, upper, _), i, j in zip(runs, cuts, cuts[1:]):
+                lo[i:j], hi[i:j] = lower.value_array(xs[i:j]), upper.value_array(xs[i:j])
+            return lo, hi
+        idx = np.maximum(np.searchsorted(self._piece_los, xs, side="right") - 1, 0)
+        for lower, upper, cols in runs:
+            sel = (idx >= cols.start) & (idx < cols.stop)
+            lo[sel], hi[sel] = lower.value_array(xs[sel]), upper.value_array(xs[sel])
+        return lo, hi
+
+    def grid_values(self, n: int, domain: Domain | None = None
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(xs, lo, hi): xs = domain.grid(n), the operator's own domain by
+        default, and (lo, hi) = eval_grid(xs).
+
+        On its own domain the table is computed on first use and kept on the
+        operator, and every call returns the same read-only arrays.  The grid
+        of another domain is evaluated on each call, with eval_grid's values
+        and errors.
+        """
+        if domain is not None and domain is not self.domain:
+            xs = domain.grid(n)
+            return (xs, *self.eval_grid(xs))
+        table = self._grids.get(n)
+        if table is None:
+            xs = self.domain.grid(n)
+            table = (xs, *self.eval_grid(xs))
+            for a in table:
+                a.flags.writeable = False
+            self._grids[n] = table
+        return table
 
     def set_image(self, y: IntervalUnion) -> IntervalUnion:
         """Exact T(Y) = union of T(y) over y in Y (closure at piece junctions).

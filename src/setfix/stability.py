@@ -12,8 +12,10 @@ actually used, and worst-case evidence:
                                          + k^(n+1) |v_0 - x*|
 * quasi-contraction    H(T(x),{x*}) <= l k |x - x*|  (gap-based weak variant)
 
-D(x, T(x)) comes from eval_grid throughout; the well-posedness points u_n
-are found by one bisection run in lockstep over all their residual bands.
+D(x, T(x)) comes from eval_grid throughout: on a domain grid from the
+operator's grid_values table, computed once per operator and grid size; the
+well-posedness points u_n are found by one bisection run in lockstep over all
+their residual bands.
 
 Every harness takes the strict fixed point x* of T after its operators:
 run_scenario passes it when SFix(T) is one isolated point, direct callers
@@ -35,6 +37,7 @@ form (a+b)/(1-a) are reported.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -208,6 +211,13 @@ def _ratio(lhs, rhs) -> np.ndarray:
     return out
 
 
+def _float_ratio(lhs: float, rhs: float) -> float:
+    """_ratio of two floats, in plain Python."""
+    if rhs >= 1e-300:
+        return lhs / rhs
+    return 0.0 if lhs <= 1e-12 else math.inf
+
+
 def ulam_hyers_constant(params: ContractionParams, L: float) -> float:
     """The explicit stability constant L(1+beta)/(1-alpha-beta-gamma)."""
     denom = 1.0 - params.alpha - params.beta - params.gamma
@@ -233,9 +243,9 @@ def data_dependence_verify(t: MultivaluedOperator, f: MultivaluedOperator,
             "retraction-displacement condition failed on the grid (xi_max < 1e-6)")
     K = L * (1.0 + params.gamma) / ((1.0 - params.alpha - params.beta) * xi.xi_max)
 
-    xs = t.domain.grid(grid_n)
+    xs, lo, hi = t.grid_values(grid_n)
     eta, eta_arg = _sup_on_grid(
-        hausdorff_between_values(*t.eval_grid(xs), *f.eval_grid(xs)), xs,
+        hausdorff_between_values(lo, hi, *f.grid_values(grid_n, t.domain)[1:]), xs,
         float(t.domain.bounds.lo))
     worst, worst_y = _sup_on_grid(_ratio(np.abs(ends - xstar), K * eta), ends, None)
     details = {
@@ -259,11 +269,11 @@ def psi_mp_data_dependence(t: MultivaluedOperator, f: MultivaluedOperator,
     if c <= 0.0:
         raise ParameterRangeError("psi-MP comparison needs c > 0")
     _verify_strict_point(xstar, t, tg)
-    xs = t.domain.grid(grid_n)
+    xs, glo, ghi = tg.grid_values(grid_n, t.domain)
     err = np.abs(xs - xstar)
 
     worst_premise, worst_x = _sup_on_grid(
-        _ratio(err, psi(dist_to_value(xs, *tg.eval_grid(xs)))), xs, None)
+        _ratio(err, psi(dist_to_value(xs, glo, ghi))), xs, None)
     if worst_premise > 1.0 + HOLDS_TOL:
         raise HypothesisFailedError(
             f"psi-MP premise |x-x*| <= Psi(D(x,T_G(x))) fails at x={worst_x!r} "
@@ -274,8 +284,8 @@ def psi_mp_data_dependence(t: MultivaluedOperator, f: MultivaluedOperator,
             f"displacement premise fails: c={c} < sup D(x,T_G(x))/D(x,T(x)) = {disp.value}")
 
     strict, ends = _comparison_strict(f)
-    lo, hi = t.eval_grid(xs)
-    eta = float(np.max(hausdorff_between_values(lo, hi, *f.eval_grid(xs))))
+    lo, hi = t.grid_values(grid_n)[1:]
+    eta = float(np.max(hausdorff_between_values(lo, hi, *f.grid_values(grid_n, t.domain)[1:])))
     worst = max(float(np.max(_ratio(err, psi(c * dist_to_value(xs, lo, hi))))),
                 float(np.max(_ratio(np.abs(ends - xstar), psi(c * eta)))))
     details = {
@@ -288,6 +298,15 @@ def psi_mp_data_dependence(t: MultivaluedOperator, f: MultivaluedOperator,
 
 
 # -- Ulam-Hyers -------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _uh_order() -> np.ndarray:
+    """The seeded order in which the UH_SAMPLING_GRID points are drawn, built
+    on first use and shared read-only."""
+    order = np.random.default_rng(0).permutation(UH_SAMPLING_GRID)
+    order.flags.writeable = False
+    return order
 
 
 def ulam_hyers_verify(t: MultivaluedOperator, tg: MultivaluedOperator,
@@ -310,16 +329,16 @@ def ulam_hyers_verify(t: MultivaluedOperator, tg: MultivaluedOperator,
     _verify_strict_point(xstar, t, tg)
     c = ulam_hyers_constant(params, L)
 
-    xs = t.domain.grid(UH_SAMPLING_GRID)
-    residuals = dist_to_value(xs, *t.eval_grid(xs))
-    order = np.random.default_rng(0).permutation(len(xs))
+    xs, lo, hi = t.grid_values(UH_SAMPLING_GRID)
+    order = _uh_order()
+    residuals = dist_to_value(xs, lo, hi)[order]
 
     per_eps = []
     unsampled = []
     worst = 0.0
     total = 0
     for eps in eps_list:
-        accepted = xs[order[residuals[order] <= eps][:samples_per_eps]]
+        accepted = xs[order[residuals <= eps][:samples_per_eps]]
         if not accepted.size:
             unsampled.append(eps)
             per_eps.append({"eps": eps, "samples": 0, "worst_ratio": None})
@@ -487,10 +506,10 @@ def ostrowski_verify(t: MultivaluedOperator, xstar: float, params: ContractionPa
             # the permitted perturbation, so take the plain selection step
             v_next = base
             r = dist_point_to_set(v_next, image)
-        r_ratio = float(_ratio(r, delta))
+        r_ratio = _float_ratio(r, delta)
         ct = k * ct + r
         bound = pref * ct + k ** (n + 1) * d0
-        b_ratio = float(_ratio(abs(v_next - xstar), bound))
+        b_ratio = _float_ratio(abs(v_next - xstar), bound)
         step_worst = max(r_ratio, b_ratio)
         if step_worst > worst:
             worst, worst_step = step_worst, n
@@ -522,8 +541,7 @@ def quasi_contraction_verify(t: MultivaluedOperator, tg: MultivaluedOperator,
     if eff >= 1.0:
         raise ParameterRangeError(
             f"effective quasi-contraction constant l*k = {eff} is not below 1")
-    xs = t.domain.grid(grid_n)
-    lo, hi = t.eval_grid(xs)
+    xs, lo, hi = t.grid_values(grid_n)
     lhs = dist_to_value(xstar, lo, hi) if weak else hausdorff_to_point(lo, hi, xstar)
     err = np.abs(xs - xstar)
     worst, worst_x = _sup_on_grid(

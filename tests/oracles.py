@@ -3,13 +3,14 @@
 These deliberately share no code with the library algorithms they check.
 Set functionals are recomputed from dense point grids, giving an
 independent reference accurate to the grid step.  The certification,
-fixed-point, exact set-functional and well-posedness references are the
-implementations the library replaced (a flat off-diagonal pair system with a
-per-tuple candidate lattice, a sampling scan, all-pairs scans of the parts,
-a part scan for the nearest point, the merging loop of normalize, and a
-scalar bisection per residual band); from the library
-they use only operator evaluation (eval, eval_grid and its single-interval
-closed forms, and term values and ranges), constants and result types.
+fixed-point, exact set-functional, well-posedness and grid-evaluation
+references are the implementations the library replaced (a flat off-diagonal
+pair system with a per-tuple candidate lattice, a sampling scan, all-pairs
+scans of the parts, a part scan for the nearest point, the merging loop of
+normalize, a scalar bisection per residual band, and a per-piece eval_grid);
+from the library they use only operator evaluation (eval, eval_grid and its
+single-interval closed forms, and term values and ranges), constants and
+result types.
 """
 
 from __future__ import annotations
@@ -36,10 +37,15 @@ from setfix.certify import (
     STRICTNESS,
     Witness,
 )
-from setfix.errors import ConstructionFailedError, OutOfDomainError, ParameterRangeError
+from setfix.errors import (
+    BoundaryOrderError,
+    ConstructionFailedError,
+    OutOfDomainError,
+    ParameterRangeError,
+)
 from setfix.intervals import AMBIENT_TOL, MERGE_EPS, dist_point_to_set, hausdorff
 from setfix.iteration import FixedPointScan
-from setfix.operators import dist_to_value, hausdorff_between_values
+from setfix.operators import ORDER_SLACK, dist_to_value, hausdorff_between_values
 
 
 def set_grid(u: IntervalUnion, h: float) -> np.ndarray:
@@ -225,6 +231,47 @@ def linear_pair_operator(c: float = 0.5) -> MultivaluedOperator:
     )
     return MultivaluedOperator(Domain(Interval(-1.0, 1.0)), pieces,
                                name=f"linear_scaling({c:g})")
+
+
+# -- per-piece grid evaluation ----------------------------------------------------
+# MultivaluedOperator.eval_grid before it evaluated per term run and skipped
+# the identity clamps: a mask, a gather and a scatter per piece, and four clamp
+# passes, kept as its reference.
+
+
+def per_piece_eval_grid(t: MultivaluedOperator, xs) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoints (lo, hi) of T(x) for every x in xs, one piece at a time."""
+    b = t.domain.bounds
+
+    def clamp(v):  # Interval.clamp's max and min, which keep the sign of a zero
+        v = np.array(v, dtype=float)
+        np.copyto(v, b.lo, where=b.lo > v)
+        np.copyto(v, b.hi, where=b.hi < v)
+        return v
+
+    xs = np.asarray(xs, dtype=float)
+    inside = (xs >= b.lo - AMBIENT_TOL) & (xs <= b.hi + AMBIENT_TOL)
+    if not inside.all():
+        raise OutOfDomainError(f"x={float(xs[np.argmin(inside)])!r} outside operator "
+                               f"domain [{b.lo}, {b.hi}]")
+    xs = clamp(xs)
+    piece_los = [pc.sub.lo for pc in t.pieces]
+    idx = np.maximum(np.searchsorted(piece_los, xs, side="right") - 1, 0)
+    lo, hi = np.empty_like(xs), np.empty_like(xs)
+    for i, pc in enumerate(t.pieces):
+        sel = idx == i
+        lo[sel] = pc.lower.value_array(xs[sel])
+        hi[sel] = pc.upper.value_array(xs[sel])
+    swap = hi < lo
+    if swap.any():
+        bad = lo > hi + ORDER_SLACK
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise BoundaryOrderError(
+                f"lower boundary exceeds upper at x={float(xs[i])!r} by "
+                f"{float(lo[i] - hi[i])!r}, beyond the slack {ORDER_SLACK!r}")
+    lo, hi = np.where(swap, hi, lo), np.where(swap, lo, hi)
+    return clamp(lo), clamp(hi)
 
 
 # -- exhaustive certification ----------------------------------------------------

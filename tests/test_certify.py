@@ -545,7 +545,7 @@ def test_block_ties_resolve_to_first_flat_index(rows, monkeypatch):
     op = _named_operator("square|0.5")
     n = 23
     xs = op.domain.grid(n)
-    pairs = certify._PairSystem(op, "ciric", xs)
+    pairs = certify._PairSystem("ciric", xs, *op.eval_grid(xs))
     work = np.empty(pairs.block_size), np.empty(pairs.block_size)
     lhs, u, v, w = _pair_system(op, "ciric", xs)
     idx_i, idx_j = _ordered_pairs(n)
@@ -585,7 +585,7 @@ def test_pair_system_matches_ordered_oracle(name, monkeypatch):
         for variant in certify.VARIANTS:
             for n in (2, 3, 101):
                 xs = op.domain.grid(n)
-                pairs = certify._PairSystem(op, variant, xs)
+                pairs = certify._PairSystem(variant, xs, *op.eval_grid(xs))
                 work = np.empty(pairs.block_size), np.empty(pairs.block_size)
                 lhs, u, v, w = _pair_system(op, variant, xs)
                 idx_i, idx_j = _ordered_pairs(n)

@@ -37,10 +37,12 @@ from setfix.operators import (
     hausdorff_between_values,
     hausdorff_to_point,
 )
+from setfix.intervals import AMBIENT_TOL
 from oracles import (
     affine_combine,
     brute_set_image,
     catalog_operators,
+    per_piece_eval_grid,
     random_subunion,
     range_on_set_image,
 )
@@ -157,6 +159,173 @@ class TestEvalGrid:
         for x, gl, gh in zip(xs, glo, ghi):
             v = t.eval(x)
             assert np.array_equal(_bits([gl, gh]), _bits([v._los[0], v._his[0]])), x
+
+
+@st.composite
+def _affine_operators(draw):
+    """Operators of one or two pieces of affine terms on a domain with an end
+    at 0.0 or -0.0, whose values may touch or cross that end, and whose lower
+    end may lie above the upper by up to ORDER_SLACK (eval swaps the two)."""
+    lo, hi = draw(st.sampled_from([(0.0, 1.0), (-0.0, 1.0), (-1.0, 0.0), (-1.0, -0.0)]))
+    ends = [lo, 0.5 * (lo + hi), hi] if draw(st.booleans()) else [lo, hi]
+    pieces = []
+    for u, v in zip(ends, ends[1:]):
+        upper = BoundaryFn(slope=draw(st.sampled_from([0.0, -0.0, 1e-13, -1e-13])),
+                           offset=draw(st.sampled_from([0.0, -0.0, 1e-12, -1e-12, 0.5, -0.5,
+                                                        1.0, -1.0])))
+        lower = upper.shifted(draw(st.sampled_from([0.0, -0.5, 0.5 * ORDER_SLACK, ORDER_SLACK])))
+        pieces.append(Piece(Interval(u, v), lower, upper))
+    try:
+        return MultivaluedOperator(Domain(Interval(lo, hi)), tuple(pieces))
+    except ValueError:
+        reject()
+
+
+@st.composite
+def _grid_inputs(draw, t: MultivaluedOperator):
+    """Up to 40 points of T's domain widened by AMBIENT_TOL, often its ends,
+    piece junctions or signed zeros, sorted or in drawn order."""
+    b = t.domain.bounds
+    special = [b.lo, b.hi, b.lo - AMBIENT_TOL, b.hi + AMBIENT_TOL,
+               b.lo - 0.5 * AMBIENT_TOL, b.hi + 0.5 * AMBIENT_TOL,
+               *(pc.sub.lo for pc in t.pieces)]
+    if b.lo - AMBIENT_TOL <= 0.0 <= b.hi + AMBIENT_TOL:
+        special += [0.0, -0.0]
+    coord = st.one_of(st.sampled_from(special),
+                      st.floats(b.lo - AMBIENT_TOL, b.hi + AMBIENT_TOL))
+    xs = draw(st.lists(coord, max_size=40))
+    return np.array(sorted(xs) if draw(st.booleans()) else xs, dtype=float)
+
+
+class TestEvalGridAgainstPerPiece:
+    """eval_grid, per term run and with identity clamps skipped, against the
+    per-piece evaluation it replaced, bit for bit (the sign of a zero too)."""
+
+    @staticmethod
+    def _check(t, xs):
+        lo, hi = t.eval_grid(xs)
+        ref_lo, ref_hi = per_piece_eval_grid(t, xs)
+        for got, want in ((lo, ref_lo), (hi, ref_hi)):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+            # fresh arrays the caller may write
+            assert got.flags.writeable and not np.shares_memory(got, xs)
+        assert not np.shares_memory(lo, hi)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_catalog_operators(self, data):
+        t = data.draw(st.one_of(catalog_operators(), st.sampled_from(_grid_operators())))
+        self._check(t, data.draw(_grid_inputs(t)))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_signed_zero_ends_and_swapped_ends(self, data):
+        t = data.draw(_affine_operators())
+        self._check(t, data.draw(_grid_inputs(t)))
+
+    def test_empty_and_domain_grids(self):
+        for t in _grid_operators():
+            self._check(t, np.array([]))
+            for n in (2, 3, 2001):
+                self._check(t, t.domain.grid(n))
+
+    @pytest.mark.parametrize("bad", [[5.0], [1.0, 4.0 + 2 * AMBIENT_TOL], [0.25 - 2 * AMBIENT_TOL],
+                                     [1.0, np.nan, 2.0], [np.inf], [2.0, -np.inf, 7.0]])
+    def test_out_of_domain_error_and_message(self, sqrt_t, bad):
+        with pytest.raises(OutOfDomainError) as want:
+            per_piece_eval_grid(sqrt_t, np.array(bad))
+        with pytest.raises(OutOfDomainError) as got:
+            sqrt_t.eval_grid(np.array(bad))
+        assert str(got.value) == str(want.value)
+
+    def test_boundary_order_error_and_message(self, monkeypatch):
+        c, lower, upper = TestValidation._narrow_crossing()
+        monkeypatch.setattr(MultivaluedOperator, "_validate_piece", lambda self, pc: None)
+        t = _flanked(lower, upper, 0.5, 1.5, Domain(Interval(-1.0, 3.0)))
+        for xs in ([0.0, 1.0, c, 2.0], [2.0, c, 0.0, c], [c]):
+            with pytest.raises(BoundaryOrderError) as want:
+                per_piece_eval_grid(t, np.array(xs))
+            with pytest.raises(BoundaryOrderError) as got:
+                t.eval_grid(np.array(xs))
+            assert str(got.value) == str(want.value)
+
+
+def _sqrt_like(hi: float) -> MultivaluedOperator:
+    """sqrt_example's terms on [1/4, hi]: T(x) = [1, 1/sqrt(x)] below 1, [1, sqrt(x)] above."""
+    one = BoundaryFn(offset=1.0)
+    return MultivaluedOperator(
+        Domain(Interval(0.25, hi)),
+        (Piece(Interval(0.25, 1.0), one, BoundaryFn(base="invsqrt", coeff=1.0)),
+         Piece(Interval(1.0, hi), one, BoundaryFn(base="sqrt", coeff=1.0))))
+
+
+class TestGridValues:
+    def test_read_only_and_kept(self):
+        t = setfix.sqrt_example()
+        table = t.grid_values(101)
+        again = t.grid_values(101)
+        assert all(a is b for a, b in zip(table, again))
+        assert not any(a.flags.writeable for a in table)
+        with pytest.raises(ValueError):
+            table[1][0] = 0.0
+
+    def test_equals_eval_grid_of_the_domain_grid(self):
+        for t in _grid_operators():
+            for n in (2, 101, 2001):
+                xs, lo, hi = t.grid_values(n)
+                want = t.domain.grid(n)
+                assert _bits(xs).tobytes() == _bits(want).tobytes()
+                for got, ref in zip((lo, hi), t.eval_grid(want)):
+                    assert _bits(got).tobytes() == _bits(ref).tobytes()
+
+    def test_operators_on_one_domain_keep_their_own_tables(self):
+        t = setfix.sqrt_example()
+        tg = perturb(t, Takahashi(0.75))
+        assert tg.domain is t.domain
+        _, lo, hi = t.grid_values(101)
+        _, glo, ghi = tg.grid_values(101)
+        assert not np.array_equal(hi, ghi)
+        assert all(_bits(a).tobytes() == _bits(b).tobytes()
+                   for a, b in zip((glo, ghi), tg.eval_grid(t.domain.grid(101))))
+        # reading T_G's table on T's domain object is reading its own
+        assert tg.grid_values(101, t.domain)[2] is ghi
+
+    def test_another_domain_gives_the_values_on_its_grid(self):
+        t = setfix.sqrt_example()
+        xs, lo, hi = t.grid_values(101, Domain(Interval(0.5, 2.0)))
+        want = Domain(Interval(0.5, 2.0)).grid(101)
+        assert np.array_equal(xs, want) and lo.flags.writeable
+        assert all(np.array_equal(a, b) for a, b in zip((lo, hi), per_piece_eval_grid(t, want)))
+        with pytest.raises(OutOfDomainError) as got:
+            t.grid_values(101, Domain(Interval(0.0, 4.0)))
+        with pytest.raises(OutOfDomainError) as want:
+            per_piece_eval_grid(t, Domain(Interval(0.0, 4.0)).grid(101))
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("n", [101, 2001])
+    def test_constants_with_an_operator_on_another_domain(self, n):
+        # T_G on a wider domain (or an equal but separate one) agrees with the
+        # T_G on T's domain at T's grid, so L and l do too; on a narrower domain
+        # both raise the OutOfDomainError eval_grid raises at T's grid
+        t = setfix.sqrt_example()
+        tg = perturb(t, Takahashi(0.75))
+        wide = perturb(_sqrt_like(5.0), Takahashi(0.75))
+        twin = MultivaluedOperator.from_json(tg.to_json())
+        assert twin.domain == t.domain and twin.domain is not t.domain
+        for other in (wide, twin):
+            assert setfix.displacement_constant_L(t, other, n) == \
+                setfix.displacement_constant_L(t, tg, n)
+            assert setfix.sup_ratio_l(t, other, 1.0, n) == setfix.sup_ratio_l(t, tg, 1.0, n)
+        narrow = perturb(_sqrt_like(2.0), Takahashi(0.75))
+        with pytest.raises(OutOfDomainError) as want:
+            per_piece_eval_grid(narrow, t.domain.grid(n))
+        for call in (lambda: setfix.displacement_constant_L(t, narrow, n),
+                     lambda: setfix.sup_ratio_l(t, narrow, 1.0, n)):
+            with pytest.raises(OutOfDomainError) as got:
+                call()
+            assert str(got.value) == str(want.value)
 
 
 class TestSetImage:

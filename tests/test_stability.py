@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+import math
 import re
 
 import numpy as np
@@ -110,6 +112,12 @@ class TestUlamHyers:
         with pytest.raises(StrictFixedPointMismatchError):
             ulam_hyers_verify(sqrt_t, shift_operator(sqrt_tg, 1e-7), 1.0,
                               SQRT_PARAMS, SQRT_L, [0.1])
+
+    def test_sampling_order_is_built_once_read_only(self):
+        order = stability._uh_order()
+        assert stability._uh_order() is order and not order.flags.writeable
+        want = np.random.default_rng(0).permutation(stability.UH_SAMPLING_GRID)
+        assert np.array_equal(order, want)
 
     def test_parameter_errors(self, sqrt_t, sqrt_tg):
         with pytest.raises(ParameterRangeError):
@@ -260,6 +268,19 @@ class TestOstrowski:
                                0.5, DecaySpec(0.05, 0.5), 60)
         assert rep.holds
         assert rep.details["final_error"] < 1e-6
+
+    def test_step_ratio_is_ratio_bit_for_bit(self):
+        # the per-step ratios take _float_ratio; it must read as _ratio does
+        # on both sides of its 1e-300 and 1e-12 thresholds and off the reals
+        values = [0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan]
+        for edge in (1e-300, 1e-12):
+            values += [edge, math.nextafter(edge, 0.0), math.nextafter(edge, 1.0)]
+        for lhs, rhs in itertools.product(values, repeat=2):
+            with np.errstate(invalid="ignore"):  # inf / inf, which Python does quietly
+                want = stability._ratio(lhs, rhs)
+            got = stability._float_ratio(lhs, rhs)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == want.tobytes(), (lhs, rhs)
 
     @pytest.mark.xfail(strict=True, reason="the coded bound weighs each perturbation r_j "
                        "by L(1+g)/(1-g) = 0.25, but one step can move v a full r_j from "
