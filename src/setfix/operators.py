@@ -315,19 +315,14 @@ class MultivaluedOperator:
         object.__setattr__(self, "_sub_ends", np.array([[pc.sub.lo for pc in pieces],
                                                         [pc.sub.hi for pc in pieces]]))
         # (lower, upper, columns) of each run of adjacent pieces with the same
-        # terms, as splitting at extrema leaves them; set_image evaluates a
-        # run's terms once
+        # terms, as splitting at extrema leaves them; set_image and eval_grid
+        # evaluate a run's terms once
         runs, j = [], 0
         for (lower, upper), run in groupby(pieces, key=lambda pc: (pc.lower, pc.upper)):
             k = j + len(list(run))
             runs.append((lower, upper, slice(j, k)))
             j = k
         object.__setattr__(self, "_term_runs", tuple(runs))
-        # eval_grid cuts a sorted array at the lower end of each later run's
-        # first piece; that takes the pieces' lower ends in sorted order
-        los = self._piece_los
-        starts = [los[r.start] for _, _, r in runs[1:]]
-        object.__setattr__(self, "_run_cuts", starts if list(los) == sorted(los) else None)
         object.__setattr__(self, "_grids", {})
 
     def _validate_piece(self, pc: Piece) -> None:
@@ -379,10 +374,9 @@ class MultivaluedOperator:
         """Endpoints (lo, hi) of T(x) for every x in xs, bit for bit those of eval,
         as fresh arrays.
 
-        Each run of adjacent pieces with the same terms is evaluated once: a
-        sorted 1-d xs is cut into one slice per run, any other xs is masked
-        per run by its piece index.  The clamps into X copy only where a
-        min/max check finds a value outside X; otherwise they are the
+        Each run of adjacent pieces with the same terms is evaluated once, on
+        the xs whose piece index falls in it.  The clamps into X copy only
+        where a min/max check finds a value outside X; otherwise they are the
         identity, the sign of a zero included.
         """
         b = self.domain.bounds
@@ -392,33 +386,17 @@ class MultivaluedOperator:
             raise OutOfDomainError(f"x={float(xs[np.argmin(inside)])!r} outside operator "
                                    f"domain [{b.lo}, {b.hi}]")
         xs = _clamp(xs, b)
-        lo, hi = self._run_values(xs)
+        idx = np.maximum(np.searchsorted(self._piece_los, xs, side="right") - 1, 0)
+        lo, hi = np.empty_like(xs), np.empty_like(xs)
+        for lower, upper, cols in self._term_runs:
+            sel = (idx >= cols.start) & (idx < cols.stop)
+            x = xs[sel]
+            lo[sel], hi[sel] = lower.value_array(x), upper.value_array(x)
         swap = hi < lo
         if swap.any():
             _check_order(xs, lo, hi)
             lo, hi = np.where(swap, hi, lo), np.where(swap, lo, hi)
         return _clamp(lo, b), _clamp(hi, b)
-
-    def _run_values(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """lower and upper of the piece of each x in xs (clamped into X), per term run."""
-        runs = self._term_runs
-        if len(runs) == 1:
-            lower, upper, _ = runs[0]
-            return lower.value_array(xs), upper.value_array(xs)
-        lo, hi = np.empty_like(xs), np.empty_like(xs)
-        if self._run_cuts is not None and xs.ndim == 1 and np.all(xs[1:] >= xs[:-1]):
-            # with the lower ends sorted, x lies at or above a run's first
-            # lower end exactly when its piece index (bisect right, as in
-            # _piece_index) falls in that run or a later one
-            cuts = [0, *np.searchsorted(xs, self._run_cuts, side="left").tolist(), len(xs)]
-            for (lower, upper, _), i, j in zip(runs, cuts, cuts[1:]):
-                lo[i:j], hi[i:j] = lower.value_array(xs[i:j]), upper.value_array(xs[i:j])
-            return lo, hi
-        idx = np.maximum(np.searchsorted(self._piece_los, xs, side="right") - 1, 0)
-        for lower, upper, cols in runs:
-            sel = (idx >= cols.start) & (idx < cols.stop)
-            lo[sel], hi[sel] = lower.value_array(xs[sel]), upper.value_array(xs[sel])
-        return lo, hi
 
     def grid_values(self, n: int, domain: Domain | None = None
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
