@@ -23,9 +23,10 @@ The entries are row blocks of max(1, 2**15 // n) rows i by columns j > r0,
 back to back, so each block is one contiguous, cache-sized slice; corner
 entries j <= i carry lhs = -inf and never bind.  The four entry arrays are
 the rows of one allocation, which the heap keeps for the next call instead
-of returning its pages to the OS and faulting them in again.  The witness
-pass (once per pair: required = lhs / max(u, v, w) is the same in both
-orientations) and every sweep run block by block; a sweep forms
+of returning its pages to the OS and faulting them in again.  Only
+_PairSystem knows this layout.  It takes each block's witness statistics
+as it builds the block (once per pair: required = lhs / max(u, v, w) is
+the same in both orientations) and sweeps block by block; a sweep forms
 a*u + b*v + g*w - lhs in that order, so it equals the plain expression bit
 for bit, and a later block replaces a running best only when strictly
 better.  So the witness is the first ordered pair in row-major order
@@ -228,7 +229,10 @@ class _PairSystem:
     together, trimmed glibc's heap top and cost about 1 200 page faults per
     call at grid 501.  A row of the system is (entry, orientation),
     orientation 1 being the mirrored pair (j, i), which reads v and w
-    swapped.
+    swapped.  Each block, once built, appends its first argmax of required =
+    lhs / max(u, v, w) (0 where lhs <= 1e-14) to hardest as an entry and
+    its value to tops, and adds its active ordered pairs to active.  Every
+    sweep reuses two scratch rows of the largest block's size.
     """
 
     def __init__(self, variant: str, xs: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
@@ -239,6 +243,7 @@ class _PairSystem:
         shapes = [(min(r0 + rows, n - 1) - r0, n - 1 - r0) for r0 in self.r0s]
         self.ends = [0, *itertools.accumulate(h * w for h, w in shapes)]
         self.u, self.lhs, self.v, self.w = np.empty((4, self.ends[-1]))
+        self.hardest, self.tops, self.active = [], [], 0
         d = dist_to_value(xs, lo, hi)
         for r0, (h, width), e0, e1 in zip(self.r0s, shapes, self.ends, self.ends[1:]):
             i, j = slice(r0, r0 + h), slice(r0 + 1, n)
@@ -255,11 +260,16 @@ class _PairSystem:
             if variant == "combined":
                 np.add(v, w, out=w)
                 np.add(d[i, None], d[j], out=v)
-        self.block_size = max(e1 - e0 for e0, e1 in self.blocks())
-
-    def blocks(self):
-        """(e0, e1), the entry range of each row block, in order."""
-        return zip(self.ends, self.ends[1:])
+            rowmax = np.maximum(u, np.maximum(v, w))
+            act = lhs > 1e-14
+            self.active += 2 * int(np.count_nonzero(act))
+            required = np.divide(lhs, np.maximum(rowmax, 1e-300, out=rowmax),
+                                 out=np.zeros_like(lhs), where=act)
+            k = int(np.argmax(required))
+            self.hardest.append(e0 + k)
+            self.tops.append(float(required.flat[k]))
+        size = max(h * w for h, w in shapes)
+        self._s, self._tmp = np.empty(size), np.empty(size)
 
     def terms(self, e0: int, e1: int, orientation: int):
         """(lhs, u, v, w) of the entries e0:e1 in one orientation."""
@@ -280,6 +290,41 @@ class _PairSystem:
         di, dj = divmod(e - self.ends[b], self.n - 1 - r0)
         i, j = r0 + di, r0 + 1 + dj
         return (j, i) if orientation else (i, j)
+
+    def sweep(self, c, stop: float) -> tuple[float, tuple[int, int]]:
+        """Margin of one candidate over the ordered pairs, and the first row
+        (entry, orientation) attaining it, returned after the first row block
+        whose running minimum falls below stop (or after the last block).
+
+        The margin is exact when it is >= stop; below stop it is the running
+        minimum, an upper bound on the margin that the returned row attains.
+        Each block forms a*u + b*v + g*w - lhs in that order, so it equals the
+        plain expression bit for bit.  b*v is skipped when b == 0, g*w when
+        g == 0, and with b == g == 0 only orientation 0 is formed: u, v and w
+        are finite and >= 0, so a*u + 0*v is a*u and the mirrored orientation
+        a*u - lhs is the same constraint.  A later block or orientation replaces
+        the running minimum only when strictly lower, so ties go to the first
+        block, then orientation 0, then the first entry.
+        """
+        a, b, g = c
+        orientations = self.orientations if b or g else (0,)
+        best, arg = np.inf, None
+        for e0, e1 in zip(self.ends, self.ends[1:]):
+            s, tmp = self._s[:e1 - e0], self._tmp[:e1 - e0]
+            for o in orientations:
+                lhs, u, v, w = self.terms(e0, e1, o)
+                np.multiply(a, u, out=s)
+                if b:
+                    s += np.multiply(b, v, out=tmp)
+                if g:
+                    s += np.multiply(g, w, out=tmp)
+                s -= lhs
+                k = int(np.argmin(s))
+                if arg is None or s[k] < best:
+                    best, arg = float(s[k]), (e0 + k, o)
+            if best < stop:
+                break
+        return best, arg
 
 
 def _lattice(axes, variant: str) -> np.ndarray:
@@ -312,67 +357,6 @@ def _refinement_axes(center, radius: float) -> list[list[float]]:
     return [sorted({round(c + d, 10) for d in offs}) for c in center]
 
 
-def _witness_pass(pairs: _PairSystem, work):
-    """Each block's first argmax of required = LHS / max(u, v, w) as an entry
-    index, its value, and the number of active ordered pairs (LHS > 1e-14).
-
-    One pass covers both orientations; required is 0 at inactive pairs and
-    at the corner entries.
-    """
-    s_buf, t_buf = work
-    act_buf = np.empty(s_buf.shape, dtype=bool)
-    hardest, tops, active = [], [], 0
-    for e0, e1 in pairs.blocks():
-        lhs, u, v, w = pairs.terms(e0, e1, 0)
-        required, rowmax, act = s_buf[:e1 - e0], t_buf[:e1 - e0], act_buf[:e1 - e0]
-        np.maximum(u, np.maximum(v, w, out=rowmax), out=rowmax)
-        np.greater(lhs, 1e-14, out=act)
-        active += 2 * int(np.count_nonzero(act))
-        required.fill(0.0)
-        np.divide(lhs, np.maximum(rowmax, 1e-300, out=rowmax), out=required, where=act)
-        k = int(np.argmax(required))
-        hardest.append(e0 + k)
-        tops.append(float(required[k]))
-    return hardest, tops, active
-
-
-def _sweep(c, pairs, work, stop: float) -> tuple[float, tuple[int, int]]:
-    """Margin of one candidate over the ordered pairs, and the first row
-    (entry, orientation) attaining it, returned after the first row block
-    whose running minimum falls below stop (or after the last block).
-
-    The margin is exact when it is >= stop; below stop it is the running
-    minimum, an upper bound on the margin that the returned row attains.
-    Each block forms a*u + b*v + g*w - lhs in that order, so it equals the
-    plain expression bit for bit.  b*v is skipped when b == 0, g*w when
-    g == 0, and with b == g == 0 only orientation 0 is formed: u, v and w
-    are finite and >= 0, so a*u + 0*v is a*u and the mirrored orientation
-    a*u - lhs is the same constraint.  A later block or orientation replaces
-    the running minimum only when strictly lower, so ties go to the first
-    block, then orientation 0, then the first entry.
-    """
-    a, b, g = c
-    s_buf, t_buf = work
-    orientations = pairs.orientations if b or g else (0,)
-    best, arg = np.inf, None
-    for e0, e1 in pairs.blocks():
-        s, tmp = s_buf[:e1 - e0], t_buf[:e1 - e0]
-        for o in orientations:
-            lhs, u, v, w = pairs.terms(e0, e1, o)
-            np.multiply(a, u, out=s)
-            if b:
-                s += np.multiply(b, v, out=tmp)
-            if g:
-                s += np.multiply(g, w, out=tmp)
-            s -= lhs
-            k = int(np.argmin(s))
-            if arg is None or s[k] < best:
-                best, arg = float(s[k]), (e0 + k, o)
-        if best < stop:
-            break
-    return best, arg
-
-
 class _Screen:
     """Exact margins of a candidate list, screened by a working set of pair rows.
 
@@ -390,11 +374,10 @@ class _Screen:
     below unless the sweep ran to the end.  _exact raises if it does not.
     """
 
-    def __init__(self, coef: np.ndarray, pairs: _PairSystem, work,
+    def __init__(self, coef: np.ndarray, pairs: _PairSystem,
                  rows: list[tuple[int, int]]) -> None:
         self.coef = coef
         self.pairs = pairs
-        self.work = work
         self.rows = rows
         self.bounds = np.full(coef.shape[1], np.inf)
         self._tighten(rows)
@@ -410,7 +393,7 @@ class _Screen:
 
     def _exact(self, i: int, stop: float) -> float:
         """Candidate i's sweep with stop; exact when it is >= stop."""
-        m, row = _sweep(self.coef[:, i], self.pairs, self.work, stop)
+        m, row = self.pairs.sweep(self.coef[:, i], stop)
         if row not in self.rows:
             self.rows.append(row)
             self._tighten([row])
@@ -462,18 +445,16 @@ def certify_contraction(t: MultivaluedOperator, variant: str = "ciric",
         raise ParameterRangeError(f"unknown variant {variant!r}")
     if grid_n < 2:
         raise DegenerateDomainError("certification needs grid_n >= 2")
-    if margin_req < 0.0:
-        raise ParameterRangeError("margin_req must be >= 0")
+    if not margin_req >= 0.0:
+        raise ParameterRangeError(f"margin_req must be >= 0, got {margin_req!r}")
 
     xs, lo, hi = t.grid_values(grid_n)
     n = len(xs)
     pairs = _PairSystem(variant, xs, lo, hi)
-    work = np.empty(pairs.block_size), np.empty(pairs.block_size)
-    hardest, tops, active = _witness_pass(pairs, work)
-    top = int(np.argmax(tops))
-    wi, wj = pairs.pair((hardest[top], 0))
-    witness = Witness(float(xs[wi]), float(xs[wj]), tops[top])
-    skipped = n * n - n - active
+    top = int(np.argmax(pairs.tops))
+    wi, wj = pairs.pair((pairs.hardest[top], 0))
+    witness = Witness(float(xs[wi]), float(xs[wj]), pairs.tops[top])
+    skipped = n * n - n - pairs.active
     lmax = int(np.argmax(pairs.lhs))
     scale = max(1.0, float(pairs.lhs[lmax]))
     slack = margin_req * scale
@@ -481,7 +462,7 @@ def certify_contraction(t: MultivaluedOperator, variant: str = "ciric",
     if witness.bound > 1.0 / (1.0 - STRICTNESS):
         # this single pair forbids the whole admissible simplex; its best
         # achievable slack bounds every candidate's margin from above
-        e = hardest[top]
+        e = pairs.hardest[top]
         ceiling = float((1.0 - STRICTNESS) * max(pairs.u[e], pairs.v[e], pairs.w[e])
                         - pairs.lhs[e])
         return ContractionCertificate(False, None, ceiling, witness,
@@ -490,8 +471,8 @@ def certify_contraction(t: MultivaluedOperator, variant: str = "ciric",
     # every block's hardest pair (the witness among them) seeds the working
     # set beside the largest LHS, in each orientation; the rows only tighten
     # bounds, never results
-    rows = list(dict.fromkeys((e, o) for e in [*hardest, lmax] for o in pairs.orientations))
-    screen = _Screen(_level0(variant), pairs, work, rows)
+    rows = list(dict.fromkeys((e, o) for e in [*pairs.hardest, lmax] for o in pairs.orientations))
+    screen = _Screen(_level0(variant), pairs, rows)
     found = screen.first_feasible(slack)
     if found is None:
         return ContractionCertificate(False, None, screen.max_margin(), witness,
@@ -504,7 +485,7 @@ def certify_contraction(t: MultivaluedOperator, variant: str = "ciric",
         local = _lattice(_refinement_axes(best, radius), variant)
         a, b, g = local
         local = local[:, a + b + g < sum(best) - 1e-12]
-        found = _Screen(local, pairs, work, rows).first_feasible(slack)
+        found = _Screen(local, pairs, rows).first_feasible(slack)
         if found is not None:
             best, best_margin = found
     params = ContractionParams(*best, variant=variant)

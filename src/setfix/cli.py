@@ -115,7 +115,7 @@ def _cmd_certify(args) -> int:
 def _cmd_iterate(args) -> int:
     op = _maybe_perturbed(_resolve_operator(args.operator), args.perturb_lam)
     payload = []
-    csv_parts = {}
+    csv_parts = []
     for x0 in args.x0:
         trace = picard_orbit(op, x0, max_n=args.max_n, tol=args.tol, target=args.target)
         payload.append({
@@ -126,12 +126,12 @@ def _cmd_iterate(args) -> int:
             "final_h_to_prev": trace.final.h_to_prev,
             "final_h_to_target": trace.final.h_to_target,
         })
-        csv_parts[x0] = orbit_to_csv(trace)
+        csv_parts.append(orbit_to_csv(trace))
     if (args.format or "json") == "csv":
         base = Path(args.out or "orbits")
         base.mkdir(parents=True, exist_ok=True)
-        for x0, content in csv_parts.items():
-            (base / f"orbit_x0_{x0:g}.csv").write_text(content)
+        for i, content in enumerate(csv_parts):
+            (base / f"orbit_{i}.csv").write_text(content)
         print(f"wrote {len(csv_parts)} orbit files under {base}", file=sys.stderr)
     else:
         _dump({"orbits": payload}, args.out)

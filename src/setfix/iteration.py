@@ -85,6 +85,8 @@ def picard_orbit(t: MultivaluedOperator, x0: float, max_n: int = 10_000,
         raise ParameterRangeError("picard_orbit needs max_n >= 1")
     if not tol > 0.0:
         raise ParameterRangeError("picard_orbit needs tol > 0")
+    if target is not None and not math.isfinite(target):
+        raise ParameterRangeError(f"picard_orbit needs a finite target, got {target!r}")
     bounds = t.domain.bounds
     if not t.domain.contains(x0):
         raise OutOfDomainError(f"x0={x0!r} outside operator domain")

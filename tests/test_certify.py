@@ -111,6 +111,11 @@ class TestCertifyContraction:
         with pytest.raises(ParameterRangeError):
             certify_contraction(sqrt_t, "ciric", 101, margin_req=-1.0)
 
+    def test_nan_margin_requirement_rejected(self, sqrt_tg):
+        # NaN compares false with every slack; it must not pass as a requirement
+        with pytest.raises(ParameterRangeError, match="margin_req must be >= 0, got nan"):
+            certify_contraction(sqrt_tg, "ciric", 101, margin_req=float("nan"))
+
     def test_margin_requirement_tightens_search(self, linear_tg):
         assert certify_contraction(linear_tg, "ciric", 101, margin_req=0.0).feasible
         strict = certify_contraction(linear_tg, "ciric", 101, margin_req=10.0)
@@ -354,13 +359,13 @@ def _named_operator(name: str):
 
 def _count_sweeps(monkeypatch) -> list[int]:
     count = [0]
-    sweep = certify._sweep
+    sweep = certify._PairSystem.sweep
 
-    def counted(*args):
+    def counted(self, c, stop):
         count[0] += 1
-        return sweep(*args)
+        return sweep(self, c, stop)
 
-    monkeypatch.setattr(certify, "_sweep", counted)
+    monkeypatch.setattr(certify._PairSystem, "sweep", counted)
     return count
 
 
@@ -393,12 +398,13 @@ def test_full_sweeps_bounded(op_fixture, request, monkeypatch):
     assert 1 <= count[0] <= 25
 
 
-@pytest.mark.parametrize("name, passes", [("sqrt|0.75", 32), ("square|0.5", 16)])
+@pytest.mark.parametrize("name, passes", [("sqrt|0.75", 24), ("square|0.5", 8)])
 def test_block_passes_pinned(name, passes, monkeypatch):
-    # the witness pass and every sweep read the pair system one row block per
-    # orientation through terms; a sweep that runs on past the block that
-    # decides its candidate, or forms a mirrored orientation equal to the
-    # first, reads more (88 and 24 passes when every sweep ran to the end)
+    # every sweep reads the pair system one row block per orientation through
+    # terms, and the build takes the witness statistics without it; a sweep
+    # that runs on past the block that decides its candidate, or forms a
+    # mirrored orientation equal to the first, reads more (80 and 16 passes
+    # when every sweep ran to the end)
     count = [0]
     terms = certify._PairSystem.terms
 
@@ -546,7 +552,6 @@ def test_block_ties_resolve_to_first_flat_index(rows, monkeypatch):
     n = 23
     xs = op.domain.grid(n)
     pairs = certify._PairSystem("ciric", xs, *op.eval_grid(xs))
-    work = np.empty(pairs.block_size), np.empty(pairs.block_size)
     lhs, u, v, w = _pair_system(op, "ciric", xs)
     idx_i, idx_j = _ordered_pairs(n)
 
@@ -554,16 +559,15 @@ def test_block_ties_resolve_to_first_flat_index(rows, monkeypatch):
     k = int(np.argmin(s))
     i, j = int(idx_i[k]), int(idx_j[k])
     assert i < j and s[_oracle_index(n, (j, i))] == s[k]
-    margin, row = certify._sweep((0.5, 0.0, 0.0), pairs, work, -np.inf)
+    margin, row = pairs.sweep((0.5, 0.0, 0.0), -np.inf)
     assert margin == float(s[k]) and row[1] == 0 and pairs.pair(row) == (i, j)
 
     required = np.where(lhs > 1e-14, lhs / np.maximum(np.maximum(u, np.maximum(v, w)), 1e-300), 0.0)
     k = int(np.argmax(required))
     i, j = int(idx_i[k]), int(idx_j[k])
     assert i < j and required[_oracle_index(n, (j, i))] == required[k]
-    hardest, tops, _ = certify._witness_pass(pairs, work)
-    assert pairs.pair((hardest[int(np.argmax(tops))], 0)) == (i, j)
-    assert max(tops) == required[k]
+    assert pairs.pair((pairs.hardest[int(np.argmax(pairs.tops))], 0)) == (i, j)
+    assert max(pairs.tops) == required[k]
 
 
 # b == 0 or g == 0 skips that product in the sweep; b == g == 0 also skips
@@ -586,7 +590,6 @@ def test_pair_system_matches_ordered_oracle(name, monkeypatch):
             for n in (2, 3, 101):
                 xs = op.domain.grid(n)
                 pairs = certify._PairSystem(variant, xs, *op.eval_grid(xs))
-                work = np.empty(pairs.block_size), np.empty(pairs.block_size)
                 lhs, u, v, w = _pair_system(op, variant, xs)
                 idx_i, idx_j = _ordered_pairs(n)
                 active = lhs > 1e-14
@@ -595,23 +598,22 @@ def test_pair_system_matches_ordered_oracle(name, monkeypatch):
                           out=required, where=active)
                 k = int(np.argmax(required))
 
-                hardest, tops, n_active = certify._witness_pass(pairs, work)
-                top = int(np.argmax(tops))
-                wi, wj = pairs.pair((hardest[top], 0))
+                top = int(np.argmax(pairs.tops))
+                wi, wj = pairs.pair((pairs.hardest[top], 0))
                 case = (rows, variant, n)
-                assert (repr(float(xs[wi])), repr(float(xs[wj])), repr(tops[top])) == (
+                assert (repr(float(xs[wi])), repr(float(xs[wj])), repr(pairs.tops[top])) == (
                     repr(float(xs[idx_i[k]])), repr(float(xs[idx_j[k]])),
                     repr(float(required[k]))), case
-                assert n * n - n - n_active == int(np.sum(~active)), case
+                assert n * n - n - pairs.active == int(np.sum(~active)), case
                 assert repr(float(pairs.lhs.max())) == repr(float(lhs.max())), case
                 for a, b, g in _PROBES:
                     ref = a * u + b * v + g * w - lhs
                     for stop in (-np.inf, float(ref.min())):
-                        margin, row = certify._sweep((a, b, g), pairs, work, stop)
+                        margin, row = pairs.sweep((a, b, g), stop)
                         assert repr(margin) == repr(float(ref.min())), (case, a, b, g)
                         at = _oracle_index(n, pairs.pair(row))
                         assert repr(float(ref[at])) == repr(margin), (case, a, b, g)
-                    margin, row = certify._sweep((a, b, g), pairs, work, np.inf)
+                    margin, row = pairs.sweep((a, b, g), np.inf)
                     at = _oracle_index(n, pairs.pair(row))
                     assert margin < np.inf and margin >= ref.min(), (case, a, b, g)
                     assert repr(float(ref[at])) == repr(margin), (case, a, b, g)
@@ -620,12 +622,12 @@ def test_pair_system_matches_ordered_oracle(name, monkeypatch):
 def test_screen_raises_when_a_sweep_reports_a_wrong_pair(monkeypatch):
     # the next entry does not bring the swept candidate's bound down to its
     # margin; max_margin would then pick that candidate again forever
-    sweep = certify._sweep
+    sweep = certify._PairSystem.sweep
 
-    def wrong_pair(c, pairs, work, stop):
-        m, (e, o) = sweep(c, pairs, work, stop)
+    def wrong_pair(pairs, c, stop):
+        m, (e, o) = sweep(pairs, c, stop)
         return m, ((e + 1) % len(pairs.lhs), o)
 
-    monkeypatch.setattr(certify, "_sweep", wrong_pair)
+    monkeypatch.setattr(certify._PairSystem, "sweep", wrong_pair)
     with pytest.raises(RuntimeError, match=r"candidate \(0\.95, 0\.0, 0\.0\) .* pair \(378, 326\)"):
         certify_contraction(_named_operator("square|0.5"), "ciric", 501)

@@ -74,6 +74,12 @@ class TestPicardOrbit:
         with pytest.raises(setfix.ParameterRangeError):
             picard_orbit(sqrt_t, 1.0, tol=0.0)
 
+    @pytest.mark.parametrize("target", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_target_rejected(self, sqrt_t, target):
+        # the target distances would be NaN or inf, which JSON cannot carry
+        with pytest.raises(setfix.ParameterRangeError, match="finite target"):
+            picard_orbit(sqrt_t, 4.0, target=target)
+
     def test_stalled_orbit_reported_unconverged(self):
         trace = picard_orbit(reflection_operator(), 0.3, max_n=10_000, tol=1e-12)
         assert not trace.converged

@@ -265,6 +265,33 @@ class TestCli:
         assert len(files) == 1
         assert files[0].read_text().startswith("n,part0_lo,part0_hi")
 
+    def test_iterate_csv_names_each_start_by_position(self, tmp_path, capsys):
+        # the two starts print alike under %g and are the same start twice
+        out = tmp_path / "orbits"
+        x0s = ["0.3", "0.3000001", "0.3"]
+        argv = ["iterate", "sqrt_example", "--format", "csv", "--out", str(out)]
+        assert cli_main(argv + [a for x0 in x0s for a in ("--x0", x0)]) == 0
+        assert "wrote 3 orbit files" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["orbit_0.csv", "orbit_1.csv",
+                                                          "orbit_2.csv"]
+        for i, x0 in enumerate(x0s):
+            row = (out / f"orbit_{i}.csv").read_text().splitlines()[1].split(",")
+            assert row[:3] == ["0", repr(float(x0)), repr(float(x0))]
+
+    @pytest.mark.parametrize("target", ["nan", "inf"])
+    def test_iterate_non_finite_target_exits_2(self, target, capsys):
+        assert cli_main(["iterate", "sqrt_example", "--x0", "4.0", "--target", target]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "ParameterRangeError" in err and "finite target" in err
+
+    def test_certify_nan_margin_requirement_exits_2(self, capsys):
+        argv = ["certify", "sqrt_example", "--perturb-lam", "0.75", "--grid", "51"]
+        assert cli_main(argv + ["--margin-req", "nan"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "ParameterRangeError" in err and "margin_req" in err
+        assert cli_main(argv + ["--margin-req", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["feasible"] is True
+
     def test_stability_subcommand(self, tmp_path, capsys):
         code = cli_main(["stability", "sqrt_example", "--perturb-lam", "0.75",
                          "--harness", "ulam_hyers", "--grid", "201"])
