@@ -8,10 +8,9 @@ import sys
 from pathlib import Path
 
 from .certify import VARIANTS, certify_contraction
-from .errors import SetfixError
+from .errors import SetfixError, read_json
 from .iteration import orbit_to_csv, picard_orbit
 from .operators import BUILTIN_OPERATORS, MultivaluedOperator, Takahashi, get_builtin, perturb
-from .scenario import load_scenario, read_json, run_scenario, scenario_from_dict, write_report
 
 
 def _resolve_operator(spec: str) -> MultivaluedOperator:
@@ -90,6 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
+    from .scenario import load_scenario, run_scenario, scenario_from_dict, write_report
+
     scenario = load_scenario(args.scenario)
     overrides = {k: v for k, v in (("grid_n", args.grid), ("tol", args.tol)) if v is not None}
     if overrides:
@@ -139,6 +140,8 @@ def _cmd_iterate(args) -> int:
 
 
 def _cmd_stability(args) -> int:
+    from .scenario import run_scenario, scenario_from_dict
+
     name = args.operator if args.operator in BUILTIN_OPERATORS else None
     operator_spec = name or read_json(Path(args.operator), f"operator file {args.operator!r}")
     scenario_dict = {

@@ -1,5 +1,6 @@
-"""Exception hierarchy shared by all setfix modules, and the one JSON field reader."""
+"""Exception hierarchy shared by all setfix modules, and the JSON readers' helpers."""
 
+import json
 import math
 
 
@@ -98,6 +99,17 @@ def json_field(obj: object, key: str, test, what: str, reader: str,
     if not test(obj[key]):
         raise SchemaError(f"{reader} {key!r} must be {what}, got {obj[key]!r}")
     return obj[key]
+
+
+def read_json(source, label: str) -> object:
+    """Parse the JSON text of a file or package resource.
+
+    A file that is not UTF-8 or not JSON raises SchemaError naming label.
+    """
+    try:
+        return json.loads(source.read_text())
+    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError from read_text
+        raise SchemaError(f"{label} is not valid JSON: {exc}") from exc
 
 
 def json_keys(obj: object, keys, reader: str) -> None:

@@ -45,6 +45,7 @@ from .errors import (
     is_json_number,
     json_field,
     json_keys,
+    read_json,
 )
 from .iteration import (
     STRICT_TOL,
@@ -236,17 +237,6 @@ def scenario_from_dict(obj: dict, name: str = "") -> Scenario:
 def builtin_scenario_names() -> list[str]:
     pkg = resources.files("setfix").joinpath("scenarios")
     return sorted(p.name[:-5] for p in pkg.iterdir() if p.name.endswith(".json"))
-
-
-def read_json(source, label: str) -> object:
-    """Parse the JSON text of a file or package resource.
-
-    A file that is not UTF-8 or not JSON raises SchemaError naming label.
-    """
-    try:
-        return json.loads(source.read_text())
-    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError from read_text
-        raise SchemaError(f"{label} is not valid JSON: {exc}") from exc
 
 
 def load_scenario(source: str | Path) -> Scenario:

@@ -353,6 +353,33 @@ class TestSetImage:
                 approx = brute_set_image(op, y, 1e-3)
                 assert hausdorff(exact, approx) <= 5e-3
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(catalog_operators(), st.integers(1, 2 * IMAGE_VECTOR_MIN_PARTS),
+           st.integers(0, 2**32 - 1))
+    def test_matches_brute_force_on_catalog_operators(self, t, n, seed):
+        # every sampled value lies in the exact image, and every exact value
+        # is within L*h of a sampled one, L a Lipschitz bound of the terms;
+        # n disjoint parts, so both sides of the array path's crossover are taken
+        b = t.domain.bounds
+        ends = np.sort(np.random.default_rng(seed).uniform(b.lo, b.hi, 2 * n)).tolist()
+        y = normalize([Interval(lo, hi) for lo, hi in zip(ends[::2], ends[1::2])], b)
+        h = 2e-3
+        exact, sampled = t.set_image(y), brute_set_image(t, y, h)
+        lip = max(_lipschitz_bound(term, pc.sub.lo, pc.sub.hi)
+                  for pc in t.pieces for term in (pc.lower, pc.upper))
+        assert excess(sampled, exact) <= 1e-12
+        assert excess(exact, sampled) <= lip * h + 1e-12
+
+    @pytest.mark.xfail(strict=True, reason="set_image adds the left piece's value at a "
+                       "junction that Y reaches only from the right; eval does not")
+    def test_part_starting_at_a_jump_junction(self):
+        # T jumps at 1 from [0.5, 1] to {1}; T(1) = {1} by the left-closed selection
+        t = MultivaluedOperator(Domain(Interval(0.25, 2.0)), (
+            Piece(Interval(0.25, 1.0), BoundaryFn(offset=0.5), BoundaryFn(offset=1.0)),
+            Piece(Interval(1.0, 2.0), BoundaryFn(offset=1.0), BoundaryFn(offset=1.0))))
+        for y in (Interval(1.0, 1.0), Interval(1.0, 1.5)):
+            assert t.set_image(normalize([y])).to_json() == {"parts": [[1.0, 1.0]]}
+
     def test_escaping_set_rejected(self, sqrt_t):
         with pytest.raises(OutOfDomainError):
             sqrt_t.set_image(normalize([Interval(0.0, 1.0)]))
@@ -391,6 +418,19 @@ def junction_unions(draw, t: MultivaluedOperator,
     n = draw(st.integers(1, max_parts))
     ends = sorted(draw(st.lists(coord, min_size=2 * n, max_size=2 * n)))
     return normalize([Interval(lo, hi) for lo, hi in zip(ends[::2], ends[1::2])], b)
+
+
+def _lipschitz_bound(term: BoundaryFn, lo: float, hi: float) -> float:
+    """An upper bound of |f'| for a catalog term on [lo, hi], 0 < lo <= hi."""
+    if term.base == "none" or term.coeff == 0.0:
+        base = 0.0
+    elif term.base == "power":
+        base = term.p * max(abs(lo), abs(hi)) ** (term.p - 1)
+    elif term.base == "sqrt":
+        base = 0.5 * lo ** -0.5
+    else:  # invsqrt
+        base = 0.5 * lo ** -1.5
+    return abs(term.slope) + abs(term.coeff) * base
 
 
 def _builtins_and_perturbations() -> list[MultivaluedOperator]:
