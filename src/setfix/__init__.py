@@ -68,7 +68,6 @@ _ANALYSIS = {
         "ContractionCertificate",
         "ContractionParams",
         "GridSup",
-        "KBound",
         "Witness",
         "XiResult",
         "certify_contraction",

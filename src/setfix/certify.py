@@ -1,55 +1,36 @@
 """Numerical certification of Ciric-type contraction conditions.
 
-For a multivalued operator T and each ordered grid pair (x, y) the
-contraction condition is one linear constraint on the parameters
-(alpha, beta, gamma):
+For a multivalued operator T and each ordered grid pair (x, y) a
+contraction condition is one linear constraint on (alpha, beta, gamma) =
+(a, b, g), admissible in an open region w_a*a + w_b*b + w_g*g < 1, with a
+contraction factor k toward a strict fixed point x*,
+H(T(x), {x*}) <= k*d(x, x*):
 
     ciric            H(T(x),T(y)) <= a*d(x,y) + b*D(x,T(y)) + g*D(y,T(x))
+                     a + b + g < 1, k = (a+b)/(1-g); the source paper's
     ciric_reich_rus  H(T(x),T(y)) <= a*d(x,y) + b*D(x,T(x)) + g*D(y,T(y))
+                     a + b + g < 1, k = min((a+b)/(1-b), (a+g)/(1-g));
+                     Reich, "Some remarks concerning contraction mappings", 1971
     combined         H(T(x),T(y)) <= a*d(x,y) + b*[D(x,T(x)) + D(y,T(y))]
                                               + g*[D(x,T(y)) + D(y,T(x))]
+                     a + 2b + 2g < 1, k = (a+b+g)/(1-b-g);
+                     Hardy and Rogers, Canad. Math. Bull. 16, 1973
 
-Feasibility over the admissible simplex (a+b+g < 1 for ciric, a+2b < 1 for
-the other two) is decided by a deterministic coarse-to-fine grid search
-(initial step 0.05, three halvings) minimizing a+b+g.  Each level's
-candidates are one numpy lattice (3 x m); level 0 is built once per variant.
+Each k is the condition at y = x* with D(x, T(x)) <= d(x, x*) +
+H(T(x), {x*}) and D(x*, T(x)) <= H(T(x), {x*}); ciric_reich_rus holds in
+both orientations, so its k is the smaller of two.  _CONDITIONS declares
+each variant once, and every rule below reads its row.
 
-Each unordered grid pair i < j is stored once: H(T(x), T(y)) and d(x, y)
-do not change when x and y swap, and the (y, x) constraint is the (x, y)
-one with its two displacement terms v and w exchanged (for combined both
-terms are symmetric, so it is the same constraint).  The ordered pair (j, i)
-is thus the mirrored orientation a*u + b*w + g*v - lhs of entry (i, j).
-The entries are row blocks of max(1, 2**15 // n) rows i by columns j > r0,
-back to back, so each block is one contiguous, cache-sized slice; corner
-entries j <= i carry lhs = -inf and never bind.  The four entry arrays are
-the rows of one allocation, which the heap keeps for the next call instead
-of returning its pages to the OS and faulting them in again.  Only
-_PairSystem knows this layout.  It takes each block's witness statistics
-as it builds the block (once per pair: required = lhs / max(u, v, w) is
-the same in both orientations) and sweeps block by block; a sweep forms
-a*u + b*v + g*w - lhs in that order, so it equals the plain expression bit
-for bit, and a later block replaces a running best only when strictly
-better.  So the witness is the first ordered pair in row-major order
-attaining it, since a pair below the diagonal comes after its mirror above
-it.
-A sweep skips b*v when b == 0 and g*w when g == 0, and with b == g == 0
-forms orientation 0 alone, since the mirrored one is then the same
-constraint: u, v and w are finite and >= 0, so a*u + 0*v == a*u bit for
-bit, and ties go to orientation 0 anyway.
-The search is serial and screened: each candidate's minimum over a small
-working set of pair rows (seeded with the witness pair, the largest LHS and
-each block's hardest pair) is an exact upper bound on its margin, computed
-from the same floats as the full minimum.  Only a candidate the bound
-cannot reject is swept, and the sweep stops after the first block that
-brings its running minimum below what would decide it (the required slack,
-or the best margin so far on the infeasible path); the row it stops at
-joins the working set.  The infeasible path finds the best margin by
-branch and bound on the same bounds, raising the best only from sweeps
-that ran to the end.  Results equal an exhaustive sweep of every
-candidate.  A genuinely infeasible instance is proven by a single witness
-pair whose constraint alone cannot be met by any admissible parameters
-(reported bound > 1); otherwise infeasibility means exhaustion of the
-search grid and the hardest pair is reported with its bound <= 1.
+Feasibility is decided by a deterministic coarse-to-fine search of the
+region (initial step 0.05, three halvings, one numpy lattice per level)
+minimizing a+b+g.  The largest a*u + b*v + g*w on the region is
+max(u/w_a, v/w_b, w/w_g), so a witness pair whose lhs exceeds it (reported
+bound > 1) proves that no admissible parameters exist; otherwise
+infeasibility means exhaustion of the search grid, and the hardest pair is
+reported with its bound <= 1.  _PairSystem stores each unordered grid pair
+once, and _Screen sweeps it only for the candidates that a small working
+set of pairs cannot decide, so results equal an exhaustive sweep of every
+candidate.
 
 Grid sweeps read each operator's values from its grid table
 (MultivaluedOperator.grid_values: eval_grid once per operator and grid size,
@@ -68,7 +49,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -90,7 +71,33 @@ from .operators import (
     hausdorff_to_point,
 )
 
-VARIANTS = ("ciric", "ciric_reich_rus", "combined")
+
+class _Condition(NamedTuple):
+    """H(T(x), T(y)) <= a*d(x, y) + b*v + g*w, admissible where
+    w_a*a + w_b*b + w_g*g < 1 for weights (w_a, w_b, w_g).
+
+    v and w sum displacements D(x_p, T(x_q)), each named pq, with i for x and
+    j for y.  mirrored: the (y, x) constraint is the (x, y) one with v
+    and w exchanged, not the same one (then w_b == w_g, so a pair's witness
+    bound is the same in both).  k(a, b, g): the contraction factor toward x*.
+    """
+
+    weights: tuple[float, float, float]
+    mirrored: bool
+    v: tuple[str, ...]
+    w: tuple[str, ...]
+    k: Callable[[float, float, float], float]
+
+
+_CONDITIONS = {
+    "ciric": _Condition((1.0, 1.0, 1.0), True, ("ij",), ("ji",),
+                        lambda a, b, g: (a + b) / (1.0 - g)),
+    "ciric_reich_rus": _Condition((1.0, 1.0, 1.0), True, ("ii",), ("jj",),
+                                  lambda a, b, g: min((a + b) / (1.0 - b), (a + g) / (1.0 - g))),
+    "combined": _Condition((1.0, 2.0, 2.0), False, ("ii", "jj"), ("ij", "ji"),
+                           lambda a, b, g: (a + b + g) / (1.0 - b - g)),
+}
+VARIANTS = tuple(_CONDITIONS)
 
 #: The admissible region is closed with this margin off the open boundary,
 #: respecting the strict inequality in the contraction definitions.
@@ -116,13 +123,12 @@ class ContractionParams:
             raise ParameterRangeError("contraction parameters must be nonnegative")
         if not self.simplex_ok():
             raise ParameterRangeError(
-                f"params {(self.alpha, self.beta, self.gamma)} violate the "
-                f"{self.variant} simplex constraint")
+                f"params {(self.alpha, self.beta, self.gamma)} leave the "
+                f"{self.variant} region {_CONDITIONS[self.variant].weights}.(a, b, g) < 1")
 
     def simplex_ok(self) -> bool:
-        if self.variant == "ciric":
-            return self.alpha + self.beta + self.gamma < 1.0
-        return self.alpha + 2.0 * self.beta < 1.0
+        wa, wb, wg = _CONDITIONS[self.variant].weights
+        return wa * self.alpha + wb * self.beta + wg * self.gamma < 1.0
 
     @property
     def total(self) -> float:
@@ -147,7 +153,8 @@ class ContractionCertificate:
     margin     -- min over pairs of RHS - LHS at the found params; for an
                   infeasible certificate, the best (largest) margin seen
     witness    -- hardest pair; bound > 1 is a proof that no admissible
-                  parameters exist, bound <= 1 records search exhaustion
+                  parameters exist (for every variant), bound <= 1 records
+                  search exhaustion
     """
 
     feasible: bool
@@ -212,55 +219,55 @@ def _block_rows(n: int) -> int:
     return max(1, _BLOCK // n)
 
 
-#: Whether a variant's (j, i) constraint is its (i, j) one with v and w
-#: swapped (then both orientations are swept), or the same constraint.
-_MIRRORED = {"ciric": True, "ciric_reich_rus": True, "combined": False}
+def _reach(weights, u, v, w):
+    """max(u/w_a, v/w_b, w/w_g), the largest a*u + b*v + g*w on the region
+    w_a*a + w_b*b + w_g*g <= 1 (a, b, g >= 0); a weight of 1 takes no pass."""
+    u, v, w = (x if wt == 1.0 else x / wt for wt, x in zip(weights, (u, v, w)))
+    return np.maximum(u, np.maximum(v, w))
 
 
 class _PairSystem:
-    """The pair system with one entry per unordered grid pair i < j.
+    """The pair system with one entry per unordered grid pair i < j, as d(x, y)
+    and H(T(x), T(y)) do not change when x and y swap.
 
     u = |x_i - x_j|, lhs = H(T(x_i), T(x_j)) and the displacement terms v, w
-    of the orientation (i, j) (ciric: D(x_i, T(x_j)), D(x_j, T(x_i));
-    ciric_reich_rus: D(x_i, T(x_i)), D(x_j, T(x_j)); combined: their sums)
-    are flat arrays of row-block rectangles, rows r0:r1 by columns r0+1:n,
-    stored back to back; the corner entries j <= i carry lhs = -inf.  They
-    are the four rows of one (4, E) block: four separate arrays, freed
-    together, trimmed glibc's heap top and cost about 1 200 page faults per
-    call at grid 501.  A row of the system is (entry, orientation),
-    orientation 1 being the mirrored pair (j, i), which reads v and w
-    swapped.  Each block, once built, appends its first argmax of required =
-    lhs / max(u, v, w) (0 where lhs <= 1e-14) to hardest as an entry and
-    its value to tops, and adds its active ordered pairs to active.  Every
-    sweep reuses two scratch rows of the largest block's size.
+    of the orientation (i, j), as the condition's row names them, are flat
+    arrays of row-block rectangles, rows r0:r1 by columns r0+1:n, stored
+    back to back; the corner entries j <= i carry lhs = -inf.  They are the
+    four rows of one (4, E) block, which the heap keeps for the next call
+    (four arrays trimmed its top: 1 200 page faults a call at grid 501).  A
+    row of the system is (entry, orientation), orientation 1 being the
+    mirrored pair (j, i), which reads v and w swapped.  Each block, once
+    built, appends its first argmax of required = lhs / _reach(u, v, w) (0
+    where lhs <= 1e-14) to hardest as an entry and its value to tops, and adds
+    its active ordered pairs to active, so the witness is the first ordered
+    pair in row-major order attaining it.  Every sweep reuses two scratch
+    rows of the largest block's size.
     """
 
-    def __init__(self, variant: str, xs: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
+    def __init__(self, cond: _Condition, xs: np.ndarray, lo: np.ndarray,
+                 hi: np.ndarray) -> None:
         n = self.n = len(xs)
         rows = _block_rows(n)
-        self.orientations = (0, 1) if _MIRRORED[variant] else (0,)
+        self.orientations = (0, 1) if cond.mirrored else (0,)
         self.r0s = list(range(0, n - 1, rows))
         shapes = [(min(r0 + rows, n - 1) - r0, n - 1 - r0) for r0 in self.r0s]
         self.ends = [0, *itertools.accumulate(h * w for h, w in shapes)]
         self.u, self.lhs, self.v, self.w = np.empty((4, self.ends[-1]))
         self.hardest, self.tops, self.active = [], [], 0
-        d = dist_to_value(xs, lo, hi)
         for r0, (h, width), e0, e1 in zip(self.r0s, shapes, self.ends, self.ends[1:]):
             i, j = slice(r0, r0 + h), slice(r0 + 1, n)
-            xi, loi, hii = xs[i, None], lo[i, None], hi[i, None]
+            point = {"i": xs[i, None], "j": xs[j]}
+            value = {"i": (lo[i, None], hi[i, None]), "j": (lo[j], hi[j])}
             u, lhs, v, w = (a[e0:e1].reshape(h, width) for a in (self.u, self.lhs, self.v, self.w))
-            np.abs(np.subtract(xi, xs[j], out=u), out=u)
-            hausdorff_between_values(loi, hii, lo[j], hi[j], out=lhs)
+            np.abs(np.subtract(point["i"], point["j"], out=u), out=u)
+            hausdorff_between_values(*value["i"], *value["j"], out=lhs)
             np.copyto(lhs[:, :h], -np.inf, where=np.tri(h, h, -1, dtype=bool))
-            if variant == "ciric_reich_rus":
-                v[...], w[...] = d[i, None], d[j]
-            else:
-                dist_to_value(xi, lo[j], hi[j], out=v)
-                dist_to_value(xs[j], loi, hii, out=w)
-            if variant == "combined":
-                np.add(v, w, out=w)
-                np.add(d[i, None], d[j], out=v)
-            rowmax = np.maximum(u, np.maximum(v, w))
+            for out, ((p, q), *rest) in ((v, cond.v), (w, cond.w)):
+                dist_to_value(point[p], *value[q], out=out)
+                for p, q in rest:
+                    out += dist_to_value(point[p], *value[q])
+            rowmax = _reach(cond.weights, u, v, w)
             act = lhs > 1e-14
             self.active += 2 * int(np.count_nonzero(act))
             required = np.divide(lhs, np.maximum(rowmax, 1e-300, out=rowmax),
@@ -328,12 +335,13 @@ class _PairSystem:
 
 
 def _lattice(axes, variant: str) -> np.ndarray:
-    """3 x m coefficients (a, b, g) of the axes' product inside the capped simplex,
-    in ascending (a+b+g, a, b, g) order."""
-    cap = 1.0 - STRICTNESS
+    """3 x m coefficients (a, b, g) >= 0 of the axes' product inside the variant's
+    region capped at w_a*a + w_b*b + w_g*g <= 1 - STRICTNESS, in ascending
+    (a+b+g, a, b, g) order."""
+    wa, wb, wg = _CONDITIONS[variant].weights
     a, b, g = (c.ravel() for c in np.meshgrid(*axes, indexing="ij"))
-    keep = (np.minimum(np.minimum(a, b), g) >= 0.0) & (np.maximum(np.maximum(a, b), g) <= cap)
-    keep &= (a + b + g <= cap) if variant == "ciric" else (a + 2.0 * b <= cap)
+    keep = np.minimum(np.minimum(a, b), g) >= 0.0
+    keep &= wa * a + wb * b + wg * g <= 1.0 - STRICTNESS
     a, b, g = a[keep], b[keep], g[keep]
     order = np.lexsort((g, b, a, a + b + g))
     return np.stack((a, b, g))[:, order]
@@ -341,7 +349,7 @@ def _lattice(axes, variant: str) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _level0(variant: str) -> np.ndarray:
-    """The whole simplex at step 0.05, built on first use and shared read-only."""
+    """The whole region at step 0.05, built on first use and shared read-only."""
     axis = [round(i * _SEARCH_STEP, 10) for i in range(int(round(1.0 / _SEARCH_STEP)) + 1)]
     coef = _lattice([axis] * 3, variant)
     coef.flags.writeable = False
@@ -434,9 +442,9 @@ class _Screen:
 def certify_contraction(t: MultivaluedOperator, variant: str = "ciric",
                         grid_n: int = 501,
                         margin_req: float = 0.0) -> ContractionCertificate:
-    """Search the admissible simplex for parameters satisfying every pair constraint.
+    """Search the admissible region for parameters satisfying every pair constraint.
 
-    Deterministic: level 0 sweeps the whole simplex at step 0.05 in ascending
+    Deterministic: level 0 sweeps the whole region at step 0.05 in ascending
     (a+b+g, a, b, g) order; three refinement levels halve the step around the
     best feasible triple.  Feasibility requires slack >= margin_req * scale
     where scale = max(1, max LHS).
@@ -450,7 +458,8 @@ def certify_contraction(t: MultivaluedOperator, variant: str = "ciric",
 
     xs, lo, hi = t.grid_values(grid_n)
     n = len(xs)
-    pairs = _PairSystem(variant, xs, lo, hi)
+    cond = _CONDITIONS[variant]
+    pairs = _PairSystem(cond, xs, lo, hi)
     top = int(np.argmax(pairs.tops))
     wi, wj = pairs.pair((pairs.hardest[top], 0))
     witness = Witness(float(xs[wi]), float(xs[wj]), pairs.tops[top])
@@ -460,11 +469,11 @@ def certify_contraction(t: MultivaluedOperator, variant: str = "ciric",
     slack = margin_req * scale
 
     if witness.bound > 1.0 / (1.0 - STRICTNESS):
-        # this single pair forbids the whole admissible simplex; its best
+        # this single pair forbids the whole admissible region; its best
         # achievable slack bounds every candidate's margin from above
         e = pairs.hardest[top]
-        ceiling = float((1.0 - STRICTNESS) * max(pairs.u[e], pairs.v[e], pairs.w[e])
-                        - pairs.lhs[e])
+        ceiling = float((1.0 - STRICTNESS) * _reach(cond.weights, pairs.u[e], pairs.v[e],
+                                                    pairs.w[e]) - pairs.lhs[e])
         return ContractionCertificate(False, None, ceiling, witness,
                                       grid_n, skipped)
 
@@ -587,10 +596,7 @@ def retraction_displacement_check(t: MultivaluedOperator, params: ContractionPar
     """
     if L <= 0.0:
         raise ParameterRangeError("retraction-displacement check needs L > 0")
-    denom = 1.0 - params.alpha - params.beta
-    if denom <= 0.0:
-        raise ParameterRangeError("need alpha + beta < 1 for the displacement bound")
-    C = (1.0 + params.gamma) * L / denom
+    C = (1.0 + params.gamma) * L / (1.0 - params.alpha - params.beta)
     xs, lo, hi = t.grid_values(grid_n)
     dist = dist_to_value(xs, lo, hi)
     err = np.abs(xs - xstar)
@@ -610,14 +616,7 @@ def retraction_displacement_check(t: MultivaluedOperator, params: ContractionPar
     return XiResult(xi, xi >= 1e-6)
 
 
-class KBound(NamedTuple):
-    value: float
-    in_unit: bool
-
-
-def corollary_k(params: ContractionParams) -> KBound:
-    """(alpha + beta) / (1 - gamma): the pointwise contraction factor toward x*."""
-    if params.gamma >= 1.0:
-        raise ParameterRangeError("corollary_k needs gamma < 1")
-    value = (params.alpha + params.beta) / (1.0 - params.gamma)
-    return KBound(value, value < 1.0)
+def corollary_k(params: ContractionParams) -> float:
+    """The pointwise contraction factor k toward x*, H(T(x), {x*}) <= k*d(x, x*),
+    of the params' variant; it is below 1 on the variant's region."""
+    return _CONDITIONS[params.variant].k(params.alpha, params.beta, params.gamma)

@@ -64,7 +64,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("operator", help="built-in operator name or operator JSON path")
     p_cert.add_argument("--perturb-lam", type=float, default=None,
                         help="certify the Takahashi perturbation with this lambda")
-    p_cert.add_argument("--variant", choices=VARIANTS, default="ciric")
+    p_cert.add_argument("--variant", choices=VARIANTS, default="ciric",
+                        help="condition H(Tx,Ty) <= RHS and its region; "
+                             "ciric: a*d + b*D(x,Ty) + g*D(y,Tx), a+b+g < 1; "
+                             "ciric_reich_rus (Reich): a*d + b*D(x,Tx) + g*D(y,Ty), "
+                             "a+b+g < 1; combined (Hardy-Rogers): a*d + "
+                             "b*[D(x,Tx)+D(y,Ty)] + g*[D(x,Ty)+D(y,Tx)], a+2b+2g < 1")
     p_cert.add_argument("--margin-req", type=float, default=0.0)
     _add_shared(p_cert, "grid", "out")
     p_cert.set_defaults(grid=501)

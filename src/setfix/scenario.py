@@ -382,7 +382,7 @@ def run_scenario(source: str | Path | Scenario) -> RunReport:
                 l_sup = None
         if cert_g.feasible:
             params = cert_g.params
-            k = corollary_k(params).value
+            k = corollary_k(params)
             if xstar is not None:
                 xi = retraction_displacement_check(
                     t, params, disp.value, xstar, scenario.grid_n).xi_max

@@ -31,7 +31,7 @@ violated premise.
 
 The Ostrowski bound includes the initial-condition term k^(n+1)|v_0 - x*|,
 which the plain weighted sum needs at finite n whenever v_0 != x*; both the
-derived recurrence constant k = (a+b)/(1-g) and the alternative printed
+derived recurrence constant k = corollary_k(params) and the alternative printed
 form (a+b)/(1-a) are reported.
 """
 
@@ -220,10 +220,7 @@ def _float_ratio(lhs: float, rhs: float) -> float:
 
 def ulam_hyers_constant(params: ContractionParams, L: float) -> float:
     """The explicit stability constant L(1+beta)/(1-alpha-beta-gamma)."""
-    denom = 1.0 - params.alpha - params.beta - params.gamma
-    if denom <= 0.0:
-        raise ParameterRangeError("need alpha + beta + gamma < 1")
-    return L * (1.0 + params.beta) / denom
+    return L * (1.0 + params.beta) / (1.0 - params.alpha - params.beta - params.gamma)
 
 
 # -- data dependence ----------------------------------------------------------------
@@ -457,7 +454,7 @@ def ostrowski_verify(t: MultivaluedOperator, xstar: float, params: ContractionPa
                      final_tol: float = 1e-6) -> StabilityReport:
     """Perturbed Picard selection orbit v_{n+1} = nearest(T(v_n), v_n) + s_n d_n.
 
-    Checks, with the derived k = (a+b)/(1-g):
+    Checks, with the derived k = corollary_k(params):
       * construction residuals D(v_{n+1}, T(v_n)) <= delta_n,
       * the unrolled recurrence bound
         |v_{n+1} - x*| <= L(1+g)/(1-g) * sum_j k^(n-j) r_j + k^(n+1) |v_0 - x*|,
@@ -478,14 +475,11 @@ def ostrowski_verify(t: MultivaluedOperator, xstar: float, params: ContractionPa
             "D(v_{n+1}, T(v_n)) -> 0 is violated by construction",
             {"delta": delta_spec.to_json()})
     _verify_strict_point(xstar, t)
-    k = corollary_k_value = corollary_k(params).value
-    if not 0.0 < k < 1.0:
-        # k = 0 means T_G maps everything to {x*}: the bound degenerates but
-        # the orbit check still makes sense with an arbitrary small k.
-        if k == 0.0:
-            k = 1e-12
-        else:
-            raise ParameterRangeError(f"derived constant k={k} outside (0, 1)")
+    k = corollary_k_value = corollary_k(params)
+    if k == 0.0:
+        # T_G maps everything to {x*}: the bound degenerates but the orbit
+        # check still makes sense with an arbitrary small k.
+        k = 1e-12
     k_printed = (params.alpha + params.beta) / (1.0 - params.alpha)
     pref = L * (1.0 + params.gamma) / (1.0 - params.gamma)
 
@@ -532,11 +526,11 @@ def quasi_contraction_verify(t: MultivaluedOperator, tg: MultivaluedOperator,
                              xstar: float, l: float, params: ContractionParams,
                              grid_n: int = 2001, weak: bool = False) -> StabilityReport:
     """Conclusion check H(T(x),{x*}) <= l*k*|x-x*| (strong) or the gap-based
-    weak analogue D(T(x),{x*}) <= l*k*|x-x*|, with k = (a+b)/(1-g)."""
+    weak analogue D(T(x),{x*}) <= l*k*|x-x*|, with k = corollary_k(params)."""
     if l < 0.0:
         raise ParameterRangeError("quasi-contraction comparison constant must be >= 0")
     _verify_strict_point(xstar, t, tg)
-    k = corollary_k(params).value
+    k = corollary_k(params)
     eff = l * k
     if eff >= 1.0:
         raise ParameterRangeError(

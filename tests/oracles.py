@@ -305,6 +305,14 @@ def _pair_system(t: MultivaluedOperator, variant: str, xs: np.ndarray):
     return lhs, u, v, w
 
 
+def rowmax(variant: str, u, v, w):
+    """The largest a*u + b*v + g*w over the variant's region a, b, g >= 0 with
+    a + b + g <= 1 (ciric, ciric_reich_rus) or a + 2b + 2g <= 1 (combined)."""
+    if variant == "combined":
+        return np.maximum(u, np.maximum(v / 2.0, w / 2.0))
+    return np.maximum(u, np.maximum(v, w))
+
+
 def _candidates(step: float, variant: str,
                 center: tuple[float, float, float] | None = None,
                 radius: float | None = None) -> list[tuple[float, float, float]]:
@@ -313,9 +321,9 @@ def _candidates(step: float, variant: str,
     def ok(a: float, b: float, g: float) -> bool:
         if min(a, b, g) < 0.0 or max(a, b, g) > cap:
             return False
-        if variant == "ciric":
-            return a + b + g <= cap
-        return a + 2.0 * b <= cap
+        if variant == "combined":  # Hardy-Rogers
+            return a + 2.0 * b + 2.0 * g <= cap
+        return a + b + g <= cap  # ciric; ciric_reich_rus (Reich)
 
     out = []
     if center is None:
@@ -354,11 +362,11 @@ def exhaustive_certify(t: MultivaluedOperator, variant: str = "ciric",
     xs = t.domain.grid(grid_n)
     lhs, u, v, w = _pair_system(t, variant, xs)
     idx_i, idx_j = np.nonzero(~np.eye(grid_n, dtype=bool))
-    rowmax = np.maximum(u, np.maximum(v, w))
+    reach = rowmax(variant, u, v, w)
     active = lhs > 1e-14
     skipped = int(np.sum(~active))
     required = np.zeros_like(lhs)
-    np.divide(lhs, np.maximum(rowmax, 1e-300), out=required, where=active)
+    np.divide(lhs, np.maximum(reach, 1e-300), out=required, where=active)
     imax = int(np.argmax(required))
     witness = Witness(float(xs[idx_i[imax]]), float(xs[idx_j[imax]]),
                       float(required[imax]))
@@ -366,7 +374,7 @@ def exhaustive_certify(t: MultivaluedOperator, variant: str = "ciric",
     slack = margin_req * scale
 
     if witness.bound > 1.0 / (1.0 - STRICTNESS):
-        ceiling = float((1.0 - STRICTNESS) * rowmax[imax] - lhs[imax])
+        ceiling = float((1.0 - STRICTNESS) * reach[imax] - lhs[imax])
         return ContractionCertificate(False, None, ceiling, witness,
                                       grid_n, skipped)
 

@@ -155,7 +155,7 @@ def test_criterion_6_geometric_decay(square_t, square_tg, sqrt_t, sqrt_tg,
 
     # the premise holds for the linear scaling pair: assert the decay bound
     l = sup_ratio_l(linear_t, linear_tg, 0.0, 2001).value
-    k = corollary_k(linear_tg_cert.params).value
+    k = corollary_k(linear_tg_cert.params)
     assert l < 1.0 and linear_tg_cert.feasible and l * k < 1.0
     for x0 in (1.0, -0.7, 0.31):
         trace = picard_orbit(linear_t, x0, max_n=30, tol=1e-300, target=0.0)

@@ -36,6 +36,7 @@ from oracles import (
     exhaustive_certify,
     linear_pair_operator,
     random_subunion,
+    rowmax,
 )
 
 
@@ -77,16 +78,46 @@ class TestCertifyContraction:
         cert = linear_tg_cert
         assert cert.feasible
         assert cert.margin >= 0.0
-        k = corollary_k(cert.params)
-        assert k.in_unit
-        assert 0.75 - 1e-9 <= k.value <= 0.76
+        assert 0.75 - 1e-9 <= corollary_k(cert.params) <= 0.76
 
     def test_other_variants_smoke(self, linear_tg):
-        for variant in ("ciric_reich_rus", "combined"):
+        # Reich: a + b + g < 1; Hardy-Rogers: a + 2b + 2g < 1
+        for variant, (wa, wb, wg) in (("ciric_reich_rus", (1, 1, 1)), ("combined", (1, 2, 2))):
             cert = certify_contraction(linear_tg, variant, 201)
             assert cert.feasible
-            assert cert.params.variant == variant
-            assert cert.params.alpha + 2 * cert.params.beta < 1.0
+            p = cert.params
+            assert p.variant == variant
+            assert wa * p.alpha + wb * p.beta + wg * p.gamma < 1.0
+
+    @pytest.mark.parametrize("name, variants", [
+        ("identity", certify.VARIANTS),
+        ("square", certify.VARIANTS),
+        ("square|0.5", certify.VARIANTS),
+        ("sqrt|0.3", ("ciric_reich_rus", "combined")),
+    ])
+    def test_no_variant_certifies_a_non_contraction(self, name, variants):
+        # the identity fixes every point, so no condition with k < 1 holds.
+        # Regions that left gamma free let combined certify the identity with
+        # (0, 0, 0.5) and square with (0, 0, 0.890625), and ciric_reich_rus
+        # certify sqrt|0.3 with k = 1.18
+        op = _named_operator(name)
+        for variant in variants:
+            cert = certify_contraction(op, variant, 101)
+            assert not cert.feasible, (variant, cert.params)
+            assert cert.params is None
+
+    @pytest.mark.parametrize("name, xstar", [("sqrt|0.75", 1.0), ("linear", 0.0)])
+    def test_k_bounds_the_certified_grid(self, name, xstar):
+        # each variant's k follows from its condition at the pairs (x, x*)
+        op = _named_operator(name)
+        for variant in certify.VARIANTS:
+            cert = certify_contraction(op, variant, 201)
+            assert cert.feasible, variant
+            k = corollary_k(cert.params)
+            assert k < 1.0
+            xs, lo, hi = op.grid_values(201)
+            h = np.maximum(np.abs(lo - xstar), np.abs(hi - xstar))
+            assert np.all(h <= k * np.abs(xs - xstar) + 1e-12), variant
 
     def test_feasible_certificate_revalidates(self, sqrt_tg, sqrt_tg_cert):
         # fresh random pairs must satisfy the certified constraint
@@ -194,16 +225,23 @@ class TestCertifyContraction:
             ContractionCertificate.from_json(blob)
 
     @pytest.mark.parametrize("variant, params", [
-        ("ciric_reich_rus", (0.590625, 0.16875, 0.35625)),
-        ("combined", (0.0, 0.0, 0.65625)),
+        ("ciric_reich_rus", (0.875, 0.0, 0.0)),
+        ("combined", (0.7125, 0.0, 0.1125)),
     ])
     def test_certificate_json_round_trip_keeps_the_variant(self, variant, params):
-        tg = setfix.perturb(setfix.sqrt_example(), setfix.Takahashi(0.3))
+        tg = setfix.perturb(setfix.sqrt_example(), setfix.Takahashi(0.75))
         cert = certify_contraction(tg, variant, 101)
         assert cert.params == ContractionParams(*params, variant)
         blob = json.loads(json.dumps(cert.to_json()))
         assert blob["variant"] == variant
         assert ContractionCertificate.from_json(blob) == cert
+
+    def test_certificate_json_rejects_params_outside_the_region(self):
+        # the old combined certificate of the identity, a + 2b + 2g = 1
+        blob = {**self._CERT_BLOBS["feasible"], "alpha": 0.0, "beta": 0.0, "gamma": 0.5,
+                "variant": "combined"}
+        with pytest.raises(setfix.SchemaError, match="combined region"):
+            ContractionCertificate.from_json(blob)
 
     def test_certificate_json_optional_keys(self):
         blob = {k: v for k, v in self._CERT_BLOBS["infeasible"].items()
@@ -224,29 +262,65 @@ class TestContractionParams:
             ContractionParams(-0.1, 0.0, 0.0)
 
     def test_crr_simplex(self):
-        # alpha + 2*beta < 1; gamma free up to the search cap
-        ContractionParams(0.5, 0.2, 0.9, "ciric_reich_rus")
+        # Reich: alpha + beta + gamma < 1
+        ContractionParams(0.7, 0.2, 0.05, "ciric_reich_rus")
         with pytest.raises(ParameterRangeError):
-            ContractionParams(0.7, 0.2, 0.0, "ciric_reich_rus")
+            ContractionParams(0.5, 0.2, 0.9, "ciric_reich_rus")
+        with pytest.raises(ParameterRangeError):
+            ContractionParams(0.5, 0.0, 0.5, "ciric_reich_rus")
+
+    def test_combined_region(self):
+        # Hardy-Rogers: alpha + 2*beta + 2*gamma < 1
+        ContractionParams(0.5, 0.1, 0.1, "combined")
+        for abg in ((0.0, 0.0, 0.5), (0.5, 0.25, 0.0), (0.1, 0.1, 0.4)):
+            with pytest.raises(ParameterRangeError, match="combined region"):
+                ContractionParams(*abg, "combined")
+
+
+def _random_lattices(variant: str, seed: int):
+    """_level0 and refinement lattices around random centres with a + b + g < 1."""
+    yield certify._level0(variant)
+    rng = np.random.default_rng(seed)
+    for _ in range(200):
+        center = [round(float(c), 10) for c in rng.dirichlet((1.0, 1.0, 1.0, 1.0))[:3]]
+        radius = certify._SEARCH_STEP * 0.5 ** int(rng.integers(1, certify._REFINEMENTS + 1))
+        yield certify._lattice(certify._refinement_axes(center, radius), variant)
+
+
+@pytest.mark.parametrize("variant, weights", [
+    ("ciric", (1.0, 1.0, 1.0)), ("ciric_reich_rus", (1.0, 1.0, 1.0)),
+    ("combined", (1.0, 2.0, 2.0)),
+])
+def test_lattice_points_lie_in_the_region_with_k_below_one(variant, weights):
+    wa, wb, wg = weights
+    seen = 0
+    for coef in _random_lattices(variant, 11):
+        for a, b, g in coef.T.tolist():
+            assert min(a, b, g) >= 0.0 and wa * a + wb * b + wg * g < 1.0, (a, b, g)
+            assert corollary_k(ContractionParams(a, b, g, variant)) < 1.0, (a, b, g)
+            seen += 1
+    assert seen > 1000
 
 
 class TestCorollaryK:
     def test_values(self):
-        assert abs(corollary_k(ContractionParams(0.5, 0.1, 0.2)).value - 0.75) <= 1e-12
-        assert corollary_k(ContractionParams(0.0, 0.0, 0.0)).value == 0.0
-        k = corollary_k(ContractionParams(0.3, 0.3, 0.3))
-        assert abs(k.value - 6.0 / 7.0) <= 1e-12
-        assert k.in_unit
+        assert abs(corollary_k(ContractionParams(0.5, 0.1, 0.2)) - 0.75) <= 1e-12
+        assert corollary_k(ContractionParams(0.0, 0.0, 0.0)) == 0.0
+        assert abs(corollary_k(ContractionParams(0.3, 0.3, 0.3)) - 6.0 / 7.0) <= 1e-12
+        # ciric_reich_rus: min((a+b)/(1-b), (a+g)/(1-g)); combined: (a+b+g)/(1-b-g)
+        crr = ContractionParams(0.1, 0.6, 0.2, "ciric_reich_rus")
+        assert abs(corollary_k(crr) - 0.3 / 0.8) <= 1e-12
+        assert abs(corollary_k(ContractionParams(0.2, 0.1, 0.15, "combined")) - 0.6) <= 1e-12
 
     def test_gamma_range(self):
-        # the crr simplex leaves gamma unconstrained, so this is constructible
-        p = ContractionParams(0.1, 0.1, 1.0, "ciric_reich_rus")
-        with pytest.raises(ParameterRangeError):
-            corollary_k(p)
+        # every region keeps gamma below 1, so k's denominators stay positive
+        for variant in certify.VARIANTS:
+            with pytest.raises(ParameterRangeError):
+                ContractionParams(0.1, 0.1, 1.0, variant)
 
     def test_pointwise_bound_on_grid(self, sqrt_tg, sqrt_tg_cert):
         # H(T_G(x), {x*}) <= k |x - x*| realized on the grid
-        k = corollary_k(sqrt_tg_cert.params).value
+        k = corollary_k(sqrt_tg_cert.params)
         point = IntervalUnion.singleton(1.0)
         for x in sqrt_tg.domain.grid(2001):
             x = float(x)
@@ -317,7 +391,7 @@ class TestGeometricDecay:
                                            linear_tg_cert):
         # premise: l < 1 and a feasible perturbed certificate
         l = sup_ratio_l(linear_t, linear_tg, 0.0, 2001).value
-        k = corollary_k(linear_tg_cert.params).value
+        k = corollary_k(linear_tg_cert.params)
         assert l < 1.0 and l * k < 1.0
         trace = setfix.picard_orbit(linear_t, 1.0, max_n=30, tol=1e-300, target=0.0)
         lk = l * k
@@ -348,6 +422,10 @@ _DIFF_OPERATORS = ["square", "sqrt"] + [
 
 
 def _named_operator(name: str):
+    if name == "identity":
+        unit = setfix.Interval(0.0, 1.0)
+        x = setfix.BoundaryFn(slope=1.0)
+        return setfix.MultivaluedOperator(setfix.Domain(unit), (setfix.Piece(unit, x, x),))
     if name == "constant":
         return setfix.constant_operator(setfix.sqrt_example().domain, 1.0)
     if name == "linear":
@@ -551,7 +629,7 @@ def test_block_ties_resolve_to_first_flat_index(rows, monkeypatch):
     op = _named_operator("square|0.5")
     n = 23
     xs = op.domain.grid(n)
-    pairs = certify._PairSystem("ciric", xs, *op.eval_grid(xs))
+    pairs = certify._PairSystem(certify._CONDITIONS["ciric"], xs, *op.eval_grid(xs))
     lhs, u, v, w = _pair_system(op, "ciric", xs)
     idx_i, idx_j = _ordered_pairs(n)
 
@@ -589,12 +667,13 @@ def test_pair_system_matches_ordered_oracle(name, monkeypatch):
         for variant in certify.VARIANTS:
             for n in (2, 3, 101):
                 xs = op.domain.grid(n)
-                pairs = certify._PairSystem(variant, xs, *op.eval_grid(xs))
+                pairs = certify._PairSystem(certify._CONDITIONS[variant], xs,
+                                            *op.eval_grid(xs))
                 lhs, u, v, w = _pair_system(op, variant, xs)
                 idx_i, idx_j = _ordered_pairs(n)
                 active = lhs > 1e-14
                 required = np.zeros_like(lhs)
-                np.divide(lhs, np.maximum(np.maximum(u, np.maximum(v, w)), 1e-300),
+                np.divide(lhs, np.maximum(rowmax(variant, u, v, w), 1e-300),
                           out=required, where=active)
                 k = int(np.argmax(required))
 

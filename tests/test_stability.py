@@ -315,14 +315,11 @@ class TestQuasiContraction:
 
 
 @pytest.mark.parametrize("gamma", [1.0, 1.5])
-def test_k_needs_gamma_below_one(sqrt_t, sqrt_tg, gamma):
-    # combined parameters leave gamma free; k = (a+b)/(1-g) is then undefined
-    # or negative, a premise error in both harnesses that use it
-    params = ContractionParams(0.1, 0.1, gamma, "combined")
-    with pytest.raises(ParameterRangeError, match="gamma < 1"):
-        ostrowski_verify(sqrt_t, 1.0, params, SQRT_L, 4.0, DecaySpec(0.1, 0.5))
-    with pytest.raises(ParameterRangeError, match="gamma < 1"):
-        quasi_contraction_verify(sqrt_t, sqrt_tg, 1.0, 0.5, params, 101)
+def test_k_needs_gamma_below_one(gamma):
+    # the combined region a + 2b + 2g < 1 rejects these params at construction,
+    # so no harness sees a k whose denominator is zero or negative
+    with pytest.raises(ParameterRangeError, match="combined region"):
+        ContractionParams(0.1, 0.1, gamma, "combined")
 
 
 #: Every public call that takes a grid size, at grid_n = 1.  certify_contraction
