@@ -48,7 +48,6 @@ import bisect
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -62,6 +61,7 @@ from .errors import (
     is_json_number,
     json_field,
     json_keys,
+    record,
 )
 from .iteration import STRICT_TOL, strict_defect
 from .operators import (
@@ -107,7 +107,7 @@ _SEARCH_STEP = 0.05
 _REFINEMENTS = 3
 
 
-@dataclass(frozen=True)
+@record
 class ContractionParams:
     """The parameter triple of a contraction-type condition."""
 
@@ -145,7 +145,7 @@ class Witness(NamedTuple):
     bound: float
 
 
-@dataclass(frozen=True)
+@record
 class ContractionCertificate:
     """Outcome of a feasibility search over the parameter simplex.
 

@@ -50,13 +50,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import (EmptySetError, ParameterRangeError, SchemaError, is_json_pair,
-                     json_field, json_keys)
+                     json_field, json_keys, raise_frozen, record)
 
 #: Canonicalization constant: parts whose gap is <= MERGE_EPS are merged.
 MERGE_EPS = 1e-12
@@ -71,7 +70,7 @@ VECTOR_MIN_PARTS = 20
 _set = object.__setattr__  # writes the slots of an immutable IntervalUnion
 
 
-@dataclass(frozen=True, order=True)
+@record(order=True)
 class Interval:
     """Closed bounded interval [lo, hi]; lo == hi encodes a point."""
 
@@ -137,7 +136,7 @@ class IntervalUnion:
         _set(self, "ambient", ambient)
 
     def __setattr__(self, name: str, value: object = None) -> None:
-        raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
+        raise_frozen(f"cannot assign to or delete field {name!r}")
 
     __delattr__ = __setattr__
 
@@ -399,7 +398,7 @@ def hausdorff(a: IntervalUnion, b: IntervalUnion) -> float:
     return max(excess(a, b), excess(b, a))
 
 
-@dataclass(frozen=True)
+@record
 class Domain:
     """The ambient complete metric space: a real interval with d(x,y) = |x-y|."""
 

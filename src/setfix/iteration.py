@@ -13,9 +13,8 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
 
-from .errors import InsufficientDataError, OutOfDomainError, ParameterRangeError
+from .errors import InsufficientDataError, OutOfDomainError, ParameterRangeError, record
 from .intervals import Interval, IntervalUnion, hausdorff, normalize
 from .operators import BoundaryFn, MultivaluedOperator
 
@@ -29,16 +28,20 @@ STALL_STEPS = 100
 STRICT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@record
 class OrbitStep:
+    """The n-th orbit set S_n, with its distance to S_{n-1} and to the target."""
+
     n: int
     set: IntervalUnion
     h_to_prev: float
     h_to_target: float | None
 
 
-@dataclass(frozen=True)
+@record
 class OrbitTrace:
+    """A Picard orbit's steps, whether it converged within tol, and its limit."""
+
     steps: tuple[OrbitStep, ...]
     converged: bool
     limit_estimate: float | None
@@ -50,7 +53,7 @@ class OrbitTrace:
         return self.steps[-1]
 
 
-@dataclass(frozen=True)
+@record
 class FixedPointScan:
     """Fix(T) (x in T(x)) and SFix(T) (T(x) = {x}), sorted; each entry is a
     float for an isolated point or (lo, hi) for a nondegenerate part."""

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import groupby
 from typing import Union
 
@@ -41,6 +40,7 @@ from .errors import (
     is_json_pair,
     json_field,
     json_keys,
+    record,
 )
 from .intervals import AMBIENT_TOL, Domain, Interval, IntervalUnion, normalize
 
@@ -64,7 +64,7 @@ _TERM_KEYS = {"const": ("kind", "value", "b"), "affine": ("kind", "a", "b"),
               **dict.fromkeys(("sqrt", "invsqrt"), ("kind", "coeff", "slope", "offset"))}
 
 
-@dataclass(frozen=True)
+@record
 class BoundaryFn:
     """One term of the closed expression catalog, monotone after splitting."""
 
@@ -214,7 +214,7 @@ class BoundaryFn:
                    offset=float(json_field(obj, "offset", *number, 0.0)))
 
 
-@dataclass(frozen=True)
+@record
 class Piece:
     """One subinterval of the domain with its lower/upper boundary terms."""
 
@@ -282,7 +282,7 @@ def _worst_order_point(lower: BoundaryFn, upper: BoundaryFn, lo: float, hi: floa
     return max(cands, key=lambda x: lower.value(x) - upper.value(x))
 
 
-@dataclass(frozen=True)
+@record
 class MultivaluedOperator:
     """Piecewise-monotone description of x -> [lower(x), upper(x)].
 
@@ -550,7 +550,7 @@ def hausdorff_between_values(lo1, hi1, lo2, hi2, out=None):
 # -- perturbations --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Takahashi:
     """Convex-combination perturbation G(x, y) = lam*x + (1-lam)*y, lam in (0, 1)."""
 
@@ -569,7 +569,7 @@ class Takahashi:
         return {"kind": "takahashi", "lam": self.lam}
 
 
-@dataclass(frozen=True)
+@record
 class GeneralG:
     """General affine perturbation G(x, y) = a*x + b*y + c.
 
@@ -606,7 +606,7 @@ def perturbation_from_json(obj: object) -> PerturbationSpec:
                       for k in ("a", "b", "c")))
 
 
-@dataclass(frozen=True)
+@record
 class AxiomReport:
     """Result of the closed-form check of the admissibility axioms."""
 

@@ -8,7 +8,8 @@ byte-identical JSON.  Timing is collected in memory but never serialized,
 precisely to keep reports reproducible.
 
 Harness preconditions that fail (an infeasible certificate, a comparison
-constant >= 1) downgrade the affected verdicts to not-applicable instead of
+constant >= 1, a variant other than ciric, for which no harness constant is
+derived) downgrade the affected verdicts to not-applicable instead of
 erroring; the exit contract counts a run as OK iff every verdict holds or
 is not-applicable and every requested orbit converged.
 """
@@ -18,7 +19,6 @@ from __future__ import annotations
 import json
 import time
 from collections import namedtuple
-from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -41,11 +41,13 @@ from .errors import (
     ParameterRangeError,
     SchemaError,
     StrictFixedPointMismatchError,
+    factory,
     is_json_int,
     is_json_number,
     json_field,
     json_keys,
     read_json,
+    record,
 )
 from .iteration import (
     STRICT_TOL,
@@ -140,7 +142,7 @@ _OPTION_RULES = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class Scenario:
     """Validated scenario configuration."""
 
@@ -155,7 +157,7 @@ class Scenario:
     variant: str
     stability_options: dict
     output: dict
-    raw: dict = field(repr=False, default_factory=dict)
+    raw: dict = factory(dict, in_repr=False)
 
     def resolve_operator(self) -> MultivaluedOperator:
         if isinstance(self.operator, str):
@@ -257,7 +259,7 @@ def load_scenario(source: str | Path) -> Scenario:
     return scenario_from_dict(obj, name=name)
 
 
-@dataclass
+@record(frozen=False)
 class RunReport:
     """Full result of one scenario run.  Timing stays in memory only."""
 
@@ -267,7 +269,7 @@ class RunReport:
     constants: dict
     orbits: list
     stability: list
-    timing: dict = field(default_factory=dict)
+    timing: dict = factory(dict)
 
     def to_dict(self) -> dict:
         return {
@@ -324,10 +326,13 @@ def _run_stability(scenario: Scenario, t: MultivaluedOperator,
                    constants: dict, xstar: float | None) -> list[dict]:
     opts = scenario.stability_options
     keys = opts.get("harnesses", HARNESSES)
-    if params is None or xstar is None:
-        reason = ("no feasible contraction certificate for the perturbed operator; "
-                  "certified constants unavailable" if params is None
-                  else "no unique strict fixed point located")
+    reason = (f"the stability constants are derived for the {st.CONSTANTS_VARIANT} "
+              f"condition, not for variant {scenario.variant!r}"
+              if scenario.variant != st.CONSTANTS_VARIANT
+              else "no feasible contraction certificate for the perturbed operator; "
+                   "certified constants unavailable" if params is None
+              else "no unique strict fixed point located" if xstar is None else None)
+    if reason is not None:
         return [st.not_applicable(_HARNESS_TABLE[k].property, reason).to_json()
                 for k in keys]
 
@@ -372,6 +377,7 @@ def run_scenario(source: str | Path | Scenario) -> RunReport:
         timing["certify"] = time.perf_counter() - tick
         certificates = {"T": cert_t.to_json(), "TG": cert_g.to_json()}
         disp = displacement_constant_L(t, tg, scenario.scan_grid_n)
+        derived = scenario.variant == st.CONSTANTS_VARIANT  # xi and the UH constant's formulas
         l_sup = xi = k = None
         l_skipped = 0
         if xstar is not None:
@@ -383,7 +389,7 @@ def run_scenario(source: str | Path | Scenario) -> RunReport:
         if cert_g.feasible:
             params = cert_g.params
             k = corollary_k(params)
-            if xstar is not None:
+            if xstar is not None and derived:
                 xi = retraction_displacement_check(
                     t, params, disp.value, xstar, scenario.grid_n).xi_max
         constants = {"l": l_sup, "k": k, "L": disp.value, "xi": xi,
@@ -391,7 +397,8 @@ def run_scenario(source: str | Path | Scenario) -> RunReport:
                      "l_skipped": l_skipped, "L_skipped": disp.skipped}
         if params is not None:
             constants["params_TG"] = params.to_json()
-            constants["ulam_hyers_c"] = st.ulam_hyers_constant(params, disp.value)
+            constants["ulam_hyers_c"] = (st.ulam_hyers_constant(params, disp.value)
+                                         if derived else None)
 
     orbits: list[dict] = []
     if "iterate" in scenario.analyses:

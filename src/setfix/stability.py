@@ -23,6 +23,9 @@ can use unique_strict_fixed_point (same rule).  Each checks x* with one eval
 per operator at iteration.STRICT_TOL and raises
 StrictFixedPointMismatchError if it is not strict.
 
+The constants above are derived for the ciric condition (CONSTANTS_VARIANT);
+run_scenario reports every harness not applicable for another variant.
+
 Verdicts use the uniform convention worst_ratio = max LHS/RHS with
 holds <=> worst_ratio <= 1 + 1e-9 (for applicable reports).  Hypothesis
 violations (non-decaying driver sequences, unavailable certificates) yield
@@ -39,7 +42,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -60,9 +62,11 @@ from .errors import (
     NoStrictFixedPointError,
     OutOfDomainError,
     ParameterRangeError,
+    factory,
     is_json_number,
     json_field,
     json_keys,
+    record,
 )
 from .intervals import dist_point_to_set, nearest_point
 from .iteration import scan_fixed_points
@@ -79,8 +83,12 @@ HOLDS_TOL = 1e-9
 #: Grid used for residual rejection sampling in the Ulam-Hyers harness.
 UH_SAMPLING_GRID = 40_001
 
+#: The contraction variant whose parameters the harnesses' constants are
+#: derived for; run_scenario runs no harness for another variant.
+CONSTANTS_VARIANT = "ciric"
 
-@dataclass(frozen=True)
+
+@record
 class StabilityReport:
     """Per-property verdict with the constant used and sampled evidence.
 
@@ -95,7 +103,7 @@ class StabilityReport:
     samples: int
     worst_ratio: float
     applicable: bool = True
-    details: dict = field(default_factory=dict)
+    details: dict = factory(dict)
 
     def to_json(self) -> dict:
         return {
@@ -121,7 +129,7 @@ def not_applicable(prop: str, reason: str, details: dict | None = None) -> Stabi
     return StabilityReport(prop, False, 0.0, 0, 0.0, False, d)
 
 
-@dataclass(frozen=True)
+@record
 class DecaySpec:
     """Geometric residual targets r_n = initial * ratio^n."""
 
@@ -143,7 +151,7 @@ class DecaySpec:
         return {"initial": self.initial, "ratio": self.ratio}
 
 
-@dataclass(frozen=True)
+@record
 class ComparisonFunction:
     """Increasing Psi with Psi(0) = 0, continuous at 0: C*t or C*t^p."""
 

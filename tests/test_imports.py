@@ -105,3 +105,21 @@ def test_certify_subcommand_loads_no_scenario_or_stability_code():
                                          if n in ("setfix.scenario", "setfix.stability"))]))
     """)
     assert (status, loaded) == (0, [])
+
+
+def test_no_setfix_class_is_a_dataclass():
+    # dataclass compiles each class's methods from generated source, which cost
+    # about a quarter of the scenario path's import; setfix's values are records
+    loaded, scanned, dataclasses = _fresh("""
+        import importlib, pkgutil
+        for info in pkgutil.iter_modules(setfix.__path__):
+            importlib.import_module(f"setfix.{info.name}")
+        modules = sorted(n for n in sys.modules if n.split(".")[0] == "setfix")
+        classes = [c for n in modules for c in vars(sys.modules[n]).values()
+                   if isinstance(c, type) and c.__module__ == n]
+        print(json.dumps([modules, len(classes), [
+            c.__qualname__ for c in classes if hasattr(c, "__dataclass_fields__")]]))
+    """)
+    assert loaded == sorted(SET_LAYER + [f"setfix.{m}" for m in (*ANALYSIS, "cli")])
+    assert scanned >= 18  # the value classes at least
+    assert dataclasses == []

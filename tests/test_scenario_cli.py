@@ -175,6 +175,31 @@ class TestIntervalFixedSet:
             assert rep["details"]["reason"] == "no unique strict fixed point located"
 
 
+@pytest.mark.parametrize("variant, params", [
+    ("combined", {"alpha": 0.71875, "beta": 0.0, "gamma": 0.1125}),
+    ("ciric_reich_rus", {"alpha": 0.875, "beta": 0.0, "gamma": 0.0}),
+])
+def test_variant_without_derived_constants_gets_no_verdict(variant, params, tmp_path):
+    """The harness constants are derived for ciric only: another variant's
+    certificate is reported, and every harness is not applicable."""
+    raw = dict(load_scenario("sqrt_takahashi_34").raw, variant=variant)
+    spath = tmp_path / f"sqrt_{variant}.json"
+    spath.write_text(json.dumps(raw))
+    out = tmp_path / "report.json"
+    assert cli_main(["run", str(spath), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["certificates"]["TG"]["feasible"] is True
+    assert report["constants"]["params_TG"] == {**params, "variant": variant}
+    assert report["constants"]["ulam_hyers_c"] is None
+    assert report["constants"]["xi"] is None
+    assert [rep["property"] for rep in report["stability"]] == [
+        h.property for h in _HARNESS_TABLE.values()]
+    for rep in report["stability"]:
+        assert rep["applicable"] is False
+        assert rep["details"]["reason"] == ("the stability constants are derived for the ciric "
+                                            f"condition, not for variant {variant!r}")
+
+
 class TestDeterminismAndRoundTrip:
     def test_byte_identical_reports(self, sqrt_report):
         again = run_scenario("sqrt_takahashi_34")
