@@ -181,18 +181,17 @@ def scan_fixed_points(t: MultivaluedOperator, grid_n: int = 10_001,
     x in T(x) iff f = x - lower(x) >= 0 and g = upper(x) - x >= 0.  Between
     their critical points both are monotone, so {f >= 0} and {g >= 0} are
     intervals and Fix is their intersection; a crossing between adjacent
-    floats (as a single-valued boundary makes) counts as the lower one.  A shared piece endpoint
-    follows eval (right piece wins), a nondegenerate part is taken closed,
-    and parts narrower than tol become their midpoint.  SFix: pieces with
-    f = g = 0 identically, plus the Fix part ends and segment edges inside
-    Fix with hausdorff(T(x), {x}) < tol.
+    floats (as a single-valued boundary makes) counts as the lower one.  A
+    part that is only a piece's cut belongs to the next piece (see Piece), a
+    nondegenerate part is taken closed, and parts narrower than tol become
+    their midpoint.  SFix: pieces with f = g = 0 identically, plus the Fix
+    part ends and segment edges inside Fix with hausdorff(T(x), {x}) < tol.
     """
     fixed: list[Interval] = []
     strict: list[Interval] = []
     edges: list[float] = []
     ends = t.domain.bounds
-    last = len(t.pieces) - 1
-    for i, pc in enumerate(t.pieces):
+    for pc, cut in zip(t.pieces, t._cuts):
         f = pc.lower.compose_affine(1.0, -1.0, 0.0)
         g = pc.upper.compose_affine(-1.0, 1.0, 0.0)
         lo, hi = pc.sub.lo, pc.sub.hi
@@ -214,7 +213,7 @@ def scan_fixed_points(t: MultivaluedOperator, grid_n: int = 10_001,
                 if math.nextafter(b, a) != a:
                     continue
                 a = b
-            if a == hi and i < last:
+            if a == cut:
                 continue
             fixed.append(Interval(a, b))
 

@@ -216,7 +216,14 @@ class BoundaryFn:
 
 @record
 class Piece:
-    """One subinterval of the domain with its lower/upper boundary terms."""
+    """One subinterval of the domain with its lower/upper boundary terms.
+
+    Ownership: with s_i the start of piece i, piece i owns [s_i, s_{i+1}) and
+    the last piece its closed sub-interval, so a junction belongs to the
+    piece on its right.  MultivaluedOperator keeps the cuts s_1, s_2, ...,
+    +inf as ``_cuts`` (piece i owns x iff exactly i cuts are <= x), and
+    eval, eval_grid, set_image and the fixed-point scan read them.
+    """
 
     sub: Interval
     lower: BoundaryFn
@@ -286,12 +293,14 @@ def _worst_order_point(lower: BoundaryFn, upper: BoundaryFn, lo: float, hi: floa
 class MultivaluedOperator:
     """Piecewise-monotone description of x -> [lower(x), upper(x)].
 
-    Construction is strict: pieces must cover the domain with disjoint
-    interiors, both boundaries must be monotone on every piece (split at
-    extrema first), lower <= upper up to ORDER_SLACK at the exact minimum of
-    upper - lower, and all values must stay inside the domain (self-map) up
-    to SELF_MAP_SLACK.  Both checks evaluate the terms at finitely many
-    points taken from the catalog's closed forms, and take no samples.
+    Construction is strict: pieces must cover the domain up to 1e-9 at its
+    ends and meet exactly at inner junctions (p1.sub.hi == p2.sub.lo), each
+    junction owned by the piece on its right (see Piece); both boundaries
+    must be monotone on every piece (split at extrema first), lower <= upper
+    up to ORDER_SLACK at the exact minimum of upper - lower, and all values
+    must stay inside the domain (self-map) up to SELF_MAP_SLACK.  Both checks
+    evaluate the terms at finitely many points taken from the catalog's
+    closed forms, and take no samples.
     """
 
     domain: Domain
@@ -307,11 +316,11 @@ class MultivaluedOperator:
         if abs(pieces[0].sub.lo - b.lo) > 1e-9 or abs(pieces[-1].sub.hi - b.hi) > 1e-9:
             raise ValueError("pieces must cover the domain exactly")
         for p1, p2 in zip(pieces, pieces[1:]):
-            if abs(p1.sub.hi - p2.sub.lo) > 1e-9:
+            if p1.sub.hi != p2.sub.lo:
                 raise ValueError("pieces must be contiguous with disjoint interiors")
         for pc in pieces:
             self._validate_piece(pc)
-        object.__setattr__(self, "_piece_los", tuple(pc.sub.lo for pc in pieces))
+        object.__setattr__(self, "_cuts", tuple(pc.sub.lo for pc in pieces[1:]) + (math.inf,))
         object.__setattr__(self, "_sub_ends", np.array([[pc.sub.lo for pc in pieces],
                                                         [pc.sub.hi for pc in pieces]]))
         # (lower, upper, columns) of each run of adjacent pieces with the same
@@ -351,18 +360,13 @@ class MultivaluedOperator:
 
     # -- evaluation -----------------------------------------------------------
 
-    def _piece_index(self, x: float) -> int:
-        # left-closed selection: at a shared endpoint the right piece wins
-        i = bisect_right(self._piece_los, x) - 1
-        return max(i, 0)
-
     def eval(self, x: float) -> IntervalUnion:
         """T(x) = [lower(x), upper(x)] of the piece containing x."""
         b = self.domain.bounds
         if not b.contains(x, AMBIENT_TOL):
             raise OutOfDomainError(f"x={x!r} outside operator domain [{b.lo}, {b.hi}]")
         x = b.clamp(x)
-        pc = self.pieces[self._piece_index(x)]
+        pc = self.pieces[bisect_right(self._cuts, x)]
         lo = pc.lower.value(x)
         hi = pc.upper.value(x)
         if hi < lo:
@@ -386,7 +390,7 @@ class MultivaluedOperator:
             raise OutOfDomainError(f"x={float(xs[np.argmin(inside)])!r} outside operator "
                                    f"domain [{b.lo}, {b.hi}]")
         xs = _clamp(xs, b)
-        idx = np.maximum(np.searchsorted(self._piece_los, xs, side="right") - 1, 0)
+        idx = np.searchsorted(self._cuts, xs, side="right")
         lo, hi = np.empty_like(xs), np.empty_like(xs)
         for lower, upper, cols in self._term_runs:
             sel = (idx >= cols.start) & (idx < cols.stop)
@@ -421,7 +425,12 @@ class MultivaluedOperator:
         return table
 
     def set_image(self, y: IntervalUnion) -> IntervalUnion:
-        """Exact T(Y) = union of T(y) over y in Y (closure at piece junctions).
+        """The closure of T(Y) = union of T(y) over y in Y, exactly.
+
+        Each piece contributes its overlap with Y less the cut that the next
+        piece owns (see Piece), so a part that starts at a junction gets no
+        value of the left piece; an overlap [u, s) that ends at the cut s
+        contributes the closed range on [u, s].
 
         Construction rejects a piece whose boundary has an interior extremum,
         so both boundaries are monotone on every subinterval [u, v] of a
@@ -441,10 +450,10 @@ class MultivaluedOperator:
         for lo_y, hi_y in zip(los, his):
             a = max(lo_y, x_lo)
             z = min(hi_y, x_hi)
-            for pc in self.pieces:
+            for pc, cut in zip(self.pieces, self._cuts):
                 u = max(a, pc.sub.lo)
                 v = min(z, pc.sub.hi)
-                if u > v:
+                if u >= v and (u > v or u == cut):  # no overlap, or a point the next piece owns
                     continue
                 lo = min(pc.lower.value(u), pc.lower.value(v))
                 hi = max(lo, max(pc.upper.value(u), pc.upper.value(v)))
@@ -473,7 +482,7 @@ class MultivaluedOperator:
             np.copyto(uv[1], b.hi, where=b.hi < uv[1])
         np.copyto(uv[0], sub_lo, where=sub_lo > uv[0])
         np.copyto(uv[1], sub_hi, where=sub_hi < uv[1])
-        hit = uv[0] <= uv[1]
+        hit = (uv[0] <= uv[1]) & (uv[0] < self._cuts)
         # a part that misses a piece is evaluated inside it, then dropped
         np.copyto(uv[0], sub_hi, where=uv[0] > sub_hi)
         np.copyto(uv[1], sub_lo, where=uv[1] < sub_lo)

@@ -326,12 +326,10 @@ def _run_stability(scenario: Scenario, t: MultivaluedOperator,
                    constants: dict, xstar: float | None) -> list[dict]:
     opts = scenario.stability_options
     keys = opts.get("harnesses", HARNESSES)
-    reason = (f"the stability constants are derived for the {st.CONSTANTS_VARIANT} "
-              f"condition, not for variant {scenario.variant!r}"
-              if scenario.variant != st.CONSTANTS_VARIANT
-              else "no feasible contraction certificate for the perturbed operator; "
-                   "certified constants unavailable" if params is None
-              else "no unique strict fixed point located" if xstar is None else None)
+    reason = st.variant_reason(scenario.variant) or (
+        "no feasible contraction certificate for the perturbed operator; "
+        "certified constants unavailable" if params is None
+        else "no unique strict fixed point located" if xstar is None else None)
     if reason is not None:
         return [st.not_applicable(_HARNESS_TABLE[k].property, reason).to_json()
                 for k in keys]

@@ -23,8 +23,11 @@ can use unique_strict_fixed_point (same rule).  Each checks x* with one eval
 per operator at iteration.STRICT_TOL and raises
 StrictFixedPointMismatchError if it is not strict.
 
-The constants above are derived for the ciric condition (CONSTANTS_VARIANT);
-run_scenario reports every harness not applicable for another variant.
+The constants above are derived for the ciric condition (CONSTANTS_VARIANT).
+For params of another variant, the data-dependence, Ulam-Hyers,
+well-posedness and Ostrowski harnesses return a not-applicable report with
+variant_reason's reason, and run_scenario reports every harness not
+applicable.
 
 Verdicts use the uniform convention worst_ratio = max LHS/RHS with
 holds <=> worst_ratio <= 1 + 1e-9 (for applicable reports).  Hypothesis
@@ -86,6 +89,15 @@ UH_SAMPLING_GRID = 40_001
 #: The contraction variant whose parameters the harnesses' constants are
 #: derived for; run_scenario runs no harness for another variant.
 CONSTANTS_VARIANT = "ciric"
+
+
+def variant_reason(variant: str) -> str | None:
+    """Why the harness constants do not apply to params of this variant, or
+    None for CONSTANTS_VARIANT."""
+    if variant == CONSTANTS_VARIANT:
+        return None
+    return (f"the stability constants are derived for the {CONSTANTS_VARIANT} "
+            f"condition, not for variant {variant!r}")
 
 
 @record
@@ -239,6 +251,9 @@ def data_dependence_verify(t: MultivaluedOperator, f: MultivaluedOperator,
                            grid_n: int = 2001) -> StabilityReport:
     """Every strict fixed point of a uniform eta-approximation F of T lies
     within K * eta of x*, with K = L(1+g)/((1-a-b) xi)."""
+    reason = variant_reason(params.variant)
+    if reason is not None:
+        return not_applicable("DataDependence", reason)
     _verify_strict_point(xstar, t)
     strict, ends = _comparison_strict(f)
     xi = retraction_displacement_check(t, params, L, xstar, grid_n)
@@ -331,6 +346,9 @@ def ulam_hyers_verify(t: MultivaluedOperator, tg: MultivaluedOperator,
             raise ParameterRangeError(f"eps values must be positive, got {eps}")
     if L <= 0.0 or samples_per_eps < 1:
         raise ParameterRangeError("ulam_hyers_verify needs L > 0 and samples_per_eps >= 1")
+    reason = variant_reason(params.variant)
+    if reason is not None:
+        return not_applicable("UlamHyers", reason)
     _verify_strict_point(xstar, t, tg)
     c = ulam_hyers_constant(params, L)
 
@@ -411,6 +429,9 @@ def well_posedness_verify(t: MultivaluedOperator, xstar: float,
         raise ParameterRangeError("well_posedness_verify needs n_max >= 1")
     if L <= 0.0:
         raise ParameterRangeError("well_posedness_verify needs L > 0")
+    reason = variant_reason(params.variant)
+    if reason is not None:
+        return not_applicable("WellPosed", reason)
     if not sequence_spec.decays:
         return not_applicable(
             "WellPosed",
@@ -476,6 +497,9 @@ def ostrowski_verify(t: MultivaluedOperator, xstar: float, params: ContractionPa
         raise ParameterRangeError("ostrowski_verify needs L > 0 and final_tol > 0")
     if not t.domain.contains(x0):
         raise OutOfDomainError(f"x0={x0!r} outside operator domain")
+    reason = variant_reason(params.variant)
+    if reason is not None:
+        return not_applicable("Ostrowski", reason)
     if not delta_spec.decays:
         return not_applicable(
             "Ostrowski",

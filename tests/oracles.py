@@ -16,6 +16,7 @@ result types.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 from hypothesis import reject, strategies as st
@@ -83,6 +84,23 @@ def brute_set_image(t: MultivaluedOperator, y: IntervalUnion, h: float) -> Inter
     for x in set_grid(y, h):
         parts.extend(t.eval(float(x)).parts)
     return normalize(parts)
+
+
+def lipschitz_bound(t: MultivaluedOperator) -> float:
+    """An upper bound of |f'| for every boundary term f of T on its piece,
+    for T on a domain of positive numbers."""
+    def bound(term: BoundaryFn, lo: float, hi: float) -> float:
+        if term.base == "none" or term.coeff == 0.0:
+            base = 0.0
+        elif term.base == "power":
+            base = term.p * max(abs(lo), abs(hi)) ** (term.p - 1)
+        elif term.base == "sqrt":
+            base = 0.5 * lo ** -0.5
+        else:  # invsqrt
+            base = 0.5 * lo ** -1.5
+        return abs(term.slope) + abs(term.coeff) * base
+    return max(bound(term, pc.sub.lo, pc.sub.hi)
+               for pc in t.pieces for term in (pc.lower, pc.upper))
 
 
 # -- pairwise set functionals -----------------------------------------------------
@@ -178,16 +196,20 @@ def sequential_normalize(raw, ambient: Interval | None = None) -> IntervalUnion:
 
 
 def range_on_set_image(t: MultivaluedOperator, y: IntervalUnion) -> IntervalUnion:
-    """T(Y) with each boundary's range on [u, v] from ``range_on``."""
+    """The closure of T(Y) with each boundary's range on [u, v] from
+    ``range_on``, over the pieces from the one eval selects for a part's
+    start to the one it selects for its end (bisecting the piece starts)."""
     b = t.domain.bounds
     if y.parts[0].lo < b.lo - AMBIENT_TOL or y.parts[-1].hi > b.hi + AMBIENT_TOL:
         raise OutOfDomainError(
             f"set {y.to_json()} escapes operator domain [{b.lo}, {b.hi}]")
+    starts = [pc.sub.lo for pc in t.pieces]
     out: list[Interval] = []
     for part in y.parts:
         a = max(part.lo, b.lo)
         z = min(part.hi, b.hi)
-        for pc in t.pieces:
+        first, last = (max(bisect_right(starts, x) - 1, 0) for x in (a, z))
+        for pc in t.pieces[first:last + 1]:
             u = max(a, pc.sub.lo)
             v = min(z, pc.sub.hi)
             if u > v:
@@ -231,6 +253,15 @@ def linear_pair_operator(c: float = 0.5) -> MultivaluedOperator:
     )
     return MultivaluedOperator(Domain(Interval(-1.0, 1.0)), pieces,
                                name=f"linear_scaling({c:g})")
+
+
+def jump_to_one_operator() -> MultivaluedOperator:
+    """T = [0.5, 1] on [0.25, 1) and {1} on [1, 2]: T jumps at the junction 1,
+    which the right piece owns, so T(1) = {1}."""
+    one = BoundaryFn(offset=1.0)
+    return MultivaluedOperator(Domain(Interval(0.25, 2.0)), (
+        Piece(Interval(0.25, 1.0), BoundaryFn(offset=0.5), one),
+        Piece(Interval(1.0, 2.0), one, one)), name="jump_to_one")
 
 
 # -- per-piece grid evaluation ----------------------------------------------------

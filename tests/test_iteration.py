@@ -18,6 +18,7 @@ from setfix import (
     Takahashi,
     constant_operator,
     dist_point_to_set,
+    excess,
     hausdorff,
     orbit_rate,
     orbit_to_csv,
@@ -26,7 +27,14 @@ from setfix import (
     scan_fixed_points,
     shift_operator,
 )
-from oracles import catalog_operators, grid_scan_fixed_points, linear_pair_operator
+from oracles import (
+    brute_set_image,
+    catalog_operators,
+    grid_scan_fixed_points,
+    jump_to_one_operator,
+    linear_pair_operator,
+    lipschitz_bound,
+)
 
 
 def reflection_operator():
@@ -103,6 +111,31 @@ class TestPicardOrbit:
             assert step.h_to_target == expected
             assert math.copysign(1.0, step.h_to_target) == math.copysign(1.0, expected)
             assert type(step.h_to_target) is float
+
+    @pytest.mark.parametrize("x0, steps", [(1.0, 2), (1.5, 3)])
+    def test_orbit_through_a_jump_junction(self, x0, steps):
+        # the orbits from 1 and 1.5 reach T(1) = {1} and stay there, never
+        # taking the left piece's value at the junction
+        trace = picard_orbit(jump_to_one_operator(), x0)
+        assert (trace.converged, trace.limit_estimate, len(trace.steps)) == (True, 1.0, steps)
+        assert trace.final.set.to_json() == {"parts": [[1.0, 1.0]]}
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(catalog_operators(), st.data())
+    def test_steps_match_brute_force_from_junction_starts(self, t, data):
+        # x0 is often a piece start, and the catalog's inner edges are mostly
+        # jumps: every value eval takes on S_{n-1} lies in S_n, and every
+        # point of S_n within L*h of one, L a Lipschitz bound of the terms
+        starts = [pc.sub.lo for pc in t.pieces]
+        b = t.domain.bounds
+        x0 = data.draw(st.one_of(st.sampled_from(starts), st.floats(b.lo, b.hi)))
+        trace = picard_orbit(t, x0, max_n=6, tol=1e-300)
+        h = 2e-3
+        lip = lipschitz_bound(t)
+        for prev, step in zip(trace.steps, trace.steps[1:]):
+            sampled = brute_set_image(t, prev.set, h)
+            assert excess(sampled, step.set) <= 1e-12
+            assert excess(step.set, sampled) <= lip * h + 1e-12
 
     def test_perturbed_orbit_target_distance_monotone(self, sqrt_tg, square_tg):
         # contractive-toward-x* perturbations approach the target monotonically
@@ -349,6 +382,18 @@ class TestExactFixedPointSets:
         scan = scan_fixed_points(t)
         assert scan.fixed == scan.strict == (math.nextafter(1.125, 0.0),)
         assert dist_point_to_set(scan.fixed[0], t.eval(scan.fixed[0])) <= 1e-15
+
+    def test_left_piece_meeting_the_diagonal_only_at_the_junction(self):
+        # T(x) = {0.5x + 0.5} on [0.25, 1) meets the diagonal only at 1, where
+        # eval takes the right piece: 1 is fixed only if that piece fixes it
+        left = BoundaryFn(slope=0.5, offset=0.5)
+        for value, fixed in ((0.5, ()), (1.0, (1.0,))):
+            right = BoundaryFn(offset=value)
+            t = MultivaluedOperator(Domain(Interval(0.25, 2.0)),
+                                    (Piece(Interval(0.25, 1.0), left, left),
+                                     Piece(Interval(1.0, 2.0), right, right)))
+            scan = scan_fixed_points(t)
+            assert scan.fixed == scan.strict == fixed
 
     def test_domain_end_fixed_by_the_clamp(self):
         # T(x) = {0.5x + 0.12499999999999994} meets the diagonal just below

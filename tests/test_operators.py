@@ -42,6 +42,8 @@ from oracles import (
     affine_combine,
     brute_set_image,
     catalog_operators,
+    jump_to_one_operator,
+    lipschitz_bound,
     per_piece_eval_grid,
     random_subunion,
     range_on_set_image,
@@ -365,20 +367,22 @@ class TestSetImage:
         y = normalize([Interval(lo, hi) for lo, hi in zip(ends[::2], ends[1::2])], b)
         h = 2e-3
         exact, sampled = t.set_image(y), brute_set_image(t, y, h)
-        lip = max(_lipschitz_bound(term, pc.sub.lo, pc.sub.hi)
-                  for pc in t.pieces for term in (pc.lower, pc.upper))
+        lip = lipschitz_bound(t)
         assert excess(sampled, exact) <= 1e-12
         assert excess(exact, sampled) <= lip * h + 1e-12
 
-    @pytest.mark.xfail(strict=True, reason="set_image adds the left piece's value at a "
-                       "junction that Y reaches only from the right; eval does not")
-    def test_part_starting_at_a_jump_junction(self):
-        # T jumps at 1 from [0.5, 1] to {1}; T(1) = {1} by the left-closed selection
-        t = MultivaluedOperator(Domain(Interval(0.25, 2.0)), (
-            Piece(Interval(0.25, 1.0), BoundaryFn(offset=0.5), BoundaryFn(offset=1.0)),
-            Piece(Interval(1.0, 2.0), BoundaryFn(offset=1.0), BoundaryFn(offset=1.0))))
+    @pytest.mark.parametrize("n", [1, 2 * IMAGE_VECTOR_MIN_PARTS])
+    def test_part_starting_at_a_jump_junction(self, n):
+        # T(1) = {1}, although the left piece reaches [0.5, 1] at 1; n - 1
+        # more parts right of 1.5 take the array path
+        t = jump_to_one_operator()
+        right = [Interval(1.6 + 0.01 * k, 1.605 + 0.01 * k) for k in range(n - 1)]
         for y in (Interval(1.0, 1.0), Interval(1.0, 1.5)):
-            assert t.set_image(normalize([y])).to_json() == {"parts": [[1.0, 1.0]]}
+            assert t.set_image(normalize([y, *right])).to_json() == {"parts": [[1.0, 1.0]]}
+        # a part that ends at the jump gets the closure: the left piece's
+        # values up to 1, and T(1) = {1}
+        y = normalize([Interval(0.5, 1.0), *right])
+        assert t.set_image(y).to_json() == {"parts": [[0.5, 1.0]]}
 
     def test_escaping_set_rejected(self, sqrt_t):
         with pytest.raises(OutOfDomainError):
@@ -418,19 +422,6 @@ def junction_unions(draw, t: MultivaluedOperator,
     n = draw(st.integers(1, max_parts))
     ends = sorted(draw(st.lists(coord, min_size=2 * n, max_size=2 * n)))
     return normalize([Interval(lo, hi) for lo, hi in zip(ends[::2], ends[1::2])], b)
-
-
-def _lipschitz_bound(term: BoundaryFn, lo: float, hi: float) -> float:
-    """An upper bound of |f'| for a catalog term on [lo, hi], 0 < lo <= hi."""
-    if term.base == "none" or term.coeff == 0.0:
-        base = 0.0
-    elif term.base == "power":
-        base = term.p * max(abs(lo), abs(hi)) ** (term.p - 1)
-    elif term.base == "sqrt":
-        base = 0.5 * lo ** -0.5
-    else:  # invsqrt
-        base = 0.5 * lo ** -1.5
-    return abs(term.slope) + abs(term.coeff) * base
 
 
 def _builtins_and_perturbations() -> list[MultivaluedOperator]:
@@ -785,6 +776,19 @@ class TestValidation:
             MultivaluedOperator(Domain(Interval(0.0, 1.0)),
                                 (Piece(Interval(0.0, 0.4), term, term),
                                  Piece(Interval(0.6, 1.0), term, term)))
+
+    def test_inner_junctions_must_meet_exactly(self):
+        # a junction off by 5e-10 would leave the points between the two ends
+        # to no piece, or to two; the domain ends keep their 1e-9 slack
+        term = BoundaryFn(offset=1.0)
+        dom = Domain(Interval(0.25, 4.0))
+        for start in (1.0 + 5e-10, 1.0 - 5e-10):
+            with pytest.raises(ValueError, match="contiguous"):
+                MultivaluedOperator(dom, (Piece(Interval(0.25, 1.0), term, term),
+                                          Piece(Interval(start, 4.0), term, term)))
+        t = MultivaluedOperator(dom, (Piece(Interval(0.25 + 5e-10, 1.0), term, term),
+                                      Piece(Interval(1.0, 4.0 - 5e-10), term, term)))
+        assert t.eval(4.0).to_json() == {"parts": [[1.0, 1.0]]}
 
     def test_invsqrt_domain_guard(self):
         bad = BoundaryFn(base="invsqrt", coeff=1.0)

@@ -126,6 +126,14 @@ class TestSqrtScenario:
         assert len(sqrt_report.orbits) == 4  # two starts, T and TG each
         assert all(o["converged"] for o in sqrt_report.orbits)
 
+    def test_orbits_from_the_strict_fixed_point(self):
+        # S_1 = {x*} = S_0: two steps, and no rate without three positive
+        # distances to x*
+        raw = dict(load_scenario("sqrt_takahashi_34").raw, x0_list=[1.0], analyses=["iterate"])
+        orbits = run_scenario(scenario_from_dict(raw)).orbits
+        assert [(o["operator"], o["steps"], o["converged"], o["limit_estimate"], o["rate"])
+                for o in orbits] == [("T", 2, True, 1.0, None), ("TG", 2, True, 1.0, None)]
+
 
 class TestSquareScenario:
     def test_certificates_infeasible(self, square_report):
@@ -477,6 +485,24 @@ class TestStabilityOptions:
     def test_comparison_function_needs_json_numbers(self, psi):
         with pytest.raises(SchemaError):
             scenario_from_dict(packaged_with_options(psi_mp_data_dependence={"psi": psi}))
+
+    def test_explicit_psi(self):
+        # Psi(t) = 8.5t satisfies the psi-MP premise on sqrt|0.75; 3t does not
+        def report(C: float) -> dict:
+            raw = packaged_with_options(
+                harnesses=["psi_mp_data_dependence"],
+                psi_mp_data_dependence={"psi": {"kind": "linear", "C": C}})
+            (rep,) = run_scenario(scenario_from_dict(raw)).stability
+            return rep
+        holds = report(8.5)
+        assert (holds["applicable"], holds["holds"]) == (True, True)
+        assert holds["worst_ratio"] == 0.93942162954016
+        assert holds["details"]["psi"] == {"kind": "linear", "C": 8.5}
+        fails = report(3.0)
+        assert fails["applicable"] is False
+        assert fails["details"]["reason"].startswith(
+            "HypothesisFailedError: psi-MP premise |x-x*| <= Psi(D(x,T_G(x))) "
+            "fails at x=1.0074999999999998")
 
     def test_cli_exits_2_on_malformed_option(self, tmp_path, capsys):
         spath = tmp_path / "bad.json"

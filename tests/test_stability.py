@@ -37,6 +37,8 @@ from oracles import catalog_operators, scalar_well_posedness
 
 SQRT_PARAMS = ContractionParams(0.875, 0.0, 0.0)
 SQRT_L = 0.25
+#: the combined-variant certificate of sqrt_example|takahashi(0.75) at grid 501
+COMBINED_PARAMS = ContractionParams(0.71875, 0.0, 0.1125, "combined")
 
 
 class TestCauchyToeplitz:
@@ -368,11 +370,46 @@ class TestDataDependence:
         rep = data_dependence_verify(sqrt_t, f, 1.0, SQRT_PARAMS, SQRT_L, 1001)
         assert rep.holds  # same strict fixed point, small eta
 
+    def test_retraction_displacement_failure_not_applicable(self):
+        # T(x) = [x/2, x] fixes every x of [0, 1], and only x* = 0 strictly:
+        # D(x, T(x)) = 0 while |x - x*| > 0, so no xi >= 1e-6 holds
+        t = setfix.MultivaluedOperator(
+            setfix.Domain(setfix.Interval(0.0, 1.0)),
+            (setfix.Piece(setfix.Interval(0.0, 1.0), setfix.BoundaryFn(slope=0.5),
+                          setfix.BoundaryFn(slope=1.0)),))
+        rep = data_dependence_verify(t, t, 0.0, ContractionParams(0.5, 0.0, 0.0), 0.5, 201)
+        assert (rep.applicable, rep.holds) == (False, False)
+        assert rep.details == {"reason": "retraction-displacement condition failed on "
+                                         "the grid (xi_max < 1e-6)"}
+
     def test_shifted_operator_loses_strictness(self, sqrt_t):
         # a value translation keeps the set widths, so no point has T(y) = {y}
         f = shift_operator(sqrt_t, 0.01)
         with pytest.raises(NoStrictFixedPointError):
             data_dependence_verify(sqrt_t, f, 1.0, SQRT_PARAMS, SQRT_L, 1001)
+
+
+#: The harnesses whose constants are derived for the ciric condition only,
+#: each called on sqrt_example with the given params.
+_CIRIC_ONLY = {
+    "DataDependence": lambda t, tg, p: data_dependence_verify(t, t, 1.0, p, SQRT_L, 501),
+    "UlamHyers": lambda t, tg, p: ulam_hyers_verify(t, tg, 1.0, p, SQRT_L, [0.1, 0.05, 0.01]),
+    "WellPosed": lambda t, tg, p: well_posedness_verify(t, 1.0, p, SQRT_L, DecaySpec(0.1, 0.8)),
+    "Ostrowski": lambda t, tg, p: ostrowski_verify(t, 1.0, p, SQRT_L, 4.0, DecaySpec(0.1, 0.5)),
+}
+
+
+@pytest.mark.parametrize("prop", sorted(_CIRIC_ONLY))
+def test_params_of_another_variant_get_no_verdict(prop, sqrt_t, sqrt_tg):
+    # called directly with a combined certificate, each harness gives the
+    # reason run_scenario writes for a combined scenario, and no ciric verdict
+    rep = _CIRIC_ONLY[prop](sqrt_t, sqrt_tg, COMBINED_PARAMS)
+    assert (rep.property, rep.applicable, rep.holds) == (prop, False, False)
+    assert rep.details == {"reason": "the stability constants are derived for the ciric "
+                                     "condition, not for variant 'combined'"}
+    ciric = ContractionParams(COMBINED_PARAMS.alpha, COMBINED_PARAMS.beta,
+                              COMBINED_PARAMS.gamma)
+    assert _CIRIC_ONLY[prop](sqrt_t, sqrt_tg, ciric).applicable
 
 
 class TestPsiMP:
