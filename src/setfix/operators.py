@@ -7,11 +7,11 @@ small closed-form catalog
     f(x) = offset + slope*x + coeff*base(x),   base in {x^p, sqrt(x), 1/sqrt(x)}
 
 (affine and constant terms have no base part).  Every term has analytically
-known critical points, so pieces can always be split until both boundaries
-are monotone and the exact range of f over any subinterval is attained at
-endpoints or interior extrema.  That is what makes set images T(Y) exact
-rather than sampled: for a connected family of nonempty intervals the union
-over x in [u, v] is exactly [min lower, max upper].
+known critical points, and construction splits the given pieces there, so
+both boundaries are monotone on every piece and the exact range of f over
+any subinterval of a piece is attained at its ends.  That is what makes set
+images T(Y) exact rather than sampled: for a connected family of nonempty
+intervals the union over x in [u, v] is exactly [min lower, max upper].
 
 The catalog is closed under x -> a*x + b*f(x) + c, which is precisely what
 admissible perturbations T_G(x) = {G(x, u) : u in T(x)} with affine
@@ -66,7 +66,8 @@ _TERM_KEYS = {"const": ("kind", "value", "b"), "affine": ("kind", "a", "b"),
 
 @record
 class BoundaryFn:
-    """One term of the closed expression catalog, monotone after splitting."""
+    """One term of the closed expression catalog, with its interior extrema in
+    closed form (critical_points); MultivaluedOperator splits pieces there."""
 
     base: str = "none"
     p: int = 2
@@ -81,6 +82,8 @@ class BoundaryFn:
             raise ValueError(f"power base needs an integer exponent >= 1, got {self.p!r}")
         if not all(map(math.isfinite, (self.coeff, self.slope, self.offset))):
             raise ValueError(f"term coefficients must be finite, got {self!r}")
+        if self.base != "power":  # p is unused there: fix it, so that equal terms compare equal
+            object.__setattr__(self, "p", 2)
 
     # -- evaluation ---------------------------------------------------------
     # value and value_array take the same float steps, so they agree bit for
@@ -293,14 +296,17 @@ def _worst_order_point(lower: BoundaryFn, upper: BoundaryFn, lo: float, hi: floa
 class MultivaluedOperator:
     """Piecewise-monotone description of x -> [lower(x), upper(x)].
 
-    Construction is strict: pieces must cover the domain up to 1e-9 at its
-    ends and meet exactly at inner junctions (p1.sub.hi == p2.sub.lo), each
-    junction owned by the piece on its right (see Piece); both boundaries
-    must be monotone on every piece (split at extrema first), lower <= upper
-    up to ORDER_SLACK at the exact minimum of upper - lower, and all values
-    must stay inside the domain (self-map) up to SELF_MAP_SLACK.  Both checks
-    evaluate the terms at finitely many points taken from the catalog's
-    closed forms, and take no samples.
+    Construction decides the piece layout: the given pieces must cover the
+    domain up to 1e-9 at its ends and meet exactly at inner junctions
+    (p1.sub.hi == p2.sub.lo); adjacent pieces with the same terms merge, the
+    outer ends snap to the domain's, and each run is split at the interior
+    extrema of its terms, so both boundaries are monotone on every piece,
+    each junction owned by the piece on its right (see Piece).  Each piece
+    must have its terms defined, lower <= upper up to ORDER_SLACK at the
+    exact minimum of upper - lower, and all values inside the domain
+    (self-map) up to SELF_MAP_SLACK.  Both checks evaluate the terms at
+    finitely many points taken from the catalog's closed forms, and take no
+    samples.
     """
 
     domain: Domain
@@ -308,29 +314,35 @@ class MultivaluedOperator:
     name: str = ""
 
     def __post_init__(self) -> None:
-        pieces = tuple(self.pieces)
-        object.__setattr__(self, "pieces", pieces)
-        if not pieces:
+        given = tuple(self.pieces)
+        if not given:
             raise ValueError("an operator needs at least one piece")
         b = self.domain.bounds
-        if abs(pieces[0].sub.lo - b.lo) > 1e-9 or abs(pieces[-1].sub.hi - b.hi) > 1e-9:
+        if abs(given[0].sub.lo - b.lo) > 1e-9 or abs(given[-1].sub.hi - b.hi) > 1e-9:
             raise ValueError("pieces must cover the domain exactly")
-        for p1, p2 in zip(pieces, pieces[1:]):
+        for p1, p2 in zip(given, given[1:]):
             if p1.sub.hi != p2.sub.lo:
                 raise ValueError("pieces must be contiguous with disjoint interiors")
+        # one run per group of adjacent pieces with the same terms, its ends
+        # put in X and the outer ones snapped to X's; _term_runs keeps (lower,
+        # upper, columns) of each run, so that set_image and eval_grid
+        # evaluate its terms once
+        pieces, runs, j = [], [], 0
+        for (lower, upper), run in groupby(given, key=lambda pc: (pc.lower, pc.upper)):
+            k = j + len(list(run))
+            lo = b.clamp(given[j].sub.lo) if j else b.lo
+            hi = b.clamp(given[k - 1].sub.hi) if k < len(given) else b.hi
+            crits = {*lower.critical_points(lo, hi), *upper.critical_points(lo, hi)}
+            edges = [lo, *sorted(crits), hi]  # a list keeps a zero-width run
+            runs.append((lower, upper, slice(len(pieces), len(pieces) + len(edges) - 1)))
+            pieces += [Piece(Interval(u, v), lower, upper) for u, v in zip(edges, edges[1:])]
+            j = k
         for pc in pieces:
             self._validate_piece(pc)
+        object.__setattr__(self, "pieces", tuple(pieces))
         object.__setattr__(self, "_cuts", tuple(pc.sub.lo for pc in pieces[1:]) + (math.inf,))
         object.__setattr__(self, "_sub_ends", np.array([[pc.sub.lo for pc in pieces],
                                                         [pc.sub.hi for pc in pieces]]))
-        # (lower, upper, columns) of each run of adjacent pieces with the same
-        # terms, as splitting at extrema leaves them; set_image and eval_grid
-        # evaluate a run's terms once
-        runs, j = [], 0
-        for (lower, upper), run in groupby(pieces, key=lambda pc: (pc.lower, pc.upper)):
-            k = j + len(list(run))
-            runs.append((lower, upper, slice(j, k)))
-            j = k
         object.__setattr__(self, "_term_runs", tuple(runs))
         object.__setattr__(self, "_grids", {})
 
@@ -341,10 +353,6 @@ class MultivaluedOperator:
             if lo < mlo or (lo == mlo and not inclusive):
                 raise ValueError(
                     f"term {fn.to_json()} undefined on piece [{lo}, {hi}]")
-            if fn.critical_points(lo, hi):
-                raise ValueError(
-                    f"boundary {fn.to_json()} is not monotone on [{lo}, {hi}]; "
-                    f"split the piece at its extrema")
         x = _worst_order_point(pc.lower, pc.upper, lo, hi)
         if pc.lower.value(x) - pc.upper.value(x) > ORDER_SLACK:
             raise ValueError(
@@ -432,9 +440,10 @@ class MultivaluedOperator:
         value of the left piece; an overlap [u, s) that ends at the cut s
         contributes the closed range on [u, s].
 
-        Construction rejects a piece whose boundary has an interior extremum,
-        so both boundaries are monotone on every subinterval [u, v] of a
-        piece and their ranges there are taken at u and v.  A set of at least
+        Construction splits the pieces at the extrema of their terms and puts
+        them inside X, so a part is clipped to each piece only, both
+        boundaries are monotone on every subinterval [u, v] of a piece, and
+        their ranges there are taken at u and v.  A set of at least
         IMAGE_VECTOR_MIN_PARTS parts takes these ranges for all parts and
         pieces at once from numpy arrays, bit for bit those of the loop.
         """
@@ -447,9 +456,7 @@ class MultivaluedOperator:
             return normalize(self._image_ends(y), ambient=b)
         x_lo, x_hi = b.lo, b.hi
         out = []
-        for lo_y, hi_y in zip(los, his):
-            a = max(lo_y, x_lo)
-            z = min(hi_y, x_hi)
+        for a, z in zip(los, his):
             for pc, cut in zip(self.pieces, self._cuts):
                 u = max(a, pc.sub.lo)
                 v = min(z, pc.sub.hi)
@@ -472,14 +479,10 @@ class MultivaluedOperator:
         sub_lo, sub_hi = self._sub_ends
         n, m = len(y._los), len(self.pieces)
         y_ends = y._array()
-        # uv[0] and uv[1]: max(a, sub.lo) and min(z, sub.hi) for each part and piece
+        # uv[0] and uv[1]: max(a, sub.lo) and min(z, sub.hi) for each part [a, z] and piece
         uv = np.empty((2, n, m))
         uv[0] = y_ends[n + 1:-1, None]
         uv[1] = y_ends[1:n + 1, None]
-        if y._los[0] < b.lo:
-            np.copyto(uv[0], b.lo, where=b.lo > uv[0])
-        if y._his[-1] > b.hi:
-            np.copyto(uv[1], b.hi, where=b.hi < uv[1])
         np.copyto(uv[0], sub_lo, where=sub_lo > uv[0])
         np.copyto(uv[1], sub_hi, where=sub_hi < uv[1])
         hit = (uv[0] <= uv[1]) & (uv[0] < self._cuts)
@@ -645,10 +648,10 @@ def perturb(t: MultivaluedOperator, spec: PerturbationSpec) -> MultivaluedOperat
     """The admissible perturbation T_G(x) = {G(x, u) : u in T(x)}.
 
     For affine G(x, y) = a*x + b*y + c each boundary term maps into the
-    catalog via compose_affine; pieces are re-split at the extrema of the
-    composed boundaries so the result keeps the monotone-piece invariant
-    and supports exact set images.  An admissible G can still carry values
-    out of X; that raises NotSelfMapError, naming the perturbation.
+    catalog via compose_affine, one piece per piece of T; construction merges
+    and splits them at the extrema of the composed boundaries (see
+    MultivaluedOperator).  An admissible G can still carry values out of X;
+    that raises NotSelfMapError, naming the perturbation.
     """
     report = check_perturbation_axioms(spec, t.domain)
     if not report.passes:
@@ -662,12 +665,7 @@ def perturb(t: MultivaluedOperator, spec: PerturbationSpec) -> MultivaluedOperat
         upp = pc.upper.compose_affine(a, b, c)
         if b < 0.0:
             low, upp = upp, low
-        cuts = sorted(set(
-            low.critical_points(pc.sub.lo, pc.sub.hi)
-            + upp.critical_points(pc.sub.lo, pc.sub.hi)))
-        edges = [pc.sub.lo, *cuts, pc.sub.hi]
-        for u, v in zip(edges, edges[1:]):
-            pieces.append(Piece(Interval(u, v), low, upp))
+        pieces.append(Piece(pc.sub, low, upp))
     if isinstance(spec, Takahashi):
         label = f"takahashi({spec.lam:g})"
     else:

@@ -87,8 +87,8 @@ def brute_set_image(t: MultivaluedOperator, y: IntervalUnion, h: float) -> Inter
 
 
 def lipschitz_bound(t: MultivaluedOperator) -> float:
-    """An upper bound of |f'| for every boundary term f of T on its piece,
-    for T on a domain of positive numbers."""
+    """An upper bound of |f'| for every boundary term f of T on its piece;
+    a sqrt or 1/sqrt term needs a piece of positive numbers."""
     def bound(term: BoundaryFn, lo: float, hi: float) -> float:
         if term.base == "none" or term.coeff == 0.0:
             base = 0.0
@@ -624,21 +624,30 @@ def grid_scan_fixed_points(t: MultivaluedOperator, grid_n: int = 10_001,
 
 
 @st.composite
-def catalog_operators(draw, lo: float = 0.25, hi: float = 2.0) -> MultivaluedOperator:
-    """Random valid operators on [lo, hi] (lo > 0, so every base is defined).
+def catalog_operators(draw) -> MultivaluedOperator:
+    """Random valid operators, handed to the constructor unsplit.
 
-    Each piece draws a raw term per boundary and rescales it affinely into a
-    random band of the domain: lower into [a, m] and upper into [m, c], or
-    upper = lower for a single-valued piece, so lower <= upper and the
-    self-map property hold by construction.  Pieces are split at the extrema
-    of their boundaries; an operator the constructor still rejects is
-    discarded.
+    The domain is [0.25, 2], where every base is defined, or [lo, hi] with
+    lo <= 0 < hi, where only power and affine terms are drawn.  It is cut
+    into at most three runs.  Each run draws a raw term per boundary and
+    rescales it affinely into a random band of the domain: lower into
+    [a, m] and upper into [m, c], or upper = lower for a single-valued run,
+    so lower <= upper and the self-map property hold by construction.  A run
+    is given as up to three pieces, cut at extrema of its terms or at a drawn
+    point, so construction merges them and splits the run at the extrema,
+    across a junction at an extremum too; the outer ends are given up to
+    5e-10 off the domain's, which construction snaps.  An operator the
+    constructor still rejects is discarded.
     """
+    if draw(st.booleans()):
+        lo, hi, bases = 0.25, 2.0, ["none", "power", "sqrt", "invsqrt"]
+    else:
+        lo, hi, bases = draw(st.floats(-2.0, 0.0)), draw(st.floats(0.25, 2.0)), ["none", "power"]
     inner = draw(st.lists(st.floats(lo + 0.05, hi - 0.05), max_size=2, unique=True))
     edges = [lo, *sorted(inner), hi]
 
     def term(u: float, v: float, band_lo: float, band_hi: float) -> BoundaryFn:
-        base = draw(st.sampled_from(["none", "power", "sqrt", "invsqrt"]))
+        base = draw(st.sampled_from(bases))
         raw = BoundaryFn(base=base, p=draw(st.integers(1, 3)),
                          coeff=0.0 if base == "none" else draw(st.floats(-2.0, 2.0)),
                          slope=draw(st.floats(-2.0, 2.0)))
@@ -653,9 +662,16 @@ def catalog_operators(draw, lo: float = 0.25, hi: float = 2.0) -> MultivaluedOpe
         a, m, c = sorted(draw(st.floats(lo, hi)) for _ in range(3))
         lower = term(u, v, a, m)
         upper = lower if draw(st.booleans()) else term(u, v, m, c)
-        cuts = sorted({u, v, *lower.critical_points(u, v), *upper.critical_points(u, v)})
-        pieces += [Piece(Interval(s, e), lower, upper) for s, e in zip(cuts, cuts[1:])]
+        cuts = [*lower.critical_points(u, v), *upper.critical_points(u, v), draw(st.floats(u, v))]
+        run = [u, *sorted(draw(st.lists(st.sampled_from(cuts), max_size=2, unique=True))), v]
+        pieces += [Piece(Interval(s, e), lower, upper) for s, e in zip(run, run[1:])]
+    off = st.sampled_from([0.0, 5e-10, -5e-10])
+    given_lo, given_hi = lo + draw(off), hi + draw(off)
     try:
+        first = pieces[0]
+        pieces[0] = Piece(Interval(given_lo, first.sub.hi), first.lower, first.upper)
+        last = pieces[-1]
+        pieces[-1] = Piece(Interval(last.sub.lo, given_hi), last.lower, last.upper)
         return MultivaluedOperator(Domain(Interval(lo, hi)), tuple(pieces), name="random")
     except ValueError:
         reject()

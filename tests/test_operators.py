@@ -434,7 +434,8 @@ def _builtins_and_perturbations() -> list[MultivaluedOperator]:
 def _composed_takahashi_gap(t: MultivaluedOperator, lam1: float, lam2: float) -> float:
     """Largest endpoint difference on 10 001 points between T perturbed by lam1
     then lam2 and T perturbed once by 1 - (1-lam1)(1-lam2).  Values, not
-    pieces: the twice-perturbed operator keeps splits the direct one needs not."""
+    pieces: both are split at the extrema of their own terms, whose
+    coefficients the two compositions round differently."""
     xs = t.domain.grid(10_001)
     twice = perturb(perturb(t, Takahashi(lam1)), Takahashi(lam2))
     once = perturb(t, Takahashi(1.0 - (1.0 - lam1) * (1.0 - lam2)))
@@ -461,11 +462,12 @@ class TestSetImageAgainstRangeOn:
 
     @pytest.mark.parametrize("n", [2, 2 * IMAGE_VECTOR_MIN_PARTS])
     def test_ends_within_the_slack_outside_the_domain(self, n):
-        # pieces may reach up to 1e-9 past the domain, so that a part end is
-        # clipped to the domain before it is clipped to a piece
+        # a piece given up to 1e-9 past the domain is snapped to it, so that
+        # clipping a part end to the pieces clips it to the domain too
         term = BoundaryFn(slope=0.5, offset=0.25)
         wide = MultivaluedOperator(Domain(Interval(0.0, 1.0)),
                                    (Piece(Interval(-5e-10, 1.0 + 5e-10), term, term),))
+        assert wide.pieces == (Piece(Interval(0.0, 1.0), term, term),)
         for t in (*_builtins_and_perturbations(), wide):
             b = t.domain.bounds
             xs = np.linspace(b.lo, b.hi, 2 * n).tolist()
@@ -532,10 +534,11 @@ class TestPerturb:
         subs = [(p.sub.lo, p.sub.hi) for p in sqrt_tg.pieces]
         assert len(subs) == 3
         assert abs(subs[0][1] - cut) < 1e-12
-        # square boundaries (x +- x^2)/2 have extrema at -+1/2
-        subs = [p.sub.lo for p in square_tg.pieces]
-        assert any(abs(s + 0.5) < 1e-12 for s in subs)
-        assert any(abs(s - 0.5) < 1e-12 for s in subs)
+        # square boundaries (x +- x^2)/2 have extrema at -+1/2; T's two pieces
+        # have the same terms, so T_G is cut there and nowhere else
+        c = 8.0 / 9.0
+        assert [(p.sub.lo, p.sub.hi) for p in square_tg.pieces] == [
+            (-c, -0.5), (-0.5, 0.5), (0.5, c)]
 
     def test_takahashi_identity_on_grid(self, sqrt_t, sqrt_tg, square_t, square_tg):
         # eval of the perturbed operator == affine_combine of the original, exactly
@@ -650,8 +653,8 @@ def _order_witness(exc: Exception) -> float:
 
 
 @st.composite
-def _monotone_pair(draw):
-    """Catalog terms (lower, upper) and a piece [lo, hi] where both are monotone."""
+def _term_pair(draw):
+    """Catalog terms (lower, upper) and a piece [lo, hi] where both are defined."""
     sqrt_kinds = draw(st.booleans())
     bases = ["none", "power", "sqrt", "invsqrt"] if sqrt_kinds else ["none", "power"]
     coef = st.floats(-2.0, 2.0)
@@ -664,11 +667,7 @@ def _monotone_pair(draw):
 
     lower, upper = term(), term()
     lo = draw(st.floats(0.05, 2.0) if sqrt_kinds else st.floats(-2.0, 2.0))
-    hi = lo + draw(st.floats(0.01, 2.0))
-    # the widest monotone stretch between the extrema of either term
-    cuts = sorted({lo, hi, *lower.critical_points(lo, hi), *upper.critical_points(lo, hi)})
-    k = int(np.argmax(np.diff(cuts)))
-    return lower, upper, cuts[k], cuts[k + 1]
+    return lower, upper, lo, lo + draw(st.floats(0.01, 2.0))
 
 
 class TestValidation:
@@ -678,11 +677,12 @@ class TestValidation:
             MultivaluedOperator(Domain(Interval(0.0, 1.0)),
                                 (Piece(Interval(0.0, 1.0), term, term),))
 
-    def test_non_monotone_piece_rejected(self):
+    def test_non_monotone_piece_split_at_its_extrema(self):
         sq = BoundaryFn(base="power", p=2, coeff=1.0)
-        with pytest.raises(ValueError, match="monotone"):
-            MultivaluedOperator(Domain(Interval(-0.5, 0.5)),
-                                (Piece(Interval(-0.5, 0.5), sq, sq),))
+        dom = Domain(Interval(-0.5, 0.5))
+        t = MultivaluedOperator(dom, (Piece(Interval(-0.5, 0.5), sq, sq),))
+        assert t.pieces == (Piece(Interval(-0.5, 0.0), sq, sq), Piece(Interval(0.0, 0.5), sq, sq))
+        assert t.eval(0.0).to_json() == {"parts": [[0.0, 0.0]]}
 
     def test_lower_above_upper_rejected(self):
         lo = BoundaryFn(offset=0.8)
@@ -735,7 +735,7 @@ class TestValidation:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.data())
     def test_order_decided_at_the_exact_minimum(self, data):
-        lower, upper, lo, hi = data.draw(_monotone_pair())
+        lower, upper, lo, hi = data.draw(_term_pair())
         xs = np.linspace(lo, hi, 10_001)
         # shift lower so the sampled minimum gap lands on a value near the slack
         gap_min = float(np.min(upper.value_array(xs) - lower.value_array(xs)))
@@ -795,6 +795,88 @@ class TestValidation:
         with pytest.raises(ValueError, match="undefined"):
             MultivaluedOperator(Domain(Interval(0.0, 1.0)),
                                 (Piece(Interval(0.0, 1.0), BoundaryFn(offset=0.5), bad),))
+
+
+class TestLayout:
+    """Construction merges adjacent pieces with the same terms, snaps the
+    outer ends to the domain and splits each run at its terms' extrema."""
+
+    def test_one_piece_square_is_square_example(self, square_t):
+        c = 8.0 / 9.0
+        t = MultivaluedOperator.from_json({"domain": [-c, c], "pieces": [
+            {"sub": [-c, c], "lower": {"kind": "power", "coeff": -1.0},
+             "upper": {"kind": "power", "coeff": 1.0}}]})
+        assert t.pieces == square_t.pieces
+        assert (setfix.certify_contraction(t, "ciric", 101)
+                == setfix.certify_contraction(square_t, "ciric", 101))
+
+    def test_equal_term_neighbours_merge(self):
+        term = BoundaryFn(slope=0.5, offset=0.25)
+        dom = Domain(Interval(0.0, 1.0))
+        one = MultivaluedOperator(dom, (Piece(dom.bounds, term, term),))
+        two = MultivaluedOperator(dom, (Piece(Interval(0.0, 0.4), term, term),
+                                        Piece(Interval(0.4, 1.0), term, term)))
+        assert two == one
+        assert two.pieces == (Piece(dom.bounds, term, term),)
+
+    def test_zero_width_last_piece_owns_its_point(self):
+        # the edges of a run are a list, not a set, so [1, 1] keeps its piece
+        dom = Domain(Interval(0.0, 1.0))
+        low, high = BoundaryFn(offset=0.25), BoundaryFn(offset=0.75)
+        t = MultivaluedOperator(dom, (Piece(Interval(0.0, 1.0), low, low),
+                                      Piece(Interval(1.0, 1.0), high, high)))
+        assert len(t.pieces) == 2
+        assert t.eval(1.0).to_json() == {"parts": [[0.75, 0.75]]}
+        y = setfix.IntervalUnion.singleton(1.0, dom.bounds)
+        assert t.set_image(y).to_json() == {"parts": [[0.75, 0.75]]}
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(catalog_operators(), st.floats(0.01, 0.99))
+    def test_json_round_trip_is_exact(self, t, lam):
+        for op in (t, perturb(t, Takahashi(lam))):
+            raw = json.loads(json.dumps(op.to_json()))
+            assert MultivaluedOperator.from_json(raw, name=op.name) == op
+
+
+class TestDomainEndsSnap:
+    """One piece given on [5e-10, 1] of X = [0, 1]: construction snaps it to
+    [0, 1], so its checks see x = 0, which eval serves."""
+
+    DOM = Domain(Interval(0.0, 1.0))
+
+    def _affine(self) -> MultivaluedOperator:
+        term = BoundaryFn(slope=0.5, offset=0.25)
+        return MultivaluedOperator(self.DOM, (Piece(Interval(5e-10, 1.0), term, term),))
+
+    def test_term_undefined_at_the_domain_end_is_refused(self):
+        upper = BoundaryFn(base="invsqrt", coeff=1e-6, offset=0.25)
+        with pytest.raises(ValueError, match=re.escape("undefined on piece [0.0, 1.0]")):
+            MultivaluedOperator(self.DOM, (Piece(Interval(5e-10, 1.0), BoundaryFn(offset=0.25),
+                                                 upper),))
+
+    @pytest.mark.parametrize("n", [1, 2 * IMAGE_VECTOR_MIN_PARTS])
+    def test_set_image_at_the_domain_end_is_eval(self, n):
+        t = self._affine()
+        assert t.eval(0.0).to_json() == {"parts": [[0.25, 0.25]]}
+        right = [Interval(0.6 + 0.01 * k, 0.605 + 0.01 * k) for k in range(n - 1)]
+        y = normalize([Interval(0.0, 0.0), *right], self.DOM.bounds)
+        assert t.set_image(y).parts[0] == t.eval(0.0).parts[0]
+
+    def test_piece_wholly_in_the_slack_owns_no_point(self):
+        # its ends are put in X, so it keeps zero width at 0, which the next
+        # piece owns
+        term, edge = BoundaryFn(slope=0.5, offset=0.25), BoundaryFn(offset=0.75)
+        t = MultivaluedOperator(self.DOM, (Piece(Interval(-5e-10, -2e-10), edge, edge),
+                                           Piece(Interval(-2e-10, 1.0), term, term)))
+        assert [pc.sub for pc in t.pieces] == [Interval(0.0, 0.0), self.DOM.bounds]
+        assert t.eval(0.0).to_json() == {"parts": [[0.25, 0.25]]}
+        y = setfix.IntervalUnion.singleton(0.0, self.DOM.bounds)
+        assert t.set_image(y).to_json() == {"parts": [[0.25, 0.25]]}
+
+    def test_picard_orbit_from_the_domain_end(self):
+        trace = setfix.picard_orbit(self._affine(), 0.0)
+        assert trace.converged
+        assert abs(trace.limit_estimate - 0.5) < 1e-9
 
 
 class TestJsonSchema:
@@ -880,6 +962,13 @@ class TestBoundaryFn:
             zeros = st.sampled_from([0.0, -0.0])
             x = data.draw(zeros | st.floats(0.0 if base == "sqrt" else -4.0, 4.0))
         assert _bits(fn.value(x)) == _bits(fn.value_array(np.array([x]))[0])
+
+    def test_exponent_without_a_power_base_is_dropped(self):
+        # p means nothing there, so the terms are equal, as to_json writes them
+        for base in ("none", "sqrt", "invsqrt"):
+            fn = BoundaryFn(base=base, p=3, coeff=0.0 if base == "none" else 1.0)
+            assert fn == BoundaryFn(base=base, coeff=fn.coeff)
+            assert BoundaryFn.from_json(fn.to_json()) == fn
 
     def test_bool_power_exponent_rejected(self):
         with pytest.raises(ValueError, match="integer exponent"):

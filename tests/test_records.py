@@ -273,10 +273,6 @@ _ID = BoundaryFn(slope=1.0)
     (lambda: MultivaluedOperator(_DOM, (Piece(_DOM.bounds, _HALF,
                                               BoundaryFn("invsqrt", coeff=0.1)),)), ValueError,
      "term {'kind': 'invsqrt', 'coeff': 0.1} undefined on piece [0.0, 1.0]"),
-    (lambda: MultivaluedOperator(_DOM, (Piece(_DOM.bounds, BoundaryFn(), BoundaryFn(
-        "power", coeff=-1.0, slope=1.0)),)), ValueError,
-     "boundary {'kind': 'power', 'coeff': -1.0, 'p': 2, 'slope': 1.0} is not monotone on "
-     "[0.0, 1.0]; split the piece at its extrema"),
     (lambda: MultivaluedOperator(_DOM, (Piece(_DOM.bounds, _ID, _HALF),)), ValueError,
      "lower boundary exceeds upper at x=1.0 on piece [0.0, 1.0]"),
     (lambda: MultivaluedOperator(_DOM, (Piece(_DOM.bounds, _HALF, BoundaryFn(offset=2.0)),)),
