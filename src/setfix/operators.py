@@ -6,8 +6,8 @@ small closed-form catalog
 
     f(x) = offset + slope*x + coeff*base(x),   base in {x^p, sqrt(x), 1/sqrt(x)}
 
-(affine and constant terms have no base part).  Every term has analytically
-known critical points, and construction splits the given pieces there, so
+(affine and constant terms have no base part).  Construction splits the
+given pieces where a term turns, as one sign-change routine finds them, so
 both boundaries are monotone on every piece and the exact range of f over
 any subinterval of a piece is attained at its ends.  That is what makes set
 images T(Y) exact rather than sampled: for a connected family of nonempty
@@ -52,8 +52,8 @@ IMAGE_VECTOR_MIN_PARTS = 18
 SELF_MAP_SLACK = 1e-9
 
 #: lower(x) may exceed upper(x) by at most this much (float noise): more is
-#: rejected at construction, at the exact minimum of upper - lower on each
-#: piece, and raises at eval, where ends within it are swapped.
+#: rejected at construction, at the minimum of upper - lower on each piece,
+#: and raises at eval, where ends within it are swapped.
 ORDER_SLACK = 1e-12
 
 _BASES = ("none", "power", "sqrt", "invsqrt")
@@ -66,8 +66,8 @@ _TERM_KEYS = {"const": ("kind", "value", "b"), "affine": ("kind", "a", "b"),
 
 @record
 class BoundaryFn:
-    """One term of the closed expression catalog, with its interior extrema in
-    closed form (critical_points); MultivaluedOperator splits pieces there."""
+    """One term of the closed expression catalog, with its interior extrema
+    (critical_points); MultivaluedOperator splits pieces there."""
 
     base: str = "none"
     p: int = 2
@@ -116,39 +116,8 @@ class BoundaryFn:
     # -- calculus on the catalog -------------------------------------------
 
     def critical_points(self, lo: float, hi: float) -> list[float]:
-        """Interior extrema of the term on (lo, hi); analytically exact."""
-        pts: list[float] = []
-        if self.base == "none" or self.coeff == 0.0:
-            return pts
-        if self.base == "power":
-            p = self.p
-            if p == 1:
-                return pts
-            d = p * self.coeff  # f' = d*x^(p-1) + slope
-            if self.slope == 0.0:
-                if (p - 1) % 2 == 1:  # even p: sign change at 0
-                    pts = [0.0]
-            else:
-                r = -self.slope / d
-                if (p - 1) % 2 == 1:
-                    pts = [math.copysign(abs(r) ** (1.0 / (p - 1)), r)]
-                elif r > 0.0:
-                    root = r ** (1.0 / (p - 1))
-                    pts = [root, -root]
-        elif self.base == "sqrt":
-            # f' = coeff/(2 sqrt x) + slope
-            if self.slope != 0.0:
-                s = -self.coeff / (2.0 * self.slope)
-                if s > 0.0:
-                    pts = [s * s]
-        elif self.base == "invsqrt":
-            # f' = -coeff/(2 x^(3/2)) + slope
-            if self.slope != 0.0:
-                r = self.coeff / (2.0 * self.slope)
-                if r > 0.0:
-                    pts = [r ** (2.0 / 3.0)]
-        eps = 1e-12
-        return sorted(x for x in pts if lo + eps < x < hi - eps)
+        """Interior extrema of the term, more than 1e-12 inside (lo, hi)."""
+        return [x for x in _turns(((1.0, self),), lo, hi) if lo + 1e-12 < x < hi - 1e-12]
 
     def range_on(self, lo: float, hi: float) -> tuple[float, float]:
         """Exact min/max of the term over [lo, hi]."""
@@ -256,40 +225,69 @@ def _clamp(v: np.ndarray, b: Interval) -> np.ndarray:
     return v
 
 
-def _worst_order_point(lower: BoundaryFn, upper: BoundaryFn, lo: float, hi: float) -> float:
-    """The x of [lo, hi] where lower - upper is largest, from the exact extrema
-    of the gap upper - lower.
+def _negative(x: float, q: list[tuple[int, float]], half: bool) -> bool:
+    """sum(c*s^k) over q (every k >= 0) < 0 at s = sqrt(x) if half, else s = x;
+    summed over |s|^top when |s| > 1, so that no power overflows."""
+    s = math.sqrt(x) if half else x
+    top = q[-1][0] if abs(s) > 1.0 else 0
+    v = math.fsum(c * s ** (k - top) for k, c in q)
+    return (v < 0.0) != (s < 0.0 and top % 2 == 1)
 
-    With s = sqrt(x) when either term has a sqrt or 1/sqrt part (then lo >= 0),
-    else s = x, the gap is a sum of c*s^e with integer e >= -1, so
-    s^2 * d(gap)/ds is a polynomial.  The real parts of its roots (a multiple
-    root may come back as a complex cluster) are the interior candidates,
-    besides the ends and 0; extra candidates do no harm.
-    """
-    half = any(fn.base in ("sqrt", "invsqrt") and fn.coeff != 0.0 for fn in (lower, upper))
-    gap: dict[int, float] = {}  # exponent of s -> coefficient; offsets drop out
-    for fn, sign in ((upper, 1.0), (lower, -1.0)):
+
+def _sign_changes(terms: list[tuple[int, float]], lo: float, hi: float,
+                  half: bool) -> list[float]:
+    """The x in (lo, hi), sorted, where sum(c*s^e) over terms (sorted by e,
+    every c nonzero) changes sign, with s = sqrt(x) if half, else s = x.
+
+    The sum is s^e0 * q(s): it changes sign at 0 iff e0 is odd, and where q
+    does.  Two monomials give s^d = r in closed form; with more, q changes
+    sign at most once between sign changes of q', which has one monomial
+    fewer, and is halved there to adjacent floats."""
+    e0 = terms[0][0] if terms else 0
+    q = [(e - e0, c) for e, c in terms]
+    out = [0.0] if e0 % 2 and lo < 0.0 < hi else []
+    if len(q) == 2:
+        (_, c0), (d, c1) = q
+        r = -c0 / c1
+        if half:  # x = s^2 = r^(2/d); r ** 2.0 is not always r * r
+            out += [r * r if d == 1 else r ** (2.0 / d)] if r > 0.0 else []
+        elif d % 2:
+            out.append(math.copysign(abs(r) ** (1.0 / d), r))
+        elif r > 0.0:
+            root = r ** (1.0 / d)
+            out += [root, -root]
+    elif len(q) > 2:
+        m = max(abs(c) for _, c in q)  # scaled to |c| <= 1, so that no sum or k * c overflows
+        q = [(k, c / m) for k, c in q]
+        stops = [lo, *_sign_changes([(k - 1, k * c) for k, c in q[1:] if c], lo, hi, half), hi]
+        for a, b in zip(stops, stops[1:]):
+            if (at_a := _negative(a, q, half)) != _negative(b, q, half):
+                while a < (mid := 0.5 * (a + b)) < b:
+                    a, b = (mid, b) if _negative(mid, q, half) == at_a else (a, mid)
+                out.append(a)
+    return sorted(x for x in out if lo < x < hi)
+
+
+def _turns(fns: tuple[tuple[float, BoundaryFn], ...], lo: float, hi: float) -> list[float]:
+    """The x in (lo, hi) where sum(sign * fn) over fns turns: where its
+    derivative in s changes sign, a sum of c*s^e, with s = sqrt(x) when a
+    sqrt or 1/sqrt part occurs, else s = x."""
+    half = any(fn.base in ("sqrt", "invsqrt") and fn.coeff != 0.0 for _, fn in fns)
+    mono: dict[int, float] = {}  # exponent of s -> coefficient; offsets drop out
+    for sign, fn in fns:
         e = 2 if half else 1
-        gap[e] = gap.get(e, 0.0) + sign * fn.slope
+        mono[e] = mono.get(e, 0.0) + sign * fn.slope
         if fn.coeff != 0.0 and fn.base != "none":
             e = {"power": fn.p * e, "sqrt": 1, "invsqrt": -1}[fn.base]
-            gap[e] = gap.get(e, 0.0) + sign * fn.coeff
-    # s^2 * d/ds sum(c*s^e) = sum(e*c*s^(e+1)), highest degree first
-    deg = max(gap) + 1
-    poly = np.zeros(deg + 1)
-    for e, c in gap.items():
-        poly[deg - e - 1] += e * c
-    # np.roots divides by the leading coefficient; this keeps the quotients finite
-    poly[np.abs(poly) < 1e-280 * np.abs(poly).max()] = 0.0
-    cands = [lo, hi]
-    if lo < 0.0 < hi:
-        cands.append(0.0)
-    if poly.any():
-        s_lo, s_hi = (math.sqrt(lo), math.sqrt(hi)) if half else (lo, hi)
-        for s in np.roots(poly).real.tolist():
-            if s_lo < s < s_hi:  # before squaring: a far root would overflow
-                cands.append(min(max(s * s if half else s, lo), hi))
-    return max(cands, key=lambda x: lower.value(x) - upper.value(x))
+            mono[e] = mono.get(e, 0.0) + sign * fn.coeff
+    return _sign_changes(sorted((e - 1, e * c) for e, c in mono.items() if c != 0.0),
+                         lo, hi, half)
+
+
+def _worst_order_point(lower: BoundaryFn, upper: BoundaryFn, lo: float, hi: float) -> float:
+    """The x of [lo, hi] where lower - upper is largest: an end or a turn of upper - lower."""
+    return max([lo, hi, *_turns(((1.0, upper), (-1.0, lower)), lo, hi)],
+               key=lambda x: lower.value(x) - upper.value(x))
 
 
 @record
@@ -303,10 +301,10 @@ class MultivaluedOperator:
     extrema of its terms, so both boundaries are monotone on every piece,
     each junction owned by the piece on its right (see Piece).  Each piece
     must have its terms defined, lower <= upper up to ORDER_SLACK at the
-    exact minimum of upper - lower, and all values inside the domain
-    (self-map) up to SELF_MAP_SLACK.  Both checks evaluate the terms at
-    finitely many points taken from the catalog's closed forms, and take no
-    samples.
+    minimum of upper - lower (a piece end or a sign change of its
+    derivative), and all values inside the domain (self-map) up to
+    SELF_MAP_SLACK.  Both checks evaluate the terms at finitely many points
+    found by _sign_changes, and take no samples.
     """
 
     domain: Domain

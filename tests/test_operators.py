@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import re
+import time
 
 import numpy as np
 import pytest
@@ -33,6 +34,8 @@ from setfix import (
 from setfix.operators import (
     IMAGE_VECTOR_MIN_PARTS,
     ORDER_SLACK,
+    _turns,
+    _worst_order_point,
     dist_to_value,
     hausdorff_between_values,
     hausdorff_to_point,
@@ -42,11 +45,13 @@ from oracles import (
     affine_combine,
     brute_set_image,
     catalog_operators,
+    closed_form_critical_points,
     jump_to_one_operator,
     lipschitz_bound,
     per_piece_eval_grid,
     random_subunion,
     range_on_set_image,
+    roots_worst_order_point,
 )
 
 
@@ -653,7 +658,7 @@ def _order_witness(exc: Exception) -> float:
 
 
 @st.composite
-def _term_pair(draw):
+def _term_pair(draw, powers=st.integers(1, 4)):
     """Catalog terms (lower, upper) and a piece [lo, hi] where both are defined."""
     sqrt_kinds = draw(st.booleans())
     bases = ["none", "power", "sqrt", "invsqrt"] if sqrt_kinds else ["none", "power"]
@@ -661,7 +666,7 @@ def _term_pair(draw):
 
     def term():
         base = draw(st.sampled_from(bases))
-        return BoundaryFn(base=base, p=draw(st.integers(1, 4)),
+        return BoundaryFn(base=base, p=draw(powers),
                           coeff=0.0 if base == "none" else draw(coef),
                           slope=draw(coef), offset=draw(coef))
 
@@ -980,6 +985,129 @@ class TestBoundaryFn:
         pts = fn.critical_points(-1.0, 1.0)
         assert len(pts) == 2
         assert abs(pts[0] + 0.5) < 1e-12 and abs(pts[1] - 0.5) < 1e-12
+
+
+def _sampled_worst(lower, upper, lo, hi) -> tuple[float, float]:
+    """(x, lower(x) - upper(x)) at the largest value on a 20 001-point grid of
+    [lo, hi], refined once on a 20 001-point grid around it."""
+    for _ in range(2):
+        xs = np.linspace(lo, hi, 20_001)
+        vals = lower.value_array(xs) - upper.value_array(xs)
+        i = int(np.argmax(vals))
+        lo, hi = float(xs[max(i - 1, 0)]), float(xs[min(i + 1, len(xs) - 1)])
+    return float(xs[i]), float(vals[i])
+
+
+class TestSignChanges:
+    """critical_points and the order check read one sign-change routine; the
+    closed forms and the np.roots check that it replaced are their references."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(st.sampled_from(["none", "power", "sqrt", "invsqrt"]), st.integers(1, 64),
+           *[st.sampled_from([0.0, -0.0]) | st.floats(-4.0, 4.0)] * 2, st.data())
+    def test_critical_points_are_the_closed_forms(self, base, p, coeff, slope, data):
+        fn = BoundaryFn(base=base, p=p, coeff=coeff, slope=slope)
+        if base in ("sqrt", "invsqrt"):  # a negative lo is refused later, at validation
+            lo = data.draw(st.floats(-1.0, 2.0))
+            hi = lo + data.draw(st.floats(0.0, 4.0))
+        else:  # integer exponents: domains crossing 0
+            lo, hi = data.draw(st.floats(-3.0, 0.0)), data.draw(st.floats(0.0, 3.0))
+        assert (_bits(fn.critical_points(lo, hi)).tolist()
+                == _bits(closed_form_critical_points(fn, lo, hi)).tolist())
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_term_pair(st.integers(1, 12)), st.sampled_from([0.0, 1e-13, -1e-13, 1e-6, -1e-6]))
+    def test_order_decisions_are_the_roots_check(self, pair, target):
+        lower, upper, lo, hi = pair
+        # shift lower so that the exact minimum of upper - lower is target
+        ref = roots_worst_order_point(lower, upper, lo, hi)
+        lower = lower.shifted(upper.value(ref) - lower.value(ref) - target)
+        ref = roots_worst_order_point(lower, upper, lo, hi)
+        x = _worst_order_point(lower, upper, lo, hi)
+        worst = lower.value(x) - upper.value(x)
+        assert lo <= x <= hi
+        assert (worst > ORDER_SLACK) == (lower.value(ref) - upper.value(ref) > ORDER_SLACK)
+        xs = np.linspace(lo, hi, 2001)
+        assert np.max(lower.value_array(xs) - upper.value_array(xs)) <= worst + 1e-12
+
+    def test_sqrt_turn_is_squared_by_multiplication(self):
+        # f' = 0 at sqrt(x) = c; here c ** 2.0 is one ulp above c * c
+        c = 1.837984
+        assert c ** 2.0 != c * c
+        assert BoundaryFn(base="sqrt", coeff=c, slope=-0.5).critical_points(0.0, 4.0) == [c * c]
+
+    def test_coefficients_and_powers_at_the_float_limits(self):
+        # d(upper - lower)/dx = 1e308 (1 + x - x^2): its terms are summed scaled
+        upper = BoundaryFn(base="power", p=2, coeff=5e307, slope=1e308)
+        lower = BoundaryFn(base="power", p=3, coeff=1e308 / 3)
+        (x,) = _turns(((1.0, upper), (-1.0, lower)), 0.0, 2.0)
+        assert abs(x - (1.0 + 5.0 ** 0.5) / 2.0) < 1e-12
+        dom = Domain(Interval(0.0, 1.5))
+        # the same far values; 3e300 - 2e-30 x + 3e-30 x^2, whose scaled
+        # coefficients 2e-30 / 3e300 and 3e-30 / 3e300 round to 0; and
+        # 0.5 - 0.2 x + 2e-297 x^1999, where 1.5^1999 overflows a float
+        for lower, upper in ((lower, upper),
+                             (BoundaryFn(base="power", p=2, coeff=1e-30),
+                              BoundaryFn(base="power", p=3, coeff=1e-30, slope=3e300)),
+                             (BoundaryFn(base="power", p=2, coeff=0.1),
+                              BoundaryFn(base="power", p=2000, coeff=1e-300, slope=0.5))):
+            with pytest.raises(NotSelfMapError):
+                MultivaluedOperator(dom, (Piece(dom.bounds, lower, upper),))
+
+    # gap derivatives of three monomials: the routine finds the sign changes
+    # of the two-monomial second derivative in closed form and bisects between
+    CUBIC = (BoundaryFn(base="power", p=4, coeff=1.0),  # d(gap)/dx = -4x^3 + 2x + 0.3
+             BoundaryFn(base="power", p=2, coeff=1.0, slope=0.3))
+    MIXED = (BoundaryFn(base="sqrt", coeff=1.0, slope=0.2),  # in s = sqrt(x): 3s^5 - 2.4s - 1
+             BoundaryFn(base="power", p=3, coeff=0.5, slope=-1.0))
+
+    def test_bisected_turns_are_the_roots(self):
+        lower, upper = self.CUBIC
+        roots = sorted(r.real for r in np.roots([-4.0, 0.0, 2.0, 0.3]))
+        turns = _turns(((1.0, upper), (-1.0, lower)), -1.5, 1.5)
+        assert len(turns) == 3 and np.allclose(turns, roots, rtol=0.0, atol=1e-12)
+        lower, upper = self.MIXED
+        (s,) = [r.real for r in np.roots([3.0, 0.0, 0.0, 0.0, -2.4, -1.0])
+                if abs(r.imag) < 1e-12 and r.real > 0.0]
+        (x,) = _turns(((1.0, upper), (-1.0, lower)), 0.0, 2.0)
+        assert abs(x - s * s) < 1e-12
+
+    @pytest.mark.parametrize("terms, lo, hi", [(CUBIC, -0.6, 1.0), (MIXED, 0.0, 2.0)])
+    @pytest.mark.parametrize("target", [-1e-9, 0.0, 1e-13])
+    def test_worst_at_a_bisected_turn(self, terms, lo, hi, target):
+        lower, upper = terms
+        x0, v0 = _sampled_worst(lower, upper, lo, hi)
+        assert lo < x0 < hi
+        lower = lower.shifted(-v0 - target)
+        x = _worst_order_point(lower, upper, lo, hi)
+        assert abs(x - x0) < 1e-6
+        assert lower.value(x) - upper.value(x) >= _sampled_worst(lower, upper, lo, hi)[1] - 1e-12
+        ref = roots_worst_order_point(lower, upper, lo, hi)
+        assert abs(lower.value(x) - lower.value(ref) - upper.value(x) + upper.value(ref)) < 1e-12
+        dom = Domain(Interval(-3.0, 5.0))
+        if target < 0.0:
+            with pytest.raises(ValueError, match="lower boundary exceeds upper") as exc:
+                _flanked(lower, upper, lo, hi, dom)
+            assert abs(_order_witness(exc.value) - x0) < 1e-6
+        else:
+            _flanked(lower, upper, lo, hi, dom)
+
+    @pytest.mark.parametrize("p", [400, 1000])
+    def test_high_power_piece_builds_fast(self, p):
+        # lower 0.1 x^p + 0.25 under upper sqrt(x); np.roots of the dense
+        # polynomial of degree 2p + 1 took 1.1 s to build this at p = 400
+        lower = BoundaryFn(base="power", p=p, coeff=0.1, offset=0.25)
+        upper = BoundaryFn(base="sqrt", coeff=1.0)
+        dom = Domain(Interval(0.25, 1.0))
+        start = time.perf_counter()
+        MultivaluedOperator(dom, (Piece(dom.bounds, lower, upper),))
+        assert time.perf_counter() - start < 0.5
+        # shifted up until it crosses upper: refused where the sample is worst
+        for low, upp in ((lower, upper), (upper, lower.shifted(0.65))):
+            x0, v0 = _sampled_worst(low, upp, 0.25, 1.0)
+            with pytest.raises(ValueError, match="lower boundary exceeds upper") as exc:
+                MultivaluedOperator(dom, (Piece(dom.bounds, low.shifted(1e-9 - v0), upp),))
+            assert abs(_order_witness(exc.value) - x0) < 1e-6
 
 
 def test_constant_operator_and_shift(sqrt_t):
