@@ -57,6 +57,7 @@ from .errors import (
     ParameterRangeError,
     SchemaError,
     StrictFixedPointMismatchError,
+    fields_dict,
     is_json_int,
     is_json_number,
     json_field,
@@ -99,6 +100,20 @@ _CONDITIONS = {
 }
 VARIANTS = tuple(_CONDITIONS)
 
+#: The variant whose parameters the constants of retraction_displacement_check
+#: and the stability harnesses are derived for; run_scenario runs no harness
+#: for another variant.
+CONSTANTS_VARIANT = "ciric"
+
+
+def variant_reason(variant: str) -> str | None:
+    """Why the derived constants do not apply to params of this variant, or
+    None for CONSTANTS_VARIANT."""
+    if variant == CONSTANTS_VARIANT:
+        return None
+    return (f"the stability constants are derived for the {CONSTANTS_VARIANT} "
+            f"condition, not for variant {variant!r}")
+
 #: The admissible region is closed with this margin off the open boundary,
 #: respecting the strict inequality in the contraction definitions.
 STRICTNESS = 1e-6
@@ -134,9 +149,7 @@ class ContractionParams:
     def total(self) -> float:
         return self.alpha + self.beta + self.gamma
 
-    def to_json(self) -> dict:
-        return {"alpha": self.alpha, "beta": self.beta, "gamma": self.gamma,
-                "variant": self.variant}
+    to_json = fields_dict
 
 
 class Witness(NamedTuple):
@@ -592,10 +605,15 @@ def retraction_displacement_check(t: MultivaluedOperator, params: ContractionPar
 
     xi_max (at most 1 - 1e-12) is min C*D(x,T(x))/|x - x*| stepped by ulps to the
     largest float that holds at every point, except those with D(x,T(x)) <
-    1e-14 and |x - x*| < 1e-9.  holds means xi_max >= 1e-6.
+    1e-14 and |x - x*| < 1e-9.  holds means xi_max >= 1e-6.  The constant is
+    derived for CONSTANTS_VARIANT: params of another variant raise
+    ParameterRangeError with variant_reason's reason.
     """
     if L <= 0.0:
         raise ParameterRangeError("retraction-displacement check needs L > 0")
+    reason = variant_reason(params.variant)
+    if reason is not None:
+        raise ParameterRangeError(reason)
     C = (1.0 + params.gamma) * L / (1.0 - params.alpha - params.beta)
     xs, lo, hi = t.grid_values(grid_n)
     dist = dist_to_value(xs, lo, hi)

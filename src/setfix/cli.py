@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from .certify import VARIANTS, certify_contraction
-from .errors import SetfixError, read_json
-from .iteration import orbit_to_csv, picard_orbit
+from .errors import SetfixError, json_text, read_json
+from .iteration import orbit_summary, orbit_to_csv, picard_orbit
 from .operators import BUILTIN_OPERATORS, MultivaluedOperator, Takahashi, get_builtin, perturb
 
 
@@ -28,7 +27,7 @@ def _maybe_perturbed(op: MultivaluedOperator, lam: float | None) -> MultivaluedO
 
 
 def _dump(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = json_text(payload)
     if out:
         Path(out).write_text(text)
     else:
@@ -124,14 +123,7 @@ def _cmd_iterate(args) -> int:
     csv_parts = []
     for x0 in args.x0:
         trace = picard_orbit(op, x0, max_n=args.max_n, tol=args.tol, target=args.target)
-        payload.append({
-            "x0": x0,
-            "steps": len(trace.steps),
-            "converged": trace.converged,
-            "limit_estimate": trace.limit_estimate,
-            "final_h_to_prev": trace.final.h_to_prev,
-            "final_h_to_target": trace.final.h_to_target,
-        })
+        payload.append(orbit_summary(x0, trace))
         csv_parts.append(orbit_to_csv(trace))
     if (args.format or "json") == "csv":
         base = Path(args.out or "orbits")

@@ -1,11 +1,14 @@
 """Exception hierarchy shared by all setfix modules, the JSON readers' helpers,
-and ``record``, the class decorator of setfix's value classes.
+``json_text``, the one writer of setfix's JSON outputs, and ``record``, the
+class decorator of setfix's value classes.
 
 ``record`` gives a class with annotated fields what ``@dataclass(frozen=True)``
 gives it (``__init__``, ``==``, ``hash``, ``repr`` and frozen fields), from
-closures over the tuple of field names.  ``dataclass`` compiles these methods
-from generated source for each class, which took about a quarter of the time
-to import setfix's scenario path; a record class is built in microseconds.
+closures over the tuple of field names, which it keeps as ``_fields``, as
+``NamedTuple`` does; ``fields_dict`` turns a record into its field dict.
+``dataclass`` compiles these methods from generated source for each class,
+which took about a quarter of the time to import setfix's scenario path; a
+record class is built in microseconds.
 """
 
 import itertools
@@ -122,6 +125,12 @@ def read_json(source, label: str) -> object:
         raise SchemaError(f"{label} is not valid JSON: {exc}") from exc
 
 
+def json_text(payload: object) -> str:
+    """The JSON text of every setfix output: sorted keys, two-space indents and
+    a final newline, so equal payloads give equal bytes."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def json_keys(obj: object, keys, reader: str) -> None:
     """Raise SchemaError unless obj is a JSON object with no key outside keys."""
     if not isinstance(obj, dict):
@@ -182,7 +191,8 @@ def record(cls=None, *, frozen: bool = True, order: bool = False):
     the tuple of its fields.  A frozen record raises FrozenInstanceError on
     assignment and deletion (use object.__setattr__ in ``__post_init__``); a
     record that is not frozen is unhashable.  order=True compares records of
-    one class as their field tuples.
+    one class as their field tuples.  The class keeps its field names, in
+    order, as ``_fields``.
     """
     if cls is None:
         return lambda c: record(c, frozen=frozen, order=order)
@@ -269,4 +279,10 @@ def record(cls=None, *, frozen: bool = True, order: bool = False):
         if method is not None:
             method.__name__, method.__qualname__ = name, f"{cls.__qualname__}.{name}"
         setattr(cls, name, method)
+    cls._fields = names
     return cls
+
+
+def fields_dict(rec) -> dict:
+    """{field name: value} of a record, in field order."""
+    return {name: getattr(rec, name) for name in rec._fields}

@@ -227,6 +227,14 @@ def scan_fixed_points(t: MultivaluedOperator, grid_n: int = 10_001,
     return FixedPointScan(_entries(fixed, tol), _entries(strict, tol), tol, grid_n)
 
 
+def orbit_summary(x0: float, trace: OrbitTrace) -> dict:
+    """An orbit from x0 as a report row: x0, steps, converged, limit_estimate,
+    and the final step's h_to_prev and h_to_target."""
+    return {"x0": x0, "steps": len(trace.steps), "converged": trace.converged,
+            "limit_estimate": trace.limit_estimate, "final_h_to_prev": trace.final.h_to_prev,
+            "final_h_to_target": trace.final.h_to_target}
+
+
 def orbit_steps(trace: OrbitTrace) -> list[dict]:
     """The steps of an orbit as report rows: n, parts, h_to_prev, h_to_target."""
     return [{"n": s.n, "parts": s.set.to_json()["parts"],

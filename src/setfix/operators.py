@@ -273,13 +273,17 @@ def _turns(fns: tuple[tuple[float, BoundaryFn], ...], lo: float, hi: float) -> l
     derivative in s changes sign, a sum of c*s^e, with s = sqrt(x) when a
     sqrt or 1/sqrt part occurs, else s = x."""
     half = any(fn.base in ("sqrt", "invsqrt") and fn.coeff != 0.0 for _, fn in fns)
+    # scaled by a power of two, which is exact, where a sum of up to four
+    # coefficients times its exponent (at most 2p) could overflow
+    top = max(abs(v) for _, fn in fns for v in (fn.slope, fn.coeff))
+    shift = min(0, 1022 - math.frexp(top)[1] - max(2 * fn.p for _, fn in fns).bit_length())
     mono: dict[int, float] = {}  # exponent of s -> coefficient; offsets drop out
     for sign, fn in fns:
         e = 2 if half else 1
-        mono[e] = mono.get(e, 0.0) + sign * fn.slope
+        mono[e] = mono.get(e, 0.0) + math.ldexp(sign * fn.slope, shift)
         if fn.coeff != 0.0 and fn.base != "none":
             e = {"power": fn.p * e, "sqrt": 1, "invsqrt": -1}[fn.base]
-            mono[e] = mono.get(e, 0.0) + sign * fn.coeff
+            mono[e] = mono.get(e, 0.0) + math.ldexp(sign * fn.coeff, shift)
     return _sign_changes(sorted((e - 1, e * c) for e, c in mono.items() if c != 0.0),
                          lo, hi, half)
 
@@ -357,9 +361,8 @@ class MultivaluedOperator:
                 f"lower boundary exceeds upper at x={x!r} on piece [{lo}, {hi}]")
         # both boundaries are monotone, so their ranges are taken at the ends
         b = self.domain.bounds
-        (l_min, l_max), (u_min, u_max) = pc.lower.range_on(lo, hi), pc.upper.range_on(lo, hi)
-        if (min(l_min, u_min) < b.lo - SELF_MAP_SLACK
-                or max(l_max, u_max) > b.hi + SELF_MAP_SLACK):
+        ends = [fn.value(x) for fn in (pc.lower, pc.upper) for x in (lo, hi)]
+        if min(ends) < b.lo - SELF_MAP_SLACK or max(ends) > b.hi + SELF_MAP_SLACK:
             raise NotSelfMapError(
                 f"operator is not a self-map: values of piece [{lo}, {hi}] escape "
                 f"[{b.lo}, {b.hi}]")

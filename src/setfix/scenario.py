@@ -16,7 +16,6 @@ is not-applicable and every requested orbit converged.
 
 from __future__ import annotations
 
-import json
 import time
 from collections import namedtuple
 from importlib import resources
@@ -32,6 +31,7 @@ from .certify import (
     retraction_displacement_check,
     sup_gap_ratio_l,
     sup_ratio_l,
+    variant_reason,
 )
 from .errors import (
     HypothesisFailedError,
@@ -42,10 +42,12 @@ from .errors import (
     SchemaError,
     StrictFixedPointMismatchError,
     factory,
+    fields_dict,
     is_json_int,
     is_json_number,
     json_field,
     json_keys,
+    json_text,
     read_json,
     record,
 )
@@ -53,6 +55,7 @@ from .iteration import (
     STRICT_TOL,
     orbit_rate,
     orbit_steps,
+    orbit_summary,
     picard_orbit,
     scan_fixed_points,
     steps_to_csv,
@@ -272,25 +275,14 @@ class RunReport:
     timing: dict = factory(dict)
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "fixed_points": self.fixed_points,
-            "certificates": self.certificates,
-            "constants": self.constants,
-            "orbits": self.orbits,
-            "stability": self.stability,
-        }
+        """Every field but timing."""
+        out = fields_dict(self)
+        del out["timing"]
+        return out
 
     @classmethod
     def from_dict(cls, obj: dict) -> "RunReport":
-        return cls(
-            scenario=obj["scenario"],
-            fixed_points=obj["fixed_points"],
-            certificates=obj["certificates"],
-            constants=obj["constants"],
-            orbits=obj["orbits"],
-            stability=obj["stability"],
-        )
+        return cls(**{k: obj[k] for k in cls._fields if k != "timing"})
 
     @property
     def all_ok(self) -> bool:
@@ -308,17 +300,8 @@ def _orbit_summary(label: str, x0: float, trace) -> dict:
         rate = orbit_rate(trace)
     except InsufficientDataError:
         rate = None
-    return {
-        "operator": label,
-        "x0": x0,
-        "steps": len(trace.steps),
-        "converged": trace.converged,
-        "limit_estimate": trace.limit_estimate,
-        "final_h_to_prev": trace.final.h_to_prev,
-        "final_h_to_target": trace.final.h_to_target,
-        "rate": rate,
-        "trace": orbit_steps(trace),
-    }
+    return {**orbit_summary(x0, trace), "operator": label, "rate": rate,
+            "trace": orbit_steps(trace)}
 
 
 def _run_stability(scenario: Scenario, t: MultivaluedOperator,
@@ -326,7 +309,7 @@ def _run_stability(scenario: Scenario, t: MultivaluedOperator,
                    constants: dict, xstar: float | None) -> list[dict]:
     opts = scenario.stability_options
     keys = opts.get("harnesses", HARNESSES)
-    reason = st.variant_reason(scenario.variant) or (
+    reason = variant_reason(scenario.variant) or (
         "no feasible contraction certificate for the perturbed operator; "
         "certified constants unavailable" if params is None
         else "no unique strict fixed point located" if xstar is None else None)
@@ -375,7 +358,7 @@ def run_scenario(source: str | Path | Scenario) -> RunReport:
         timing["certify"] = time.perf_counter() - tick
         certificates = {"T": cert_t.to_json(), "TG": cert_g.to_json()}
         disp = displacement_constant_L(t, tg, scenario.scan_grid_n)
-        derived = scenario.variant == st.CONSTANTS_VARIANT  # xi and the UH constant's formulas
+        derived = variant_reason(scenario.variant) is None  # xi and the UH constant's formulas
         l_sup = xi = k = None
         l_skipped = 0
         if xstar is not None:
@@ -425,6 +408,17 @@ def run_scenario(source: str | Path | Scenario) -> RunReport:
     )
 
 
+def _cell(value) -> str:
+    return value if isinstance(value, str) else "" if value is None else repr(value)
+
+
+def _table(rows: list[dict], columns: tuple[str, ...]) -> str:
+    """CSV of the columns of rows, with a header line: a string cell as is,
+    None empty, anything else its repr."""
+    lines = [columns, *([_cell(row[c]) for c in columns] for row in rows)]
+    return "".join(",".join(line) + "\n" for line in lines)
+
+
 def emit_report(report: RunReport, fmt: str = "json") -> dict[str, str]:
     """Serialize a report; returns {relative filename: content}.
 
@@ -434,27 +428,16 @@ def emit_report(report: RunReport, fmt: str = "json") -> dict[str, str]:
     file per orbit.
     """
     if fmt == "json":
-        return {"report.json": json.dumps(report.to_dict(), indent=2,
-                                          sort_keys=True) + "\n"}
+        return {"report.json": json_text(report.to_dict())}
     if fmt != "csv":
         raise SchemaError(f"unknown report format {fmt!r}")
-    files: dict[str, str] = {}
-    lines = ["property,holds,applicable,constant,samples,worst_ratio"]
-    for rep in report.stability:
-        lines.append(",".join([
-            rep["property"], str(rep["holds"]), str(rep["applicable"]),
-            repr(rep["constant"]), str(rep["samples"]), repr(rep["worst_ratio"]),
-        ]))
-    files["verdicts.csv"] = "\n".join(lines) + "\n"
-    summary = ["operator,x0,steps,converged,final_h_to_prev,final_h_to_target,rate"]
-    for orbit in report.orbits:
-        summary.append(",".join([
-            orbit["operator"], repr(orbit["x0"]), str(orbit["steps"]),
-            str(orbit["converged"]), repr(orbit["final_h_to_prev"]),
-            "" if orbit["final_h_to_target"] is None else repr(orbit["final_h_to_target"]),
-            "" if orbit["rate"] is None else repr(orbit["rate"]),
-        ]))
-    files["orbits_summary.csv"] = "\n".join(summary) + "\n"
+    files = {
+        "verdicts.csv": _table(report.stability, (
+            "property", "holds", "applicable", "constant", "samples", "worst_ratio")),
+        "orbits_summary.csv": _table(report.orbits, (
+            "operator", "x0", "steps", "converged", "final_h_to_prev",
+            "final_h_to_target", "rate")),
+    }
     for i, orbit in enumerate(report.orbits):
         files[f"orbit_{i}_{orbit['operator']}.csv"] = steps_to_csv(orbit["trace"])
     return files

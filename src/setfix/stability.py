@@ -23,11 +23,11 @@ can use unique_strict_fixed_point (same rule).  Each checks x* with one eval
 per operator at iteration.STRICT_TOL and raises
 StrictFixedPointMismatchError if it is not strict.
 
-The constants above are derived for the ciric condition (CONSTANTS_VARIANT).
-For params of another variant, the data-dependence, Ulam-Hyers,
-well-posedness and Ostrowski harnesses return a not-applicable report with
-variant_reason's reason, and run_scenario reports every harness not
-applicable.
+The constants above are derived for the ciric condition
+(certify.CONSTANTS_VARIANT).  For params of another variant, the
+data-dependence, Ulam-Hyers, well-posedness and Ostrowski harnesses return a
+not-applicable report with certify.variant_reason's reason, and run_scenario
+reports every harness not applicable.
 
 Verdicts use the uniform convention worst_ratio = max LHS/RHS with
 holds <=> worst_ratio <= 1 + 1e-9 (for applicable reports).  Hypothesis
@@ -56,6 +56,7 @@ from .certify import (
     corollary_k,
     displacement_constant_L,
     retraction_displacement_check,
+    variant_reason,
 )
 from .errors import (
     ConstructionFailedError,
@@ -66,6 +67,7 @@ from .errors import (
     OutOfDomainError,
     ParameterRangeError,
     factory,
+    fields_dict,
     is_json_number,
     json_field,
     json_keys,
@@ -86,20 +88,6 @@ HOLDS_TOL = 1e-9
 #: Grid used for residual rejection sampling in the Ulam-Hyers harness.
 UH_SAMPLING_GRID = 40_001
 
-#: The contraction variant whose parameters the harnesses' constants are
-#: derived for; run_scenario runs no harness for another variant.
-CONSTANTS_VARIANT = "ciric"
-
-
-def variant_reason(variant: str) -> str | None:
-    """Why the harness constants do not apply to params of this variant, or
-    None for CONSTANTS_VARIANT."""
-    if variant == CONSTANTS_VARIANT:
-        return None
-    return (f"the stability constants are derived for the {CONSTANTS_VARIANT} "
-            f"condition, not for variant {variant!r}")
-
-
 @record
 class StabilityReport:
     """Per-property verdict with the constant used and sampled evidence.
@@ -117,16 +105,7 @@ class StabilityReport:
     applicable: bool = True
     details: dict = factory(dict)
 
-    def to_json(self) -> dict:
-        return {
-            "property": self.property,
-            "holds": self.holds,
-            "constant": self.constant,
-            "samples": self.samples,
-            "worst_ratio": self.worst_ratio,
-            "applicable": self.applicable,
-            "details": self.details,
-        }
+    to_json = fields_dict
 
 
 def _verdict(prop: str, constant: float, samples: int, worst: float,
@@ -159,8 +138,7 @@ class DecaySpec:
     def decays(self) -> bool:
         return self.initial == 0.0 or self.ratio < 1.0
 
-    def to_json(self) -> dict:
-        return {"initial": self.initial, "ratio": self.ratio}
+    to_json = fields_dict
 
 
 @record
@@ -507,11 +485,7 @@ def ostrowski_verify(t: MultivaluedOperator, xstar: float, params: ContractionPa
             "D(v_{n+1}, T(v_n)) -> 0 is violated by construction",
             {"delta": delta_spec.to_json()})
     _verify_strict_point(xstar, t)
-    k = corollary_k_value = corollary_k(params)
-    if k == 0.0:
-        # T_G maps everything to {x*}: the bound degenerates but the orbit
-        # check still makes sense with an arbitrary small k.
-        k = 1e-12
+    k = corollary_k(params)
     k_printed = (params.alpha + params.beta) / (1.0 - params.alpha)
     pref = L * (1.0 + params.gamma) / (1.0 - params.gamma)
 
@@ -543,12 +517,12 @@ def ostrowski_verify(t: MultivaluedOperator, xstar: float, params: ContractionPa
     final_err = abs(v - xstar)
     worst = max(worst, final_err / final_tol)
     details = {
-        "k_derived": corollary_k_value, "k_printed": k_printed,
+        "k_derived": k, "k_printed": k_printed,
         "prefactor": pref, "fixed_point": xstar, "x0": x0,
         "final_error": final_err, "final_tol": final_tol,
         "delta": delta_spec.to_json(), "steps": n_max, "worst_step": worst_step,
     }
-    return _verdict("Ostrowski", corollary_k_value, n_max, worst, details)
+    return _verdict("Ostrowski", k, n_max, worst, details)
 
 
 # -- quasi-contraction --------------------------------------------------------------------------

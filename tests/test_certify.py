@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 import textwrap
@@ -367,6 +368,14 @@ class TestDisplacementL:
         tg = setfix.perturb(sqrt_t, setfix.GeneralG(a=0.0, b=1.0))
         assert displacement_constant_L(sqrt_t, tg, 1001).value == 1.0
 
+    def test_blowup_where_only_the_perturbed_displacement_counts(self):
+        # D(x, T(x)) = 8e-15 is skipped as zero, D(x, T_G(x)) = 1.2e-14 is not
+        dom = setfix.Domain(setfix.Interval(0.0, 1.0))
+        term = setfix.BoundaryFn(slope=1.0, offset=8e-15)
+        t = setfix.MultivaluedOperator(dom, (setfix.Piece(dom.bounds, term, term),))
+        tg = setfix.perturb(t, setfix.GeneralG(-0.5, 1.5))
+        assert displacement_constant_L(t, tg, 101) == certify.GridSup(float("inf"), 0, 0.0)
+
 
 class TestRetractionDisplacement:
     def test_sqrt(self, sqrt_t, sqrt_tg_cert):
@@ -384,6 +393,17 @@ class TestRetractionDisplacement:
     def test_errors(self, sqrt_t, sqrt_tg_cert):
         with pytest.raises(ParameterRangeError):
             retraction_displacement_check(sqrt_t, sqrt_tg_cert.params, 0.0, 1.0, 101)
+
+    @pytest.mark.parametrize("variant", ["ciric_reich_rus", "combined"])
+    def test_other_variants_refused(self, sqrt_t, variant):
+        # the constant (1+g)L/(1-a-b) is derived for ciric's condition only
+        params = ContractionParams(0.2, 0.1, 0.1, variant)
+        with pytest.raises(ParameterRangeError, match=re.escape(
+                certify.variant_reason(variant))):
+            retraction_displacement_check(sqrt_t, params, 0.25, 1.0, 101)
+        assert certify.variant_reason(variant) == (
+            f"the stability constants are derived for the ciric condition, not for "
+            f"variant {variant!r}")
 
 
 class TestGeometricDecay:

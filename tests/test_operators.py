@@ -1092,6 +1092,25 @@ class TestSignChanges:
         else:
             _flanked(lower, upper, lo, hi, dom)
 
+    def test_exponent_times_coefficient_beyond_the_float_range(self):
+        # f' = -1.4357... + 24 * 1.2e307 x^23, whose second coefficient
+        # overflows a float unless the coefficients are scaled first
+        fn = BoundaryFn(base="power", p=24, coeff=1.2006219461261261e307,
+                        slope=-1.4357653661931051)
+        (x,) = fn.critical_points(-1.5, 0.33)
+        assert abs(x - (-fn.slope / fn.coeff / 24.0) ** (1.0 / 23.0)) <= 1e-15 * x
+
+    def test_order_turn_beyond_the_float_range(self):
+        # lower sqrt(x) crosses upper 1e306 x^2000 + 0.8365 near 0.7001; the
+        # gap's derivative has the coefficient 4000 * 1e306 in s = sqrt(x)
+        lower = BoundaryFn(base="sqrt", coeff=1.0)
+        upper = BoundaryFn(base="power", p=2000, coeff=1e306, offset=0.8365)
+        x0, v0 = _sampled_worst(lower, upper, 0.25, 0.701)
+        assert abs(x0 - 0.7001003) < 1e-6 and v0 > 1e-5
+        with pytest.raises(ValueError, match="lower boundary exceeds upper") as exc:
+            _flanked(lower, upper, 0.25, 0.701, Domain(Interval(0.0, 2.0)))
+        assert abs(_order_witness(exc.value) - x0) < 1e-6
+
     @pytest.mark.parametrize("p", [400, 1000])
     def test_high_power_piece_builds_fast(self, p):
         # lower 0.1 x^p + 0.25 under upper sqrt(x); np.roots of the dense
@@ -1108,6 +1127,17 @@ class TestSignChanges:
             with pytest.raises(ValueError, match="lower boundary exceeds upper") as exc:
                 MultivaluedOperator(dom, (Piece(dom.bounds, low.shifted(1e-9 - v0), upp),))
             assert abs(_order_witness(exc.value) - x0) < 1e-6
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(catalog_operators(), st.sampled_from(_grid_operators())))
+def test_piece_ranges_are_taken_at_the_ends(t):
+    # construction splits at the extrema, so the self-map check reads the
+    # terms at the piece ends only; range_on searches the piece again
+    for pc in t.pieces:
+        for fn in (pc.lower, pc.upper):
+            ends = [fn.value(pc.sub.lo), fn.value(pc.sub.hi)]
+            assert fn.range_on(pc.sub.lo, pc.sub.hi) == (min(ends), max(ends))
 
 
 def test_constant_operator_and_shift(sqrt_t):

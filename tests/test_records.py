@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from setfix.certify import ContractionCertificate, ContractionParams, Witness
-from setfix.errors import NotSelfMapError, ParameterRangeError, record
+from setfix.errors import NotSelfMapError, ParameterRangeError, fields_dict, record
 from setfix.intervals import Domain, Interval, IntervalUnion
 from setfix.iteration import FixedPointScan, OrbitStep, OrbitTrace
 from setfix.operators import (
@@ -139,6 +139,29 @@ def test_equality_holds_within_one_class_only(name):
     twin = twin_cls(*_fields(x))
     assert _fields(twin) == _fields(x)
     assert x != twin and twin != x
+
+
+@pytest.mark.parametrize("name", CLASSES)
+def test_fields_are_kept_in_order(name):
+    x = SAMPLES[name]()
+    assert type(x)._fields == x._fields == _names(x)
+    assert fields_dict(x) == dict(zip(_names(x), _fields(x)))
+    assert list(fields_dict(x)) == list(_names(x))
+
+
+@pytest.mark.parametrize("name", ["StabilityReport", "DecaySpec", "ContractionParams"])
+def test_report_rows_are_the_field_dicts(name):
+    x = SAMPLES[name]()
+    assert x.to_json() == fields_dict(x)
+
+
+def test_run_report_row_leaves_out_timing():
+    report = SAMPLES["RunReport"]()
+    report.timing["scan"] = 1.0
+    row = report.to_dict()
+    assert list(row) == [k for k in RunReport._fields if k != "timing"]
+    twin = RunReport.from_dict(row)
+    assert twin.to_dict() == row and twin.timing == {}
 
 
 @pytest.mark.parametrize("name", CLASSES)

@@ -7,6 +7,8 @@ import pytest
 import setfix
 from setfix import RunReport, SchemaError, load_scenario, run_scenario, scenario_from_dict
 from setfix.cli import main as cli_main
+from setfix.errors import json_text
+from setfix.iteration import orbit_summary
 from setfix.scenario import (
     HARNESSES,
     _HARNESS_TABLE,
@@ -252,6 +254,40 @@ class TestDeterminismAndRoundTrip:
         files = emit_report(rep, "csv")
         assert files["orbits_summary.csv"].strip().splitlines() == [
             "operator,x0,steps,converged,final_h_to_prev,final_h_to_target,rate"]
+
+    def test_csv_cells(self):
+        # a string as is, None empty, anything else its repr; no quoting
+        step = {"n": 0, "parts": [[0.5, 0.5]], "h_to_prev": 0.0, "h_to_target": None}
+        orbit = {"operator": "TG", "x0": 0.5, "steps": 1, "converged": False,
+                 "limit_estimate": None, "final_h_to_prev": 0.1, "final_h_to_target": None,
+                 "rate": None, "trace": [step]}
+        verdict = {"property": "UlamHyers", "holds": True, "applicable": True,
+                   "constant": 2.0, "samples": 10, "worst_ratio": 0.5, "details": {}}
+        files = emit_report(RunReport({}, {}, {}, {}, [orbit], [verdict]), "csv")
+        assert files["verdicts.csv"] == ("property,holds,applicable,constant,samples,"
+                                         "worst_ratio\nUlamHyers,True,True,2.0,10,0.5\n")
+        assert files["orbits_summary.csv"] == (
+            "operator,x0,steps,converged,final_h_to_prev,final_h_to_target,rate\n"
+            "TG,0.5,1,False,0.1,,\n")
+
+    def test_json_text(self):
+        assert json_text({"b": None, "a": [1.5, True]}) == (
+            '{\n  "a": [\n    1.5,\n    true\n  ],\n  "b": null\n}\n')
+
+    def test_orbit_rows_extend_the_iterate_row(self, sqrt_report, capsys):
+        scenario = load_scenario("sqrt_takahashi_34")
+        t = scenario.resolve_operator()
+        ops = {"T": t, "TG": setfix.perturb(t, scenario.resolve_perturbation())}
+        for orbit in sqrt_report.orbits:
+            trace = setfix.picard_orbit(ops[orbit["operator"]], orbit["x0"], max_n=10_000,
+                                        tol=scenario.tol, target=1.0)
+            row = orbit_summary(orbit["x0"], trace)
+            assert {k: orbit[k] for k in row} == row
+            assert set(orbit) - set(row) == {"operator", "rate", "trace"}
+        assert cli_main(["iterate", "sqrt_example", "--x0", "4.0", "--x0", "0.3",
+                         "--target", "1.0"]) == 0
+        rows = [orbit_summary(x0, setfix.picard_orbit(t, x0, target=1.0)) for x0 in (4.0, 0.3)]
+        assert capsys.readouterr().out == json_text({"orbits": rows})
 
     def test_write_report(self, sqrt_report, tmp_path):
         out = tmp_path / "rep.json"

@@ -260,6 +260,28 @@ class TestOstrowski:
         assert rep.holds
         assert rep.details["final_error"] < 1e-9
 
+    def test_zero_k_takes_the_recurrence_as_is(self, sqrt_t):
+        # at params (0, 0, 0), k = 0 and L(1+g)/(1-g) = L: the bound after
+        # step n is L * r_n, and the start's term k^(n+1)|v_0 - x*| is 0
+        spec, n_max = DecaySpec(0.1, 0.5), 20
+        rep = ostrowski_verify(sqrt_t, 1.0, ContractionParams(0.0, 0.0, 0.0), SQRT_L, 4.0,
+                               spec, n_max)
+        assert rep.details["k_derived"] == 0.0 and rep.constant == 0.0
+        bounds = sqrt_t.domain.bounds
+        v, worst = bounds.clamp(4.0), 0.0
+        for n in range(n_max):
+            image = sqrt_t.eval(v)
+            base = setfix.nearest_point(image, v)
+            delta = spec.value(n)
+            v_next = bounds.clamp(base + (delta if n % 2 == 0 else -delta))
+            if setfix.dist_point_to_set(v_next, image) > delta:
+                v_next = base
+            r = setfix.dist_point_to_set(v_next, image)
+            worst = max(worst, stability._float_ratio(r, delta),
+                        stability._float_ratio(abs(v_next - 1.0), SQRT_L * r))
+            v = v_next
+        assert rep.worst_ratio == max(worst, abs(v - 1.0) / 1e-6)
+
     def test_constant_delta_not_applicable(self, sqrt_t):
         rep = ostrowski_verify(sqrt_t, 1.0, SQRT_PARAMS, SQRT_L, 4.0,
                                DecaySpec(0.1, 1.0), 30)
