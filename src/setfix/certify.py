@@ -28,9 +28,9 @@ max(u/w_a, v/w_b, w/w_g), so a witness pair whose lhs exceeds it (reported
 bound > 1) proves that no admissible parameters exist; otherwise
 infeasibility means exhaustion of the search grid, and the hardest pair is
 reported with its bound <= 1.  _PairSystem stores each unordered grid pair
-once, and _Screen sweeps it only for the candidates that a small working
-set of pairs cannot decide, so results equal an exhaustive sweep of every
-candidate.
+once, building it block by block in the scratch rows its sweeps reuse, and
+_Screen sweeps it only for the candidates that a small working set of pairs
+cannot decide, so results equal an exhaustive sweep of every candidate.
 
 Grid sweeps read each operator's values from its grid table
 (MultivaluedOperator.grid_values: eval_grid once per operator and grid size,
@@ -232,11 +232,13 @@ def _block_rows(n: int) -> int:
     return max(1, _BLOCK // n)
 
 
-def _reach(weights, u, v, w):
+def _reach(weights, u, v, w, out=None, tmp=None):
     """max(u/w_a, v/w_b, w/w_g), the largest a*u + b*v + g*w on the region
-    w_a*a + w_b*b + w_g*g <= 1 (a, b, g >= 0); a weight of 1 takes no pass."""
-    u, v, w = (x if wt == 1.0 else x / wt for wt, x in zip(weights, (u, v, w)))
-    return np.maximum(u, np.maximum(v, w))
+    w_a*a + w_b*b + w_g*g <= 1 (a, b, g >= 0); a weight of 1 takes no pass.
+    Into out if given, with v/w_b in out and w/w_g in tmp."""
+    u, v, w = (x if wt == 1.0 else np.divide(x, wt, out=o)
+               for wt, x, o in zip(weights, (u, v, w), (None, out, tmp)))
+    return np.maximum(u, np.maximum(v, w, out=out), out=out)
 
 
 class _PairSystem:
@@ -254,8 +256,8 @@ class _PairSystem:
     built, appends its first argmax of required = lhs / _reach(u, v, w) (0
     where lhs <= 1e-14) to hardest as an entry and its value to tops, and adds
     its active ordered pairs to active, so the witness is the first ordered
-    pair in row-major order attaining it.  Every sweep reuses two scratch
-    rows of the largest block's size.
+    pair in row-major order attaining it.  A block's intermediates live in
+    the two scratch rows that the sweeps reuse and one bool row.
     """
 
     def __init__(self, cond: _Condition, xs: np.ndarray, lo: np.ndarray,
@@ -268,28 +270,31 @@ class _PairSystem:
         self.ends = [0, *itertools.accumulate(h * w for h, w in shapes)]
         self.u, self.lhs, self.v, self.w = np.empty((4, self.ends[-1]))
         self.hardest, self.tops, self.active = [], [], 0
+        size = max(h * w for h, w in shapes)
+        self._s, self._tmp = np.empty(size), np.empty(size)
+        flags = np.empty(size, dtype=bool)
+        corner = np.tri(shapes[0][0], k=-1, dtype=bool)
         for r0, (h, width), e0, e1 in zip(self.r0s, shapes, self.ends, self.ends[1:]):
             i, j = slice(r0, r0 + h), slice(r0 + 1, n)
             point = {"i": xs[i, None], "j": xs[j]}
             value = {"i": (lo[i, None], hi[i, None]), "j": (lo[j], hi[j])}
             u, lhs, v, w = (a[e0:e1].reshape(h, width) for a in (self.u, self.lhs, self.v, self.w))
+            s, tmp, act = (a[:e1 - e0].reshape(h, width) for a in (self._s, self._tmp, flags))
             np.abs(np.subtract(point["i"], point["j"], out=u), out=u)
-            hausdorff_between_values(*value["i"], *value["j"], out=lhs)
-            np.copyto(lhs[:, :h], -np.inf, where=np.tri(h, h, -1, dtype=bool))
+            hausdorff_between_values(*value["i"], *value["j"], out=lhs, tmp=s)
+            np.copyto(lhs[:, :h], -np.inf, where=corner[:h, :h])
             for out, ((p, q), *rest) in ((v, cond.v), (w, cond.w)):
-                dist_to_value(point[p], *value[q], out=out)
+                dist_to_value(point[p], *value[q], out=out, tmp=tmp)
                 for p, q in rest:
-                    out += dist_to_value(point[p], *value[q])
-            rowmax = _reach(cond.weights, u, v, w)
-            act = lhs > 1e-14
+                    out += dist_to_value(point[p], *value[q], out=s, tmp=tmp)
+            required = _reach(cond.weights, u, v, w, out=s, tmp=tmp)
+            np.greater(lhs, 1e-14, out=act)
             self.active += 2 * int(np.count_nonzero(act))
-            required = np.divide(lhs, np.maximum(rowmax, 1e-300, out=rowmax),
-                                 out=np.zeros_like(lhs), where=act)
+            np.divide(lhs, np.maximum(required, 1e-300, out=required), out=required)
+            np.copyto(required, 0.0, where=np.logical_not(act, out=act))
             k = int(np.argmax(required))
             self.hardest.append(e0 + k)
             self.tops.append(float(required.flat[k]))
-        size = max(h * w for h, w in shapes)
-        self._s, self._tmp = np.empty(size), np.empty(size)
 
     def terms(self, e0: int, e1: int, orientation: int):
         """(lhs, u, v, w) of the entries e0:e1 in one orientation."""
@@ -384,10 +389,10 @@ class _Screen:
     coef holds one candidate (a, b, g) per column, rows are (entry,
     orientation) rows of the pair system, and bounds[i] is candidate i's
     minimum over those rows, built with the same element expression as the
-    full sweep (one (m, R) broadcast for R rows, no matmul), so it is an
-    exact upper bound on the margin (a matmul or any fused or reordered form
-    would change the bits and lose that; the sweep's skipped zero products
-    add +0.0 here and change nothing).  A sweep runs only where the bound
+    full sweep (one (R, m) broadcast for R rows, reduced over the rows, no
+    matmul), so it is an exact upper bound on the margin (a matmul or any
+    fused or reordered form would change the bits and lose that; the sweep's
+    skipped zero products add +0.0 here and change nothing).  A sweep runs only where the bound
     cannot decide, and stops once its running minimum decides; its row
     joins the working set (shared across candidate lists) and tightens every
     bound, so a swept candidate's bound equals what the sweep returned:
@@ -404,13 +409,13 @@ class _Screen:
         self._tighten(rows)
 
     def _tighten(self, rows: list[tuple[int, int]]) -> None:
-        lhs, u, v, w = self.pairs.row_terms(rows)
-        a, b, g = self.coef[:, :, None]
+        lhs, u, v, w = (x[:, None] for x in self.pairs.row_terms(rows))
+        a, b, g = self.coef[:, None]
         s, tmp = a * u, b * v
         s += tmp
         s += np.multiply(g, w, out=tmp)
         s -= lhs
-        np.minimum(self.bounds, s.min(axis=1), out=self.bounds)
+        np.minimum(self.bounds, s.min(axis=0), out=self.bounds)
 
     def _exact(self, i: int, stop: float) -> float:
         """Candidate i's sweep with stop; exact when it is >= stop."""

@@ -14,6 +14,8 @@ import csv
 import io
 import math
 
+import numpy as np
+
 from .errors import InsufficientDataError, OutOfDomainError, ParameterRangeError, record
 from .intervals import Interval, IntervalUnion, hausdorff, normalize
 from .operators import BoundaryFn, MultivaluedOperator
@@ -149,17 +151,40 @@ def strict_defect(t: MultivaluedOperator, x: float) -> float:
 
 def _nonneg_part(fn: BoundaryFn, u: float, v: float) -> tuple[float, float] | None:
     """{x in [u, v] : fn(x) >= 0} for fn monotone on [u, v], or None; a sign
-    change is bisected to adjacent floats, keeping the one with fn >= 0."""
+    change is bisected to adjacent floats, keeping the one with fn >= 0.  While
+    a bracket end is +-0.0 (a root at 0), _halvings takes the steps at once."""
     at_u = fn.value(u) >= 0.0
     if at_u == (fn.value(v) >= 0.0):
         return (u, v) if at_u else None
     a, b = u, v
     while a < (m := 0.5 * (a + b)) < b:
-        if (fn.value(m) >= 0.0) == at_u:
+        if a == 0.0 or b == 0.0:
+            a, b = _halvings(fn, a, b, at_u)
+        elif (fn.value(m) >= 0.0) == at_u:
             a = m
         else:
             b = m
     return (u, a) if at_u else (b, v)
+
+
+def _halvings(fn: BoundaryFn, a: float, b: float, at_u: bool) -> tuple[float, float]:
+    """_nonneg_part's bracket after the midpoints that keep its end z = +-0.0:
+    with o the other end they are 0.5 * (o + z) = o/2, o/4, ... down to 0, which
+    np.multiply.accumulate rounds as the loop does and value_array (bit for bit
+    value) decides at once.  The first to move z ends the run, between it and
+    the midpoint before; with none, o ends at the last nonzero halving."""
+    zero_left = a == 0.0
+    o = b if zero_left else a
+    chain = np.full(math.frexp(o)[1] + 1077, 0.5)
+    chain[0] = o
+    chain = np.multiply.accumulate(chain)
+    chain = chain[:np.count_nonzero(chain)]  # o and its nonzero halvings
+    moves_zero = ((fn.value_array(chain[1:]) >= 0.0) == at_u) == zero_left
+    if moves_zero.any():
+        k = int(np.argmax(moves_zero)) + 1
+        ends = (float(chain[k]), float(chain[k - 1]))
+        return ends if zero_left else ends[::-1]
+    return (a, float(chain[-1])) if zero_left else (float(chain[-1]), b)
 
 
 def _is_zero(fn: BoundaryFn) -> bool:

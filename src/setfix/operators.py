@@ -542,10 +542,11 @@ class MultivaluedOperator:
 # closed forms equal dist_point_to_set and hausdorff bit for bit.
 
 
-def dist_to_value(x, lo, hi, out=None):
-    """D(x, [lo, hi]) = max(0, lo - x, x - hi), elementwise, into out if given."""
+def dist_to_value(x, lo, hi, out=None, tmp=None):
+    """D(x, [lo, hi]) = max(0, lo - x, x - hi), elementwise, into out if given,
+    with x - hi formed in tmp if given."""
     out = np.asarray(np.subtract(lo, x, out=out), dtype=float)
-    return np.maximum(0.0, np.maximum(out, x - hi, out=out), out=out)[()]
+    return np.maximum(0.0, np.maximum(out, np.subtract(x, hi, out=tmp), out=out), out=out)[()]
 
 
 def hausdorff_to_point(lo, hi, p):
@@ -553,11 +554,12 @@ def hausdorff_to_point(lo, hi, p):
     return np.maximum(np.abs(lo - p), np.abs(hi - p))
 
 
-def hausdorff_between_values(lo1, hi1, lo2, hi2, out=None):
+def hausdorff_between_values(lo1, hi1, lo2, hi2, out=None, tmp=None):
     """H([lo1, hi1], [lo2, hi2]) = max(|lo1 - lo2|, |hi1 - hi2|), elementwise,
-    into out if given."""
+    into out if given, with |hi1 - hi2| formed in tmp if given."""
     out = np.asarray(np.subtract(lo1, lo2, out=out), dtype=float)
-    return np.maximum(np.abs(out, out=out), np.abs(hi1 - hi2), out=out)[()]
+    return np.maximum(np.abs(out, out=out), np.abs(np.subtract(hi1, hi2, out=tmp), out=tmp),
+                      out=out)[()]
 
 
 # -- perturbations --------------------------------------------------------------

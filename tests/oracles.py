@@ -7,17 +7,21 @@ fixed-point, exact set-functional, well-posedness and grid-evaluation
 references are the implementations the library replaced (a flat off-diagonal
 pair system with a per-tuple candidate lattice, a sampling scan, all-pairs
 scans of the parts, a part scan for the nearest point, the merging loop of
-normalize, a scalar bisection per residual band, a per-piece eval_grid, and
-the closed-form extrema and np.roots order check of the terms);
-from the library they use only operator evaluation (eval, eval_grid and its
-single-interval closed forms, and term values and ranges), constants and
-result types.
+normalize, a scalar bisection per residual band, a per-piece eval_grid, the
+closed-form extrema and np.roots order check of the terms, and the pair
+system, screen bounds and sign-change bisection before they stopped
+allocating or calling value per midpoint); from the library they use only
+operator evaluation (eval, eval_grid and its single-interval closed forms,
+and term values and ranges), constants and result types.  exact_end_signs
+reads a term in rational arithmetic, with no float evaluation at all.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_right
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import reject, strategies as st
@@ -547,6 +551,74 @@ def bisect_retraction_xi(t: MultivaluedOperator, params: ContractionParams,
     return lo, lo >= 1e-6
 
 
+# -- the kernels before they formed their intermediates in place -----------------
+# certify._PairSystem's build when each row block allocated its temporaries
+# and took the witness ratio by a masked divide, _Screen's bounds in the
+# (candidates x rows) layout, and iteration._nonneg_part's bisection by one
+# scalar value per midpoint, kept as bit-for-bit references.
+
+
+def allocating_pair_blocks(cond, xs: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                           rows: int):
+    """(u, lhs, v, w, hardest, tops, active) of the pair system of a
+    certify._CONDITIONS row, built rows grid rows per block; u, lhs, v and w
+    are flat, in the blocks' order."""
+    n = len(xs)
+    r0s = list(range(0, n - 1, rows))
+    shapes = [(min(r0 + rows, n - 1) - r0, n - 1 - r0) for r0 in r0s]
+    ends = [0, *itertools.accumulate(h * w for h, w in shapes)]
+    flat = np.empty((4, ends[-1]))
+    hardest, tops, active = [], [], 0
+    for r0, (h, width), e0, e1 in zip(r0s, shapes, ends, ends[1:]):
+        i, j = slice(r0, r0 + h), slice(r0 + 1, n)
+        point = {"i": xs[i, None], "j": xs[j]}
+        value = {"i": (lo[i, None], hi[i, None]), "j": (lo[j], hi[j])}
+        u, lhs, v, w = (a[e0:e1].reshape(h, width) for a in flat)
+        np.abs(np.subtract(point["i"], point["j"], out=u), out=u)
+        hausdorff_between_values(*value["i"], *value["j"], out=lhs)
+        np.copyto(lhs[:, :h], -np.inf, where=np.tri(h, h, -1, dtype=bool))
+        for out, ((p, q), *rest) in ((v, cond.v), (w, cond.w)):
+            dist_to_value(point[p], *value[q], out=out)
+            for p, q in rest:
+                out += dist_to_value(point[p], *value[q])
+        su, sv, sw = (x if wt == 1.0 else x / wt for wt, x in zip(cond.weights, (u, v, w)))
+        rowmax = np.maximum(su, np.maximum(sv, sw))
+        act = lhs > 1e-14
+        active += 2 * int(np.count_nonzero(act))
+        required = np.divide(lhs, np.maximum(rowmax, 1e-300, out=rowmax),
+                             out=np.zeros_like(lhs), where=act)
+        k = int(np.argmax(required))
+        hardest.append(e0 + k)
+        tops.append(float(required.flat[k]))
+    return (*flat, hardest, tops, active)
+
+
+def candidate_major_bounds(coef: np.ndarray, lhs, u, v, w) -> np.ndarray:
+    """Each column (a, b, g) of coef's minimum of a*u + b*v + g*w - lhs over
+    the rows, formed as one (candidates x rows) array."""
+    a, b, g = coef[:, :, None]
+    s, tmp = a * u, b * v
+    s += tmp
+    s += np.multiply(g, w, out=tmp)
+    s -= lhs
+    return s.min(axis=1)
+
+
+def value_bisection(fn: BoundaryFn, u: float, v: float) -> tuple[float, float] | None:
+    """{x in [u, v] : fn(x) >= 0} for fn monotone on [u, v], or None; a sign
+    change is bisected to adjacent floats by one fn.value per midpoint."""
+    at_u = fn.value(u) >= 0.0
+    if at_u == (fn.value(v) >= 0.0):
+        return (u, v) if at_u else None
+    a, b = u, v
+    while a < (m := 0.5 * (a + b)) < b:
+        if (fn.value(m) >= 0.0) == at_u:
+            a = m
+        else:
+            b = m
+    return (u, a) if at_u else (b, v)
+
+
 # -- scalar well-posedness construction -------------------------------------------
 # The per-band scalar bisection over eval that preceded the lockstep array
 # search in setfix.stability, kept as the differential reference.
@@ -697,6 +769,50 @@ def grid_scan_fixed_points(t: MultivaluedOperator, grid_n: int = 10_001,
             fixed.append(s)
     fixed.sort()
     return FixedPointScan(tuple(fixed), tuple(strict), tol, grid_n)
+
+
+# -- exact membership ----------------------------------------------------------
+# Every float is a rational, so a term's value at a float x is decided exactly
+# from its coefficients: the floats eval rounds to are not consulted.
+
+
+def _sign(q) -> int:
+    return (q > 0) - (q < 0)
+
+
+def exact_term_sign(fn: BoundaryFn, x: float) -> int:
+    """The sign of fn(x) - x, with x and the float coefficients read as
+    rationals and the real sqrt.
+
+    fn(x) - x = P + Q*r with rational P, Q and r = sqrt(x) or 1/sqrt(x) (Q = 0
+    for the other bases).  Where P and Q have opposite signs, the sign is
+    that of the larger of P^2 and Q^2*r^2, both rational.
+    """
+    X = Fraction(x)
+    P = Fraction(fn.offset) + Fraction(fn.slope) * X - X
+    if fn.base == "power":
+        P += Fraction(fn.coeff) * X ** fn.p
+    if fn.base not in ("sqrt", "invsqrt") or fn.coeff == 0.0 or X == 0:
+        return _sign(P)
+    Q, r2 = Fraction(fn.coeff), X if fn.base == "sqrt" else 1 / X
+    sp, sq = _sign(P), _sign(Q)
+    if sp != -sq:  # the same sign, or P = 0
+        return sp or sq
+    return sp * _sign(P * P - Q * Q * r2)
+
+
+def exact_end_signs(t: MultivaluedOperator, x: float) -> tuple[int, int]:
+    """The signs of lower(x) - x and upper(x) - x, exactly, for the piece that
+    owns x and each end clamped into X as eval clamps it: x is in T(x) iff
+    they are not both positive or both negative, and T(x) = {x} iff both
+    are 0."""
+    dom = t.domain.bounds
+    pc = t.pieces[max(bisect_right([p.sub.lo for p in t.pieces], x) - 1, 0)]
+    signs = []
+    for fn in (pc.lower, pc.upper):
+        s = exact_term_sign(fn, x)
+        signs.append(0 if (s < 0 and x == dom.lo) or (s > 0 and x == dom.hi) else s)
+    return signs[0], signs[1]
 
 
 # -- random catalog operators -------------------------------------------------------

@@ -33,7 +33,9 @@ from setfix import (
 from oracles import (
     _candidates,
     _pair_system,
+    allocating_pair_blocks,
     bisect_retraction_xi,
+    candidate_major_bounds,
     exhaustive_certify,
     linear_pair_operator,
     random_subunion,
@@ -716,6 +718,56 @@ def test_pair_system_matches_ordered_oracle(name, monkeypatch):
                     at = _oracle_index(n, pairs.pair(row))
                     assert margin < np.inf and margin >= ref.min(), (case, a, b, g)
                     assert repr(float(ref[at])) == repr(margin), (case, a, b, g)
+
+
+@pytest.mark.parametrize("variant", certify.VARIANTS)
+@pytest.mark.parametrize("rows", [1, 2, 7, None])
+def test_pair_system_build_matches_allocating_reference(variant, rows, monkeypatch):
+    # built in the scratch rows, every stored bit, the hardest entries, their
+    # ratios and the active count equal the build that allocated per block;
+    # rows None is the default block size.  T(x) = {0.5 + 1e-15x} has no
+    # active pair, but a positive lhs / _reach at each, which must read 0
+    cond = certify._CONDITIONS[variant]
+    if rows is not None:
+        monkeypatch.setattr(certify, "_block_rows", lambda n: rows)
+    unit, tilt = setfix.Interval(0.0, 1.0), setfix.BoundaryFn(slope=1e-15, offset=0.5)
+    tilted = setfix.MultivaluedOperator(setfix.Domain(unit), (setfix.Piece(unit, tilt, tilt),))
+    for name in ("square|0.5", "sqrt|0.75", "linear", "tilt"):
+        op = tilted if name == "tilt" else _named_operator(name)
+        for n in (2, 3, 101, 501):
+            xs = op.domain.grid(n)
+            lo, hi = op.eval_grid(xs)
+            pairs = certify._PairSystem(cond, xs, lo, hi)
+            *ref, hardest, tops, active = allocating_pair_blocks(
+                cond, xs, lo, hi, certify._block_rows(n))
+            case = (name, n)
+            for got, want in zip((pairs.u, pairs.lhs, pairs.v, pairs.w), ref):
+                assert got.tobytes() == want.tobytes(), case
+            assert pairs.hardest == hardest, case
+            assert [repr(t) for t in pairs.tops] == [repr(t) for t in tops], case
+            assert pairs.active == active, case
+
+
+@pytest.mark.parametrize("variant", certify.VARIANTS)
+def test_screen_bounds_match_candidate_major_reference(variant):
+    # the (rows x candidates) bounds equal the (candidates x rows) ones bit
+    # for bit, when the screen is built and after each row it adds
+    rng = np.random.default_rng(5)
+    coef = certify._level0(variant)
+    for name in ("square|0.5", "sqrt|0.75"):
+        op = _named_operator(name)
+        xs = op.domain.grid(101)
+        pairs = certify._PairSystem(certify._CONDITIONS[variant], xs, *op.eval_grid(xs))
+        rows = [(e, o) for e in [*pairs.hardest, int(np.argmax(pairs.lhs))]
+                for o in pairs.orientations]
+        screen = certify._Screen(coef, pairs, list(rows))
+        want = candidate_major_bounds(coef, *pairs.row_terms(rows))
+        assert screen.bounds.tobytes() == want.tobytes(), name
+        for e in rng.integers(0, len(pairs.lhs), 5).tolist():
+            row = (e, int(rng.integers(len(pairs.orientations))))
+            screen._tighten([row])
+            np.minimum(want, candidate_major_bounds(coef, *pairs.row_terms([row])), out=want)
+            assert screen.bounds.tobytes() == want.tobytes(), (name, row)
 
 
 def test_screen_raises_when_a_sweep_reports_a_wrong_pair(monkeypatch):

@@ -3,9 +3,10 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import setfix
+from setfix import iteration
 from setfix import (
     BoundaryFn,
     Domain,
@@ -30,10 +31,12 @@ from setfix import (
 from oracles import (
     brute_set_image,
     catalog_operators,
+    exact_end_signs,
     grid_scan_fixed_points,
     jump_to_one_operator,
     linear_pair_operator,
     lipschitz_bound,
+    value_bisection,
 )
 
 
@@ -275,6 +278,25 @@ def closure_defect(t: MultivaluedOperator, x: float, strict: bool = False) -> fl
     return out
 
 
+def refuted(t: MultivaluedOperator, x: float, strict: bool, step: float) -> bool:
+    """Whether exact arithmetic puts x outside Fix(T) (SFix(T) if strict), with
+    the end of T that refutes it on the same side of the diagonal at x - step
+    and x + step too (clamped into X): all of T(x) on one side for Fix, either
+    end off the diagonal for SFix.
+
+    The grid scan accepts a point within tol of T(x) as eval rounds it, so a
+    boundary that comes within tol of the diagonal without meeting it gives an
+    oracle point that is no fixed point.  A real crossing near x changes a
+    sign between the neighbours, so its oracle points are still checked.
+    """
+    dom = t.domain.bounds
+    signs = [exact_end_signs(t, dom.clamp(y)) for y in (x - step, x, x + step)]
+    sides = [{s[end] for s in signs} for end in (0, 1)]
+    if strict:
+        return any(side in ({1}, {-1}) for side in sides)
+    return sides[0] == sides[1] and sides[0] in ({1}, {-1})
+
+
 def check_against_oracle(t: MultivaluedOperator, grid_n: int, defect,
                          tolerant: bool = False, tol: float = 1e-9) -> None:
     """The exact sets against the grid scan at grid_n.
@@ -286,8 +308,9 @@ def check_against_oracle(t: MultivaluedOperator, grid_n: int, defect,
     an oracle point is also accepted where T stays within tol of the
     diagonal over a whole grid step around it: there the scan cannot tell a
     fixed point from a near one, while the exact set holds only the points
-    where the boundary terms meet the diagonal.  Each exact part lies in
-    Fix (SFix) within tol at both ends and the midpoint.
+    where the boundary terms meet the diagonal.  An oracle point is dropped
+    only where exact arithmetic refutes it (see refuted).  Each exact part
+    lies in Fix (SFix) within tol at both ends and the midpoint.
     """
     exact = scan_fixed_points(t)
     oracle = grid_scan_fixed_points(t, grid_n)
@@ -301,6 +324,8 @@ def check_against_oracle(t: MultivaluedOperator, grid_n: int, defect,
         accepted = [e for e in junctions if near(e)]
         for x in points:
             if tolerant and all(near(dom.clamp(y)) for y in (x - step, x, x + step)):
+                continue
+            if refuted(t, x, strict, step):
                 continue
             assert min(dist_to_entries(x, entries), dist_to_entries(x, accepted)) <= step, (
                 t.name, strict, x, entries)
@@ -321,6 +346,15 @@ class TestExactFixedPointSets:
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(catalog_operators())
+    # eval rounds lower(0.25) to 0.25, so the grid scan reports 0.25; read
+    # exactly, lower(0.25) - 0.25 = +2.8e-17 and no fixed point is near it
+    @example(MultivaluedOperator(
+        Domain(Interval(0.25, 2.0)),
+        (Piece(Interval(0.25, 1.0),
+               BoundaryFn(base="sqrt", coeff=0.6, slope=0.6, offset=-0.19999999999999996),
+               BoundaryFn(offset=1.0)),
+         Piece(Interval(1.0, 2.0), BoundaryFn(offset=1.0), BoundaryFn(offset=1.0))),
+        name="random"))
     def test_random_operators_against_grid_scan(self, t):
         check_against_oracle(t, 201, closure_defect, tolerant=True)
 
@@ -408,6 +442,63 @@ class TestExactFixedPointSets:
     def test_grid_n_is_recorded_only(self, sqrt_tg):
         assert scan_fixed_points(sqrt_tg, 11).fixed == scan_fixed_points(sqrt_tg).fixed
         assert scan_fixed_points(sqrt_tg, 11).grid_n == 11
+
+
+# Terms whose sign changes at 0, at the smallest subnormal, at +-1e-300 and
+# at generic points, and brackets with a zero end, across 0, or away from it
+_SIGN_CHANGES = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 0.3, -0.7, 1.0 / 3.0]
+_BRACKETS = [(-1.0, 1.0), (0.0, 1.0), (-0.0, 2.0), (-1.5, 0.0), (-2.0, -0.0), (-1.0, 3.0),
+             (-5e-324, 1.0), (-0.75, 0.5), (1e-310, 1.0), (-1.0, -1e-310), (0.25, 0.5)]
+
+
+def _terms_changing_sign_at(r: float) -> list[BoundaryFn]:
+    return [BoundaryFn(slope=1.0, offset=-r), BoundaryFn(slope=-2.0, offset=2.0 * r),
+            BoundaryFn(base="power", p=3, coeff=1.0, slope=1e-300, offset=-r),
+            BoundaryFn(base="power", p=2, coeff=1.0, slope=-1.0, offset=r)]
+
+
+# x^3 and -x^3 underflow to a zero of either sign; x^2 - x and x + x^2 are
+# square_example's; sqrt(x) - 1e-160 changes sign at 1e-320
+_ZERO_ROOT_TERMS = [BoundaryFn(base="power", p=3, coeff=1.0),
+                    BoundaryFn(base="power", p=3, coeff=-1.0),
+                    BoundaryFn(base="power", p=2, coeff=1.0, slope=-1.0),
+                    BoundaryFn(base="power", p=2, coeff=1.0, slope=1.0),
+                    BoundaryFn(base="sqrt", coeff=1.0, offset=-1e-160),
+                    BoundaryFn(base="sqrt", coeff=-1.0, slope=1e-200)]
+
+
+@pytest.mark.parametrize("r", _SIGN_CHANGES, ids=repr)
+def test_nonneg_part_matches_value_bisection(r, monkeypatch):
+    # bit for bit the scalar bisection; the halving run is taken only once a
+    # bracket end is +-0.0, never for a bracket that does not reach 0
+    runs, taken = [], 0
+    halvings = iteration._halvings
+    monkeypatch.setattr(iteration, "_halvings",
+                        lambda *args: runs.append(args) or halvings(*args))
+    for fn in _terms_changing_sign_at(r) + (_ZERO_ROOT_TERMS if r == 0.0 else []):
+        for u, v in _BRACKETS:
+            if fn.base == "sqrt" and u < 0.0:
+                continue
+            runs.clear()
+            got = iteration._nonneg_part(fn, u, v)
+            assert repr(got) == repr(value_bisection(fn, u, v)), (fn, u, v)
+            assert len(runs) <= 1, (fn, u, v)
+            if u > 0.0 or v < 0.0:
+                assert not runs, (fn, u, v)
+            taken += len(runs)
+    assert taken  # (-1, 1) has the midpoint 0
+
+
+def test_root_at_zero_takes_few_scalar_values(monkeypatch):
+    # square_example's x^2 - x and x + x^2 change sign at 0, where the
+    # bisection halves down to 5e-324: 2 186 scalar values before the halving
+    # run took one array call
+    calls = []
+    value = BoundaryFn.value
+    monkeypatch.setattr(BoundaryFn, "value", lambda fn, x: calls.append(x) or value(fn, x))
+    scan = scan_fixed_points(setfix.square_example())
+    assert scan.fixed == scan.strict == (0.0,)
+    assert len(calls) <= 64
 
 
 class TestCsvExport:

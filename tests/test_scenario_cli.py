@@ -185,6 +185,27 @@ class TestIntervalFixedSet:
             assert rep["details"]["reason"] == "no unique strict fixed point located"
 
 
+def test_strict_point_that_the_perturbation_widens_gets_no_l():
+    """T(x) = m(x) +- 7e-10, with m of slope -0.5 on [0.4, 0.6] and 1/8
+    outside, through m(0.5) = 0.5: Fix(T) is 9.3e-10 wide, narrower than
+    STRICT_TOL, so it is reported as its midpoint 0.5, where H(T(0.5), {0.5})
+    = 7e-10.  G(x, y) = -0.5x + 1.5y keeps T_G a self-map of [0, 1] but scales
+    that distance by b = 1.5 to 1.05e-9, so 0.5 is no strict fixed point of
+    T_G, and l (whose ratio needs one) is null."""
+    def band(a: float, b: float) -> dict:
+        return {"lower": {"kind": "affine", "a": a, "b": b - 7e-10},
+                "upper": {"kind": "affine", "a": a, "b": b + 7e-10}}
+    op = {"domain": [0.0, 1.0], "pieces": [
+        {"sub": [0.0, 0.4], **band(0.125, 0.5)}, {"sub": [0.4, 0.6], **band(-0.5, 0.75)},
+        {"sub": [0.6, 1.0], **band(0.125, 0.375)}]}
+    report = run_scenario(scenario_from_dict(minimal_scenario(
+        operator=op, perturbation={"kind": "general", "a": -0.5, "b": 1.5}, scan_grid_n=1001)))
+    assert report.fixed_points == {"T": {"fixed": [0.5], "strict": [0.5]},
+                                   "TG": {"fixed": [0.5], "strict": []}}
+    assert report.constants["l"] is None and report.constants["valid_l"] is False
+    assert report.constants["l_skipped"] == 0
+
+
 @pytest.mark.parametrize("variant, params", [
     ("combined", {"alpha": 0.71875, "beta": 0.0, "gamma": 0.1125}),
     ("ciric_reich_rus", {"alpha": 0.875, "beta": 0.0, "gamma": 0.0}),
