@@ -32,6 +32,15 @@ once, building it block by block in the scratch rows its sweeps reuse, and
 _Screen sweeps it only for the candidates that a small working set of pairs
 cannot decide, so results equal an exhaustive sweep of every candidate.
 
+certify_contraction runs with numpy's ufunc buffer at _BUFSIZE elements and
+gives the caller's size back on return or raise.  numpy copies each operand
+of a broadcast whose rows are shorter than the buffer (8 192 elements by
+default) into it: on numpy 2.4.6 a (64, 512) broadcast subtract took 35 us
+at the default size and 9 us at 64, while (8, 4 096) took 9 us at either.
+The pair-system build and the screen broadcast such rows.  The size moves
+no bit: every ufunc here is elementwise or a min, max, argmin or argmax,
+whose results do not depend on how numpy chunks the loop.
+
 Grid sweeps read each operator's values from its grid table
 (MultivaluedOperator.grid_values: eval_grid once per operator and grid size,
 on first use, kept on the operator) and apply the single-interval closed
@@ -45,6 +54,7 @@ unique_strict_fixed_point), checked by one eval at iteration.STRICT_TOL.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import functools
 import itertools
 import math
@@ -232,6 +242,24 @@ def _block_rows(n: int) -> int:
     return max(1, _BLOCK // n)
 
 
+#: ufunc buffer size, in elements, inside certify_contraction; 16 and 256
+#: time the same, numpy's default 8 192 a third slower (module docstring).
+_BUFSIZE = 64
+
+
+@contextlib.contextmanager
+def _ufunc_buffer(size: int):
+    """np.setbufsize(size) for the block, then the caller's size again.
+
+    Restored by hand: numpy >= 2.0 also restores it on leaving np.errstate,
+    numpy 1.x does not."""
+    old = np.setbufsize(size)
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
+
+
 def _reach(weights, u, v, w, out=None, tmp=None):
     """max(u/w_a, v/w_b, w/w_g), the largest a*u + b*v + g*w on the region
     w_a*a + w_b*b + w_g*g <= 1 (a, b, g >= 0); a weight of 1 takes no pass.
@@ -257,7 +285,15 @@ class _PairSystem:
     where lhs <= 1e-14) to hardest as an entry and its value to tops, and adds
     its active ordered pairs to active, so the witness is the first ordered
     pair in row-major order attaining it.  A block's intermediates live in
-    the two scratch rows that the sweeps reuse and one bool row.
+    the two scratch rows that the sweeps reuse and one bool row.  The
+    corner's diagonal j == i has u = 0, so its _reach is 0 where x_i is a
+    fixed point; there lhs / _reach is -inf / 0 = -inf, which IEEE 754
+    flags with nothing, and the entry, inactive, reads 0.
+
+    Its seven broadcasts per block, (h, 1) columns against (width,) rows
+    shorter than numpy's default ufunc buffer, are why certify_contraction
+    sets the buffer to _BUFSIZE: one build took 2.4 ms at the default and
+    1.5 ms at _BUFSIZE at grid 501, 44 and 29 ms at grid 2001 (numpy 2.4.6).
     """
 
     def __init__(self, cond: _Condition, xs: np.ndarray, lo: np.ndarray,
@@ -290,7 +326,7 @@ class _PairSystem:
             required = _reach(cond.weights, u, v, w, out=s, tmp=tmp)
             np.greater(lhs, 1e-14, out=act)
             self.active += 2 * int(np.count_nonzero(act))
-            np.divide(lhs, np.maximum(required, 1e-300, out=required), out=required)
+            np.divide(lhs, required, out=required)
             np.copyto(required, 0.0, where=np.logical_not(act, out=act))
             k = int(np.argmax(required))
             self.hardest.append(e0 + k)
@@ -457,6 +493,7 @@ class _Screen:
             best = max(best, self._exact(i, best))
 
 
+@_ufunc_buffer(_BUFSIZE)
 def certify_contraction(t: MultivaluedOperator, variant: str = "ciric",
                         grid_n: int = 501,
                         margin_req: float = 0.0) -> ContractionCertificate:

@@ -720,27 +720,30 @@ def test_pair_system_matches_ordered_oracle(name, monkeypatch):
                     assert repr(float(ref[at])) == repr(margin), (case, a, b, g)
 
 
-@pytest.mark.parametrize("variant", certify.VARIANTS)
-@pytest.mark.parametrize("rows", [1, 2, 7, None])
-def test_pair_system_build_matches_allocating_reference(variant, rows, monkeypatch):
-    # built in the scratch rows, every stored bit, the hardest entries, their
-    # ratios and the active count equal the build that allocated per block;
-    # rows None is the default block size.  T(x) = {0.5 + 1e-15x} has no
-    # active pair, but a positive lhs / _reach at each, which must read 0
+#: the operator each variant's build is also checked on at grid 2001, where
+#: a row block's rows are 2 000 long
+_BUILD_2001 = dict(zip(certify.VARIANTS, ("square|0.5", "sqrt|0.75", "linear")))
+
+
+def _check_build_against_reference(variant: str, bufsize: int | None = None) -> None:
+    """Every stored bit, the hardest entries, their ratios and the active
+    count of _PairSystem, built at ufunc buffer size bufsize (None: as the
+    caller left it), equal allocating_pair_blocks at the caller's size.
+    T(x) = {0.5 + 1e-15x} has no active pair, but a positive lhs / _reach at
+    each, which must read 0."""
     cond = certify._CONDITIONS[variant]
-    if rows is not None:
-        monkeypatch.setattr(certify, "_block_rows", lambda n: rows)
     unit, tilt = setfix.Interval(0.0, 1.0), setfix.BoundaryFn(slope=1e-15, offset=0.5)
     tilted = setfix.MultivaluedOperator(setfix.Domain(unit), (setfix.Piece(unit, tilt, tilt),))
     for name in ("square|0.5", "sqrt|0.75", "linear", "tilt"):
         op = tilted if name == "tilt" else _named_operator(name)
-        for n in (2, 3, 101, 501):
+        for n in (2, 3, 101, 501, 2001) if name == _BUILD_2001[variant] else (2, 3, 101, 501):
             xs = op.domain.grid(n)
             lo, hi = op.eval_grid(xs)
-            pairs = certify._PairSystem(cond, xs, lo, hi)
             *ref, hardest, tops, active = allocating_pair_blocks(
                 cond, xs, lo, hi, certify._block_rows(n))
-            case = (name, n)
+            with certify._ufunc_buffer(bufsize or np.getbufsize()):
+                pairs = certify._PairSystem(cond, xs, lo, hi)
+            case = (name, n, bufsize)
             for got, want in zip((pairs.u, pairs.lhs, pairs.v, pairs.w), ref):
                 assert got.tobytes() == want.tobytes(), case
             assert pairs.hardest == hardest, case
@@ -748,26 +751,85 @@ def test_pair_system_build_matches_allocating_reference(variant, rows, monkeypat
             assert pairs.active == active, case
 
 
-@pytest.mark.parametrize("variant", certify.VARIANTS)
-def test_screen_bounds_match_candidate_major_reference(variant):
-    # the (rows x candidates) bounds equal the (candidates x rows) ones bit
-    # for bit, when the screen is built and after each row it adds
+def _check_screen_against_reference(variant: str, bufsize: int | None = None) -> None:
+    """The (rows x candidates) bounds, formed at ufunc buffer size bufsize
+    (None: as the caller left it), equal the (candidates x rows) ones at the
+    caller's size bit for bit, when the screen is built and after each row
+    it adds."""
     rng = np.random.default_rng(5)
     coef = certify._level0(variant)
+    size = bufsize or np.getbufsize()
     for name in ("square|0.5", "sqrt|0.75"):
         op = _named_operator(name)
         xs = op.domain.grid(101)
         pairs = certify._PairSystem(certify._CONDITIONS[variant], xs, *op.eval_grid(xs))
         rows = [(e, o) for e in [*pairs.hardest, int(np.argmax(pairs.lhs))]
                 for o in pairs.orientations]
-        screen = certify._Screen(coef, pairs, list(rows))
+        with certify._ufunc_buffer(size):
+            screen = certify._Screen(coef, pairs, list(rows))
         want = candidate_major_bounds(coef, *pairs.row_terms(rows))
-        assert screen.bounds.tobytes() == want.tobytes(), name
+        assert screen.bounds.tobytes() == want.tobytes(), (name, bufsize)
         for e in rng.integers(0, len(pairs.lhs), 5).tolist():
             row = (e, int(rng.integers(len(pairs.orientations))))
-            screen._tighten([row])
+            with certify._ufunc_buffer(size):
+                screen._tighten([row])
             np.minimum(want, candidate_major_bounds(coef, *pairs.row_terms([row])), out=want)
-            assert screen.bounds.tobytes() == want.tobytes(), (name, row)
+            assert screen.bounds.tobytes() == want.tobytes(), (name, row, bufsize)
+
+
+@pytest.mark.parametrize("variant", certify.VARIANTS)
+@pytest.mark.parametrize("rows", [1, 2, 7, None])
+def test_pair_system_build_matches_allocating_reference(variant, rows, monkeypatch):
+    # built in the scratch rows, the system equals the build that allocated
+    # per block; rows None is the default block size
+    if rows is not None:
+        monkeypatch.setattr(certify, "_block_rows", lambda n: rows)
+    _check_build_against_reference(variant)
+
+
+@pytest.mark.parametrize("variant", certify.VARIANTS)
+def test_screen_bounds_match_candidate_major_reference(variant):
+    _check_screen_against_reference(variant)
+
+
+@pytest.mark.parametrize("bufsize", [8192, certify._BUFSIZE, 16])
+@pytest.mark.parametrize("variant", certify.VARIANTS)
+def test_build_and_screen_bits_do_not_depend_on_the_buffer_size(variant, bufsize):
+    # numpy's default, certify's scoped size and a smaller one, against
+    # references at the default; block rows run from 1 to 2 000 elements,
+    # both shorter and longer than each size but the default
+    _check_build_against_reference(variant, bufsize)
+    _check_screen_against_reference(variant, bufsize)
+
+
+@pytest.mark.parametrize("caller", [None, 4096])
+def test_certify_runs_at_its_buffer_size_and_gives_the_callers_back(caller, monkeypatch):
+    # the build sees certify._BUFSIZE; on return and on a raise inside the
+    # scope the caller's size is back, numpy's default or one it set
+    reach, seen = certify._reach, []
+
+    def recording(*args, **kwargs):
+        seen.append(np.getbufsize())
+        return reach(*args, **kwargs)
+
+    def failing(*args, **kwargs):
+        raise ZeroDivisionError("reach")
+
+    op = _named_operator("sqrt|0.75")
+    default = np.getbufsize()
+    try:
+        if caller is not None:
+            np.setbufsize(caller)
+        monkeypatch.setattr(certify, "_reach", recording)
+        assert certify_contraction(op, grid_n=101).feasible
+        assert seen and set(seen) == {certify._BUFSIZE}
+        assert np.getbufsize() == (caller or default)
+        monkeypatch.setattr(certify, "_reach", failing)
+        with pytest.raises(ZeroDivisionError, match="reach"):
+            certify_contraction(op, grid_n=101)
+        assert np.getbufsize() == (caller or default)
+    finally:
+        np.setbufsize(default)
 
 
 def test_screen_raises_when_a_sweep_reports_a_wrong_pair(monkeypatch):
