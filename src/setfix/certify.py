@@ -590,6 +590,16 @@ def _grid_sup(xs: np.ndarray, num: np.ndarray, den: np.ndarray, skip: np.ndarray
     return GridSup(value, int(skip.sum()), arg)
 
 
+def _sup_l(t: MultivaluedOperator, tg: MultivaluedOperator, xstar: float, grid_n: int,
+           dist) -> GridSup:
+    """sup over grid x != x* of dist(x*, T(x)) / dist(x*, T_G(x)), skipping and
+    counting denominators below 1e-14."""
+    _verify_strict_point(xstar, t, tg)
+    den = dist(xstar, *tg.grid_values(grid_n, t.domain)[1:])
+    xs, lo, hi = t.grid_values(grid_n)
+    return _grid_sup(xs, dist(xstar, lo, hi), den, (xs == xstar) | (den < 1e-14), xstar)
+
+
 def sup_ratio_l(t: MultivaluedOperator, tg: MultivaluedOperator, xstar: float,
                 grid_n: int = 2001) -> GridSup:
     """sup over grid x != x* of H(T(x), {x*}) / H(T_G(x), {x*}).
@@ -598,21 +608,13 @@ def sup_ratio_l(t: MultivaluedOperator, tg: MultivaluedOperator, xstar: float,
     the comparison constant used by the convergence and quasi-contraction
     arguments.
     """
-    _verify_strict_point(xstar, t, tg)
-    den = hausdorff_to_point(*tg.grid_values(grid_n, t.domain)[1:], xstar)
-    xs, lo, hi = t.grid_values(grid_n)
-    return _grid_sup(xs, hausdorff_to_point(lo, hi, xstar), den,
-                     (xs == xstar) | (den < 1e-14), xstar)
+    return _sup_l(t, tg, xstar, grid_n, lambda p, lo, hi: hausdorff_to_point(lo, hi, p))
 
 
 def sup_gap_ratio_l(t: MultivaluedOperator, tg: MultivaluedOperator, xstar: float,
                     grid_n: int = 2001) -> GridSup:
     """Gap-based analogue: sup of D(T(x), {x*}) / D(T_G(x), {x*}) (weak variant)."""
-    _verify_strict_point(xstar, t, tg)
-    den = dist_to_value(xstar, *tg.grid_values(grid_n, t.domain)[1:])
-    xs, lo, hi = t.grid_values(grid_n)
-    return _grid_sup(xs, dist_to_value(xstar, lo, hi), den,
-                     (xs == xstar) | (den < 1e-14), xstar)
+    return _sup_l(t, tg, xstar, grid_n, dist_to_value)
 
 
 def displacement_constant_L(t: MultivaluedOperator, tg: MultivaluedOperator,

@@ -1,6 +1,6 @@
 """Exception hierarchy shared by all setfix modules, the JSON readers' helpers,
-``json_text``, the one writer of setfix's JSON outputs, and ``record``, the
-class decorator of setfix's value classes.
+``json_text`` and ``csv_text``, the one writers of setfix's JSON and CSV
+outputs, and ``record``, the class decorator of setfix's value classes.
 
 ``record`` gives a class with annotated fields what ``@dataclass(frozen=True)``
 gives it (``__init__``, ``==``, ``hash``, ``repr`` and frozen fields), from
@@ -131,6 +131,18 @@ def json_text(payload: object) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _cell(value) -> str:
+    return value if isinstance(value, str) else "" if value is None else repr(value)
+
+
+def csv_text(columns, rows) -> str:
+    """The CSV text of every setfix output: a header line of columns, then one
+    line per row of cells, a string cell as is, None empty, anything else its
+    repr.  No cell setfix writes holds a comma, a quote or a line break."""
+    lines = [columns, *(map(_cell, row) for row in rows)]
+    return "".join(",".join(line) + "\n" for line in lines)
+
+
 def json_keys(obj: object, keys, reader: str) -> None:
     """Raise SchemaError unless obj is a JSON object with no key outside keys."""
     if not isinstance(obj, dict):
@@ -171,31 +183,19 @@ def _missing(names: list) -> str:
     return " and ".join(quoted)
 
 
-def _comparison(test, fields):
-    """An ordering method: test on the field tuples of two records of one class."""
-    def compare(self, other):
-        if other.__class__ is self.__class__:
-            return test(fields(self), fields(other))
-        return NotImplemented
-    return compare
-
-
-def record(cls=None, *, frozen: bool = True, order: bool = False):
+def record(cls):
     """Class decorator: make the annotated fields of cls, in order, a value's
-    fields, as ``@dataclass(frozen=frozen, order=order)`` would.
+    fields, as ``@dataclass(frozen=True)`` would.
 
     A field's class attribute is its default; a ``factory`` gives each
     instance a fresh one.  ``__init__`` takes the fields by position or name
     and then calls ``__post_init__`` if the class has one.  A record equals
     only a record of its own class with equal fields, and its hash is that of
-    the tuple of its fields.  A frozen record raises FrozenInstanceError on
-    assignment and deletion (use object.__setattr__ in ``__post_init__``); a
-    record that is not frozen is unhashable.  order=True compares records of
-    one class as their field tuples.  The class keeps its field names, in
-    order, as ``_fields``.
+    the tuple of its fields (so a record with a dict field is unhashable).
+    Assignment and deletion raise FrozenInstanceError (use object.__setattr__
+    in ``__post_init__``).  The class keeps its field names, in order, as
+    ``_fields``.
     """
-    if cls is None:
-        return lambda c: record(c, frozen=frozen, order=order)
     names = tuple(vars(cls).get("__annotations__", {}))
     defaults, factories, hidden = {}, {}, set()
     for name in names:
@@ -258,27 +258,18 @@ def record(cls=None, *, frozen: bool = True, order: bool = False):
         body = ", ".join([f"{k}={getattr(self, k)!r}" for k in shown])
         return f"{self.__class__.__qualname__}({body})"
 
-    methods = {"__init__": __init__, "__eq__": __eq__, "__repr__": __repr__}
-    if frozen:
-        def __hash__(self):
-            return hash(fields(self))
+    def __hash__(self):
+        return hash(fields(self))
 
-        def __setattr__(self, name, value):
-            raise_frozen(f"cannot assign to field {name!r}")
+    def __setattr__(self, name, value):
+        raise_frozen(f"cannot assign to field {name!r}")
 
-        def __delattr__(self, name):
-            raise_frozen(f"cannot delete field {name!r}")
+    def __delattr__(self, name):
+        raise_frozen(f"cannot delete field {name!r}")
 
-        methods.update(__hash__=__hash__, __setattr__=__setattr__, __delattr__=__delattr__)
-    else:
-        methods["__hash__"] = None
-    if order:
-        for name in ("__lt__", "__le__", "__gt__", "__ge__"):
-            methods[name] = _comparison(getattr(operator, name), fields)
-    for name, method in methods.items():
-        if method is not None:
-            method.__name__, method.__qualname__ = name, f"{cls.__qualname__}.{name}"
-        setattr(cls, name, method)
+    for method in (__init__, __eq__, __repr__, __hash__, __setattr__, __delattr__):
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+        setattr(cls, method.__name__, method)
     cls._fields = names
     return cls
 

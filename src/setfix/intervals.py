@@ -70,7 +70,7 @@ VECTOR_MIN_PARTS = 20
 _set = object.__setattr__  # writes the slots of an immutable IntervalUnion
 
 
-@record(order=True)
+@record
 class Interval:
     """Closed bounded interval [lo, hi]; lo == hi encodes a point."""
 

@@ -10,13 +10,12 @@ and upper(x) - x of each piece, bisected on their monotone segments.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 
 import numpy as np
 
-from .errors import InsufficientDataError, OutOfDomainError, ParameterRangeError, record
+from .errors import (InsufficientDataError, OutOfDomainError, ParameterRangeError, csv_text,
+                     record)
 from .intervals import Interval, IntervalUnion, hausdorff, normalize
 from .operators import BoundaryFn, MultivaluedOperator
 
@@ -268,26 +267,14 @@ def orbit_steps(trace: OrbitTrace) -> list[dict]:
 
 
 def steps_to_csv(steps: list[dict]) -> str:
-    """Flatten orbit rows to CSV: n, part_i_lo, part_i_hi..., h_to_prev, h_to_target."""
-    max_parts = max(len(s["parts"]) for s in steps)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    header = ["n"]
-    for i in range(max_parts):
-        header += [f"part{i}_lo", f"part{i}_hi"]
-    header += ["h_to_prev", "h_to_target"]
-    writer.writerow(header)
-    for s in steps:
-        row: list[object] = [s["n"]]
-        for i in range(max_parts):
-            if i < len(s["parts"]):
-                row += [repr(s["parts"][i][0]), repr(s["parts"][i][1])]
-            else:
-                row += ["", ""]
-        row.append(repr(s["h_to_prev"]))
-        row.append("" if s["h_to_target"] is None else repr(s["h_to_target"]))
-        writer.writerow(row)
-    return buf.getvalue()
+    """Flatten orbit rows to CSV: n, part_i_lo, part_i_hi..., h_to_prev, h_to_target;
+    a row with fewer parts than the widest leaves the rest of its part cells empty."""
+    width = max(len(s["parts"]) for s in steps)
+    columns = ["n", *(f"part{i}_{end}" for i in range(width) for end in ("lo", "hi")),
+               "h_to_prev", "h_to_target"]
+    return csv_text(columns, ([s["n"], *(v for part in s["parts"] for v in part),
+                               *[""] * (2 * (width - len(s["parts"]))),
+                               s["h_to_prev"], s["h_to_target"]] for s in steps))
 
 
 def orbit_to_csv(trace: OrbitTrace) -> str:

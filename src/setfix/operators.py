@@ -662,22 +662,26 @@ def perturb(t: MultivaluedOperator, spec: PerturbationSpec) -> MultivaluedOperat
             f"perturbation {spec.to_json()} violates admissibility axioms: "
             f"max |G(x,x)-x| = {report.max_identity_dev:.3e}, witness = {report.witness}")
     a, b, c = spec.coefficients
-    pieces: list[Piece] = []
-    for pc in t.pieces:
-        low = pc.lower.compose_affine(a, b, c)
-        upp = pc.upper.compose_affine(a, b, c)
-        if b < 0.0:
-            low, upp = upp, low
-        pieces.append(Piece(pc.sub, low, upp))
     if isinstance(spec, Takahashi):
         label = f"takahashi({spec.lam:g})"
     else:
         label = f"general({a:g},{b:g},{c:g})"
+
+    def ends(pc: Piece) -> tuple[BoundaryFn, BoundaryFn]:
+        low, upp = pc.lower.compose_affine(a, b, c), pc.upper.compose_affine(a, b, c)
+        return (upp, low) if b < 0.0 else (low, upp)
+    return _remap(t, ends, f"|{label}", f"perturbation {spec.to_json()}")
+
+
+def _remap(t: MultivaluedOperator, ends, suffix: str, what: str) -> MultivaluedOperator:
+    """T with each piece's (lower, upper) replaced by ends(piece), named T's name
+    + suffix; a NotSelfMapError names what was done to T."""
+    pieces = tuple(Piece(pc.sub, *ends(pc)) for pc in t.pieces)
     base_name = t.name or "operator"
     try:
-        return MultivaluedOperator(t.domain, tuple(pieces), name=f"{base_name}|{label}")
+        return MultivaluedOperator(t.domain, pieces, name=base_name + suffix)
     except NotSelfMapError as exc:
-        raise NotSelfMapError(f"perturbation {spec.to_json()} of {base_name}: {exc}") from exc
+        raise NotSelfMapError(f"{what} of {base_name}: {exc}") from exc
 
 
 # -- built-in operators ----------------------------------------------------------
@@ -733,11 +737,5 @@ def constant_operator(dom: Domain, value: float, name: str = "") -> MultivaluedO
 def shift_operator(t: MultivaluedOperator, delta: float) -> MultivaluedOperator:
     """T(x) + delta (value translation).  Raises NotSelfMapError if the
     self-map property breaks."""
-    pieces = tuple(
-        Piece(pc.sub, pc.lower.shifted(delta), pc.upper.shifted(delta))
-        for pc in t.pieces)
-    base_name = t.name or "operator"
-    try:
-        return MultivaluedOperator(t.domain, pieces, name=f"{base_name}+{delta:g}")
-    except NotSelfMapError as exc:
-        raise NotSelfMapError(f"shift by {delta!r} of {base_name}: {exc}") from exc
+    return _remap(t, lambda pc: (pc.lower.shifted(delta), pc.upper.shifted(delta)),
+                  f"+{delta:g}", f"shift by {delta!r}")

@@ -9,9 +9,10 @@ precisely to keep reports reproducible.
 
 Harness preconditions that fail (an infeasible certificate, a comparison
 constant >= 1, a variant other than ciric, for which no harness constant is
-derived) downgrade the affected verdicts to not-applicable instead of
-erroring; the exit contract counts a run as OK iff every verdict holds or
-is not-applicable and every requested orbit converged.
+derived, a well-posedness displacement below the float resolution at x*)
+downgrade the affected verdicts to not-applicable instead of erroring; the
+exit contract counts a run as OK iff every verdict holds or is
+not-applicable and every requested orbit converged.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .certify import (
     variant_reason,
 )
 from .errors import (
+    ConstructionFailedError,
     HypothesisFailedError,
     InsufficientDataError,
     NoApproximateSolutionsError,
@@ -41,6 +43,7 @@ from .errors import (
     ParameterRangeError,
     SchemaError,
     StrictFixedPointMismatchError,
+    csv_text,
     factory,
     fields_dict,
     is_json_int,
@@ -262,7 +265,7 @@ def load_scenario(source: str | Path) -> Scenario:
     return scenario_from_dict(obj, name=name)
 
 
-@record(frozen=False)
+@record
 class RunReport:
     """Full result of one scenario run.  Timing stays in memory only."""
 
@@ -328,7 +331,7 @@ def _run_stability(scenario: Scenario, t: MultivaluedOperator,
             report = harness.run(r, options[key])
         except (ParameterRangeError, NoStrictFixedPointError,
                 StrictFixedPointMismatchError, HypothesisFailedError,
-                NoApproximateSolutionsError) as exc:  # a violated premise
+                NoApproximateSolutionsError, ConstructionFailedError) as exc:  # a violated premise
             report = st.not_applicable(harness.property, f"{type(exc).__name__}: {exc}")
         out.append(report.to_json())
     return out
@@ -408,17 +411,6 @@ def run_scenario(source: str | Path | Scenario) -> RunReport:
     )
 
 
-def _cell(value) -> str:
-    return value if isinstance(value, str) else "" if value is None else repr(value)
-
-
-def _table(rows: list[dict], columns: tuple[str, ...]) -> str:
-    """CSV of the columns of rows, with a header line: a string cell as is,
-    None empty, anything else its repr."""
-    lines = [columns, *([_cell(row[c]) for c in columns] for row in rows)]
-    return "".join(",".join(line) + "\n" for line in lines)
-
-
 def emit_report(report: RunReport, fmt: str = "json") -> dict[str, str]:
     """Serialize a report; returns {relative filename: content}.
 
@@ -431,13 +423,15 @@ def emit_report(report: RunReport, fmt: str = "json") -> dict[str, str]:
         return {"report.json": json_text(report.to_dict())}
     if fmt != "csv":
         raise SchemaError(f"unknown report format {fmt!r}")
-    files = {
-        "verdicts.csv": _table(report.stability, (
+    tables = {
+        "verdicts.csv": (report.stability, (
             "property", "holds", "applicable", "constant", "samples", "worst_ratio")),
-        "orbits_summary.csv": _table(report.orbits, (
+        "orbits_summary.csv": (report.orbits, (
             "operator", "x0", "steps", "converged", "final_h_to_prev",
             "final_h_to_target", "rate")),
     }
+    files = {name: csv_text(columns, ([row[c] for c in columns] for row in rows))
+             for name, (rows, columns) in tables.items()}
     for i, orbit in enumerate(report.orbits):
         files[f"orbit_{i}_{orbit['operator']}.csv"] = steps_to_csv(orbit["trace"])
     return files

@@ -209,13 +209,6 @@ def _ratio(lhs, rhs) -> np.ndarray:
     return out
 
 
-def _float_ratio(lhs: float, rhs: float) -> float:
-    """_ratio of two floats, in plain Python."""
-    if rhs >= 1e-300:
-        return lhs / rhs
-    return 0.0 if lhs <= 1e-12 else math.inf
-
-
 def ulam_hyers_constant(params: ContractionParams, L: float) -> float:
     """The explicit stability constant L(1+beta)/(1-alpha-beta-gamma)."""
     return L * (1.0 + params.beta) / (1.0 - params.alpha - params.beta - params.gamma)
@@ -493,8 +486,7 @@ def ostrowski_verify(t: MultivaluedOperator, xstar: float, params: ContractionPa
     v = bounds.clamp(x0)
     d0 = abs(v - xstar)
     ct = 0.0
-    worst = 0.0
-    worst_step = None
+    steps = []  # per step: r, delta, |v_{n+1} - x*| and its bound
     for n in range(n_max):
         image = t.eval(v)
         base = nearest_point(image, v)
@@ -506,14 +498,13 @@ def ostrowski_verify(t: MultivaluedOperator, xstar: float, params: ContractionPa
             # the permitted perturbation, so take the plain selection step
             v_next = base
             r = dist_point_to_set(v_next, image)
-        r_ratio = _float_ratio(r, delta)
         ct = k * ct + r
-        bound = pref * ct + k ** (n + 1) * d0
-        b_ratio = _float_ratio(abs(v_next - xstar), bound)
-        step_worst = max(r_ratio, b_ratio)
-        if step_worst > worst:
-            worst, worst_step = step_worst, n
+        steps.append((r, delta, abs(v_next - xstar), pref * ct + k ** (n + 1) * d0))
         v = v_next
+    r, delta, err, bound = np.array(steps).T
+    ratio = np.maximum(_ratio(r, delta), _ratio(err, bound))
+    i = int(np.argmax(ratio))
+    worst, worst_step = (float(ratio[i]), i) if ratio[i] > 0.0 else (0.0, None)
     final_err = abs(v - xstar)
     worst = max(worst, final_err / final_tol)
     details = {

@@ -10,7 +10,8 @@ scans of the parts, a part scan for the nearest point, the merging loop of
 normalize, a scalar bisection per residual band, a per-piece eval_grid, the
 closed-form extrema and np.roots order check of the terms, and the pair
 system, screen bounds and sign-change bisection before they stopped
-allocating or calling value per midpoint); from the library they use only
+allocating or calling value per midpoint, and the csv.writer orbit file
+before every CSV file took one writer); from the library they use only
 operator evaluation (eval, eval_grid and its single-interval closed forms,
 and term values and ranges), constants and result types.  exact_end_signs
 reads a term in rational arithmetic, with no float evaluation at all.
@@ -18,6 +19,8 @@ reads a term in rational arithmetic, with no float evaluation at all.
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import math
 from bisect import bisect_right
@@ -52,6 +55,30 @@ from setfix.errors import (
 from setfix.intervals import AMBIENT_TOL, MERGE_EPS, dist_point_to_set, hausdorff
 from setfix.iteration import FixedPointScan
 from setfix.operators import ORDER_SLACK, dist_to_value, hausdorff_between_values
+
+
+def csv_writer_steps(steps: list[dict]) -> str:
+    """Orbit report rows as CSV through csv.writer: n, part_i_lo, part_i_hi...,
+    h_to_prev, h_to_target, with empty cells past a row's parts."""
+    max_parts = max(len(s["parts"]) for s in steps)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    header = ["n"]
+    for i in range(max_parts):
+        header += [f"part{i}_lo", f"part{i}_hi"]
+    header += ["h_to_prev", "h_to_target"]
+    writer.writerow(header)
+    for s in steps:
+        row: list[object] = [s["n"]]
+        for i in range(max_parts):
+            if i < len(s["parts"]):
+                row += [repr(s["parts"][i][0]), repr(s["parts"][i][1])]
+            else:
+                row += ["", ""]
+        row.append(repr(s["h_to_prev"]))
+        row.append("" if s["h_to_target"] is None else repr(s["h_to_target"]))
+        writer.writerow(row)
+    return buf.getvalue()
 
 
 def set_grid(u: IntervalUnion, h: float) -> np.ndarray:

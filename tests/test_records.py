@@ -202,10 +202,11 @@ def test_frozen_fields(name):
     assert x == SAMPLES[name]()
 
 
-def test_run_report_is_mutable_and_unhashable():
+def test_run_report_is_frozen_and_unhashable():
     report = SAMPLES["RunReport"]()
-    report.timing = {"scan": 1.0}
-    assert report.timing == {"scan": 1.0}
+    with pytest.raises(dataclasses.FrozenInstanceError, match="cannot assign to field 'timing'"):
+        report.timing = {"scan": 1.0}
+    assert report.timing == {}
     with pytest.raises(TypeError, match="unhashable"):
         hash(report)
 
@@ -320,13 +321,9 @@ def test_post_init_checks_keep_their_messages(call, error, message):
     assert type(err.value) is error and str(err.value) == message
 
 
-def test_interval_orders_as_its_endpoint_pair():
-    parts = [Interval(1.0, 2.0), Interval(0.0, 3.0), Interval(0.0, 1.0)]
-    assert sorted(parts) == [Interval(0.0, 1.0), Interval(0.0, 3.0), Interval(1.0, 2.0)]
-    assert Interval(0.0, 1.0) <= Interval(0.0, 1.0) < Interval(0.0, 2.0)
-    assert Interval(1.0, 1.0) >= Interval(0.0, 5.0) > Interval(0.0, 4.0)
+def test_intervals_are_not_ordered():
     with pytest.raises(TypeError):
-        Interval(0.0, 1.0) < (0.0, 2.0)
+        Interval(0.0, 1.0) < Interval(0.0, 2.0)
 
 
 @pytest.mark.parametrize("round_trip", [copy.copy, copy.deepcopy,

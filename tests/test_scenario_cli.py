@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +9,7 @@ import setfix
 from setfix import RunReport, SchemaError, load_scenario, run_scenario, scenario_from_dict
 from setfix.cli import main as cli_main
 from setfix.errors import json_text
-from setfix.iteration import orbit_summary
+from setfix.iteration import orbit_summary, steps_to_csv
 from setfix.scenario import (
     HARNESSES,
     _HARNESS_TABLE,
@@ -16,6 +17,22 @@ from setfix.scenario import (
     emit_report,
     write_report,
 )
+
+from oracles import csv_writer_steps
+
+
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+
+#: Orbit report rows of 1, 2 and 3 parts, with signed zeros, subnormal-sized
+#: and negative values and a None target.
+_STEP_ROWS = [
+    {"n": 0, "parts": [[-0.0, 1e-300]], "h_to_prev": 0.0, "h_to_target": None},
+    {"n": 1, "parts": [[-2.5, -1e-300], [0.1, 0.30000000000000004]], "h_to_prev": 1e-300,
+     "h_to_target": -0.0},
+    {"n": 2, "parts": [[-1.0, -0.5], [0.0, 0.0], [1.5, 2.0]], "h_to_prev": 5e-324,
+     "h_to_target": 2.220446049250313e-16},
+    {"n": 3, "parts": [[-1e300, 1e-300]], "h_to_prev": -0.0, "h_to_target": -3.0},
+]
 
 
 def minimal_scenario(**overrides) -> dict:
@@ -291,6 +308,19 @@ class TestDeterminismAndRoundTrip:
             "operator,x0,steps,converged,final_h_to_prev,final_h_to_target,rate\n"
             "TG,0.5,1,False,0.1,,\n")
 
+    @pytest.mark.parametrize("steps", [
+        _STEP_ROWS[:1], _STEP_ROWS[1:2], _STEP_ROWS[2:3], _STEP_ROWS, _STEP_ROWS[::-1]])
+    def test_orbit_csv_matches_the_csv_writer(self, steps):
+        assert steps_to_csv(steps) == csv_writer_steps(steps)
+
+    @pytest.mark.parametrize("name", builtin_scenario_names())
+    def test_golden_orbit_files_match_the_csv_writer(self, name):
+        report = RunReport.from_dict(json.loads((GOLDEN / f"{name}.json").read_text()))
+        files = emit_report(report, "csv")
+        assert report.orbits
+        for i, orbit in enumerate(report.orbits):
+            assert files[f"orbit_{i}_{orbit['operator']}.csv"] == csv_writer_steps(orbit["trace"])
+
     def test_json_text(self):
         assert json_text({"b": None, "a": [1.5, True]}) == (
             '{\n  "a": [\n    1.5,\n    true\n  ],\n  "b": null\n}\n')
@@ -560,6 +590,21 @@ class TestStabilityOptions:
         assert fails["details"]["reason"].startswith(
             "HypothesisFailedError: psi-MP premise |x-x*| <= Psi(D(x,T_G(x))) "
             "fails at x=1.0074999999999998")
+
+    def test_well_posedness_below_float_resolution_is_not_applicable(self, tmp_path):
+        # at rho = 0.5 the requested displacement r_n falls below the float
+        # resolution at x* = 1 before n_max, and no point realizes it
+        spath = tmp_path / "rho.json"
+        spath.write_text(json.dumps(packaged_with_options(
+            well_posed={"r0": 0.1, "rho": 0.5, "n_max": 60})))
+        out = tmp_path / "rho_report.json"
+        assert cli_main(["run", str(spath), "--out", str(out)]) == 0
+        reports = {rep["property"]: rep for rep in json.loads(out.read_text())["stability"]}
+        assert list(reports) == [_HARNESS_TABLE[key].property for key in HARNESSES]
+        well_posed = reports.pop("WellPosed")
+        assert well_posed["applicable"] is False
+        assert well_posed["details"]["reason"].startswith("ConstructionFailedError: ")
+        assert all(rep["holds"] or not rep["applicable"] for rep in reports.values())
 
     def test_cli_exits_2_on_malformed_option(self, tmp_path, capsys):
         spath = tmp_path / "bad.json"
