@@ -44,8 +44,9 @@ whose results do not depend on how numpy chunks the loop.
 Grid sweeps read each operator's values from its grid table
 (MultivaluedOperator.grid_values: eval_grid once per operator and grid size,
 on first use, kept on the operator) and apply the single-interval closed
-forms in operators to them.  T_G on T's domain object reads its own table;
-an operator on another domain is evaluated at T's grid on each call.  The
+forms in operators to them.  T_G is read at T's grid through
+operators.paired_values: from its own table if it is on the same X as T (by
+value), else by eval_grid at T's grid on each call.  The
 strict fixed point x* comes from the caller
 (SFix(T) from scan_fixed_points in run_scenario, or
 unique_strict_fixed_point), checked by one eval at iteration.STRICT_TOL.
@@ -80,6 +81,7 @@ from .operators import (
     dist_to_value,
     hausdorff_between_values,
     hausdorff_to_point,
+    paired_values,
 )
 
 
@@ -595,7 +597,7 @@ def _sup_l(t: MultivaluedOperator, tg: MultivaluedOperator, xstar: float, grid_n
     """sup over grid x != x* of dist(x*, T(x)) / dist(x*, T_G(x)), skipping and
     counting denominators below 1e-14."""
     _verify_strict_point(xstar, t, tg)
-    den = dist(xstar, *tg.grid_values(grid_n, t.domain)[1:])
+    den = dist(xstar, *paired_values(t, tg, grid_n))
     xs, lo, hi = t.grid_values(grid_n)
     return _grid_sup(xs, dist(xstar, lo, hi), den, (xs == xstar) | (den < 1e-14), xstar)
 
@@ -625,9 +627,9 @@ def displacement_constant_L(t: MultivaluedOperator, tg: MultivaluedOperator,
     denominator with nonvanishing numerator yields +inf.  For the Takahashi
     combination the ratio is identically 1 - lam.
     """
-    xs, glo, ghi = tg.grid_values(grid_n, t.domain)
-    num = dist_to_value(xs, glo, ghi)
-    den = dist_to_value(xs, *t.grid_values(grid_n)[1:])
+    xs, lo, hi = t.grid_values(grid_n)
+    num = dist_to_value(xs, *paired_values(t, tg, grid_n))
+    den = dist_to_value(xs, lo, hi)
     zero = den < 1e-14
     skip = zero & (num < 1e-14)
     blowup = np.flatnonzero(zero & ~skip)

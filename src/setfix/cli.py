@@ -12,18 +12,19 @@ from .iteration import orbit_summary, orbit_to_csv, picard_orbit
 from .operators import BUILTIN_OPERATORS, MultivaluedOperator, Takahashi, get_builtin, perturb
 
 
-def _resolve_operator(spec: str) -> MultivaluedOperator:
-    if spec in BUILTIN_OPERATORS:
-        return get_builtin(spec)
-    path = Path(spec)
-    obj = read_json(path, f"operator file {spec!r}")
-    return MultivaluedOperator.from_json(obj, name=path.stem)
+def _operator_spec(arg: str) -> str | dict:
+    """The operator argument as a scenario names an operator: a built-in
+    name, or the object in an operator JSON file."""
+    return arg if arg in BUILTIN_OPERATORS else read_json(Path(arg), f"operator file {arg!r}")
 
 
-def _maybe_perturbed(op: MultivaluedOperator, lam: float | None) -> MultivaluedOperator:
-    if lam is None:
-        return op
-    return perturb(op, Takahashi(lam))
+def _operator(args) -> MultivaluedOperator:
+    """The operator that certify and iterate run on: T, from _operator_spec,
+    or with --perturb-lam its Takahashi perturbation."""
+    spec = _operator_spec(args.operator)
+    t = (get_builtin(spec) if isinstance(spec, str)
+         else MultivaluedOperator.from_json(spec, name=Path(args.operator).stem))
+    return t if args.perturb_lam is None else perturb(t, Takahashi(args.perturb_lam))
 
 
 def _dump(payload: dict, out: str | None) -> None:
@@ -58,6 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run a scenario file or built-in scenario")
     p_run.add_argument("scenario", help="path to a scenario JSON or a built-in name")
     _add_shared(p_run, "grid", "tol", "out", "format")
+    p_run.set_defaults(handler=_cmd_run)
 
     p_cert = sub.add_parser("certify", help="certify a contraction condition")
     p_cert.add_argument("operator", help="built-in operator name or operator JSON path")
@@ -71,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "b*[D(x,Tx)+D(y,Ty)] + g*[D(x,Ty)+D(y,Tx)], a+2b+2g < 1")
     p_cert.add_argument("--margin-req", type=float, default=0.0)
     _add_shared(p_cert, "grid", "out")
-    p_cert.set_defaults(grid=501)
+    p_cert.set_defaults(grid=501, handler=_cmd_certify)
 
     p_iter = sub.add_parser("iterate", help="run Picard set orbits")
     p_iter.add_argument("operator")
@@ -80,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_iter.add_argument("--target", type=float, default=None)
     p_iter.add_argument("--max-n", type=int, default=10_000)
     _add_shared(p_iter, "tol", "out", "format")
-    p_iter.set_defaults(tol=1e-10)
+    p_iter.set_defaults(tol=1e-10, handler=_cmd_iterate)
 
     p_stab = sub.add_parser("stability", help="run the stability suite via a scenario")
     p_stab.add_argument("operator")
@@ -88,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_stab.add_argument("--harness", action="append", default=None,
                         help="restrict to specific harnesses (repeatable)")
     _add_shared(p_stab, "grid", "out")
-    p_stab.set_defaults(grid=501)
+    p_stab.set_defaults(grid=501, handler=_cmd_stability)
     return parser
 
 
@@ -111,14 +113,13 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    op = _maybe_perturbed(_resolve_operator(args.operator), args.perturb_lam)
-    cert = certify_contraction(op, args.variant, args.grid, args.margin_req)
+    cert = certify_contraction(_operator(args), args.variant, args.grid, args.margin_req)
     _dump(cert.to_json(), args.out)
     return 0
 
 
 def _cmd_iterate(args) -> int:
-    op = _maybe_perturbed(_resolve_operator(args.operator), args.perturb_lam)
+    op = _operator(args)
     payload = []
     csv_parts = []
     for x0 in args.x0:
@@ -139,11 +140,9 @@ def _cmd_iterate(args) -> int:
 def _cmd_stability(args) -> int:
     from .scenario import run_scenario, scenario_from_dict
 
-    name = args.operator if args.operator in BUILTIN_OPERATORS else None
-    operator_spec = name or read_json(Path(args.operator), f"operator file {args.operator!r}")
     scenario_dict = {
         "name": "cli_stability",
-        "operator": operator_spec,
+        "operator": _operator_spec(args.operator),
         "perturbation": {"kind": "takahashi", "lam": args.perturb_lam},
         "analyses": ["certify", "stability"],
         "grid_n": args.grid,
@@ -159,25 +158,15 @@ def _cmd_stability(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "certify":
-            return _cmd_certify(args)
-        if args.command == "iterate":
-            return _cmd_iterate(args)
-        if args.command == "stability":
-            return _cmd_stability(args)
+        return args.handler(args)
     except SetfixError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
-    parser.error(f"unknown command {args.command!r}")
-    return 2
 
 
 if __name__ == "__main__":

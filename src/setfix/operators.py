@@ -411,19 +411,11 @@ class MultivaluedOperator:
             lo, hi = np.where(swap, hi, lo), np.where(swap, lo, hi)
         return _clamp(lo, b), _clamp(hi, b)
 
-    def grid_values(self, n: int, domain: Domain | None = None
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(xs, lo, hi): xs = domain.grid(n), the operator's own domain by
-        default, and (lo, hi) = eval_grid(xs).
-
-        On its own domain the table is computed on first use and kept on the
-        operator, and every call returns the same read-only arrays.  The grid
-        of another domain is evaluated on each call, with eval_grid's values
-        and errors.
-        """
-        if domain is not None and domain is not self.domain:
-            xs = domain.grid(n)
-            return (xs, *self.eval_grid(xs))
+    def grid_values(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(xs, lo, hi): xs = domain.grid(n) and (lo, hi) = eval_grid(xs),
+        computed on first use and kept on the operator, so every call returns
+        the same read-only arrays.  paired_values reads another operator at
+        this grid."""
         table = self._grids.get(n)
         if table is None:
             xs = self.domain.grid(n)
@@ -535,6 +527,19 @@ class MultivaluedOperator:
             return cls(Domain(Interval(float(dom[0]), float(dom[1]))), tuple(pieces), name=name)
         except ValueError as exc:
             raise SchemaError(f"invalid operator: {exc}") from exc
+
+
+def paired_values(t: MultivaluedOperator, f: MultivaluedOperator,
+                  n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) of F(x) at each x of T's grid t.grid_values(n)[0].
+
+    An F on the same X as T (equal bounds, the same Domain object or not)
+    reads its own grid table.  An F on another X is evaluated at T's grid on
+    each call, with eval_grid's values and errors.
+    """
+    if f.domain == t.domain:
+        return f.grid_values(n)[1:]
+    return f.eval_grid(t.grid_values(n)[0])
 
 
 # -- functionals of single-interval values ---------------------------------------

@@ -13,9 +13,10 @@ actually used, and worst-case evidence:
 * quasi-contraction    H(T(x),{x*}) <= l k |x - x*|  (gap-based weak variant)
 
 D(x, T(x)) comes from eval_grid throughout: on a domain grid from the
-operator's grid_values table, computed once per operator and grid size; the
+operator's grid_values table, computed once per operator and grid size, with
+T_G and F read at T's grid through operators.paired_values; the
 well-posedness points u_n are found by one bisection run in lockstep over all
-their residual bands.
+their residual bands, which also gives their residuals.
 
 Every harness takes the strict fixed point x* of T after its operators:
 run_scenario passes it when SFix(T) is one isolated point, direct callers
@@ -80,6 +81,7 @@ from .operators import (
     dist_to_value,
     hausdorff_between_values,
     hausdorff_to_point,
+    paired_values,
 )
 
 #: Verdict slack shared by every harness: holds <=> worst_ratio <= 1 + HOLDS_TOL.
@@ -192,14 +194,19 @@ def unique_strict_fixed_point(t: MultivaluedOperator) -> float:
     return scan.xstar
 
 
-def _comparison_strict(f: MultivaluedOperator) -> tuple[list, np.ndarray]:
-    """SFix(F) as report rows, and its part ends, where |y - x*| peaks."""
+def _comparison(t: MultivaluedOperator, f: MultivaluedOperator,
+                grid_n: int) -> tuple[list, np.ndarray, float, float]:
+    """SFix(F) as report rows and its part ends, where |y - x*| peaks, and
+    eta = sup H(T(x), F(x)) over T's grid with its first argmax."""
     scan = scan_fixed_points(f)
     if not scan.strict:
         raise NoStrictFixedPointError(
             f"comparison operator {f.name or '<anonymous>'} has no strict fixed point")
     ends = [v for e in scan.strict for v in (e if isinstance(e, tuple) else (e,))]
-    return scan.to_json()["strict"], np.array(ends)
+    xs, lo, hi = t.grid_values(grid_n)
+    eta, eta_arg = _sup_on_grid(hausdorff_between_values(lo, hi, *paired_values(t, f, grid_n)),
+                                xs, float(t.domain.bounds.lo))
+    return scan.to_json()["strict"], np.array(ends), eta, eta_arg
 
 
 def _ratio(lhs, rhs) -> np.ndarray:
@@ -226,18 +233,13 @@ def data_dependence_verify(t: MultivaluedOperator, f: MultivaluedOperator,
     if reason is not None:
         return not_applicable("DataDependence", reason)
     _verify_strict_point(xstar, t)
-    strict, ends = _comparison_strict(f)
+    strict, ends, eta, eta_arg = _comparison(t, f, grid_n)
     xi = retraction_displacement_check(t, params, L, xstar, grid_n)
     if not xi.holds:
         return not_applicable(
             "DataDependence",
             "retraction-displacement condition failed on the grid (xi_max < 1e-6)")
     K = L * (1.0 + params.gamma) / ((1.0 - params.alpha - params.beta) * xi.xi_max)
-
-    xs, lo, hi = t.grid_values(grid_n)
-    eta, eta_arg = _sup_on_grid(
-        hausdorff_between_values(lo, hi, *f.grid_values(grid_n, t.domain)[1:]), xs,
-        float(t.domain.bounds.lo))
     worst, worst_y = _sup_on_grid(_ratio(np.abs(ends - xstar), K * eta), ends, None)
     details = {
         "eta": eta, "eta_argmax": eta_arg, "K_tilde": K, "xi_used": xi.xi_max,
@@ -260,11 +262,11 @@ def psi_mp_data_dependence(t: MultivaluedOperator, f: MultivaluedOperator,
     if c <= 0.0:
         raise ParameterRangeError("psi-MP comparison needs c > 0")
     _verify_strict_point(xstar, t, tg)
-    xs, glo, ghi = tg.grid_values(grid_n, t.domain)
+    xs, lo, hi = t.grid_values(grid_n)
     err = np.abs(xs - xstar)
 
     worst_premise, worst_x = _sup_on_grid(
-        _ratio(err, psi(dist_to_value(xs, glo, ghi))), xs, None)
+        _ratio(err, psi(dist_to_value(xs, *paired_values(t, tg, grid_n)))), xs, None)
     if worst_premise > 1.0 + HOLDS_TOL:
         raise HypothesisFailedError(
             f"psi-MP premise |x-x*| <= Psi(D(x,T_G(x))) fails at x={worst_x!r} "
@@ -274,9 +276,7 @@ def psi_mp_data_dependence(t: MultivaluedOperator, f: MultivaluedOperator,
         raise HypothesisFailedError(
             f"displacement premise fails: c={c} < sup D(x,T_G(x))/D(x,T(x)) = {disp.value}")
 
-    strict, ends = _comparison_strict(f)
-    lo, hi = t.grid_values(grid_n)[1:]
-    eta = float(np.max(hausdorff_between_values(lo, hi, *f.grid_values(grid_n, t.domain)[1:])))
+    strict, ends, eta, _ = _comparison(t, f, grid_n)
     worst = max(float(np.max(_ratio(err, psi(c * dist_to_value(xs, lo, hi))))),
                 float(np.max(_ratio(np.abs(ends - xstar), psi(c * eta)))))
     details = {
@@ -357,17 +357,18 @@ def ulam_hyers_verify(t: MultivaluedOperator, tg: MultivaluedOperator,
 
 
 def _points_with_residuals(t: MultivaluedOperator, xstar: float,
-                           r: np.ndarray) -> np.ndarray:
-    """u_n with D(u_n, T(u_n)) in [r_n/2, r_n] for each r_n > 0, else x*: per
-    side (right first, tried if the residual brackets the band's midpoint),
-    200 halvings from x* outward and one last midpoint, in lockstep over the
-    bands still open; the first midpoint in its band wins."""
+                           r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """u_n with D(u_n, T(u_n)) in [r_n/2, r_n] for each r_n > 0, else x*, and
+    those residuals D(u_n, T(u_n)): per side (right first, tried if the
+    residual brackets the band's midpoint), 200 halvings from x* outward and
+    one last midpoint, in lockstep over the bands still open; the first
+    midpoint in its band wins."""
     lo, hi = 0.5 * r, r
     target = 0.5 * (lo + hi)
     b = t.domain.bounds
     ends = np.array([xstar, b.hi, b.lo])
     at_star, *at_far = dist_to_value(ends, *t.eval_grid(ends))
-    u = np.full(len(r), xstar)
+    u, res = np.full(len(r), xstar), np.full(len(r), at_star)
     open_ = r > 0.0
     for far, at_end in zip((b.hi, b.lo), at_far):
         idx = np.flatnonzero(open_ & (at_star - target <= 0.0) & (at_end - target >= 0.0))
@@ -378,7 +379,7 @@ def _points_with_residuals(t: MultivaluedOperator, xstar: float,
             m = 0.5 * (a + z)
             d = dist_to_value(m, *t.eval_grid(m))
             hit = (lo[idx] <= d) & (d <= hi[idx])
-            u[idx[hit]] = m[hit]
+            u[idx[hit]], res[idx[hit]] = m[hit], d[hit]
             open_[idx[hit]] = False
             below = d - target[idx] < 0.0
             a, z = np.where(below, m, a)[~hit], np.where(below, z, m)[~hit]
@@ -387,7 +388,7 @@ def _points_with_residuals(t: MultivaluedOperator, xstar: float,
         n = int(np.argmax(open_))
         raise ConstructionFailedError(
             f"no point with displacement in [{lo[n]:.3e}, {hi[n]:.3e}] reachable by bisection")
-    return u
+    return u, res
 
 
 def well_posedness_verify(t: MultivaluedOperator, xstar: float,
@@ -411,11 +412,11 @@ def well_posedness_verify(t: MultivaluedOperator, xstar: float,
             {"sequence": sequence_spec.to_json()})
     _verify_strict_point(xstar, t)
     c = ulam_hyers_constant(params, L)
-    u = _points_with_residuals(
+    u, res = _points_with_residuals(
         t, xstar, np.array([sequence_spec.value(n) for n in range(n_max + 1)]))
     err = np.abs(u - xstar)
     # u_n = x* where r_n <= 0, so its ratio is 0
-    worst = float(np.max(_ratio(err, c * dist_to_value(u, *t.eval_grid(u)))))
+    worst = float(np.max(_ratio(err, c * res)))
     details = {
         "c": c, "fixed_point": xstar, "final_error": float(err[-1]),
         "sequence": sequence_spec.to_json(), "n_max": n_max,

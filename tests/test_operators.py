@@ -39,6 +39,7 @@ from setfix.operators import (
     dist_to_value,
     hausdorff_between_values,
     hausdorff_to_point,
+    paired_values,
 )
 from setfix.intervals import AMBIENT_TOL
 from oracles import (
@@ -296,19 +297,30 @@ class TestGridValues:
         assert not np.array_equal(hi, ghi)
         assert all(_bits(a).tobytes() == _bits(b).tobytes()
                    for a, b in zip((glo, ghi), tg.eval_grid(t.domain.grid(101))))
-        # reading T_G's table on T's domain object is reading its own
-        assert tg.grid_values(101, t.domain)[2] is ghi
+        # reading T_G at T's grid on T's domain object is reading its own table
+        assert paired_values(t, tg, 101)[1] is ghi
 
-    def test_another_domain_gives_the_values_on_its_grid(self):
+    def test_an_equal_but_separate_domain_reads_its_own_table(self):
         t = setfix.sqrt_example()
-        xs, lo, hi = t.grid_values(101, Domain(Interval(0.5, 2.0)))
-        want = Domain(Interval(0.5, 2.0)).grid(101)
-        assert np.array_equal(xs, want) and lo.flags.writeable
-        assert all(np.array_equal(a, b) for a, b in zip((lo, hi), per_piece_eval_grid(t, want)))
+        twin = MultivaluedOperator.from_json(perturb(t, Takahashi(0.75)).to_json())
+        assert twin.domain == t.domain and twin.domain is not t.domain
+        lo, hi = paired_values(t, twin, 101)
+        assert lo is twin.grid_values(101)[1] and hi is twin.grid_values(101)[2]
+        again = paired_values(t, twin, 101)
+        assert again[0] is lo and again[1] is hi
+
+    def test_another_domain_gives_the_values_at_t_grid(self):
+        t = setfix.sqrt_example()
+        wide = perturb(_sqrt_like(5.0), Takahashi(0.75))
+        lo, hi = paired_values(t, wide, 101)
+        assert lo.flags.writeable and lo is not paired_values(t, wide, 101)[0]
+        want = per_piece_eval_grid(wide, t.domain.grid(101))
+        assert all(_bits(a).tobytes() == _bits(b).tobytes() for a, b in zip((lo, hi), want))
+        narrow = _sqrt_like(2.0)
         with pytest.raises(OutOfDomainError) as got:
-            t.grid_values(101, Domain(Interval(0.0, 4.0)))
+            paired_values(t, narrow, 101)
         with pytest.raises(OutOfDomainError) as want:
-            per_piece_eval_grid(t, Domain(Interval(0.0, 4.0)).grid(101))
+            per_piece_eval_grid(narrow, t.domain.grid(101))
         assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("n", [101, 2001])

@@ -314,6 +314,12 @@ class TestDeterminismAndRoundTrip:
         assert steps_to_csv(steps) == csv_writer_steps(steps)
 
     @pytest.mark.parametrize("name", builtin_scenario_names())
+    def test_packaged_report_equals_the_golden_copy(self, name):
+        # the golden copies pin every report byte; they are only read here
+        assert emit_report(run_scenario(name))["report.json"] == \
+            (GOLDEN / f"{name}.json").read_text()
+
+    @pytest.mark.parametrize("name", builtin_scenario_names())
     def test_golden_orbit_files_match_the_csv_writer(self, name):
         report = RunReport.from_dict(json.loads((GOLDEN / f"{name}.json").read_text()))
         files = emit_report(report, "csv")

@@ -30,6 +30,7 @@ from setfix import (
     well_posedness_verify,
 )
 from setfix import stability
+from setfix.operators import dist_to_value
 from setfix.stability import ulam_hyers_constant
 from oracles import catalog_operators, scalar_well_posedness
 
@@ -138,6 +139,21 @@ class TestWellPosedness:
         assert rep.details["final_error"] < 1e-4
         assert rep.worst_ratio <= 1.0 + 1e-9
 
+    def test_reuses_the_construction_residuals(self, sqrt_t, monkeypatch):
+        # T is evaluated only to construct the u_n: the ratios read the
+        # residuals found there, with no second eval_grid over all u_n
+        calls = []
+        eval_grid = setfix.MultivaluedOperator.eval_grid
+        monkeypatch.setattr(setfix.MultivaluedOperator, "eval_grid",
+                            lambda op, xs: calls.append(len(xs)) or eval_grid(op, xs))
+        spec = DecaySpec(0.1, 0.8)
+        stability._points_with_residuals(sqrt_t, 1.0,
+                                         np.array([spec.value(n) for n in range(61)]))
+        construction = list(calls)
+        calls.clear()
+        well_posedness_verify(sqrt_t, 1.0, SQRT_PARAMS, SQRT_L, spec, 60)
+        assert calls == construction
+
     def test_square_with_explicit_params(self, square_t):
         # bound check is meaningful for any parameter triple the caller supplies
         rep = well_posedness_verify(square_t, 0.0, ContractionParams(0.9, 0.0, 0.0),
@@ -174,8 +190,10 @@ def _same_as_scalar(t, xstar, targets, c=2.0):
             stability._points_with_residuals(t, xstar, np.array(targets))
         assert str(got.value) == str(exc)
         return str(exc)
-    u = stability._points_with_residuals(t, xstar, np.array(targets))
+    u, res = stability._points_with_residuals(t, xstar, np.array(targets))
     assert [repr(v) for v in u.tolist()] == [repr(v) for v in ref["u"]]
+    # the residuals it returns are those eval_grid gives at the u_n
+    assert res.tobytes() == dist_to_value(u, *t.eval_grid(u)).tobytes()
     return ref
 
 
@@ -279,6 +297,14 @@ class TestOstrowski:
                         float(stability._ratio(abs(v_next - 1.0), SQRT_L * r)))
             v = v_next
         assert rep.worst_ratio == max(worst, abs(v - 1.0) / 1e-6)
+
+    def test_construction_residual_sets_the_packaged_worst_ratio(self, sqrt_t):
+        # sqrt_takahashi_34's Ostrowski run: r_n / delta_n peaks at step 2,
+        # while |v_{n+1} - x*| over its bound peaks at 0.38095238095238093, at step 0
+        rep = ostrowski_verify(sqrt_t, 1.0, ContractionParams(0.875, 0, 0),
+                               0.250000000000074, 4.0, DecaySpec(0.1, 0.5))
+        assert rep.details["worst_step"] == 2
+        assert rep.worst_ratio == 0.9999999999999964
 
     def test_constant_delta_not_applicable(self, sqrt_t):
         rep = ostrowski_verify(sqrt_t, 1.0, SQRT_PARAMS, SQRT_L, 4.0,
