@@ -126,6 +126,13 @@ def variant_reason(variant: str) -> str | None:
     return (f"the stability constants are derived for the {CONSTANTS_VARIANT} "
             f"condition, not for variant {variant!r}")
 
+
+def _require_constants_variant(params: ContractionParams) -> None:
+    """Raise variant_reason's reason for params as a ParameterRangeError, if any."""
+    reason = variant_reason(params.variant)
+    if reason is not None:
+        raise ParameterRangeError(reason)
+
 #: The admissible region is closed with this margin off the open boundary,
 #: respecting the strict inequality in the contraction definitions.
 STRICTNESS = 1e-6
@@ -651,28 +658,30 @@ def retraction_displacement_check(t: MultivaluedOperator, params: ContractionPar
 
     xi_max (at most 1 - 1e-12) is min C*D(x,T(x))/|x - x*| stepped by ulps to the
     largest float that holds at every point, except those with D(x,T(x)) <
-    1e-14 and |x - x*| < 1e-9.  holds means xi_max >= 1e-6.  The constant is
-    derived for CONSTANTS_VARIANT: params of another variant raise
-    ParameterRangeError with variant_reason's reason.
+    1e-14 and |x - x*| < 1e-9; C*D reads 0 where D = 0.  holds means xi_max
+    >= 1e-6.  The constant is derived for CONSTANTS_VARIANT: params of another
+    variant, an L not > 0 (NaN too) and a non-finite x* raise ParameterRangeError.
     """
-    if L <= 0.0:
+    if not L > 0.0:
         raise ParameterRangeError("retraction-displacement check needs L > 0")
-    reason = variant_reason(params.variant)
-    if reason is not None:
-        raise ParameterRangeError(reason)
+    if not math.isfinite(xstar):
+        raise ParameterRangeError(f"retraction-displacement check needs a finite x*, "
+                                  f"got {xstar!r}")
+    _require_constants_variant(params)
     C = (1.0 + params.gamma) * L / (1.0 - params.alpha - params.beta)
     xs, lo, hi = t.grid_values(grid_n)
     dist = dist_to_value(xs, lo, hi)
     err = np.abs(xs - xstar)
     keep = (dist >= 1e-14) | (err >= 1e-9)
     dd, ee = dist[keep], err[keep]
+    cd = np.multiply(C, dd, out=np.zeros_like(dd), where=dd > 0.0)
 
     def pred(xi: float) -> bool:
-        return bool(np.all(ee * xi <= C * dd))
+        return bool(np.all(ee * xi <= cd))
 
     cap = 1.0 - 1e-12
     pos = ee > 0.0
-    xi = min(cap, float(np.min(C * dd[pos] / ee[pos], initial=cap)))
+    xi = min(cap, float(np.min(cd[pos] / ee[pos], initial=cap)))
     while not pred(xi):
         xi = math.nextafter(xi, 0.0)
     while xi < cap and pred(up := math.nextafter(xi, 1.0)):

@@ -7,12 +7,12 @@ deterministic RunReport: two runs of the same scenario serialize to
 byte-identical JSON.  Timing is collected in memory but never serialized,
 precisely to keep reports reproducible.
 
-Harness preconditions that fail (an infeasible certificate, a comparison
-constant >= 1, a variant other than ciric, for which no harness constant is
-derived, a well-posedness displacement below the float resolution at x*)
-downgrade the affected verdicts to not-applicable instead of erroring; the
-exit contract counts a run as OK iff every verdict holds or is
-not-applicable and every requested orbit converged.
+A harness returns a verdict or raises, and _run_stability alone writes
+not-applicable reports: every harness's, with the runner's reason, if a
+premise of all fails (a variant other than ciric, no feasible certificate, no
+unique strict fixed point), and one harness's, as "<error class>: <message>",
+if it raises a violated premise.  The exit contract counts a run as OK iff
+every verdict holds or is not-applicable and every requested orbit converged.
 """
 
 from __future__ import annotations
@@ -307,6 +307,11 @@ def _orbit_summary(label: str, x0: float, trace) -> dict:
             "trace": orbit_steps(trace)}
 
 
+def not_applicable(prop: str, reason: str) -> dict:
+    """The report row of a harness that gives no verdict, and why."""
+    return st.StabilityReport(prop, False, 0.0, 0, 0.0, False, {"reason": reason}).to_json()
+
+
 def _run_stability(scenario: Scenario, t: MultivaluedOperator,
                    tg: MultivaluedOperator, params: ContractionParams | None,
                    constants: dict, xstar: float | None) -> list[dict]:
@@ -317,8 +322,7 @@ def _run_stability(scenario: Scenario, t: MultivaluedOperator,
         "certified constants unavailable" if params is None
         else "no unique strict fixed point located" if xstar is None else None)
     if reason is not None:
-        return [st.not_applicable(_HARNESS_TABLE[k].property, reason).to_json()
-                for k in keys]
+        return [not_applicable(_HARNESS_TABLE[k].property, reason) for k in keys]
 
     options = _harness_options(opts, scenario.x0_list, t.domain)
     f = t if options["data_dependence"]["f"] == "self" else constant_operator(
@@ -328,12 +332,12 @@ def _run_stability(scenario: Scenario, t: MultivaluedOperator,
     for key in keys:
         harness = _HARNESS_TABLE[key]
         try:
-            report = harness.run(r, options[key])
+            row = harness.run(r, options[key]).to_json()
         except (ParameterRangeError, NoStrictFixedPointError,
                 StrictFixedPointMismatchError, HypothesisFailedError,
                 NoApproximateSolutionsError, ConstructionFailedError) as exc:  # a violated premise
-            report = st.not_applicable(harness.property, f"{type(exc).__name__}: {exc}")
-        out.append(report.to_json())
+            row = not_applicable(harness.property, f"{type(exc).__name__}: {exc}")
+        out.append(row)
     return out
 
 

@@ -24,17 +24,15 @@ can use unique_strict_fixed_point (same rule).  Each checks x* with one eval
 per operator at iteration.STRICT_TOL and raises
 StrictFixedPointMismatchError if it is not strict.
 
-The constants above are derived for the ciric condition
-(certify.CONSTANTS_VARIANT).  For params of another variant, the
-data-dependence, Ulam-Hyers, well-posedness and Ostrowski harnesses return a
-not-applicable report with certify.variant_reason's reason, and run_scenario
-reports every harness not applicable.
-
-Verdicts use the uniform convention worst_ratio = max LHS/RHS with
-holds <=> worst_ratio <= 1 + 1e-9 (for applicable reports).  Hypothesis
-violations (non-decaying driver sequences, unavailable certificates) yield
-applicable = False rather than a failure: a theorem is never blamed for a
-violated premise.
+Every harness returns an applicable report, with the uniform convention
+worst_ratio = max LHS/RHS and holds <=> worst_ratio <= 1 + 1e-9, or raises a
+SetfixError naming the premise that fails: HypothesisFailedError for a
+non-decaying driver sequence or a failed xi check, ParameterRangeError for an
+argument out of range (NaN included) and, with certify.variant_reason's
+reason, for params of a variant other than certify.CONSTANTS_VARIANT, the
+ciric condition the data-dependence, Ulam-Hyers, well-posedness and Ostrowski
+constants are derived for.  run_scenario reports a violated premise as not
+applicable: a theorem is never blamed for a violated premise.
 
 The Ostrowski bound includes the initial-condition term k^(n+1)|v_0 - x*|,
 which the plain weighted sum needs at finite n whenever v_0 != x*; both the
@@ -45,6 +43,7 @@ form (a+b)/(1-a) are reported.
 from __future__ import annotations
 
 import functools
+import json
 import math
 from typing import Sequence
 
@@ -52,12 +51,12 @@ import numpy as np
 
 from .certify import (
     ContractionParams,
+    _require_constants_variant,
     _sup_on_grid,
     _verify_strict_point,
     corollary_k,
     displacement_constant_L,
     retraction_displacement_check,
-    variant_reason,
 )
 from .errors import (
     ConstructionFailedError,
@@ -94,9 +93,10 @@ UH_SAMPLING_GRID = 40_001
 class StabilityReport:
     """Per-property verdict with the constant used and sampled evidence.
 
-    For applicable reports, holds <=> worst_ratio <= 1 + 1e-9.  Reports with
-    applicable = False record a violated premise in details["reason"] and
-    never count as failures.
+    A harness returns applicable reports only, with holds <=> worst_ratio <=
+    1 + 1e-9.  run_scenario writes applicable = False, with the violated
+    premise in details["reason"], for a harness that raised one; such a
+    report never counts as a failure.
     """
 
     property: str
@@ -113,13 +113,7 @@ class StabilityReport:
 def _verdict(prop: str, constant: float, samples: int, worst: float,
              details: dict) -> StabilityReport:
     return StabilityReport(prop, worst <= 1.0 + HOLDS_TOL, constant, samples,
-                           worst, True, details)
-
-
-def not_applicable(prop: str, reason: str, details: dict | None = None) -> StabilityReport:
-    d = dict(details or {})
-    d["reason"] = reason
-    return StabilityReport(prop, False, 0.0, 0, 0.0, False, d)
+                           worst, details=details)
 
 
 @record
@@ -130,7 +124,7 @@ class DecaySpec:
     ratio: float
 
     def __post_init__(self) -> None:
-        if self.initial < 0.0 or self.ratio < 0.0:
+        if not (self.initial >= 0.0 and self.ratio >= 0.0):
             raise ParameterRangeError("decay spec needs nonnegative initial and ratio")
 
     def value(self, n: int) -> float:
@@ -154,12 +148,12 @@ class ComparisonFunction:
     def __post_init__(self) -> None:
         if self.kind not in ("linear", "power"):
             raise ParameterRangeError(f"unknown comparison kind {self.kind!r}")
-        if self.C <= 0.0 or self.p <= 0.0:
+        if not (self.C > 0.0 and self.p > 0.0):
             raise ParameterRangeError("comparison function needs C > 0 and p > 0")
 
     def __call__(self, t):
         """Psi(t) for a number or elementwise for an array."""
-        if np.any(np.asarray(t) < 0.0):
+        if not np.all(np.asarray(t) >= 0.0):
             raise ParameterRangeError("comparison functions are defined on [0, inf)")
         if self.kind == "linear":
             return self.C * t
@@ -217,7 +211,9 @@ def _ratio(lhs, rhs) -> np.ndarray:
 
 
 def ulam_hyers_constant(params: ContractionParams, L: float) -> float:
-    """The explicit stability constant L(1+beta)/(1-alpha-beta-gamma)."""
+    """The explicit stability constant L(1+beta)/(1-alpha-beta-gamma), derived
+    for CONSTANTS_VARIANT only."""
+    _require_constants_variant(params)
     return L * (1.0 + params.beta) / (1.0 - params.alpha - params.beta - params.gamma)
 
 
@@ -229,15 +225,11 @@ def data_dependence_verify(t: MultivaluedOperator, f: MultivaluedOperator,
                            grid_n: int = 2001) -> StabilityReport:
     """Every strict fixed point of a uniform eta-approximation F of T lies
     within K * eta of x*, with K = L(1+g)/((1-a-b) xi)."""
-    reason = variant_reason(params.variant)
-    if reason is not None:
-        return not_applicable("DataDependence", reason)
     _verify_strict_point(xstar, t)
     strict, ends, eta, eta_arg = _comparison(t, f, grid_n)
     xi = retraction_displacement_check(t, params, L, xstar, grid_n)
     if not xi.holds:
-        return not_applicable(
-            "DataDependence",
+        raise HypothesisFailedError(
             "retraction-displacement condition failed on the grid (xi_max < 1e-6)")
     K = L * (1.0 + params.gamma) / ((1.0 - params.alpha - params.beta) * xi.xi_max)
     worst, worst_y = _sup_on_grid(_ratio(np.abs(ends - xstar), K * eta), ends, None)
@@ -259,7 +251,7 @@ def psi_mp_data_dependence(t: MultivaluedOperator, f: MultivaluedOperator,
     Conclusions: |x - x*| <= Psi(c D(x,T(x))) on the grid and
     |x* - y*| <= Psi(c eta) for every strict fixed point y* of F.
     """
-    if c <= 0.0:
+    if not c > 0.0:
         raise ParameterRangeError("psi-MP comparison needs c > 0")
     _verify_strict_point(xstar, t, tg)
     xs, lo, hi = t.grid_values(grid_n)
@@ -313,15 +305,12 @@ def ulam_hyers_verify(t: MultivaluedOperator, tg: MultivaluedOperator,
     if not eps_list:
         raise ParameterRangeError("ulam_hyers_verify needs at least one eps")
     for eps in eps_list:
-        if eps <= 0.0:
+        if not eps > 0.0:
             raise ParameterRangeError(f"eps values must be positive, got {eps}")
-    if L <= 0.0 or samples_per_eps < 1:
+    if not (L > 0.0 and samples_per_eps >= 1):
         raise ParameterRangeError("ulam_hyers_verify needs L > 0 and samples_per_eps >= 1")
-    reason = variant_reason(params.variant)
-    if reason is not None:
-        return not_applicable("UlamHyers", reason)
-    _verify_strict_point(xstar, t, tg)
     c = ulam_hyers_constant(params, L)
+    _verify_strict_point(xstar, t, tg)
 
     xs, lo, hi = t.grid_values(UH_SAMPLING_GRID)
     order = _uh_order()
@@ -397,21 +386,17 @@ def well_posedness_verify(t: MultivaluedOperator, xstar: float,
     """Construct u_n with D(u_n, T(u_n)) in [r_n/2, r_n] and check
     |u_n - x*| <= L(1+b)/(1-a-b-g) * D(u_n, T(u_n)) along the way; all u_n
     come from one array bisection on eval_grid."""
-    if n_max < 1:
+    if not n_max >= 1:
         raise ParameterRangeError("well_posedness_verify needs n_max >= 1")
-    if L <= 0.0:
+    if not L > 0.0:
         raise ParameterRangeError("well_posedness_verify needs L > 0")
-    reason = variant_reason(params.variant)
-    if reason is not None:
-        return not_applicable("WellPosed", reason)
-    if not sequence_spec.decays:
-        return not_applicable(
-            "WellPosed",
-            "residual targets do not decay to zero; the well-posedness premise "
-            "D(u_n, T(u_n)) -> 0 is violated by construction",
-            {"sequence": sequence_spec.to_json()})
-    _verify_strict_point(xstar, t)
     c = ulam_hyers_constant(params, L)
+    if not sequence_spec.decays:
+        raise HypothesisFailedError(
+            "residual targets do not decay to zero; the well-posedness premise "
+            "D(u_n, T(u_n)) -> 0 is violated by construction (sequence "
+            f"{json.dumps(sequence_spec.to_json())})")
+    _verify_strict_point(xstar, t)
     u, res = _points_with_residuals(
         t, xstar, np.array([sequence_spec.value(n) for n in range(n_max + 1)]))
     err = np.abs(u - xstar)
@@ -436,7 +421,7 @@ def cauchy_toeplitz_sum(k: float, b: Sequence[float], n: int) -> float:
     """
     if not 0.0 < k < 1.0:
         raise ParameterRangeError(f"cauchy_toeplitz_sum needs k in (0, 1), got {k}")
-    if n < 0:
+    if not n >= 0:
         raise ParameterRangeError("cauchy_toeplitz_sum needs n >= 0")
     if len(b) < n + 1:
         raise InsufficientDataError(
@@ -444,7 +429,7 @@ def cauchy_toeplitz_sum(k: float, b: Sequence[float], n: int) -> float:
     c = 0.0
     for j in range(n + 1):
         bj = b[j]
-        if bj < 0.0:
+        if not bj >= 0.0:
             raise ParameterRangeError("cauchy_toeplitz_sum needs nonnegative terms")
         c = k * c + bj
     return c
@@ -461,23 +446,20 @@ def ostrowski_verify(t: MultivaluedOperator, xstar: float, params: ContractionPa
         |v_{n+1} - x*| <= L(1+g)/(1-g) * sum_j k^(n-j) r_j + k^(n+1) |v_0 - x*|,
       * convergence |v_final - x*| < final_tol.
     All three fold into worst_ratio.  A non-decaying delta sequence violates
-    the Ostrowski premise and yields a not-applicable report.
+    the Ostrowski premise and raises HypothesisFailedError.
     """
-    if n_max < 1:
+    if not n_max >= 1:
         raise ParameterRangeError("ostrowski_verify needs n_max >= 1")
-    if L <= 0.0 or final_tol <= 0.0:
+    if not (L > 0.0 and final_tol > 0.0):
         raise ParameterRangeError("ostrowski_verify needs L > 0 and final_tol > 0")
     if not t.domain.contains(x0):
         raise OutOfDomainError(f"x0={x0!r} outside operator domain")
-    reason = variant_reason(params.variant)
-    if reason is not None:
-        return not_applicable("Ostrowski", reason)
+    _require_constants_variant(params)
     if not delta_spec.decays:
-        return not_applicable(
-            "Ostrowski",
+        raise HypothesisFailedError(
             "perturbation magnitudes do not decay to zero; the Ostrowski premise "
-            "D(v_{n+1}, T(v_n)) -> 0 is violated by construction",
-            {"delta": delta_spec.to_json()})
+            "D(v_{n+1}, T(v_n)) -> 0 is violated by construction (delta "
+            f"{json.dumps(delta_spec.to_json())})")
     _verify_strict_point(xstar, t)
     k = corollary_k(params)
     k_printed = (params.alpha + params.beta) / (1.0 - params.alpha)
@@ -525,7 +507,7 @@ def quasi_contraction_verify(t: MultivaluedOperator, tg: MultivaluedOperator,
                              grid_n: int = 2001, weak: bool = False) -> StabilityReport:
     """Conclusion check H(T(x),{x*}) <= l*k*|x-x*| (strong) or the gap-based
     weak analogue D(T(x),{x*}) <= l*k*|x-x*|, with k = corollary_k(params)."""
-    if l < 0.0:
+    if not l >= 0.0:
         raise ParameterRangeError("quasi-contraction comparison constant must be >= 0")
     _verify_strict_point(xstar, t, tg)
     k = corollary_k(params)

@@ -607,14 +607,59 @@ def test_certify_reuses_pair_system_pages():
     # faulted about 1 200 pages in again.  A fresh interpreter is needed:
     # larger grids earlier in the session raise the allocator's thresholds
     # and would hide those faults.
+    faults = [int(line) for line in _run_fresh(_FAULT_PROBE).split()]
+    assert len(faults) == 20
+    assert max(faults) < 100, faults
+
+
+def _run_fresh(code: str, timeout: float | None = None) -> str:
+    """The stdout of code run in a fresh interpreter that imports this setfix;
+    past timeout seconds the run is killed and the test fails."""
     src = str(Path(setfix.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", _FAULT_PROBE], env=env,
-                         capture_output=True, text=True, check=True).stdout
-    faults = [int(line) for line in out.split()]
-    assert len(faults) == 20
-    assert max(faults) < 100, faults
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=timeout).stdout
+
+
+#: Prints each call's result, or its error as "<class>: <message>", with a
+#: RuntimeWarning an error; {calls} is a tuple of call expressions.
+_XI_PROBE = textwrap.dedent("""
+    import math, warnings
+    warnings.simplefilter("error", RuntimeWarning)
+    import setfix
+    from setfix.certify import ContractionParams, retraction_displacement_check
+
+    sqrt, p = setfix.sqrt_example(), ContractionParams(0.875, 0.0, 0.0)
+    # T(x) = [0, x] on [0, 1]: D(x, T(x)) = 0 everywhere, x* = 0
+    wedge = setfix.MultivaluedOperator(
+        setfix.Domain(setfix.Interval(0.0, 1.0)),
+        (setfix.Piece(setfix.Interval(0.0, 1.0), setfix.BoundaryFn(),
+                      setfix.BoundaryFn(slope=1.0)),))
+    for call in {calls}:
+        try:
+            print(repr(eval(call)))
+        except setfix.SetfixError as exc:
+            print(f"{{type(exc).__name__}}: {{exc}}")
+""")
+
+
+@pytest.mark.parametrize("calls, expected", [
+    # a NaN L makes C NaN: no xi would hold, and the ulp search would not end
+    (("retraction_displacement_check(sqrt, p, math.nan, 1.0, 101)",
+      "setfix.data_dependence_verify(sqrt, sqrt, 1.0, p, math.nan, 101)"),
+     ["ParameterRangeError: retraction-displacement check needs L > 0"] * 2),
+    # a NaN x* makes |x - x*| NaN, with the same effect
+    (("retraction_displacement_check(sqrt, p, 0.25, math.nan, 101)",),
+     ["ParameterRangeError: retraction-displacement check needs a finite x*, got nan"]),
+    # C * D(x, T(x)) = inf * 0 reads 0, as for a finite L
+    (("retraction_displacement_check(wedge, ContractionParams(0.5, 0.0, 0.0), math.inf, 0.0, "
+      "101)",
+      "retraction_displacement_check(wedge, ContractionParams(0.5, 0.0, 0.0), 1.0, 0.0, 101)"),
+     ["XiResult(xi_max=0.0, holds=False)"] * 2),
+])
+def test_xi_check_on_non_finite_input_returns_or_raises(calls, expected):
+    assert _run_fresh(_XI_PROBE.format(calls=calls), timeout=10).splitlines() == expected
 
 
 @pytest.mark.parametrize("name", _DIFF_OPERATORS)

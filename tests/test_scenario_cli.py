@@ -612,6 +612,22 @@ class TestStabilityOptions:
         assert well_posed["details"]["reason"].startswith("ConstructionFailedError: ")
         assert all(rep["holds"] or not rep["applicable"] for rep in reports.values())
 
+    @pytest.mark.parametrize("key, block", [
+        ("well_posed", {"r0": 0.1, "rho": 1.0}),
+        ("ostrowski", {"delta0": 0.1, "rho": 1.0}),
+    ])
+    def test_non_decaying_driver_sequence_is_not_applicable(self, key, block):
+        # the harness raises the violated premise, and the run reports it
+        report = run_scenario(scenario_from_dict(packaged_with_options(**{key: block})))
+        assert report.all_ok
+        prop = _HARNESS_TABLE[key].property
+        rows = {rep["property"]: rep for rep in json.loads(json_text(report.stability))}
+        row = rows.pop(prop)
+        assert (row["applicable"], row["holds"]) == (False, False)
+        assert row["details"]["reason"].startswith("HypothesisFailedError: ")
+        golden = json.loads((GOLDEN / "sqrt_takahashi_34.json").read_text())["stability"]
+        assert rows == {rep["property"]: rep for rep in golden if rep["property"] != prop}
+
     def test_cli_exits_2_on_malformed_option(self, tmp_path, capsys):
         spath = tmp_path / "bad.json"
         spath.write_text(json.dumps(packaged_with_options(ulam_hyers={"eps_list": "abc"})))

@@ -162,10 +162,12 @@ class TestWellPosedness:
         assert rep.details["final_error"] < 1e-2
 
     def test_non_decaying_not_applicable(self, sqrt_t):
-        rep = well_posedness_verify(sqrt_t, 1.0, SQRT_PARAMS, SQRT_L,
-                                    DecaySpec(0.1, 1.0), 10)
-        assert not rep.applicable
-        assert "reason" in rep.details
+        # a violated premise raises; run_scenario reports it as not applicable
+        with pytest.raises(HypothesisFailedError, match=re.escape(
+                "residual targets do not decay to zero; the well-posedness premise "
+                "D(u_n, T(u_n)) -> 0 is violated by construction "
+                '(sequence {"initial": 0.1, "ratio": 1.0})')):
+            well_posedness_verify(sqrt_t, 1.0, SQRT_PARAMS, SQRT_L, DecaySpec(0.1, 1.0), 10)
 
     def test_unreachable_residual_bracket(self, sqrt_t):
         with pytest.raises(setfix.ConstructionFailedError):
@@ -307,9 +309,11 @@ class TestOstrowski:
         assert rep.worst_ratio == 0.9999999999999964
 
     def test_constant_delta_not_applicable(self, sqrt_t):
-        rep = ostrowski_verify(sqrt_t, 1.0, SQRT_PARAMS, SQRT_L, 4.0,
-                               DecaySpec(0.1, 1.0), 30)
-        assert not rep.applicable
+        with pytest.raises(HypothesisFailedError, match=re.escape(
+                "perturbation magnitudes do not decay to zero; the Ostrowski premise "
+                "D(v_{n+1}, T(v_n)) -> 0 is violated by construction "
+                '(delta {"initial": 0.1, "ratio": 1.0})')):
+            ostrowski_verify(sqrt_t, 1.0, SQRT_PARAMS, SQRT_L, 4.0, DecaySpec(0.1, 1.0), 30)
 
     def test_square_selection_orbit(self, square_t):
         rep = ostrowski_verify(square_t, 0.0, ContractionParams(0.9, 0.0, 0.0), 0.5,
@@ -410,10 +414,10 @@ class TestDataDependence:
             setfix.Domain(setfix.Interval(0.0, 1.0)),
             (setfix.Piece(setfix.Interval(0.0, 1.0), setfix.BoundaryFn(slope=0.5),
                           setfix.BoundaryFn(slope=1.0)),))
-        rep = data_dependence_verify(t, t, 0.0, ContractionParams(0.5, 0.0, 0.0), 0.5, 201)
-        assert (rep.applicable, rep.holds) == (False, False)
-        assert rep.details == {"reason": "retraction-displacement condition failed on "
-                                         "the grid (xi_max < 1e-6)"}
+        with pytest.raises(HypothesisFailedError) as exc:
+            data_dependence_verify(t, t, 0.0, ContractionParams(0.5, 0.0, 0.0), 0.5, 201)
+        assert str(exc.value) == ("retraction-displacement condition failed on the grid "
+                                  "(xi_max < 1e-6)")
 
     def test_shifted_operator_loses_strictness(self, sqrt_t):
         # a value translation keeps the set widths, so no point has T(y) = {y}
@@ -434,15 +438,54 @@ _CIRIC_ONLY = {
 
 @pytest.mark.parametrize("prop", sorted(_CIRIC_ONLY))
 def test_params_of_another_variant_get_no_verdict(prop, sqrt_t, sqrt_tg):
-    # called directly with a combined certificate, each harness gives the
-    # reason run_scenario writes for a combined scenario, and no ciric verdict
-    rep = _CIRIC_ONLY[prop](sqrt_t, sqrt_tg, COMBINED_PARAMS)
-    assert (rep.property, rep.applicable, rep.holds) == (prop, False, False)
-    assert rep.details == {"reason": "the stability constants are derived for the ciric "
-                                     "condition, not for variant 'combined'"}
+    # called directly with a combined certificate, each harness raises the
+    # reason run_scenario writes for a combined scenario, and gives no ciric verdict
+    with pytest.raises(ParameterRangeError) as exc:
+        _CIRIC_ONLY[prop](sqrt_t, sqrt_tg, COMBINED_PARAMS)
+    assert str(exc.value) == ("the stability constants are derived for the ciric "
+                              "condition, not for variant 'combined'")
     ciric = ContractionParams(COMBINED_PARAMS.alpha, COMBINED_PARAMS.beta,
                               COMBINED_PARAMS.gamma)
     assert _CIRIC_ONLY[prop](sqrt_t, sqrt_tg, ciric).applicable
+
+
+NAN = float("nan")
+
+#: Each call passes NaN for one numeric argument on sqrt_example, x* = 1.
+_NAN_ARGUMENT = {
+    "DecaySpec.initial": lambda t, tg: DecaySpec(NAN, 0.5),
+    "DecaySpec.ratio": lambda t, tg: DecaySpec(0.1, NAN),
+    "ComparisonFunction.C": lambda t, tg: ComparisonFunction("linear", NAN),
+    "ComparisonFunction.p": lambda t, tg: ComparisonFunction("power", 1.0, NAN),
+    "ComparisonFunction(t)": lambda t, tg: ComparisonFunction("linear", 1.0)(NAN),
+    "cauchy_toeplitz_sum term": lambda t, tg: cauchy_toeplitz_sum(0.5, [NAN], 0),
+    "cauchy_toeplitz_sum n": lambda t, tg: cauchy_toeplitz_sum(0.5, [0.1], NAN),
+    "psi_mp c": lambda t, tg: psi_mp_data_dependence(
+        t, tg, tg, 1.0, ComparisonFunction("linear", 10.0), NAN, 101),
+    "ulam_hyers eps": lambda t, tg: ulam_hyers_verify(t, tg, 1.0, SQRT_PARAMS, SQRT_L, [NAN]),
+    "ulam_hyers L": lambda t, tg: ulam_hyers_verify(t, tg, 1.0, SQRT_PARAMS, NAN, [0.1]),
+    "ulam_hyers samples_per_eps": lambda t, tg: ulam_hyers_verify(
+        t, tg, 1.0, SQRT_PARAMS, SQRT_L, [0.1], NAN),
+    "well_posed L": lambda t, tg: well_posedness_verify(
+        t, 1.0, SQRT_PARAMS, NAN, DecaySpec(0.1, 0.8)),
+    "well_posed n_max": lambda t, tg: well_posedness_verify(
+        t, 1.0, SQRT_PARAMS, SQRT_L, DecaySpec(0.1, 0.8), NAN),
+    "ostrowski L": lambda t, tg: ostrowski_verify(
+        t, 1.0, SQRT_PARAMS, NAN, 4.0, DecaySpec(0.1, 0.5), 3),
+    "ostrowski n_max": lambda t, tg: ostrowski_verify(
+        t, 1.0, SQRT_PARAMS, SQRT_L, 4.0, DecaySpec(0.1, 0.5), NAN),
+    "ostrowski final_tol": lambda t, tg: ostrowski_verify(
+        t, 1.0, SQRT_PARAMS, SQRT_L, 4.0, DecaySpec(0.1, 0.5), 3, final_tol=NAN),
+    "quasi_contraction l": lambda t, tg: quasi_contraction_verify(
+        t, tg, 1.0, NAN, SQRT_PARAMS, 101),
+}
+
+
+@pytest.mark.parametrize("arg", sorted(_NAN_ARGUMENT))
+def test_nan_argument_is_a_parameter_error(arg, sqrt_t, sqrt_tg):
+    # each check is written so that NaN fails it, instead of passing it silently
+    with pytest.raises(ParameterRangeError):
+        _NAN_ARGUMENT[arg](sqrt_t, sqrt_tg)
 
 
 class TestPsiMP:
