@@ -649,6 +649,7 @@ def displacement_constant_L(t: MultivaluedOperator, tg: MultivaluedOperator,
 class XiResult(NamedTuple):
     xi_max: float
     holds: bool
+    K: float | None
 
 
 def retraction_displacement_check(t: MultivaluedOperator, params: ContractionParams,
@@ -658,9 +659,10 @@ def retraction_displacement_check(t: MultivaluedOperator, params: ContractionPar
 
     xi_max (at most 1 - 1e-12) is min C*D(x,T(x))/|x - x*| stepped by ulps to the
     largest float that holds at every point, except those with D(x,T(x)) <
-    1e-14 and |x - x*| < 1e-9; C*D reads 0 where D = 0.  holds means xi_max
-    >= 1e-6.  The constant is derived for CONSTANTS_VARIANT: params of another
-    variant, an L not > 0 (NaN too) and a non-finite x* raise ParameterRangeError.
+    1e-14 and |x - x*| < 1e-9; C*D reads 0 where D = 0.  holds means xi_max >=
+    1e-6, and then K is K~ = L(1+g)/((1-a-b) xi_max) (Rus 2001), else None.  For
+    CONSTANTS_VARIANT only: params of another variant, an L not > 0 (NaN too)
+    and a non-finite x* raise ParameterRangeError.
     """
     if not L > 0.0:
         raise ParameterRangeError("retraction-displacement check needs L > 0")
@@ -686,7 +688,9 @@ def retraction_displacement_check(t: MultivaluedOperator, params: ContractionPar
         xi = math.nextafter(xi, 0.0)
     while xi < cap and pred(up := math.nextafter(xi, 1.0)):
         xi = up
-    return XiResult(xi, xi >= 1e-6)
+    if xi < 1e-6:
+        return XiResult(xi, False, None)
+    return XiResult(xi, True, L * (1.0 + params.gamma) / ((1.0 - params.alpha - params.beta) * xi))
 
 
 def corollary_k(params: ContractionParams) -> float:

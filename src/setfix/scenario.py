@@ -26,6 +26,7 @@ from . import stability as st
 from .certify import (
     ContractionParams,
     VARIANTS,
+    XiResult,
     certify_contraction,
     corollary_k,
     displacement_constant_L,
@@ -75,11 +76,12 @@ from .operators import (
 ANALYSES = ("certify", "iterate", "stability")
 
 
-#: What the stability harnesses read from one run; f is the comparison operator F.
-_Run = namedtuple("_Run", "t tg f xstar params L l grid_n")
+#: What the stability harnesses read from one run: F as f, and T's xi check as xi.
+_Run = namedtuple("_Run", "t tg f xstar params L l xi grid_n")
 
 
 def _psi_mp(r: _Run, o: dict) -> st.StabilityReport:
+    """psi-MP data dependence; automatic Psi(t) = K t takes K of T_G's xi check at L = 1."""
     if o["psi"] != "auto":
         psi = st.ComparisonFunction.from_json(o["psi"])
     else:
@@ -88,9 +90,7 @@ def _psi_mp(r: _Run, o: dict) -> st.StabilityReport:
             raise HypothesisFailedError(
                 "retraction-displacement check failed for the perturbed "
                 "operator; no automatic comparison function available")
-        p = r.params
-        psi = st.ComparisonFunction(
-            "linear", (1.0 + p.gamma) / ((1.0 - p.alpha - p.beta) * xi.xi_max))
+        psi = st.ComparisonFunction("linear", xi.K)
     return st.psi_mp_data_dependence(r.t, r.f, r.tg, r.xstar, psi,
                                      max(r.L, 1e-12), r.grid_n)
 
@@ -110,7 +110,7 @@ _Harness = namedtuple("_Harness", "property options run")
 #: harness function up when called, so a wrapper put on its module sees it.
 _HARNESS_TABLE = {
     "data_dependence": _Harness("DataDependence", {"f": "constant_mid"}, lambda r, o: (
-        st.data_dependence_verify(r.t, r.f, r.xstar, r.params, r.L, r.grid_n))),
+        st.data_dependence_verify(r.t, r.f, r.xstar, r.xi, r.grid_n))),
     "psi_mp_data_dependence": _Harness("PsiMPDataDependence", {"psi": "auto"}, _psi_mp),
     "ulam_hyers": _Harness(
         "UlamHyers", {"eps_list": [0.1, 0.05, 0.01], "samples_per_eps": 100},
@@ -289,13 +289,8 @@ class RunReport:
 
     @property
     def all_ok(self) -> bool:
-        for rep in self.stability:
-            if rep["applicable"] and not rep["holds"]:
-                return False
-        for orbit in self.orbits:
-            if not orbit["converged"]:
-                return False
-        return True
+        return (all(rep["holds"] or not rep["applicable"] for rep in self.stability)
+                and all(orbit["converged"] for orbit in self.orbits))
 
 
 def _orbit_summary(label: str, x0: float, trace) -> dict:
@@ -314,7 +309,7 @@ def not_applicable(prop: str, reason: str) -> dict:
 
 def _run_stability(scenario: Scenario, t: MultivaluedOperator,
                    tg: MultivaluedOperator, params: ContractionParams | None,
-                   constants: dict, xstar: float | None) -> list[dict]:
+                   constants: dict, xstar: float | None, xi: XiResult | None) -> list[dict]:
     opts = scenario.stability_options
     keys = opts.get("harnesses", HARNESSES)
     reason = variant_reason(scenario.variant) or (
@@ -327,7 +322,7 @@ def _run_stability(scenario: Scenario, t: MultivaluedOperator,
     options = _harness_options(opts, scenario.x0_list, t.domain)
     f = t if options["data_dependence"]["f"] == "self" else constant_operator(
         t.domain, t.domain.bounds.midpoint)
-    r = _Run(t, tg, f, xstar, params, constants["L"], constants["l"], scenario.grid_n)
+    r = _Run(t, tg, f, xstar, params, constants["L"], constants["l"], xi, scenario.grid_n)
     out: list[dict] = []
     for key in keys:
         harness = _HARNESS_TABLE[key]
@@ -358,6 +353,7 @@ def run_scenario(source: str | Path | Scenario) -> RunReport:
     certificates: dict = {}
     constants: dict = {}
     params: ContractionParams | None = None
+    xi: XiResult | None = None
     if "certify" in scenario.analyses:
         tick = time.perf_counter()
         cert_t = certify_contraction(t, scenario.variant, scenario.grid_n)
@@ -366,7 +362,7 @@ def run_scenario(source: str | Path | Scenario) -> RunReport:
         certificates = {"T": cert_t.to_json(), "TG": cert_g.to_json()}
         disp = displacement_constant_L(t, tg, scenario.scan_grid_n)
         derived = variant_reason(scenario.variant) is None  # xi and the UH constant's formulas
-        l_sup = xi = k = None
+        l_sup = k = None
         l_skipped = 0
         if xstar is not None:
             try:
@@ -378,9 +374,9 @@ def run_scenario(source: str | Path | Scenario) -> RunReport:
             params = cert_g.params
             k = corollary_k(params)
             if xstar is not None and derived:
-                xi = retraction_displacement_check(
-                    t, params, disp.value, xstar, scenario.grid_n).xi_max
-        constants = {"l": l_sup, "k": k, "L": disp.value, "xi": xi,
+                xi = retraction_displacement_check(t, params, disp.value, xstar,
+                                                   scenario.grid_n)
+        constants = {"l": l_sup, "k": k, "L": disp.value, "xi": xi.xi_max if xi else None,
                      "valid_l": l_sup is not None and l_sup < 1.0,
                      "l_skipped": l_skipped, "L_skipped": disp.skipped}
         if params is not None:
@@ -401,7 +397,7 @@ def run_scenario(source: str | Path | Scenario) -> RunReport:
     stability_reports: list[dict] = []
     if "stability" in scenario.analyses:
         tick = time.perf_counter()
-        stability_reports = _run_stability(scenario, t, tg, params, constants, xstar)
+        stability_reports = _run_stability(scenario, t, tg, params, constants, xstar, xi)
         timing["stability"] = time.perf_counter() - tick
 
     return RunReport(

@@ -4,7 +4,7 @@ Each harness turns one stability conclusion into a bounded numerical check
 and returns a StabilityReport carrying the verdict, the explicit constant
 actually used, and worst-case evidence:
 
-* data dependence      |y* - x*| <= K * eta,  K = L(1+g)/((1-a-b) xi)
+* data dependence      |y* - x*| <= K~ eta,  K~ = XiResult.K of the xi check on T
 * psi-MP dependence    |x - x*| <= Psi(c D(x,T(x))),  |x*-y*| <= Psi(c eta)
 * Ulam-Hyers           |y - x*| <= c eps,     c = L(1+b)/(1-a-b-g)
 * well-posedness       |u_n - x*| <= c D(u_n, T(u_n)) with residuals -> 0
@@ -29,8 +29,8 @@ worst_ratio = max LHS/RHS and holds <=> worst_ratio <= 1 + 1e-9, or raises a
 SetfixError naming the premise that fails: HypothesisFailedError for a
 non-decaying driver sequence or a failed xi check, ParameterRangeError for an
 argument out of range (NaN included) and, with certify.variant_reason's
-reason, for params of a variant other than certify.CONSTANTS_VARIANT, the
-ciric condition the data-dependence, Ulam-Hyers, well-posedness and Ostrowski
+reason, for params of a variant other than certify.CONSTANTS_VARIANT (ciric),
+which the xi check's K~ and the Ulam-Hyers, well-posedness and Ostrowski
 constants are derived for.  run_scenario reports a violated premise as not
 applicable: a theorem is never blamed for a violated premise.
 
@@ -51,12 +51,12 @@ import numpy as np
 
 from .certify import (
     ContractionParams,
+    XiResult,
     _require_constants_variant,
     _sup_on_grid,
     _verify_strict_point,
     corollary_k,
     displacement_constant_L,
-    retraction_displacement_check,
 )
 from .errors import (
     ConstructionFailedError,
@@ -221,24 +221,23 @@ def ulam_hyers_constant(params: ContractionParams, L: float) -> float:
 
 
 def data_dependence_verify(t: MultivaluedOperator, f: MultivaluedOperator,
-                           xstar: float, params: ContractionParams, L: float,
-                           grid_n: int = 2001) -> StabilityReport:
+                           xstar: float, xi: XiResult, grid_n: int = 2001) -> StabilityReport:
     """Every strict fixed point of a uniform eta-approximation F of T lies
-    within K * eta of x*, with K = L(1+g)/((1-a-b) xi)."""
+    within K~ * eta of x*, with K~ = xi.K from retraction_displacement_check on T."""
     _verify_strict_point(xstar, t)
     strict, ends, eta, eta_arg = _comparison(t, f, grid_n)
-    xi = retraction_displacement_check(t, params, L, xstar, grid_n)
     if not xi.holds:
         raise HypothesisFailedError(
             "retraction-displacement condition failed on the grid (xi_max < 1e-6)")
-    K = L * (1.0 + params.gamma) / ((1.0 - params.alpha - params.beta) * xi.xi_max)
-    worst, worst_y = _sup_on_grid(_ratio(np.abs(ends - xstar), K * eta), ends, None)
+    if not xi.K > 0.0:
+        raise ParameterRangeError(f"data dependence needs K~ > 0, got {xi.K!r}")
+    worst, worst_y = _sup_on_grid(_ratio(np.abs(ends - xstar), xi.K * eta), ends, None)
     details = {
-        "eta": eta, "eta_argmax": eta_arg, "K_tilde": K, "xi_used": xi.xi_max,
+        "eta": eta, "eta_argmax": eta_arg, "K_tilde": xi.K, "xi_used": xi.xi_max,
         "fixed_point": xstar, "comparison_strict_points": strict,
         "worst_strict_point": worst_y, "grid_n": grid_n,
     }
-    return _verdict("DataDependence", K, len(ends), worst, details)
+    return _verdict("DataDependence", xi.K, len(ends), worst, details)
 
 
 def psi_mp_data_dependence(t: MultivaluedOperator, f: MultivaluedOperator,

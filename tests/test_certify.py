@@ -392,6 +392,23 @@ class TestRetractionDisplacement:
         assert res.holds
         assert res.xi_max > 1e-6
 
+    def test_constant_on_the_packaged_params(self, sqrt_t, sqrt_tg):
+        # K is K~ = L(1+g)/((1-a-b) xi_max) exactly when the check holds: on T
+        # at the packaged run's L it is the golden DataDependence K_tilde, and
+        # on T_G at L = 1 the golden automatic psi's C
+        params = ContractionParams(0.875, 0.0, 0.0)
+        on_t = retraction_displacement_check(sqrt_t, params, 0.250000000000074, 1.0, 501)
+        on_tg = retraction_displacement_check(sqrt_tg, params, 1.0, 1.0, 501)
+        assert (on_t.K, on_tg.K) == (2.000000000002592, 8.000000000008)
+        # T(x) = [x/2, x] on [0, 1] has D(x, T(x)) = 0, so no xi >= 1e-6 holds at x* = 0
+        dom = setfix.Domain(setfix.Interval(0.0, 1.0))
+        half = setfix.MultivaluedOperator(dom, (setfix.Piece(
+            dom.bounds, setfix.BoundaryFn(slope=0.5), setfix.BoundaryFn(slope=1.0)),))
+        fails = retraction_displacement_check(half, params, 0.5, 0.0, 201)
+        assert not fails.holds
+        for res in (on_t, on_tg, fails):
+            assert res.holds == (res.K is not None)
+
     def test_errors(self, sqrt_t, sqrt_tg_cert):
         with pytest.raises(ParameterRangeError):
             retraction_displacement_check(sqrt_t, sqrt_tg_cert.params, 0.0, 1.0, 101)
@@ -646,9 +663,8 @@ _XI_PROBE = textwrap.dedent("""
 
 @pytest.mark.parametrize("calls, expected", [
     # a NaN L makes C NaN: no xi would hold, and the ulp search would not end
-    (("retraction_displacement_check(sqrt, p, math.nan, 1.0, 101)",
-      "setfix.data_dependence_verify(sqrt, sqrt, 1.0, p, math.nan, 101)"),
-     ["ParameterRangeError: retraction-displacement check needs L > 0"] * 2),
+    (("retraction_displacement_check(sqrt, p, math.nan, 1.0, 101)",),
+     ["ParameterRangeError: retraction-displacement check needs L > 0"]),
     # a NaN x* makes |x - x*| NaN, with the same effect
     (("retraction_displacement_check(sqrt, p, 0.25, math.nan, 101)",),
      ["ParameterRangeError: retraction-displacement check needs a finite x*, got nan"]),
@@ -656,7 +672,7 @@ _XI_PROBE = textwrap.dedent("""
     (("retraction_displacement_check(wedge, ContractionParams(0.5, 0.0, 0.0), math.inf, 0.0, "
       "101)",
       "retraction_displacement_check(wedge, ContractionParams(0.5, 0.0, 0.0), 1.0, 0.0, 101)"),
-     ["XiResult(xi_max=0.0, holds=False)"] * 2),
+     ["XiResult(xi_max=0.0, holds=False, K=None)"] * 2),
 ])
 def test_xi_check_on_non_finite_input_returns_or_raises(calls, expected):
     assert _run_fresh(_XI_PROBE.format(calls=calls), timeout=10).splitlines() == expected

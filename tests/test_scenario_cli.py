@@ -248,6 +248,23 @@ def test_variant_without_derived_constants_gets_no_verdict(variant, params, tmp_
                                             f"condition, not for variant {variant!r}")
 
 
+def test_one_xi_check_per_operator(monkeypatch):
+    # run_scenario checks xi on T once and hands the result to data dependence;
+    # the automatic psi of psi-MP checks T_G at L = 1.  Every binding is wrapped.
+    check, calls = setfix.certify.retraction_displacement_check, []
+
+    def counted(t, params, L, xstar, grid_n):
+        calls.append((t.name, L, xstar, grid_n))
+        return check(t, params, L, xstar, grid_n)
+
+    for module in (setfix, setfix.certify, setfix.scenario, setfix.stability):
+        if getattr(module, "retraction_displacement_check", None) is check:
+            monkeypatch.setattr(module, "retraction_displacement_check", counted)
+    run_scenario("sqrt_takahashi_34")
+    assert calls == [("sqrt_example", 0.250000000000074, 1.0, 501),
+                     ("sqrt_example|takahashi(0.75)", 1.0, 1.0, 501)]
+
+
 class TestDeterminismAndRoundTrip:
     def test_byte_identical_reports(self, sqrt_report):
         again = run_scenario("sqrt_takahashi_34")

@@ -40,6 +40,11 @@ SQRT_L = 0.25
 COMBINED_PARAMS = ContractionParams(0.71875, 0.0, 0.1125, "combined")
 
 
+def sqrt_xi(t, grid_n):
+    """The xi check on t at SQRT_PARAMS, SQRT_L and x* = 1, which data dependence takes."""
+    return setfix.retraction_displacement_check(t, SQRT_PARAMS, SQRT_L, 1.0, grid_n)
+
+
 class TestCauchyToeplitz:
     def test_zero_terms(self):
         assert cauchy_toeplitz_sum(0.5, [0.0] * 20, 19) == 0.0
@@ -272,6 +277,14 @@ class TestOstrowski:
         # the alternative normalization is reported alongside
         assert rep.details["k_printed"] == (0.875 + 0.0) / (1.0 - 0.875)
 
+    def test_convergence_term_sets_the_worst_ratio(self, sqrt_t):
+        # after 3 steps from 4.0 the orbit is still far from x*, so
+        # |v_final - x*| / final_tol outweighs every recurrence ratio
+        rep = ostrowski_verify(sqrt_t, 1.0, SQRT_PARAMS, 0.250000000000074, 4.0,
+                               DecaySpec(0.1, 0.5), n_max=3)
+        assert rep.worst_ratio == rep.details["final_error"] / rep.details["final_tol"]
+        assert rep.worst_ratio == 192995.53182925112
+
     def test_zero_delta_is_plain_selection_orbit(self, sqrt_t):
         rep = ostrowski_verify(sqrt_t, 1.0, SQRT_PARAMS, SQRT_L, 4.0,
                                DecaySpec(0.0, 0.5), 60)
@@ -372,7 +385,7 @@ _ONE_POINT_GRID = {
     "retraction_displacement_check": lambda t, tg: setfix.retraction_displacement_check(
         t, SQRT_PARAMS, SQRT_L, 1.0, 1),
     "data_dependence_verify": lambda t, tg: data_dependence_verify(
-        t, tg, 1.0, SQRT_PARAMS, SQRT_L, 1),
+        t, tg, 1.0, sqrt_xi(t, 501), 1),
     "psi_mp_data_dependence": lambda t, tg: psi_mp_data_dependence(
         t, tg, tg, 1.0, ComparisonFunction("linear", 10.0), 1.0, 1),
     "quasi_contraction_verify": lambda t, tg: quasi_contraction_verify(
@@ -390,21 +403,21 @@ def test_one_point_grid_is_a_parameter_error(name, sqrt_t, sqrt_tg):
 
 class TestDataDependence:
     def test_identical_operators(self, sqrt_t, sqrt_tg):
-        rep = data_dependence_verify(sqrt_t, sqrt_t, 1.0, SQRT_PARAMS, SQRT_L, 1001)
+        rep = data_dependence_verify(sqrt_t, sqrt_t, 1.0, sqrt_xi(sqrt_t, 1001), 1001)
         assert rep.holds
         assert rep.details["eta"] == 0.0
         assert rep.worst_ratio == 0.0
 
     def test_constant_comparison_operator(self, sqrt_t):
         f = constant_operator(sqrt_t.domain, 2.125)
-        rep = data_dependence_verify(sqrt_t, f, 1.0, SQRT_PARAMS, SQRT_L, 1001)
+        rep = data_dependence_verify(sqrt_t, f, 1.0, sqrt_xi(sqrt_t, 1001), 1001)
         assert rep.holds
         assert abs(rep.details["eta"] - 1.125) <= 1e-12
         assert rep.details["comparison_strict_points"] == [2.125]
 
     def test_small_perturbation_comparison(self, sqrt_t):
         f = setfix.perturb(sqrt_t, setfix.Takahashi(0.05))
-        rep = data_dependence_verify(sqrt_t, f, 1.0, SQRT_PARAMS, SQRT_L, 1001)
+        rep = data_dependence_verify(sqrt_t, f, 1.0, sqrt_xi(sqrt_t, 1001), 1001)
         assert rep.holds  # same strict fixed point, small eta
 
     def test_retraction_displacement_failure_not_applicable(self):
@@ -414,8 +427,10 @@ class TestDataDependence:
             setfix.Domain(setfix.Interval(0.0, 1.0)),
             (setfix.Piece(setfix.Interval(0.0, 1.0), setfix.BoundaryFn(slope=0.5),
                           setfix.BoundaryFn(slope=1.0)),))
+        xi = setfix.retraction_displacement_check(t, ContractionParams(0.5, 0.0, 0.0), 0.5,
+                                                  0.0, 201)
         with pytest.raises(HypothesisFailedError) as exc:
-            data_dependence_verify(t, t, 0.0, ContractionParams(0.5, 0.0, 0.0), 0.5, 201)
+            data_dependence_verify(t, t, 0.0, xi, 201)
         assert str(exc.value) == ("retraction-displacement condition failed on the grid "
                                   "(xi_max < 1e-6)")
 
@@ -423,13 +438,21 @@ class TestDataDependence:
         # a value translation keeps the set widths, so no point has T(y) = {y}
         f = shift_operator(sqrt_t, 0.01)
         with pytest.raises(NoStrictFixedPointError):
-            data_dependence_verify(sqrt_t, f, 1.0, SQRT_PARAMS, SQRT_L, 1001)
+            data_dependence_verify(sqrt_t, f, 1.0, sqrt_xi(sqrt_t, 1001), 1001)
+
+    @pytest.mark.parametrize("K", [float("nan"), 0.0, -1.0, float("-inf")])
+    def test_holding_xi_without_a_positive_constant_gets_no_verdict(self, sqrt_t, K):
+        # only retraction_displacement_check builds a holding XiResult; a
+        # hand-built one whose K~ is not > 0, NaN included, is refused
+        with pytest.raises(ParameterRangeError, match="K~ > 0"):
+            data_dependence_verify(sqrt_t, sqrt_t, 1.0, setfix.XiResult(0.5, True, K), 1001)
 
 
 #: The harnesses whose constants are derived for the ciric condition only,
-#: each called on sqrt_example with the given params.
+#: each called on sqrt_example with the given params.  Data dependence takes
+#: its constant from retraction_displacement_check, which refuses such params
+#: (TestRetractionDisplacement.test_other_variants_refused).
 _CIRIC_ONLY = {
-    "DataDependence": lambda t, tg, p: data_dependence_verify(t, t, 1.0, p, SQRT_L, 501),
     "UlamHyers": lambda t, tg, p: ulam_hyers_verify(t, tg, 1.0, p, SQRT_L, [0.1, 0.05, 0.01]),
     "WellPosed": lambda t, tg, p: well_posedness_verify(t, 1.0, p, SQRT_L, DecaySpec(0.1, 0.8)),
     "Ostrowski": lambda t, tg, p: ostrowski_verify(t, 1.0, p, SQRT_L, 4.0, DecaySpec(0.1, 0.5)),
@@ -514,6 +537,19 @@ class TestPsiMP:
         with pytest.raises(HypothesisFailedError, match="displacement"):
             psi_mp_data_dependence(sqrt_t, sqrt_t, sqrt_tg, 1.0, psi, 0.01, 1001)
 
+    def test_displacement_premise_at_its_bound(self, sqrt_t, sqrt_tg):
+        # c a millionth below L = sup D(x,T_G(x))/D(x,T(x)) fails the premise,
+        # c = L passes it; F is the constant midpoint, as in the packaged run
+        f = constant_operator(sqrt_t.domain, sqrt_t.domain.bounds.midpoint)
+        psi = ComparisonFunction("linear", 8.0)
+        L = setfix.displacement_constant_L(sqrt_t, sqrt_tg, 501).value
+        assert L == 0.2500000000000074
+        with pytest.raises(HypothesisFailedError, match="displacement premise fails"):
+            psi_mp_data_dependence(sqrt_t, f, sqrt_tg, 1.0, psi, L * (1.0 - 1e-6), 501)
+        rep = psi_mp_data_dependence(sqrt_t, f, sqrt_tg, 1.0, psi, L, 501)
+        assert rep.holds
+        assert rep.worst_ratio == 0.9981354813866858
+
 
 class TestReportShape:
     def test_holds_matches_worst_ratio(self, sqrt_t, sqrt_tg):
@@ -568,7 +604,7 @@ class TestReportShape:
         identity = setfix.MultivaluedOperator(
             sqrt_t.domain, (setfix.Piece(sqrt_t.domain.bounds, setfix.BoundaryFn(slope=1.0),
                                          setfix.BoundaryFn(slope=1.0)),))
-        rep = data_dependence_verify(sqrt_t, identity, 1.0, SQRT_PARAMS, SQRT_L, 201)
+        rep = data_dependence_verify(sqrt_t, identity, 1.0, sqrt_xi(sqrt_t, 201), 201)
         assert rep.details["comparison_strict_points"] == [[0.25, 4.0]]
         assert rep.details["worst_strict_point"] == 4.0
         assert rep.samples == 2
