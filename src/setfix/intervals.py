@@ -35,8 +35,8 @@ numpy path of a fixed dozen or two numpy calls.  ``normalize`` loops over a
 list (converting a list to an array costs about as much per item) and takes
 the numpy path on an array, sorting with np.lexsort and merging with a
 running maximum (``_normalize_ends``).  ``excess`` takes the numpy path from
-``VECTOR_MIN_PARTS`` parts in |A| + |B| on, where the two cost the same on
-unions like the benchmark's, with np.searchsorted on endpoint arrays that
+``VECTOR_MIN_PARTS`` parts in |A| + |B| on (its loops cost 0.2 us a part,
+its numpy path 11 us), with np.searchsorted on endpoint arrays that
 each union builds once (``_array``).  Both paths compute the same
 expressions on the same candidates and break ties the loop's way, 0.0
 against -0.0 included, so they agree bit for bit (``tests/oracles.py`` keeps
@@ -64,8 +64,8 @@ MERGE_EPS = 1e-12
 AMBIENT_TOL = 1e-9
 
 #: excess of two unions with at least this many parts between them takes the
-#: numpy path; below it the loops are faster.
-VECTOR_MIN_PARTS = 20
+#: numpy path; below it the loops are faster (tests/crossover.py: 48.6-51.7).
+VECTOR_MIN_PARTS = 50
 
 _set = object.__setattr__  # writes the slots of an immutable IntervalUnion
 
@@ -217,6 +217,11 @@ def normalize(raw: Iterable[Interval | Sequence[float]],
             ends.append((lo, hi))
     if not ends:
         raise EmptySetError("normalize() needs at least one interval")
+    return _merge(ends, ambient)
+
+
+def _merge(ends: list, ambient: Interval | None) -> IntervalUnion:
+    """normalize's merge of ends, a nonempty list of finite (lo, hi), lo <= hi."""
     ends.sort()
     los, his = [ends[0][0]], [ends[0][1]]
     for lo, hi in ends[1:]:
@@ -275,24 +280,21 @@ def set_from_json(obj: object, ambient: Interval | None = None) -> IntervalUnion
     return normalize(parts, ambient)
 
 
-def _dist_around(x: float, los: tuple, his: tuple, i: int) -> float:
-    """D(x, A) from A's parts i - 1 and i, where i = bisect_right(los, x).
+def dist_point_to_set(x: float, a: IntervalUnion) -> float:
+    """Distance from the point x to the set A; 0 iff x is a member.
 
-    Every part left of i - 1 ends before part i - 1 does and every part right
-    of i starts after part i does, and fl(x - c) is monotone in c, so no other
-    part can be nearer.
+    Only parts i - 1 and i, i = bisect_right(los, x), can be nearest: the
+    parts left of them end before and the parts right start after, and
+    fl(x - c) is monotone in c.
     """
+    los, his = a._los, a._his
+    i = bisect_right(los, x)
     if i == 0:
         return max(0.0, los[0] - x, x - his[0])
     d = max(0.0, los[i - 1] - x, x - his[i - 1])
     if i < len(los):
         d = min(d, max(0.0, los[i] - x, x - his[i]))
     return d
-
-
-def dist_point_to_set(x: float, a: IntervalUnion) -> float:
-    """Distance from the point x to the set A; 0 iff x is a member."""
-    return _dist_around(x, a._los, a._his, bisect_right(a._los, x))
 
 
 def nearest_point(a: IntervalUnion, x: float) -> float:
@@ -312,18 +314,19 @@ def nearest_point(a: IntervalUnion, x: float) -> float:
 def gap(a: IntervalUnion, b: IntervalUnion) -> float:
     """inf distance between the two sets; 0 iff they intersect."""
     blos, bhis = b._los, b._his
+    nb = len(bhis)
     best = math.inf
     j = 0
     for lo, hi in zip(a._los, a._his):
         # the first part of B that ends at or after [lo, hi] starts, and the
         # one before it, are the only candidates; j only moves right
         j = bisect_left(bhis, lo, j)
-        for k in range(max(j - 1, 0), min(j + 1, len(bhis))):
-            d = max(0.0, lo - bhis[k], blos[k] - hi)
-            if d < best:
-                best = d
-            if best == 0.0:
+        if j < nb and blos[j] - hi < best:
+            if blos[j] <= hi:  # part j meets [lo, hi]
                 return 0.0
+            best = blos[j] - hi
+        if j and lo - bhis[j - 1] < best:
+            best = lo - bhis[j - 1]
     return best
 
 
@@ -347,16 +350,19 @@ def excess(a: IntervalUnion, b: IntervalUnion) -> float:
         for x in (lo, hi):
             while j < nb and blos[j] <= x:
                 j += 1
-            d = _dist_around(x, blos, bhis, j)
+            # between parts j - 1 and j of B; only a positive d counts
+            d = x - bhis[j - 1] if j else math.inf
+            if j < nb and blos[j] - x < d:
+                d = blos[j] - x
             if d > best:
                 best = d
     i = 0  # A parts starting at or before the current midpoint
-    for k in range(1, nb):
-        m = 0.5 * (bhis[k - 1] + blos[k])
+    for gl, gh in zip(bhis, blos[1:]):
+        m = 0.5 * (gl + gh)
         while i < na and alos[i] <= m:
             i += 1
         if i and ahis[i - 1] >= m:  # m lies in A
-            d = _dist_around(m, blos, bhis, k)
+            d = gh - m if gh - m < m - gl else m - gl
             if d > best:
                 best = d
     return best

@@ -104,16 +104,17 @@ def picard_orbit(t: MultivaluedOperator, x0: float, max_n: int = 10_000,
 
     current = IntervalUnion.singleton(x0, ambient=bounds)
     steps = [OrbitStep(0, current, 0.0, h_target(current))]
+    image, append = t.set_image, steps.append
     converged = False
     stall = 0
     prev_h: float | None = None
     for n in range(1, max_n + 1):
         try:
-            nxt = t.set_image(current)
+            nxt = image(current)
         except OutOfDomainError as exc:
             raise OutOfDomainError(f"orbit escaped the domain at step {n}: {exc}") from exc
         h = hausdorff(current, nxt)
-        steps.append(OrbitStep(n, nxt, h, h_target(nxt)))
+        append(OrbitStep(n, nxt, h, h_target(nxt)))
         if h < tol:
             converged = True
             break
@@ -261,7 +262,7 @@ def orbit_summary(x0: float, trace: OrbitTrace) -> dict:
 
 def orbit_steps(trace: OrbitTrace) -> list[dict]:
     """The steps of an orbit as report rows: n, parts, h_to_prev, h_to_target."""
-    return [{"n": s.n, "parts": s.set.to_json()["parts"],
+    return [{"n": s.n, "parts": [[lo, hi] for lo, hi in zip(s.set._los, s.set._his)],
              "h_to_prev": s.h_to_prev, "h_to_target": s.h_to_target}
             for s in trace.steps]
 

@@ -42,11 +42,12 @@ from .errors import (
     json_keys,
     record,
 )
-from .intervals import AMBIENT_TOL, Domain, Interval, IntervalUnion, normalize
+from .intervals import AMBIENT_TOL, Domain, Interval, IntervalUnion, _merge, normalize
 
-#: set_image of a set with at least this many parts takes the numpy path;
-#: below it the loop over parts and pieces is faster (measured crossover).
-IMAGE_VECTOR_MIN_PARTS = 18
+#: set_image of a set with at least this many parts takes the numpy path; the
+#: loop is faster below 54.7-57.8 parts (tests/crossover.py), but tests that
+#: lay twice this many parts 0.01 apart in their domain hold it at 20.
+IMAGE_VECTOR_MIN_PARTS = 20
 
 #: Tolerance for the self-map requirement T(x) subset of X at construction.
 SELF_MAP_SLACK = 1e-9
@@ -346,6 +347,9 @@ class MultivaluedOperator:
         object.__setattr__(self, "_sub_ends", np.array([[pc.sub.lo for pc in pieces],
                                                         [pc.sub.hi for pc in pieces]]))
         object.__setattr__(self, "_term_runs", tuple(runs))
+        object.__setattr__(self, "_image_pieces", tuple(
+            (pc.sub.lo, pc.sub.hi, cut, pc.lower.value, pc.upper.value)
+            for pc, cut in zip(pieces, self._cuts)))
         object.__setattr__(self, "_grids", {})
 
     def _validate_piece(self, pc: Piece) -> None:
@@ -447,18 +451,22 @@ class MultivaluedOperator:
                 f"set {y.to_json()} escapes operator domain [{b.lo}, {b.hi}]")
         if len(los) >= IMAGE_VECTOR_MIN_PARTS:
             return normalize(self._image_ends(y), ambient=b)
+        # comparisons with the tie choices of max and min (see _image_ends)
         x_lo, x_hi = b.lo, b.hi
         out = []
         for a, z in zip(los, his):
-            for pc, cut in zip(self.pieces, self._cuts):
-                u = max(a, pc.sub.lo)
-                v = min(z, pc.sub.hi)
+            for s_lo, s_hi, cut, lower, upper in self._image_pieces:
+                u = s_lo if s_lo > a else a
+                v = s_hi if s_hi < z else z
                 if u >= v and (u > v or u == cut):  # no overlap, or a point the next piece owns
                     continue
-                lo = min(pc.lower.value(u), pc.lower.value(v))
-                hi = max(lo, max(pc.upper.value(u), pc.upper.value(v)))
-                out.append((min(max(lo, x_lo), x_hi), min(max(hi, x_lo), x_hi)))  # b.clamp
-        return normalize(out, ambient=b)
+                lo, lv, hi, hv = lower(u), lower(v), upper(u), upper(v)
+                lo = lv if lv < lo else lo
+                hi = hv if hv > hi else hi
+                hi = hi if hi > lo else lo
+                out.append((x_lo if x_lo > lo else (x_hi if x_hi < lo else lo),  # b.clamp
+                            x_lo if x_lo > hi else (x_hi if x_hi < hi else hi)))
+        return _merge(out, b)
 
     def _image_ends(self, y: IntervalUnion) -> np.ndarray:
         """The intervals of set_image's loop as the rows of an (n, 2) array, in

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, reject, settings, strategies as st
 
 import setfix
+from setfix import intervals, operators
 from setfix import (
     AxiomViolationError,
     BoundaryFn,
@@ -54,6 +55,7 @@ from oracles import (
     range_on_set_image,
     roots_worst_order_point,
 )
+from test_intervals import union_pairs
 
 
 def identity_operator():
@@ -525,6 +527,64 @@ class TestSetImageAgainstRangeOn:
             for pc in t.pieces:
                 y = setfix.IntervalUnion.singleton(pc.sub.lo, t.domain.bounds)
                 assert repr(t.set_image(y)) == repr(range_on_set_image(t, y))
+
+
+def _paths_agree(module, name: str, fn, *args) -> None:
+    """fn(*args) has one repr with module.name set to 1, so that fn takes its
+    numpy path, and set to 10**9, so that it takes its loop."""
+    out = []
+    for value in (1, 10**9):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(module, name, value)
+            out.append(repr(fn(*args)))
+    assert out[0] == out[1], name
+
+
+def _image_and_excess_paths_agree(t: MultivaluedOperator, y, z) -> None:
+    _paths_agree(operators, "IMAGE_VECTOR_MIN_PARTS", t.set_image, y)
+    img = t.set_image(y)
+    for a, b in ((img, y), (y, img), (y, z)):
+        _paths_agree(intervals, "VECTOR_MIN_PARTS", excess, a, b)
+
+
+def _signed_zero_operators() -> list[MultivaluedOperator]:
+    """Operators on [-1, 1] whose image ends keep the sign of a zero x, by
+    offsets of -0.0: {x} left of 0 and [-x/2, x] right of it, whose ends tie
+    as -0.0 and 0.0 at x = 0.0, and [-1, x] on one piece."""
+    x, half = BoundaryFn(slope=1.0, offset=-0.0), BoundaryFn(slope=-0.5, offset=-0.0)
+    dom = Domain(Interval(-1.0, 1.0))
+    return [MultivaluedOperator(dom, (Piece(Interval(-1.0, 0.0), x, x),
+                                      Piece(Interval(0.0, 1.0), half, BoundaryFn(slope=1.0)))),
+            MultivaluedOperator(dom, (Piece(dom.bounds, BoundaryFn(offset=-1.0), x),))]
+
+
+class TestBothPaths:
+    """set_image and excess give the same bits on the loop and on the numpy
+    path, wherever their crossover constants stand."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.sampled_from([*_builtins_and_perturbations(), *_signed_zero_operators()]), st.data())
+    def test_junction_unions(self, t, data):
+        # unions of a domain that holds 0 have ends of 0.0 and -0.0
+        _image_and_excess_paths_agree(t, data.draw(junction_unions(t)),
+                                      data.draw(junction_unions(t)))
+
+    @pytest.mark.parametrize("n", [1, 8])
+    @pytest.mark.parametrize("t", _signed_zero_operators())
+    def test_parts_at_signed_zeros(self, t, n):
+        # a part that starts, ends or sits at a zero, with n - 1 more on the right
+        right = [(0.6 + 0.4 * k / n, 0.6 + 0.4 * (k + 0.5) / n) for k in range(n - 1)]
+        ys = [normalize([zero, *right], t.domain.bounds)
+              for zero in ((-0.0, -0.0), (-0.0, 0.0), (0.0, -0.0), (0.0, 0.0), (-0.0, 0.5),
+                           (0.0, 0.5), (-0.5, -0.0), (-0.5, 0.0))]
+        for y, z in zip(ys, ys[1:] + ys[:1]):
+            _image_and_excess_paths_agree(t, y, z)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(union_pairs())
+    def test_union_pairs(self, pair):
+        for a, b in (pair, pair[::-1]):
+            _paths_agree(intervals, "VECTOR_MIN_PARTS", excess, a, b)
 
 
 class TestPerturb:
